@@ -38,6 +38,7 @@ from .graphs import (
     corrects_f,
     dump_graph,
     find_uncorrectable_subset,
+    first_failing_subset,
     graph_to_dict,
     load_graph,
     loads_graph,

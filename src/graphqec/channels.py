@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -196,7 +196,6 @@ class KLReport:
 
     gram: np.ndarray
     max_deviation: float
-    basis_labels: list = field(default_factory=list)
 
     @property
     def correcting(self) -> bool:
@@ -209,7 +208,7 @@ def _require_isometry(v: np.ndarray) -> None:
         raise NotIsometry(f"V*V deviates from identity by {gap:.3e}")
 
 
-def kl_verify(v, errors: Sequence, labels: Optional[Sequence] = None) -> KLReport:
+def kl_verify(v, errors: Sequence) -> KLReport:
     """Check <V phi1, F_a* F_b V phi2> = <phi1, phi2> w_ab over all pairs.
 
     The code corrects the span of `errors` iff the returned deviation
@@ -226,9 +225,7 @@ def kl_verify(v, errors: Sequence, labels: Optional[Sequence] = None) -> KLRepor
     gram = np.trace(gram_blocks, axis1=2, axis2=3) / dim_in
     deviation = gram_blocks - gram[:, :, None, None] * np.eye(dim_in)
     max_dev = float(np.abs(deviation).max())
-    if labels is None:
-        labels = list(range(len(ops)))
-    return KLReport(gram=gram, max_deviation=max_dev, basis_labels=list(labels))
+    return KLReport(gram=gram, max_deviation=max_dev)
 
 
 def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
@@ -290,18 +287,25 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
     return Channel(tuple(kraus))
 
 
-def choi_state(channel: Channel) -> np.ndarray:
-    """Normalized Choi state: feed half of a maximally entangled pair through."""
-    d = channel.dim_in
+def _max_entangled(d: int) -> np.ndarray:
     omega = np.zeros((d * d,), dtype=np.complex128)
     omega[:: d + 1] = 1 / np.sqrt(d)
-    state = np.outer(omega, omega.conj())
-    eye = np.eye(d, dtype=np.complex128)
-    out = np.zeros((channel.dim_out * d,) * 2, dtype=np.complex128)
-    for f in channel.kraus:
+    return np.outer(omega, omega.conj())
+
+
+def _propagate(state: np.ndarray, stage: Channel, d0: int) -> np.ndarray:
+    """Apply stage (x) id_{d0} to a state on the stage input and a d0-level reference."""
+    eye = np.eye(d0, dtype=np.complex128)
+    out = np.zeros((stage.dim_out * d0,) * 2, dtype=np.complex128)
+    for f in stage.kraus:
         k = np.kron(f, eye)
         out += k @ state @ k.conj().T
     return out
+
+
+def choi_state(channel: Channel) -> np.ndarray:
+    """Normalized Choi state: feed half of a maximally entangled pair through."""
+    return _propagate(_max_entangled(channel.dim_in), channel, channel.dim_in)
 
 
 def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
@@ -316,16 +320,9 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
     if decoder.dim_out != encoder.dim_in:
         raise DimensionMismatch("composite must return to the encoder input space")
     d0 = encoder.dim_in
-    omega = np.zeros((d0 * d0,), dtype=np.complex128)
-    omega[:: d0 + 1] = 1 / np.sqrt(d0)
-    reference = np.outer(omega, omega.conj())
-    eye = np.eye(d0, dtype=np.complex128)
+    reference = _max_entangled(d0)
     state = reference
     for stage in (encoder, noise, decoder):
-        nxt = np.zeros((stage.dim_out * d0,) * 2, dtype=np.complex128)
-        for f in stage.kraus:
-            k = np.kron(f, eye)
-            nxt += k @ state @ k.conj().T
-        state = nxt
+        state = _propagate(state, stage, d0)
     gaps = np.linalg.eigvalsh(state - reference)
     return float(0.5 * np.abs(gaps).sum())

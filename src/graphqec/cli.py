@@ -47,14 +47,6 @@ __all__ = ["main"]
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     parser.add_argument("--no-timing", action="store_true", help="suppress the timing line")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="cap on worker threads; results never depend on it (the current "
-        "implementation evaluates vectorized batches on one thread)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -396,9 +388,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except (GraphQECError, ValueError, OSError, json.JSONDecodeError) as err:

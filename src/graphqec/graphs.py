@@ -3,9 +3,13 @@
 A code is a symmetric adjacency matrix over Z_d on m input and n output
 nodes.  Whether it corrects f errors reduces to an exact statement: for
 every output subset Z with |Z| <= 2f, the (Y \\ Z) x (X u Z) submatrix
-must have trivial kernel mod d.  The encoding isometry itself is a
-quadratic-phase matrix; both views are implemented here and their
-consistency is exercised by the tests.
+must have trivial kernel mod d.  One scan, first_failing_subset, checks
+that statement for every caller: it visits subsets by increasing size,
+lexicographically within a size, gathers at most _SUBSET_CHUNK blocks at
+a time, and lets modular.first_singular pick prime or composite
+arithmetic.  The encoding isometry itself is a quadratic-phase matrix;
+both views are implemented here and their consistency is exercised by
+the tests.
 
 Node numbering convention: inputs are 0..m-1, outputs are m..m+n-1.
 Basis indices are base-d integers whose most-significant digit belongs
@@ -26,11 +30,12 @@ from .errors import (
     InvalidSubset,
     TooManyErrors,
 )
-from .modular import ModMatrix, is_prime, kernel_trivial, rank_prime_batch
+from .modular import ModMatrix, first_singular
 
 __all__ = [
     "GraphCode",
     "check_subset",
+    "first_failing_subset",
     "find_uncorrectable_subset",
     "corrects_f",
     "max_correctable_f",
@@ -46,6 +51,9 @@ __all__ = [
 
 # Dense objects refuse to materialize beyond this many amplitudes.
 DEFAULT_AMPLITUDE_CAP = 2**20
+
+# Most subsets whose blocks first_failing_subset holds in memory at once.
+_SUBSET_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +92,17 @@ class GraphCode:
     ) -> "GraphCode":
         """Build a code from [node_a, node_b, multiplicity] triples.
 
-        Duplicate edges sum mod d; self-loops are rejected.
+        Duplicate edges sum mod d; self-loops are rejected.  d, m, n and
+        every edge entry must be integers: bools and floats are refused
+        rather than truncated.
         """
+        d, m, n = _require_int(d, "d"), _require_int(m, "m"), _require_int(n, "n")
         size = m + n
         gamma = np.zeros((size, size), dtype=np.int64)
         for edge in edges:
-            if len(edge) != 3:
+            if not isinstance(edge, (list, tuple, np.ndarray)) or len(edge) != 3:
                 raise ValueError(f"edge must be [node_a, node_b, multiplicity]: {edge!r}")
-            a, b, w = (int(x) for x in edge)
+            a, b, w = (_require_int(x, "edge entry") for x in edge)
             if a == b:
                 raise ValueError(f"self-loop on node {a} is not allowed")
             if not (0 <= a < size and 0 <= b < size):
@@ -109,6 +120,12 @@ class GraphCode:
         return range(self.m, self.m + self.n)
 
 
+def _require_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _normalize_subset(code: GraphCode, subset: Iterable[int]) -> tuple[int, ...]:
     sites = tuple(sorted(int(z) for z in subset))
     if any(not (0 <= z < code.n) for z in sites):
@@ -120,12 +137,16 @@ def _normalize_subset(code: GraphCode, subset: Iterable[int]) -> tuple[int, ...]
     return sites
 
 
-def _submatrix(code: GraphCode, sites: tuple[int, ...]) -> np.ndarray:
-    """The (Y \\ Z) x (X u Z) block of gamma for output subset Z."""
-    zset = set(sites)
-    rows = [code.m + j for j in range(code.n) if j not in zset]
-    cols = list(range(code.m)) + [code.m + j for j in sites]
-    return code.gamma.entries[np.ix_(rows, cols)]
+def _blocks(code: GraphCode, subsets) -> np.ndarray:
+    """Stacked (Y \\ Z) x (X u Z) blocks of gamma, one per equal-size subset Z."""
+    zs = np.asarray(subsets, dtype=np.int64)
+    count, size = zs.shape
+    outside = np.ones((count, code.n), dtype=bool)
+    outside[np.arange(count)[:, None], zs] = False
+    rows = code.m + np.nonzero(outside)[1].reshape(count, code.n - size)
+    inputs = np.broadcast_to(np.arange(code.m), (count, code.m))
+    cols = np.concatenate([inputs, code.m + zs], axis=1)
+    return code.gamma.entries[rows[:, :, None], cols[:, None, :]]
 
 
 def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
@@ -136,38 +157,36 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
     have trivial kernel.
     """
     sites = _normalize_subset(code, subset)
-    return kernel_trivial(ModMatrix(code.d, _submatrix(code, sites)))
+    return first_singular(_blocks(code, [sites]), code.d) is None
+
+
+def first_failing_subset(
+    code: GraphCode, max_size: int
+) -> Optional[tuple[int, ...]]:
+    """First Z with |Z| <= max_size whose block has a nontrivial kernel, or None.
+
+    Subsets are scanned by increasing cardinality and lexicographically
+    within each cardinality, _SUBSET_CHUNK at a time, so the returned
+    witness is the smallest counterexample under that order.
+    """
+    for size in range(min(max_size, code.n) + 1):
+        subsets = itertools.combinations(range(code.n), size)
+        while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
+            bad = first_singular(_blocks(code, chunk), code.d)
+            if bad is not None:
+                return chunk[bad]
+    return None
 
 
 def find_uncorrectable_subset(
     code: GraphCode, f: int
 ) -> Optional[tuple[int, ...]]:
-    """First failing Z with |Z| <= 2f, or None when the code corrects f errors.
-
-    Subsets are scanned by increasing cardinality and lexicographically
-    within each cardinality, so the returned witness is the smallest
-    counterexample under that order.
-    """
+    """First failing Z with |Z| <= 2f, or None when the code corrects f errors."""
     if f < 0:
         raise ValueError(f"error count must be non-negative, got {f}")
     if 2 * f >= code.n:
         raise TooManyErrors(f"need 2f < n, got f={f} with n={code.n}")
-    prime = is_prime(code.d)
-    for size in range(0, 2 * f + 1):
-        subsets = list(itertools.combinations(range(code.n), size))
-        if prime:
-            # all submatrices of one cardinality share a shape: batch them
-            mats = np.stack([_submatrix(code, s) for s in subsets])
-            ranks = rank_prime_batch(mats, code.d)
-            full = code.m + size
-            for subset, rank in zip(subsets, ranks):
-                if mats.shape[1] < full or rank < full:
-                    return subset
-        else:
-            for subset in subsets:
-                if not kernel_trivial(ModMatrix(code.d, _submatrix(code, subset))):
-                    return subset
-    return None
+    return first_failing_subset(code, 2 * f)
 
 
 def corrects_f(code: GraphCode, f: int) -> bool:
@@ -177,20 +196,9 @@ def corrects_f(code: GraphCode, f: int) -> bool:
 
 def max_correctable_f(code: GraphCode) -> int:
     """Largest f with corrects_f true; -1 if even the empty subset fails."""
-    first_bad = None
-    for size in range(0, code.n):
-        for subset in itertools.combinations(range(code.n), size):
-            if not check_subset(code, subset):
-                first_bad = size
-                break
-        if first_bad is not None:
-            break
     f_cap = (code.n - 1) // 2  # 2f < n
-    if first_bad is None:
-        return f_cap
-    if first_bad == 0:
-        return -1
-    return min((first_bad - 1) // 2, f_cap)
+    witness = first_failing_subset(code, 2 * f_cap)
+    return f_cap if witness is None else (len(witness) - 1) // 2
 
 
 def _digit_table(count: int, d: int, width: int) -> np.ndarray:
@@ -249,7 +257,9 @@ def _code_from_dict(obj: dict) -> GraphCode:
     missing = {"d", "m", "n", "edges"} - obj.keys()
     if missing:
         raise ValueError(f"graph object is missing fields: {sorted(missing)}")
-    return GraphCode.from_edges(int(obj["d"]), int(obj["m"]), int(obj["n"]), obj["edges"])
+    if not isinstance(obj["edges"], list):
+        raise ValueError("graph field 'edges' must be a list")
+    return GraphCode.from_edges(obj["d"], obj["m"], obj["n"], obj["edges"])
 
 
 def loads_graph(text: str) -> GraphCode:

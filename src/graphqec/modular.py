@@ -2,15 +2,17 @@
 
 The two questions answered here are the rank of a matrix over a prime
 field GF(d) and, for arbitrary d >= 2, whether a matrix has trivial
-kernel mod d (M h = 0 implies h = 0).  The composite case cannot be
-settled by Gaussian elimination, so it is decided through the Smith
-normal form of the integer lift.
+kernel mod d (M h = 0 implies h = 0).  first_singular is the one place
+that picks the algorithm for the second question: batched Gaussian
+elimination for prime d; for composite d, which elimination cannot
+settle, the Smith normal form of the integer lift, one matrix at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "rank_prime",
     "rank_prime_batch",
     "kernel_trivial",
+    "first_singular",
     "smith_normal_form",
 ]
 
@@ -144,25 +147,31 @@ def rank_prime(matrix: ModMatrix) -> int:
 
 
 def kernel_trivial(matrix: ModMatrix) -> bool:
-    """True iff M h = 0 (mod d) implies h = 0 (mod d).
+    """True iff M h = 0 (mod d) implies h = 0 (mod d)."""
+    return first_singular(matrix.entries[None], matrix.modulus) is None
 
-    For prime d this is equivalent to full column rank over GF(d).  For
-    composite d the integer lift's Smith normal form decides it: the
-    kernel is trivial iff all cols invariant factors are nonzero and
-    coprime to d.
+
+def first_singular(mats: np.ndarray, d: int) -> Optional[int]:
+    """Index of the first matrix in a (B, N, M) stack with nontrivial kernel mod d.
+
+    Returns None when every kernel is trivial.  For prime d this is full
+    column rank over GF(d), decided for the whole batch at once.  For
+    composite d the integer lift's Smith normal form decides it, one
+    matrix at a time up to the first failure: the kernel is trivial iff
+    all M invariant factors are coprime to d (a zero factor never is).
     """
-    d = matrix.modulus
-    if matrix.cols == 0:
-        return True
-    if matrix.rows < matrix.cols:
-        return False
+    count, nrows, ncols = mats.shape
+    if ncols == 0 or count == 0:
+        return None
+    if nrows < ncols:
+        return 0
     if is_prime(d):
-        return rank_prime(matrix) == matrix.cols
-    factors = smith_normal_form(matrix.entries)
-    nonzero = [s for s in factors if s != 0]
-    if len(nonzero) < matrix.cols:
-        return False
-    return all(gcd(s, d) == 1 for s in nonzero[: matrix.cols])
+        singular = np.flatnonzero(rank_prime_batch(mats, d) < ncols)
+        return int(singular[0]) if singular.size else None
+    for index, mat in enumerate(mats):
+        if any(gcd(s, d) != 1 for s in smith_normal_form(mat)):
+            return index
+    return None
 
 
 def smith_normal_form(matrix) -> list[int]:

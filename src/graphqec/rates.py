@@ -39,7 +39,6 @@ __all__ = [
     "capacity_from_finite_coding",
     "error_exponent_curve",
     "region_boundaries",
-    "bisect_increasing",
     "emit_curves",
 ]
 
@@ -207,20 +206,6 @@ def region_boundaries(
         return x if x is not None and 0.0 <= x <= 1.0 else None
 
     return clip(singleton), clip(hamming), clip(random_graph)
-
-
-def bisect_increasing(func, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Root of an increasing function on [lo, hi] by plain bisection."""
-    flo, fhi = func(lo), func(hi)
-    if flo > 0 or fhi < 0:
-        raise ValueError("function must change sign from - to + on [lo, hi]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if func(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

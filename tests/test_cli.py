@@ -51,10 +51,18 @@ def test_verify_json_mode(capsys, wheel_file):
 
 def test_verify_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"d": 2, "m": 1, "n": 1, "edges": [[0, 0, 1]]}')
-    code, _, err = run_cli(capsys, "verify", str(bad), "--f", "0")
-    assert code == 2
-    assert "self-loop" in err
+    for text, message in (
+        ('{"d": 2, "m": 1, "n": 1, "edges": [[0, 0, 1]]}', "self-loop"),
+        # int() would truncate these to a code the file does not describe
+        ('{"d": 2.7, "m": 1, "n": 5, "edges": []}', "must be an integer"),
+        ('{"d": 2, "m": true, "n": 5, "edges": []}', "must be an integer"),
+        ('{"d": 2, "m": 1, "n": 5, "edges": [[0, 1, 1.9]]}', "must be an integer"),
+    ):
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(bad), "--f", "0")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_verify_missing_file(capsys):
@@ -261,17 +269,7 @@ def test_capacity_needs_exactly_one_mode(capsys):
 
 
 def test_unknown_flag_rejected(capsys, wheel_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", wheel_file, "--f", "1", "--bogus"])
-    assert exc.value.code == 2
-
-
-def test_threads_flag_accepted_and_validated(capsys, wheel_file):
-    code, _, _ = run_cli(
-        capsys, "verify", wheel_file, "--f", "1", "--threads", "4", "--no-timing"
-    )
-    assert code == 0
-    code, _, err = run_cli(
-        capsys, "verify", wheel_file, "--f", "1", "--threads", "0"
-    )
-    assert code == 2
+    for extra in (["--bogus"], ["--threads", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", wheel_file, "--f", "1"] + extra)
+        assert exc.value.code == 2

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import graphqec.graphs as graphs
 from graphqec.errors import DimensionOverflow, InvalidSubset, TooManyErrors
 from graphqec.graphs import (
     GraphCode,
@@ -12,13 +13,17 @@ from graphqec.graphs import (
     corrects_f,
     dump_graph,
     find_uncorrectable_subset,
+    first_failing_subset,
     graph_to_dict,
     load_graph,
     loads_graph,
     max_correctable_f,
+    prism_code,
     wheel_code,
 )
 from graphqec.modular import ModMatrix
+
+from conftest import brute_force_kernel_trivial
 
 
 def test_constructor_rejects_asymmetric_gamma():
@@ -110,6 +115,54 @@ def test_witness_is_smallest_failing_subset(wheel):
         assert check_subset(wheel, subset)
 
 
+def _oracle_first_failing(code, max_size):
+    """First subset in (size, lex) order whose block has a nontrivial kernel.
+
+    A block with fewer rows than columns cannot be injective (counting);
+    every other block is decided by enumerating its kernel.
+    """
+    gamma = code.gamma.entries
+    inputs = list(range(code.m))
+    for size in range(max_size + 1):
+        for subset in itertools.combinations(range(code.n), size):
+            rows = [code.m + j for j in range(code.n) if j not in subset]
+            cols = inputs + [code.m + z for z in subset]
+            if len(rows) < len(cols):
+                return subset
+            block = gamma[rows][:, cols]
+            if not brute_force_kernel_trivial(block, code.d):
+                return subset
+    return None
+
+
+def _engine_corpus():
+    rng = np.random.default_rng(20021)
+    for d, m, n in itertools.product([2, 3, 4, 6], [1, 2], [5, 6, 7]):
+        for trial in range(4):
+            g = rng.integers(0, d, size=(m + n, m + n))
+            if trial % 2:  # sparse draws push witnesses later in the scan
+                g = g * (rng.random(g.shape) < 0.4)
+            g = np.triu(g, 1)
+            yield GraphCode(d, m, n, ModMatrix(d, g + g.T))
+    # the five-qubit graphs lifted to Z_d, with +-1 edges: mostly f = 1 codes
+    for base, d in itertools.product([wheel_code(), prism_code()], [2, 3, 4, 6]):
+        signs = np.triu(rng.choice([1, d - 1], size=(6, 6)), 1)
+        yield GraphCode(d, 1, 5, ModMatrix(d, (base.gamma.entries * (signs + signs.T)) % d))
+
+
+@pytest.mark.parametrize("chunk", [graphs._SUBSET_CHUNK, 3])
+def test_scan_matches_brute_force_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(graphs, "_SUBSET_CHUNK", chunk)
+    for code in _engine_corpus():
+        f_cap = (code.n - 1) // 2
+        expected = [_oracle_first_failing(code, 2 * f) for f in range(f_cap + 1)]
+        for f in range(f_cap + 1):
+            assert find_uncorrectable_subset(code, f) == expected[f], (code.d, code.m, code.n, f)
+        assert first_failing_subset(code, 2 * f_cap) == expected[f_cap]
+        passing = [f for f in range(f_cap + 1) if expected[f] is None]
+        assert max_correctable_f(code) == max(passing, default=-1)
+
+
 def test_max_correctable_f(wheel, prism):
     assert max_correctable_f(wheel) == 1
     assert max_correctable_f(prism) == 1
@@ -191,3 +244,18 @@ def test_loads_graph_rejects_malformed():
         loads_graph(json.dumps({"d": 2, "m": 1, "n": 1, "edges": [[0, 0, 1]]}))
     with pytest.raises(ValueError):
         loads_graph(json.dumps([1, 2, 3]))
+    # non-integers are refused, not truncated by int()
+    for fields in (
+        {"d": 2.7},
+        {"d": 3.0},
+        {"m": True},
+        {"n": "5"},
+        {"edges": [[0, 1, 1.9]]},
+        {"edges": [[0.0, 1, 1]]},
+        {"edges": [[0, 1, False]]},
+        {"edges": [7]},
+        {"edges": 7},
+    ):
+        obj = dict({"d": 2, "m": 1, "n": 5, "edges": [[0, 1, 1]]}, **fields)
+        with pytest.raises(ValueError):
+            loads_graph(json.dumps(obj))

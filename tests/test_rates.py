@@ -12,7 +12,6 @@ from graphqec.errors import (
 from graphqec.rates import (
     LOG2_3,
     achievable_pair,
-    bisect_increasing,
     capacity_from_finite_coding,
     capacity_lower_bound_small_noise,
     emit_curves,
@@ -45,12 +44,6 @@ def test_achievable_pair_boundary_at_mu_zero():
     assert abs(root - 0.0852678) < 1e-6
     assert achievable_pair(2, 0.0, root - 1e-4)
     assert not achievable_pair(2, 0.0, root + 1e-4)
-
-
-def test_bisect_increasing_matches_brentq():
-    root = bisect_increasing(lambda e: entropy_oracle(2 * e) - (1 - 4 * e), 1e-6, 0.2)
-    oracle = brentq(lambda e: entropy_oracle(2 * e) - (1 - 4 * e), 1e-6, 0.2, xtol=1e-12)
-    assert abs(root - oracle) < 1e-8
 
 
 def test_hamming_simple_points():
