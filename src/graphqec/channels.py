@@ -6,15 +6,19 @@ verification of the Knill-Laflamme condition, synthesis of an explicit
 decoding channel from the Gram form of a verified error set, and the
 Choi-state distance used to certify encode/noise/decode pipelines.
 
-Everything is dense numpy; operators refuse to materialize beyond
-DEFAULT_AMPLITUDE_CAP entries rather than silently degrade.
+Operators and error bases are dense numpy; they refuse to materialize
+beyond DEFAULT_AMPLITUDE_CAP entries rather than silently degrade.  Choi
+states are propagated in factored form: a state W W* on (system) (x)
+(d0-level reference) is carried as its factor W, pushed through every
+stage with one stacked product, so the (d^n d0)^2 dense state of the
+encoded register is never formed.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +73,8 @@ class Channel:
     """
 
     kraus: tuple[np.ndarray, ...]
+    # the Kraus operators as one (count, dim_out, dim_in) array; kraus holds views of it
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(_as_operator(f) for f in self.kraus)
@@ -77,13 +83,15 @@ class Channel:
         shape = ops[0].shape
         if any(f.shape != shape for f in ops):
             raise DimensionMismatch("all Kraus operators must share one shape")
-        total = sum(f.conj().T @ f for f in ops)
-        if np.abs(total - np.eye(shape[1])).max() > _COMPLETENESS_TOL:
+        stack = np.stack(ops)
+        rows = stack.reshape(-1, shape[1])  # F_1 over F_2 over ...: rows* rows = sum F*F
+        gap = np.abs(rows.conj().T @ rows - np.eye(shape[1])).max()
+        if gap > _COMPLETENESS_TOL:
             raise ValueError(
-                "Kraus completeness violated: sum F*F differs from identity by "
-                f"{np.abs(total - np.eye(shape[1])).max():.3e}"
+                f"Kraus completeness violated: sum F*F differs from identity by {gap:.3e}"
             )
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim_in(self) -> int:
@@ -208,12 +216,8 @@ def _require_isometry(v: np.ndarray) -> None:
         raise NotIsometry(f"V*V deviates from identity by {gap:.3e}")
 
 
-def kl_verify(v, errors: Sequence) -> KLReport:
-    """Check <V phi1, F_a* F_b V phi2> = <phi1, phi2> w_ab over all pairs.
-
-    The code corrects the span of `errors` iff the returned deviation
-    is at most KL_TOLERANCE.
-    """
+def _kl_images(v, errors: Sequence) -> tuple[KLReport, np.ndarray]:
+    """The Knill-Laflamme report together with the images F_a V, stacked (K, dim_out, dim_in)."""
     v = _as_operator(v)
     _require_isometry(v)
     dim_in = v.shape[1]
@@ -225,7 +229,16 @@ def kl_verify(v, errors: Sequence) -> KLReport:
     gram = np.trace(gram_blocks, axis1=2, axis2=3) / dim_in
     deviation = gram_blocks - gram[:, :, None, None] * np.eye(dim_in)
     max_dev = float(np.abs(deviation).max())
-    return KLReport(gram=gram, max_deviation=max_dev)
+    return KLReport(gram=gram, max_deviation=max_dev), w
+
+
+def kl_verify(v, errors: Sequence) -> KLReport:
+    """Check <V phi1, F_a* F_b V phi2> = <phi1, phi2> w_ab over all pairs.
+
+    The code corrects the span of `errors` iff the returned deviation
+    is at most KL_TOLERANCE.
+    """
+    return _kl_images(v, errors)[0]
 
 
 def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
@@ -234,37 +247,34 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
     Steps: orthonormalize the error set through the eigenbasis of the
     Gram form (eigenvalues below GRAM_EIGENVALUE_CUTOFF span the
     degenerate directions and are dropped), assemble the isometry
-    U(phi (x) e_k) = G_k V phi, and return the partial-trace decoder
+    U(phi (x) e_k) = G_k V phi from the images F_a V (G_k itself is never
+    formed), and return the partial-trace decoder
 
         D(rho) = tr_bad(U* rho U) + tr[(1 - UU*) rho] rho0
 
-    as an explicit Kraus channel.  rho0 defaults to the first basis
-    state of the logical space.
+    as an explicit Kraus channel: the rank operators (G_k V)*, then one
+    rank-1 operator per eigenvector of rho0 and complement vector of
+    range(U).  rho0 defaults to the first basis state of the logical space.
     """
-    v = _as_operator(v)
-    ops = [_as_operator(f) for f in errors]
-    report = kl_verify(v, ops)
+    report, images = _kl_images(v, errors)
     if not report.correcting:
         raise KLViolated(
             f"Knill-Laflamme deviation {report.max_deviation:.3e} exceeds {KL_TOLERANCE}"
         )
-    dim_out, dim_in = v.shape
+    count, dim_out, dim_in = images.shape
     vals, vecs = np.linalg.eigh(report.gram)
     keep = vals > GRAM_EIGENVALUE_CUTOFF
     rank = int(keep.sum())
-    if rank < len(ops):
+    if rank < count:
         logger.info(
-            "degenerate Gram form: rank %d < error-set size %d", rank, len(ops)
+            "degenerate Gram form: rank %d < error-set size %d", rank, count
         )
     coeff = vecs[:, keep] / np.sqrt(vals[keep])  # columns give G_k weights
-    g_ops = np.einsum("ak,aij->kij", coeff, np.stack(ops))
-    # U columns ordered phi-major: column i*rank + k is G_k V e_i
-    gv = np.einsum("kij,jl->kil", g_ops, v)  # (rank, dim_out, dim_in)
-    u = np.transpose(gv, (1, 2, 0)).reshape(dim_out, dim_in * rank)
-    udag = u.conj().T
-    kraus = [udag[np.arange(dim_in) * rank + k, :] for k in range(rank)]
+    gv = np.tensordot(coeff, images, axes=(0, 0))  # (rank, dim_out, dim_in): G_k V
+    kraus = gv.conj().transpose(0, 2, 1)  # (G_k V)*, one per k
     # complement of range(U): route it into rho0 to make D unit preserving
-    projector = np.eye(dim_out) - u @ udag
+    u = gv.transpose(1, 0, 2).reshape(dim_out, rank * dim_in)
+    projector = np.eye(dim_out) - u @ u.conj().T
     pvals, pvecs = np.linalg.eigh(projector)
     complement = pvecs[:, pvals > 0.5]
     if complement.shape[1]:
@@ -277,35 +287,46 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
                 f"rho0 must be {dim_in}x{dim_in}, got {rho0.shape}"
             )
         weights, states = np.linalg.eigh(rho0)
-        for p, w_vec in zip(weights, states.T):
-            if p <= 1e-12:
-                continue
-            for j in range(complement.shape[1]):
-                kraus.append(
-                    np.sqrt(p) * np.outer(w_vec, complement[:, j].conj())
-                )
+        used = weights > 1e-12
+        scaled = states[:, used] * np.sqrt(weights[used])  # columns sqrt(p) w
+        # sqrt(p) |w><c_j| for each eigenpair (p, w) of rho0 and complement vector c_j
+        routes = np.einsum("ip,kj->pjik", scaled, complement.conj()).reshape(-1, dim_in, dim_out)
+        kraus = np.concatenate([kraus, routes])
     return Channel(tuple(kraus))
 
 
 def _max_entangled(d: int) -> np.ndarray:
-    omega = np.zeros((d * d,), dtype=np.complex128)
+    """Factor (d^2, 1) of the maximally entangled state on C^d (x) C^d."""
+    omega = np.zeros((d * d, 1), dtype=np.complex128)
     omega[:: d + 1] = 1 / np.sqrt(d)
-    return np.outer(omega, omega.conj())
+    return omega
 
 
-def _propagate(state: np.ndarray, stage: Channel, d0: int) -> np.ndarray:
-    """Apply stage (x) id_{d0} to a state on the stage input and a d0-level reference."""
-    eye = np.eye(d0, dtype=np.complex128)
-    out = np.zeros((stage.dim_out * d0,) * 2, dtype=np.complex128)
-    for f in stage.kraus:
-        k = np.kron(f, eye)
-        out += k @ state @ k.conj().T
+def _propagate(factor: np.ndarray, stage: Channel, d0: int) -> np.ndarray:
+    """Apply stage (x) id_{d0} to the state W W* given by its factor W.
+
+    W has rows indexed (stage input, d0-level reference) and r columns.
+    The result is the factor [(F_1 (x) 1) W | ... | (F_K (x) 1) W] of the
+    output state, computed as one tensordot of the stacked Kraus operators
+    against W reshaped to (dim_in, d0 r).  When it has more columns than
+    rows it is replaced by the square root of its state (from eigh), so a
+    factor never holds more entries than the dense state would.
+    """
+    rank = factor.shape[1]
+    images = np.tensordot(stage._stack, factor.reshape(stage.dim_in, d0 * rank), axes=(2, 0))
+    rows = stage.dim_out * d0
+    # (K, dim_out, d0 r) -> rows (out, ref), columns (k, col)
+    out = images.reshape(-1, rows, rank).transpose(1, 0, 2).reshape(rows, -1)
+    if out.shape[1] > rows:
+        vals, vecs = np.linalg.eigh(out @ out.conj().T)
+        out = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return out
 
 
 def choi_state(channel: Channel) -> np.ndarray:
     """Normalized Choi state: feed half of a maximally entangled pair through."""
-    return _propagate(_max_entangled(channel.dim_in), channel, channel.dim_in)
+    factor = _propagate(_max_entangled(channel.dim_in), channel, channel.dim_in)
+    return factor @ factor.conj().T
 
 
 def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
@@ -313,7 +334,9 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
 
     Zero (within tolerance) certifies exact correction; any positive
     value lower-bounds the cb-norm distance of the composite from the
-    identity up to normalization.
+    identity up to normalization.  The Choi state travels as a factor
+    through the three stages (see _propagate); the only dense state
+    formed is the final one on the (d0 d0)-dimensional logical pair.
     """
     if encoder.dim_out != noise.dim_in or noise.dim_out != decoder.dim_in:
         raise DimensionMismatch("channels do not compose: E -> T -> D")
@@ -321,8 +344,8 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
         raise DimensionMismatch("composite must return to the encoder input space")
     d0 = encoder.dim_in
     reference = _max_entangled(d0)
-    state = reference
+    factor = reference
     for stage in (encoder, noise, decoder):
-        state = _propagate(state, stage, d0)
-    gaps = np.linalg.eigvalsh(state - reference)
+        factor = _propagate(factor, stage, d0)
+    gaps = np.linalg.eigvalsh(factor @ factor.conj().T - reference @ reference.conj().T)
     return float(0.5 * np.abs(gaps).sum())

@@ -16,10 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CompositeModulus
+from .errors import CompositeModulus, DimensionOverflow
 
 __all__ = [
     "ModMatrix",
+    "MAX_BATCH_MODULUS",
     "is_prime",
     "rank_prime",
     "rank_prime_batch",
@@ -29,16 +30,35 @@ __all__ = [
 ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# rank_prime_batch multiplies residues below d in int64: (d - 1)^2 must fit
+MAX_BATCH_MODULUS = isqrt(2**63 - 1)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; moduli here are small."""
+    """Miller-Rabin primality test with the first 13 primes as bases.
+
+    Deterministic for n < 3.3e24, which covers every 64-bit modulus;
+    beyond that only a strong pseudoprime to all 13 bases is misjudged.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for p in range(3, isqrt(n) + 1, 2):
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -82,12 +102,16 @@ class ModMatrix:
         return self.entries.shape[1]
 
 
-def _inverse_table(d: int) -> np.ndarray:
-    """Multiplicative inverses mod prime d; index 0 is unused (set to 0)."""
-    table = np.zeros(d, dtype=np.int64)
-    for x in range(1, d):
-        table[x] = pow(x, d - 2, d)
-    return table
+def _inverses(x: np.ndarray, d: int) -> np.ndarray:
+    """x^(d-2) mod prime d elementwise: the inverse of every nonzero x."""
+    result = np.ones_like(x)
+    base, power = x, d - 2
+    while power:
+        if power & 1:
+            result = result * base % d
+        base = base * base % d
+        power >>= 1
+    return result
 
 
 def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
@@ -96,7 +120,7 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     Parameters
     ----------
     mats : array of shape (B, N, M), integer entries (reduced internally).
-    d : prime modulus.
+    d : prime modulus, at most MAX_BATCH_MODULUS (DimensionOverflow beyond).
 
     Returns
     -------
@@ -104,13 +128,16 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     """
     if not is_prime(d):
         raise CompositeModulus(f"rank over GF(d) needs prime d, got {d}")
+    if d > MAX_BATCH_MODULUS:
+        raise DimensionOverflow(
+            f"prime modulus {d} exceeds {MAX_BATCH_MODULUS}: int64 residue products would overflow"
+        )
     a = np.mod(np.asarray(mats, dtype=np.int64), d)
     if a.ndim != 3:
         raise ValueError(f"expected batch of matrices, got shape {a.shape}")
     nb, nrows, ncols = a.shape
     if nrows == 0 or ncols == 0:
         return np.zeros(nb, dtype=np.int64)
-    inv = _inverse_table(d)
     batch = np.arange(nb)
     all_rows = np.arange(nrows)[None, :]
     row = np.zeros(nb, dtype=np.int64)  # next pivot row per matrix
@@ -127,7 +154,7 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
         a = np.take_along_axis(a, perm[:, :, None], axis=1)
         safe_row = np.minimum(row, nrows - 1)  # exhausted matrices gather garbage,
         pivot_val = a[batch, safe_row, col]  # masked out below via `has`
-        scale = inv[pivot_val]  # inv[0] = 0 for matrices without a pivot
+        scale = _inverses(pivot_val, d)  # garbage without a pivot, masked the same way
         pivot_row = (a[batch, safe_row, :] * scale[:, None]) % d
         a[batch[has], row[has], :] = pivot_row[has]
         below = (all_rows > row[:, None]) & has[:, None]

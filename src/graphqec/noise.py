@@ -90,7 +90,8 @@ class NoiseDescriptor:
     """Declarative description of a single-site noise channel.
 
     family is one of "unitary-rotation" (params: theta), "depolarizing"
-    (params: q) or "custom-kraus" (params: kraus, a list of matrices).
+    (params: q) or "custom-kraus" (params: kraus, a list of site_dim x site_dim
+    matrices; any other shape raises DimensionMismatch).
     """
 
     family: str
@@ -106,7 +107,15 @@ class NoiseDescriptor:
         if self.family == "depolarizing":
             return make_depolarizing(self.site_dim, float(self.params["q"]))
         if self.family == "custom-kraus":
-            return Channel(tuple(np.asarray(k) for k in self.params["kraus"]))
+            kraus = tuple(np.asarray(k) for k in self.params["kraus"])
+            expected = (self.site_dim, self.site_dim)
+            for index, op in enumerate(kraus):
+                if op.shape != expected:
+                    raise DimensionMismatch(
+                        f"custom-kraus operator {index} has shape {op.shape}; "
+                        f"expected {expected} for site dimension {self.site_dim}"
+                    )
+            return Channel(kraus)
         raise ParamOutOfRange(f"unknown noise family {self.family!r}")
 
 

@@ -1,0 +1,207 @@
+"""Factored Choi propagation against a dense np.kron reference.
+
+The reference below is the straightforward algorithm: it carries the
+full (dim d0)^2 Choi state, applies every Kraus operator as F (x) 1 on
+both sides, and builds the decoder from the dense operators
+G_k = sum_a c_ak F_a.  It lives only here, as the oracle for
+channels.choi_state, channels.verify_etd and channels.synthesize_decoder.
+"""
+
+import numpy as np
+import pytest
+
+from graphqec.channels import (
+    Channel,
+    GRAM_EIGENVALUE_CUTOFF,
+    _max_entangled,
+    _propagate,
+    choi_state,
+    error_space_basis,
+    identity_channel,
+    kl_verify,
+    synthesize_decoder,
+    tensor_channels,
+    verify_etd,
+)
+from graphqec.graphs import GraphCode, build_isometry, find_uncorrectable_subset
+from graphqec.modular import ModMatrix
+from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
+
+TOL = 1e-12
+
+
+def dense_max_entangled(d):
+    omega = np.zeros(d * d, dtype=np.complex128)
+    omega[:: d + 1] = 1 / np.sqrt(d)
+    return np.outer(omega, omega.conj())
+
+
+def dense_propagate(state, stage, d0):
+    eye = np.eye(d0, dtype=np.complex128)
+    out = np.zeros((stage.dim_out * d0,) * 2, dtype=np.complex128)
+    for f in stage.kraus:
+        k = np.kron(f, eye)
+        out += k @ state @ k.conj().T
+    return out
+
+
+def dense_choi_state(channel):
+    return dense_propagate(dense_max_entangled(channel.dim_in), channel, channel.dim_in)
+
+
+def dense_verify_etd(encoder, noise, decoder):
+    d0 = encoder.dim_in
+    reference = dense_max_entangled(d0)
+    state = reference
+    for stage in (encoder, noise, decoder):
+        state = dense_propagate(state, stage, d0)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(state - reference)).sum())
+
+
+def dense_decoder(v, errors, rho0=None):
+    dim_out, dim_in = v.shape
+    gram = kl_verify(v, errors).gram
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > GRAM_EIGENVALUE_CUTOFF
+    rank = int(keep.sum())
+    coeff = vecs[:, keep] / np.sqrt(vals[keep])
+    g_ops = np.einsum("ak,aij->kij", coeff, np.stack(errors))
+    gv = np.einsum("kij,jl->kil", g_ops, v)
+    u = np.transpose(gv, (1, 2, 0)).reshape(dim_out, dim_in * rank)
+    udag = u.conj().T
+    kraus = [udag[np.arange(dim_in) * rank + k, :] for k in range(rank)]
+    pvals, pvecs = np.linalg.eigh(np.eye(dim_out) - u @ udag)
+    complement = pvecs[:, pvals > 0.5]
+    if rho0 is None:
+        rho0 = np.zeros((dim_in, dim_in), dtype=np.complex128)
+        rho0[0, 0] = 1.0
+    weights, states = np.linalg.eigh(rho0)
+    for p, w_vec in zip(weights, states.T):
+        if p <= 1e-12:
+            continue
+        for j in range(complement.shape[1]):
+            kraus.append(np.sqrt(p) * np.outer(w_vec, complement[:, j].conj()))
+    return Channel(tuple(kraus))
+
+
+def rand_state(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def rand_channel(rng, dim_in, dim_out, count):
+    """count Kraus operators cut from a random (count dim_out) x dim_in isometry."""
+    a = rng.normal(size=(count * dim_out, dim_in)) + 1j * rng.normal(size=(count * dim_out, dim_in))
+    q, _ = np.linalg.qr(a)
+    return Channel(tuple(q.reshape(count, dim_out, dim_in)))
+
+
+def seeded_code(d, n, seed):
+    """First code of a seeded stream (m = 1) that corrects one error."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = np.triu(rng.integers(0, d, size=(n + 1, n + 1)), 1)
+        code = GraphCode(d, 1, n, ModMatrix(d, g + g.T))
+        if find_uncorrectable_subset(code, 1) is None:
+            return code
+
+
+def site_noise(n, d, sites, single):
+    noise = identity_channel(1)
+    for site in range(n):
+        noise = tensor_channels(noise, single if site in sites else identity_channel(d))
+    return noise
+
+
+CODES = {
+    "wheel": lambda wheel, prism: wheel,
+    "prism": lambda wheel, prism: prism,
+    "d2n7": lambda wheel, prism: seeded_code(2, 7, 21),
+    "d2n8": lambda wheel, prism: seeded_code(2, 8, 22),
+    "d3n5": lambda wheel, prism: seeded_code(3, 5, 23),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+@pytest.mark.parametrize("sites", [(1,), (0, 3)])
+def test_verify_etd_matches_dense_reference(name, sites, wheel, prism):
+    code = CODES[name](wheel, prism)
+    rng = np.random.default_rng(len(name) * 10 + len(sites))
+    v = build_isometry(code)
+    errors = error_space_basis(code.n, code.d, 1)
+    # qubits: depolarizing (16 Kraus operators on two sites); qutrits: a
+    # random two-operator channel, which keeps the dense reference cheap
+    single = make_depolarizing(2, 0.3) if code.d == 2 else rand_channel(rng, 3, 3, 2)
+    noise = site_noise(code.n, code.d, sites, single)
+    encoder = Channel((v,))
+    decoder = synthesize_decoder(v, errors)
+    got = verify_etd(encoder, noise, decoder)
+    assert abs(got - dense_verify_etd(encoder, noise, decoder)) < TOL
+    assert abs(got - dense_verify_etd(encoder, noise, dense_decoder(v, errors))) < TOL
+    if len(sites) == 1:
+        assert got < 1e-9
+
+
+def test_verify_etd_degenerate_gram_and_mixed_rho0(wheel):
+    rng = np.random.default_rng(5)
+    v = build_isometry(wheel)
+    errors = error_space_basis(5, 2, 1)
+    errors = errors + [errors[0], errors[3]]  # duplicated identity and X word
+    assert kl_verify(v, errors).gram.shape == (18, 18)
+    rho0 = rand_state(rng, 2)
+    encoder = Channel((v,))
+    decoder = synthesize_decoder(v, errors, rho0=rho0)
+    reference = dense_decoder(v, errors, rho0=rho0)
+    assert len(decoder.kraus) == len(reference.kraus)
+    for sites in ((2,), (1, 4)):
+        noise = site_noise(5, 2, sites, make_depolarizing(2, 0.4))
+        got = verify_etd(encoder, noise, decoder)
+        assert abs(got - dense_verify_etd(encoder, noise, decoder)) < TOL
+        assert abs(got - dense_verify_etd(encoder, noise, reference)) < TOL
+
+
+def test_verify_etd_qutrit_mixed_rho0_rotation_noise():
+    rng = np.random.default_rng(6)
+    code = seeded_code(3, 5, 24)
+    v = build_isometry(code)
+    errors = error_space_basis(5, 3, 1)
+    rho0 = rand_state(rng, 3)
+    rotation, _ = make_unitary_channel(phase_rotation(3, 0.3))
+    noise = site_noise(5, 3, (0, 2), rotation)
+    encoder = Channel((v,))
+    decoder = synthesize_decoder(v, errors, rho0=rho0)
+    got = verify_etd(encoder, noise, decoder)
+    assert abs(got - dense_verify_etd(encoder, noise, dense_decoder(v, errors, rho0))) < TOL
+
+
+def test_verify_etd_duplicated_identity_only(wheel):
+    v = build_isometry(wheel)
+    errors = [np.eye(32), np.eye(32)]
+    encoder = Channel((v,))
+    noise = identity_channel(32)
+    got = verify_etd(encoder, noise, synthesize_decoder(v, errors))
+    assert abs(got - dense_verify_etd(encoder, noise, dense_decoder(v, errors))) < TOL
+
+
+@pytest.mark.parametrize(
+    "dim_in,dim_out,count", [(2, 3, 8), (3, 2, 7), (2, 2, 5), (3, 3, 1), (2, 4, 2)]
+)
+def test_choi_state_matches_dense_reference(dim_in, dim_out, count):
+    # count > dim_in * dim_out makes the factor wider than tall, so it is compressed
+    channel = rand_channel(np.random.default_rng(dim_in * 100 + count), dim_in, dim_out, count)
+    got = choi_state(channel)
+    assert np.abs(got - dense_choi_state(channel)).max() < TOL
+    assert abs(np.trace(got) - 1.0) < TOL
+    factor = _propagate(_max_entangled(dim_in), channel, dim_in)
+    assert factor.shape == (dim_out * dim_in, min(count, dim_out * dim_in))
+
+
+def test_choi_state_of_named_channels_matches_dense_reference():
+    for channel in (
+        identity_channel(3),
+        make_depolarizing(2, 1.0),
+        make_depolarizing(3, 0.4),
+        tensor_channels(make_depolarizing(2, 0.3), make_depolarizing(2, 0.6)),
+    ):
+        assert np.abs(choi_state(channel) - dense_choi_state(channel)).max() < TOL

@@ -65,6 +65,18 @@ def test_verify_malformed_file(capsys, tmp_path):
         assert message in err
 
 
+def test_verify_refuses_prime_modulus_beyond_int64_products(capsys, tmp_path):
+    # 10**18 + 3 is prime: primality is settled at once, the rank is refused
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"d": 10**18 + 3, "m": 1, "n": 3, "edges": [[0, 1, 1], [0, 2, 5], [1, 2, 2], [2, 3, 1]]}
+    ))
+    code, out, err = run_cli(capsys, "verify", str(path), "--f", "1", "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "exceeds 3037000499" in err
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/graph.json", "--f", "1")
     assert code == 2
@@ -149,6 +161,26 @@ def test_simulate_custom_kraus(capsys, wheel_file, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["choi_trace_distance"] < 1e-9
+
+
+def test_simulate_refuses_missized_custom_kraus(capsys, wheel_file, tmp_path, monkeypatch):
+    # a qutrit channel on a qubit code: refused when the file is read,
+    # before any decoder is built
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps([{"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]))
+
+    def no_decoder(*args, **kwargs):
+        raise AssertionError("decoder built before the noise was checked")
+
+    monkeypatch.setattr("graphqec.cli.synthesize_decoder", no_decoder)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", wheel_file, "--f", "1",
+        "--noise", f"custom-kraus:{path}", "--sites", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "expected (2, 2)" in err
 
 
 def test_simulate_rejects_uncorrectable_f(capsys, wheel_file):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphqec.errors import CompositeModulus
+from graphqec.errors import CompositeModulus, DimensionOverflow
 from graphqec.modular import (
+    MAX_BATCH_MODULUS,
     ModMatrix,
     is_prime,
     kernel_trivial,
@@ -22,6 +23,24 @@ def test_is_prime_small_values():
         assert is_prime(n) == (n in primes)
     assert not is_prime(0)
     assert not is_prime(1)
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+
+    rng = np.random.default_rng(17)
+    values = list(range(0, 3000))
+    for bits in (16, 31, 32, 48, 62, 63):
+        values += [int(x) for x in rng.integers(2 ** (bits - 1), 2**bits, size=200, dtype=np.uint64)]
+    values += [
+        561, 1105, 1729,  # Carmichael numbers
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+        10**18 + 3, 10**18 + 9, 2**61 - 1, 2**64 - 59, 2**64 + 13,
+    ]
+    for n in values:
+        assert is_prime(n) == isprime(n), n
 
 
 def test_modmatrix_validates_entry_range():
@@ -77,6 +96,45 @@ def test_rank_prime_batch_matches_scalar():
         batch = rank_prime_batch(mats, d)
         for i in range(50):
             assert batch[i] == rank_prime(ModMatrix(d, mats[i]))
+
+
+def _sympy_rank(mat, p):
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix.from_list(mat.tolist(), ZZ).convert_to(GF(p)).rank()
+
+
+def _low_rank_batch(rng, p, count, rows, cols):
+    """Products B C mod p with inner dimension 0..cols, in exact integers."""
+    mats = []
+    for index in range(count):
+        inner = index % (cols + 1)
+        b = rng.integers(0, p, size=(rows, inner)).astype(object)
+        c = rng.integers(0, p, size=(inner, cols)).astype(object)
+        product = b @ c if inner else np.zeros((rows, cols), dtype=object)
+        mats.append(np.array(product % p, dtype=np.int64))
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("p", [999999937, 1000000007, 3037000493])
+def test_rank_prime_batch_matches_sympy_large_prime(p):
+    assert p <= MAX_BATCH_MODULUS
+    rng = np.random.default_rng(p % 1000)
+    mats = _low_rank_batch(rng, p, 40, 6, 4)
+    ranks = rank_prime_batch(mats, p)
+    assert sorted(set(ranks.tolist())) == [0, 1, 2, 3, 4]
+    assert ranks.tolist() == [_sympy_rank(m, p) for m in mats]
+
+
+def test_rank_prime_batch_refuses_overflowing_modulus():
+    assert MAX_BATCH_MODULUS == 3037000499  # isqrt(2**63 - 1)
+    mats = np.ones((1, 2, 2), dtype=np.int64)
+    for p in (3037000507, 4294967311, 10**18 + 3):
+        with pytest.raises(DimensionOverflow):
+            rank_prime_batch(mats, p)
+    with pytest.raises(DimensionOverflow):
+        kernel_trivial(ModMatrix(3037000507, np.eye(2, dtype=np.int64)))
 
 
 def test_kernel_trivial_unit_entry():
