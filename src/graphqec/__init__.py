@@ -51,7 +51,6 @@ from .modular import (
     is_prime,
     kernel_trivial,
     rank_prime,
-    smith_normal_form,
 )
 from .noise import (
     NoiseDescriptor,

@@ -149,6 +149,25 @@ def _parse_sites(text, n_sites: int) -> list[int]:
     return sites
 
 
+def _read_kraus(path: str) -> list[np.ndarray]:
+    """Operators from a JSON list of {"re": [[...]], "im": [[...]]} objects."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError("custom-kraus file must hold a JSON list of operators")
+    kraus = []
+    for index, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise ValueError(f"custom-kraus operator {index} must be an object with 're' and 'im'")
+        real, imag = np.asarray(item.get("re")), np.asarray(item.get("im"))
+        if real.dtype.kind not in "iuf" or imag.dtype.kind not in "iuf" or real.shape != imag.shape:
+            raise ValueError(
+                f"custom-kraus operator {index} needs numeric 're' and 'im' arrays of one shape"
+            )
+        kraus.append(real + 1j * imag)
+    return kraus
+
+
 def _parse_noise(token: str, site_dim: int) -> Channel:
     family, _, params = token.partition(":")
     if family == "depolarizing":
@@ -156,10 +175,7 @@ def _parse_noise(token: str, site_dim: int) -> Channel:
     if family == "unitary-rotation":
         return NoiseDescriptor(family, site_dim, {"theta": float(params)}).make_channel()
     if family == "custom-kraus":
-        with open(params, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        kraus = [np.array(item["re"]) + 1j * np.array(item["im"]) for item in data]
-        return NoiseDescriptor(family, site_dim, {"kraus": kraus}).make_channel()
+        return NoiseDescriptor(family, site_dim, {"kraus": _read_kraus(params)}).make_channel()
     raise ValueError(
         f"unknown noise family {family!r}; use depolarizing, unitary-rotation, or custom-kraus"
     )

@@ -6,10 +6,10 @@ every output subset Z with |Z| <= 2f, the (Y \\ Z) x (X u Z) submatrix
 must have trivial kernel mod d.  One scan, first_failing_subset, checks
 that statement for every caller: it visits subsets by increasing size,
 lexicographically within a size, gathers at most _SUBSET_CHUNK blocks at
-a time, and lets modular.first_singular pick prime or composite
-arithmetic.  The encoding isometry itself is a quadratic-phase matrix;
-both views are implemented here and their consistency is exercised by
-the tests.
+a time, and asks modular.first_singular, which decides any modulus
+through its prime divisors.  The encoding isometry itself is a
+quadratic-phase matrix; both views are implemented here and their
+consistency is exercised by the tests.
 
 Node numbering convention: inputs are 0..m-1, outputs are m..m+n-1.
 Basis indices are base-d integers whose most-significant digit belongs
@@ -92,13 +92,18 @@ class GraphCode:
     ) -> "GraphCode":
         """Build a code from [node_a, node_b, multiplicity] triples.
 
-        Duplicate edges sum mod d; self-loops are rejected.  d, m, n and
-        every edge entry must be integers: bools and floats are refused
-        rather than truncated.
+        Duplicate edges sum mod d, exactly in Python integers; self-loops
+        are rejected.  d, m, n and every edge entry must be integers: bools
+        and floats are refused rather than truncated.  d must lie below
+        2**63, because gamma stores its residues in int64.
         """
         d, m, n = _require_int(d, "d"), _require_int(m, "m"), _require_int(n, "n")
+        if d < 2:
+            raise ValueError(f"site dimension must be >= 2, got {d}")
+        if d >= 2**63:
+            raise ValueError(f"site dimension must be below 2**63 (int64 residues), got {d}")
         size = m + n
-        gamma = np.zeros((size, size), dtype=np.int64)
+        gamma = np.zeros((size, size), dtype=object)
         for edge in edges:
             if not isinstance(edge, (list, tuple, np.ndarray)) or len(edge) != 3:
                 raise ValueError(f"edge must be [node_a, node_b, multiplicity]: {edge!r}")

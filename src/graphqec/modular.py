@@ -1,22 +1,25 @@
 """Exact linear algebra over the residue rings Z_d.
 
 The two questions answered here are the rank of a matrix over a prime
-field GF(d) and, for arbitrary d >= 2, whether a matrix has trivial
-kernel mod d (M h = 0 implies h = 0).  first_singular is the one place
-that picks the algorithm for the second question: batched Gaussian
-elimination for prime d; for composite d, which elimination cannot
-settle, the Smith normal form of the integer lift, one matrix at a time.
+field GF(p) and, for arbitrary d >= 2, whether a matrix has trivial
+kernel mod d (M h = 0 implies h = 0).  Both go through one batched
+Gaussian elimination, rank_prime_batch: first_singular answers the
+second question by running it once for each prime divisor of d.  The
+elimination multiplies residues in int64 up to MAX_BATCH_MODULUS and in
+Python integers above it, so every modulus gets an exact answer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
 import numpy as np
 
-from .errors import CompositeModulus, DimensionOverflow
+from .errors import CompositeModulus
 
 __all__ = [
     "ModMatrix",
@@ -26,13 +29,13 @@ __all__ = [
     "rank_prime_batch",
     "kernel_trivial",
     "first_singular",
-    "smith_normal_form",
 ]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# rank_prime_batch multiplies residues below d in int64: (d - 1)^2 must fit
+# rank_prime_batch multiplies residues below d in int64 while (d - 1)^2 fits,
+# and in Python integers above this
 MAX_BATCH_MODULUS = isqrt(2**63 - 1)
 
 
@@ -61,6 +64,39 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=64)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime divisors of n >= 1, ascending.
+
+    A Miller-Rabin base that divides n splits it first; Pollard's rho
+    splits what is left.  Cached: a subset scan asks once per chunk.
+    """
+    if n == 1:
+        return ()
+    if is_prime(n):
+        return (n,)
+    divisor = next((p for p in _MR_BASES if n % p == 0), None) or _pollard_rho(n)
+    return tuple(sorted(set(_prime_factors(divisor) + _prime_factors(n // divisor))))
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below 43.
+
+    Floyd's cycle search on x -> x^2 + c; when the cycle closes mod n
+    itself, the next c is tried.
+    """
+    for c in itertools.count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(abs(x - y), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +156,9 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     Parameters
     ----------
     mats : array of shape (B, N, M), integer entries (reduced internally).
-    d : prime modulus, at most MAX_BATCH_MODULUS (DimensionOverflow beyond).
+    d : prime modulus.  Up to MAX_BATCH_MODULUS the elimination runs on
+        int64 residues; above it, the same elimination runs on arrays of
+        Python integers (dtype object), which is slower but exact.
 
     Returns
     -------
@@ -128,11 +166,8 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     """
     if not is_prime(d):
         raise CompositeModulus(f"rank over GF(d) needs prime d, got {d}")
-    if d > MAX_BATCH_MODULUS:
-        raise DimensionOverflow(
-            f"prime modulus {d} exceeds {MAX_BATCH_MODULUS}: int64 residue products would overflow"
-        )
-    a = np.mod(np.asarray(mats, dtype=np.int64), d)
+    dtype = np.int64 if d <= MAX_BATCH_MODULUS else object
+    a = np.mod(np.asarray(mats, dtype=dtype), d)
     if a.ndim != 3:
         raise ValueError(f"expected batch of matrices, got shape {a.shape}")
     nb, nrows, ncols = a.shape
@@ -181,116 +216,21 @@ def kernel_trivial(matrix: ModMatrix) -> bool:
 def first_singular(mats: np.ndarray, d: int) -> Optional[int]:
     """Index of the first matrix in a (B, N, M) stack with nontrivial kernel mod d.
 
-    Returns None when every kernel is trivial.  For prime d this is full
-    column rank over GF(d), decided for the whole batch at once.  For
-    composite d the integer lift's Smith normal form decides it, one
-    matrix at a time up to the first failure: the kernel is trivial iff
-    all M invariant factors are coprime to d (a zero factor never is).
+    Returns None when every kernel is trivial.  By the Chinese remainder
+    theorem a matrix has trivial kernel mod d iff it has full column rank
+    over GF(p) for every prime p | d: a kernel vector h mod p gives the
+    kernel vector p^(e-1) h mod p^e.  So each prime divisor is one batched
+    rank_prime_batch call, and later primes only look at the matrices
+    before the first failure found so far.
     """
     count, nrows, ncols = mats.shape
     if ncols == 0 or count == 0:
         return None
     if nrows < ncols:
         return 0
-    if is_prime(d):
-        singular = np.flatnonzero(rank_prime_batch(mats, d) < ncols)
-        return int(singular[0]) if singular.size else None
-    for index, mat in enumerate(mats):
-        if any(gcd(s, d) != 1 for s in smith_normal_form(mat)):
-            return index
-    return None
-
-
-def smith_normal_form(matrix) -> list[int]:
-    """Invariant factors of an integer matrix.
-
-    Returns the diagonal of the Smith normal form as a list of
-    min(rows, cols) non-negative integers with each factor dividing the
-    next; trailing zeros pad the list when the rank is deficient.
-    Arithmetic uses Python integers, so entries may grow without
-    overflow.
-    """
-    a = [[int(x) for x in row] for row in np.asarray(matrix)]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    k = min(nrows, ncols)
-    factors: list[int] = []
-    t = 0
-    while t < k:
-        pivot = _smallest_nonzero(a, t, nrows, ncols)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            _clear_column(a, t, nrows, ncols)
-            _clear_row(a, t, nrows, ncols)
-            # column swaps inside _clear_row may dirty column t again
-            if any(a[i][t] for i in range(t + 1, nrows)):
-                continue
-            # the pivot must divide the remaining block; if not, pull the
-            # offending row up and reduce again (pivot shrinks to a gcd)
-            offender = _non_multiple(a, t, nrows, ncols)
-            if offender is None:
-                break
-            for j in range(t, ncols):
-                a[t][j] += a[offender][j]
-        factors.append(abs(a[t][t]))
-        t += 1
-    factors.extend([0] * (k - len(factors)))
-    return factors
-
-
-def _smallest_nonzero(a, t, nrows, ncols):
-    best = None
-    for i in range(t, nrows):
-        for j in range(t, ncols):
-            v = abs(a[i][j])
-            if v and (best is None or v < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _clear_column(a, t, nrows, ncols):
-    """Euclidean reduction until column t is zero below the pivot."""
-    while True:
-        done = True
-        for i in range(t + 1, nrows):
-            if a[i][t] == 0:
-                continue
-            q = a[i][t] // a[t][t]
-            for j in range(t, ncols):
-                a[i][j] -= q * a[t][j]
-            if a[i][t]:
-                a[t], a[i] = a[i], a[t]
-                done = False
-        if done:
-            return
-
-
-def _clear_row(a, t, nrows, ncols):
-    """Euclidean reduction until row t is zero right of the pivot."""
-    while True:
-        done = True
-        for j in range(t + 1, ncols):
-            if a[t][j] == 0:
-                continue
-            q = a[t][j] // a[t][t]
-            for i in range(t, nrows):
-                a[i][j] -= q * a[i][t]
-            if a[t][j]:
-                for i in range(nrows):
-                    a[i][t], a[i][j] = a[i][j], a[i][t]
-                done = False
-        if done:
-            return
-
-
-def _non_multiple(a, t, nrows, ncols):
-    for i in range(t + 1, nrows):
-        for j in range(t + 1, ncols):
-            if a[i][j] % a[t][t]:
-                return i
-    return None
+    end = count
+    for p in _prime_factors(d):
+        singular = np.flatnonzero(rank_prime_batch(mats[:end], p) < ncols)
+        if singular.size:
+            end = int(singular[0])
+    return end if end < count else None

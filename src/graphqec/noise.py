@@ -30,7 +30,6 @@ __all__ = [
     "phase_rotation",
     "make_unitary_channel",
     "make_depolarizing",
-    "heisenberg_apply",
     "cb_lower_witness",
     "transposition_map",
     "zero_map",
@@ -122,7 +121,7 @@ class NoiseDescriptor:
 LinearMap = Union[Channel, Callable[[np.ndarray], np.ndarray]]
 
 
-def heisenberg_apply(op_map: LinearMap, a: np.ndarray) -> np.ndarray:
+def _heisenberg_apply(op_map: LinearMap, a: np.ndarray) -> np.ndarray:
     """Apply a map to an observable: sum F* A F for channels, or call through."""
     if isinstance(op_map, Channel):
         return sum(f.conj().T @ a @ f for f in op_map.kraus)
@@ -172,7 +171,7 @@ def cb_lower_witness(
     for k in range(anc):
         for l in range(anc):
             block = blocks[:, k, :, l]
-            out[:, k, :, l] = heisenberg_apply(l1, block) - heisenberg_apply(l2, block)
+            out[:, k, :, l] = _heisenberg_apply(l1, block) - _heisenberg_apply(l2, block)
     norm_a = np.linalg.norm(a, 2)
     return float(np.linalg.norm(out.reshape(a.shape), 2) / norm_a)
 

@@ -49,12 +49,10 @@ LOG2_3 = math.log2(3.0)
 class RatePoint:
     """One sample of a rate/exponent curve (unused fields stay None)."""
 
-    mu: Optional[float] = None
     eps: Optional[float] = None
     c: Optional[float] = None
     lambda_nats: Optional[float] = None
     lambda_bits: Optional[float] = None
-    d: Optional[int] = None
     p: Optional[int] = None
     k: Optional[int] = None
     delta: Optional[float] = None

@@ -1,14 +1,14 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library code paths they check:
-kernel triviality by exhaustive enumeration, binomial tails by exact
-integer sums, roots by scipy's brentq.
+kernel triviality by exhaustive enumeration or by sympy's integer Smith
+normal form, binomial tails by exact integer sums, roots by scipy's brentq.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, log2
+from math import comb, gcd, log2
 
 import numpy as np
 import pytest
@@ -27,6 +27,32 @@ def brute_force_kernel_trivial(entries, d: int) -> bool:
         if not np.any((arr @ np.array(h, dtype=np.int64)) % d):
             return False
     return True
+
+
+def smith_kernel_trivial(block, d: int) -> bool:
+    """Trivial kernel mod d from sympy's Smith form of the integer lift:
+    every invariant factor, zero included, must be a unit mod d."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import smith_normal_form
+
+    rows, cols = np.shape(block)
+    if rows < cols:
+        return False
+    snf = smith_normal_form(DomainMatrix.from_list(np.asarray(block).tolist(), ZZ)).to_Matrix()
+    return all(gcd(int(snf[i, i]), d) == 1 for i in range(cols))
+
+
+def smith_first_failing(code, max_size: int):
+    """First subset in (size, lex) order whose block fails smith_kernel_trivial."""
+    gamma = code.gamma.entries
+    for size in range(max_size + 1):
+        for subset in itertools.combinations(range(code.n), size):
+            rows = [code.m + j for j in range(code.n) if j not in subset]
+            cols = list(range(code.m)) + [code.m + z for z in subset]
+            if not smith_kernel_trivial(gamma[rows][:, cols], code.d):
+                return subset
+    return None
 
 
 def exact_binomial_tail(n: int, start: int, x: float) -> float:

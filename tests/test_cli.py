@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from graphqec.cli import main
-from graphqec.graphs import dump_graph, wheel_code
+from graphqec.graphs import dump_graph, graph_to_dict, loads_graph, wheel_code
+
+from conftest import smith_first_failing
 
 
 @pytest.fixture()
@@ -65,16 +68,59 @@ def test_verify_malformed_file(capsys, tmp_path):
         assert message in err
 
 
-def test_verify_refuses_prime_modulus_beyond_int64_products(capsys, tmp_path):
-    # 10**18 + 3 is prime: primality is settled at once, the rank is refused
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(
-        {"d": 10**18 + 3, "m": 1, "n": 3, "edges": [[0, 1, 1], [0, 2, 5], [1, 2, 2], [2, 3, 1]]}
-    ))
-    code, out, err = run_cli(capsys, "verify", str(path), "--f", "1", "--no-timing")
-    assert code == 2
-    assert out == ""
-    assert "exceeds 3037000499" in err
+def test_verify_exact_at_moduli_beyond_int64_products(capsys, tmp_path):
+    # prime 10**18 + 3 and composite 2 * 4294967311 both need Python-int
+    # elimination; each second graph fails only because a block's integer
+    # determinant is a multiple of the large prime
+    p, q = 10**18 + 3, 4294967311
+    wheel = graph_to_dict(wheel_code())["edges"]
+    cases = [
+        (p, wheel),
+        (p, [[0, 3, 1], [0, 4, 1], [1, 2, 2], [1, 4, (p + 1) // 2],
+             [1, 5, 1], [2, 4, 1], [2, 5, 2], [3, 5, p - 1]]),
+        (2 * q, wheel),
+        (2 * q, [[0, 1, 3], [0, 4, 2], [1, 5, q], [3, 4, 1]]),
+    ]
+    verdicts = []
+    for d, edges in cases:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d": d, "m": 1, "n": 5, "edges": edges}))
+        expected = smith_first_failing(loads_graph(path.read_text()), 2)
+        code, out, _ = run_cli(capsys, "verify", str(path), "--f", "1", "--json", "--no-timing")
+        report = json.loads(out)
+        assert code == (0 if expected is None else 1)
+        assert report["passes"] == (expected is None)
+        assert report["witness"] == (None if expected is None else list(expected))
+        verdicts.append(report["witness"])
+    assert verdicts == [None, [0, 1], None, [0]]
+
+
+def test_verify_reduces_huge_multiplicities_exactly(capsys, tmp_path):
+    # 2**63 - 25 is the largest prime below 2**63; 2 * 2**62 = 25 mod d, and
+    # multiplicities beyond int64 reduce to the same residues
+    d = 2**63 - 25
+    reduced = [[0, 1, 25], [0, 2, 1], [0, 3, d - 1], [0, 4, 7], [0, 5, 1], [1, 2, 3], [2, 3, 1], [4, 5, 1]]
+    split = [[0, 1, 2**62], [0, 1, 2**62], [0, 2, 1 + 2**70 * d], [0, 3, -1], [0, 4, 7 - 2**80 * d],
+             [0, 5, 1], [1, 2, 3], [2, 3, 1], [4, 5, 1]]
+    outputs = []
+    for edges in (reduced, split):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"d": d, "m": 1, "n": 5, "edges": edges}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outputs.append(run_cli(capsys, "verify", str(path), "--f", "1", "--json", "--no-timing"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 1)
+
+
+def test_verify_refuses_site_dimension_beyond_int64(capsys, tmp_path):
+    for d in (2**63, 2**64 + 13):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": d, "m": 1, "n": 5, "edges": [[0, 1, 1]]}))
+        code, out, err = run_cli(capsys, "verify", str(path), "--f", "1", "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
 
 
 def test_verify_missing_file(capsys):
@@ -181,6 +227,30 @@ def test_simulate_refuses_missized_custom_kraus(capsys, wheel_file, tmp_path, mo
     assert code == 2
     assert out == ""
     assert "expected (2, 2)" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        [{"re": np.eye(2).tolist()}],  # an operator without "im"
+        {"re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()},  # an object, not a list
+        ["identity"],  # a string entry
+        [{"re": [["1", "0"], ["0", "1"]], "im": np.zeros((2, 2)).tolist()}],  # string matrix
+        [{"re": np.eye(2).tolist(), "im": [0.0]}],  # re and im of different shapes
+    ],
+    ids=["missing-im", "top-level-object", "string-entry", "string-matrix", "shape-mismatch"],
+)
+def test_simulate_refuses_malformed_custom_kraus(capsys, wheel_file, tmp_path, content):
+    path = tmp_path / "kraus.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(
+        capsys,
+        "simulate", wheel_file, "--f", "1",
+        "--noise", f"custom-kraus:{path}", "--sites", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "custom-kraus" in err
 
 
 def test_simulate_rejects_uncorrectable_f(capsys, wheel_file):

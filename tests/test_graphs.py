@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,27 @@ def test_graph_dict_fields(wheel):
     obj = graph_to_dict(wheel)
     assert set(obj) == {"d", "m", "n", "edges"}
     assert len(obj["edges"]) == 10
+
+
+def test_loads_graph_sums_multiplicities_exactly():
+    # 2**63 - 25 is the largest prime below 2**63: 2 * 2**62 = 25 mod d
+    d = 2**63 - 25
+    edges = [[0, 1, 2**62], [1, 0, 2**62], [0, 2, 2**70], [0, 2, -(2**70) + 4], [1, 2, -3 * d - 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = loads_graph(json.dumps({"d": d, "m": 1, "n": 2, "edges": edges}))
+    assert code.gamma.entries[0, 1] == 25
+    assert code.gamma.entries[0, 2] == 4
+    assert code.gamma.entries[1, 2] == d - 1
+    assert np.array_equal(code.gamma.entries, code.gamma.entries.T)
+
+
+def test_loads_graph_refuses_site_dimension_beyond_int64():
+    for d in (2**63, 2**64 + 13, 10**30):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            loads_graph(json.dumps({"d": d, "m": 1, "n": 1, "edges": [[0, 1, 1]]}))
+    largest = loads_graph(json.dumps({"d": 2**63 - 1, "m": 1, "n": 1, "edges": [[0, 1, -1]]}))
+    assert largest.gamma.entries[0, 1] == 2**63 - 2
 
 
 def test_loads_graph_rejects_malformed():

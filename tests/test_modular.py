@@ -1,20 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphqec.errors import CompositeModulus, DimensionOverflow
+from graphqec import graphs
+from graphqec.errors import CompositeModulus
+from graphqec.graphs import GraphCode, first_failing_subset, max_correctable_f
 from graphqec.modular import (
     MAX_BATCH_MODULUS,
     ModMatrix,
+    _prime_factors,
     is_prime,
     kernel_trivial,
     rank_prime,
     rank_prime_batch,
-    smith_normal_form,
 )
 
-from conftest import brute_force_kernel_trivial
+from conftest import brute_force_kernel_trivial, smith_first_failing, smith_kernel_trivial
 
 
 def test_is_prime_small_values():
@@ -127,14 +131,87 @@ def test_rank_prime_batch_matches_sympy_large_prime(p):
     assert ranks.tolist() == [_sympy_rank(m, p) for m in mats]
 
 
-def test_rank_prime_batch_refuses_overflowing_modulus():
+def test_rank_prime_batch_matches_sympy_beyond_int64():
+    # above the cap the same elimination runs on Python integers
     assert MAX_BATCH_MODULUS == 3037000499  # isqrt(2**63 - 1)
-    mats = np.ones((1, 2, 2), dtype=np.int64)
     for p in (3037000507, 4294967311, 10**18 + 3):
-        with pytest.raises(DimensionOverflow):
-            rank_prime_batch(mats, p)
-    with pytest.raises(DimensionOverflow):
-        kernel_trivial(ModMatrix(3037000507, np.eye(2, dtype=np.int64)))
+        assert p > MAX_BATCH_MODULUS and is_prime(p)
+        rng = np.random.default_rng(p % 1000)
+        mats = _low_rank_batch(rng, p, 20, 5, 3)
+        ranks = rank_prime_batch(mats, p)
+        assert sorted(set(ranks.tolist())) == [0, 1, 2, 3]
+        assert ranks.tolist() == [_sympy_rank(m, p) for m in mats]
+        assert kernel_trivial(ModMatrix(p, np.eye(2, dtype=np.int64)))
+        assert not kernel_trivial(ModMatrix(p, np.array([[1, 2], [p - 1, p - 2]])))
+
+
+def test_prime_factors_matches_sympy():
+    from sympy import factorint, nextprime, prevprime
+
+    rng = np.random.default_rng(23)
+    values = list(range(1, 2000))
+    values += [int(x) for x in rng.integers(2, 2**63, size=150, dtype=np.uint64)]
+    values += [int(x) for x in rng.integers(2, 2**62, size=150, dtype=np.uint64)]
+    values += [2**62, 2**63 - 1, 2 * 4294967311]
+    values += [nextprime(int(x)) ** 2 for x in rng.integers(43, 3 * 10**9, size=20)]
+    below = prevprime(MAX_BATCH_MODULUS)
+    above = nextprime(MAX_BATCH_MODULUS)
+    values += [below * prevprime(below), below * above, above * nextprime(above)]
+    for n in values:
+        assert _prime_factors(n) == tuple(sorted(factorint(n))), n
+
+
+def _crt(parts):
+    """Entries congruent to parts[q] mod q for each coprime modulus q."""
+    d = int(np.prod(list(parts)))
+    total = 0
+    for q, part in parts.items():
+        rest = d // q
+        total = total + part.astype(object) * (rest * pow(rest, -1, q))
+    return np.array(total % d, dtype=np.int64)
+
+
+# composite moduli with a prime factor above MAX_BATCH_MODULUS
+_BIG_COMPOSITES = [(2, 4294967311), (3, 3037000507), (4, 4294967311)]
+
+
+@pytest.mark.parametrize("moduli", _BIG_COMPOSITES, ids=lambda q: "x".join(map(str, q)))
+def test_kernel_trivial_large_prime_factor_matches_smith_oracle(moduli):
+    # small 0/1 residues make every factor of d singular now and then
+    rng = np.random.default_rng(sum(moduli) % 1000)
+    d = int(np.prod(moduli))
+    verdicts = set()
+    for _ in range(60):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        parts = {q: rng.integers(0, 2, size=(rows, cols)) for q in moduli}
+        block = _crt(parts)
+        expected = smith_kernel_trivial(block, d)
+        assert kernel_trivial(ModMatrix(d, block)) == expected
+        verdicts.add((expected, tuple(smith_kernel_trivial(p % q, q) for q, p in parts.items())))
+    # both verdicts occur, and so does failure mod each factor alone
+    assert {v[0] for v in verdicts} == {True, False}
+    assert {v[1] for v in verdicts} >= {(True, False), (False, True)}
+
+
+@pytest.mark.parametrize("moduli", _BIG_COMPOSITES, ids=lambda q: "x".join(map(str, q)))
+def test_scan_large_prime_factor_matches_smith_oracle(monkeypatch, moduli):
+    monkeypatch.setattr(graphs, "_SUBSET_CHUNK", 3)
+    rng = np.random.default_rng(sum(moduli) % 997)
+    d = int(np.prod(moduli))
+    witnesses = set()
+    for m, n in itertools.product([1, 2], [5, 6]):
+        for _ in range(3):
+            parts = {}
+            for q in moduli:
+                g = rng.integers(0, 2, size=(m + n, m + n)) * (rng.random((m + n, m + n)) < 0.7)
+                parts[q] = np.triu(g, 1) + np.triu(g, 1).T
+            code = GraphCode(d, m, n, ModMatrix(d, _crt(parts)))
+            f_cap = (n - 1) // 2
+            expected = smith_first_failing(code, 2 * f_cap)
+            assert first_failing_subset(code, 2 * f_cap) == expected
+            assert max_correctable_f(code) == (f_cap if expected is None else (len(expected) - 1) // 2)
+            witnesses.add(expected)
+    assert len(witnesses) > 2
 
 
 def test_kernel_trivial_unit_entry():
@@ -162,7 +239,7 @@ def test_kernel_trivial_wide_matrix_always_fails():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    d=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]),
+    d=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18]),
     rows=st.integers(1, 5),
     cols=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
@@ -173,52 +250,3 @@ def test_kernel_trivial_matches_brute_force(d, rows, cols, seed):
     rng = np.random.default_rng(seed)
     m = ModMatrix(d, rng.integers(0, d, size=(rows, cols)))
     assert kernel_trivial(m) == brute_force_kernel_trivial(m.entries, d)
-
-
-def test_smith_normal_form_identity():
-    assert smith_normal_form(np.eye(2, dtype=int)) == [1, 1]
-
-
-def test_smith_normal_form_diagonal():
-    assert smith_normal_form(np.array([[2, 0], [0, 4]])) == [2, 4]
-
-
-def test_smith_normal_form_dense_example():
-    # det = -8, gcd of entries = 2 -> invariant factors (2, 4)
-    assert smith_normal_form(np.array([[2, 4], [6, 8]])) == [2, 4]
-
-
-def test_smith_normal_form_zero_matrix_and_rectangles():
-    assert smith_normal_form(np.zeros((2, 3), dtype=int)) == [0, 0]
-    assert smith_normal_form(np.array([[0, 3], [0, 0], [0, 0]])) == [3, 0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    rows=st.integers(1, 4),
-    cols=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_smith_normal_form_matches_sympy(rows, cols, seed):
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-9, 10, size=(rows, cols))
-    ours = smith_normal_form(a)
-    ref = sympy_snf(Matrix(a.tolist()))
-    ref_diag = [abs(int(ref[i, i])) for i in range(min(ref.shape))]
-    ref_diag += [0] * (min(rows, cols) - len(ref_diag))
-    assert ours == ref_diag
-
-
-def test_smith_normal_form_divisibility_chain():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        a = rng.integers(-20, 21, size=(4, 4))
-        f = smith_normal_form(a)
-        for x, y in zip(f, f[1:]):
-            if x != 0:
-                assert y % x == 0
-            else:
-                assert y == 0
