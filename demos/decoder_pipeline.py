@@ -29,10 +29,9 @@ v = build_isometry(code)
 
 
 def noise_on(sites_to_channel):
-    total = identity_channel(1)
-    for site in range(code.n):
-        total = tensor_channels(total, sites_to_channel.get(site, identity_channel(2)))
-    return total
+    return tensor_channels(
+        *(sites_to_channel.get(site, identity_channel(2)) for site in range(code.n))
+    )
 
 
 print("=" * 70)

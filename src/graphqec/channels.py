@@ -6,8 +6,9 @@ verification of the Knill-Laflamme condition, synthesis of an explicit
 decoding channel from the Gram form of a verified error set, and the
 Choi-state distance used to certify encode/noise/decode pipelines.
 
-Operators and error bases are dense numpy; they refuse to materialize
-beyond DEFAULT_AMPLITUDE_CAP entries rather than silently degrade.  Choi
+Operators and error bases are dense numpy, built by one batched Kronecker
+product; they refuse to materialize beyond DEFAULT_AMPLITUDE_CAP entries
+per operator or TOTAL_AMPLITUDE_CAP in all rather than silently degrade.  Choi
 states are propagated in factored form: a state W W* on (system) (x)
 (d0-level reference) is carried as its factor W, pushed through every
 stage with one stacked product, so the (d^n d0)^2 dense state of the
@@ -37,6 +38,7 @@ __all__ = [
     "KLReport",
     "KL_TOLERANCE",
     "GRAM_EIGENVALUE_CUTOFF",
+    "TOTAL_AMPLITUDE_CAP",
     "identity_channel",
     "apply_channel",
     "tensor_channels",
@@ -54,6 +56,9 @@ logger = logging.getLogger(__name__)
 KL_TOLERANCE = 1e-9
 GRAM_EIGENVALUE_CUTOFF = 1e-10
 _COMPLETENESS_TOL = 1e-9
+
+# Most amplitudes of an error basis or tensor_channels result: 1 GiB of complex128
+TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP
 
 
 def _as_operator(a) -> np.ndarray:
@@ -118,10 +123,33 @@ def apply_channel(channel: Channel, rho) -> np.ndarray:
     return out
 
 
-def tensor_channels(first: Channel, second: Channel) -> Channel:
-    """Independent parallel use: Kraus set of all pairwise tensor products."""
-    ops = tuple(np.kron(f, g) for f in first.kraus for g in second.kraus)
-    return Channel(ops)
+def tensor_channels(*channels: Channel) -> Channel:
+    """Independent parallel use: the Kraus set of all products F_1 (x) F_2 (x) ...
+
+    The first channel's index varies slowest, so the Kraus list equals a
+    chain of two-channel products entry for entry.  DimensionOverflow
+    before allocating when it would exceed TOTAL_AMPLITUDE_CAP.
+    """
+    stacks = [channel._stack for channel in channels]
+    _require_budget(np.prod([s.size for s in stacks], dtype=object), "tensor product")
+    return Channel(tuple(_kron_stacks(stacks)))
+
+
+def _kron_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Every K_1[i_1] (x) K_2[i_2] (x) ... of (count, rows, cols) stacks, i_1 slowest.
+
+    Each entry is the same left-to-right product as a chain of np.kron.
+    """
+    out = np.ones((1, 1, 1), dtype=np.complex128)
+    for stack in stacks:
+        shape = [a * b for a, b in zip(out.shape, stack.shape)]
+        out = (out[:, None, :, None, :, None] * stack[None, :, None, :, None, :]).reshape(shape)
+    return out
+
+
+def _require_budget(amplitudes: int, what: str) -> None:
+    if amplitudes > TOTAL_AMPLITUDE_CAP:
+        raise DimensionOverflow(f"{what} needs {amplitudes} amplitudes > {TOTAL_AMPLITUDE_CAP}")
 
 
 def weyl_operator(d: int, a: int, b: int) -> np.ndarray:
@@ -138,13 +166,11 @@ def weyl_operator(d: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-def _word_operator(n: int, d: int, sites: Sequence[int], pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    by_site = dict(zip(sites, pairs))
-    op = np.ones((1, 1), dtype=np.complex128)
-    for site in range(n):
-        factor = weyl_operator(d, *by_site[site]) if site in by_site else np.eye(d)
-        op = np.kron(op, factor)
-    return op
+def _site_words(n: int, d: int, sites: Sequence[int], words: Sequence[int]) -> np.ndarray:
+    """Every word with a factor from `words` on each of `sites` and identity elsewhere."""
+    weyl = np.stack([weyl_operator(d, q % d, q // d) for q in words])  # q = a + d*b -> X^a Z^b
+    identity = np.eye(d, dtype=np.complex128)[None]
+    return _kron_stacks([weyl if site in sites else identity for site in range(n)])
 
 
 def _check_site_subset(n: int, sites: Sequence[int]) -> tuple[int, ...]:
@@ -161,18 +187,17 @@ def localized_error_basis(
 
     The all-zero word comes first, so element 0 is the global identity.
     Per-site words are ordered I, X, Z, XZ, ... (shift power before
-    clock power).
+    clock power), the lowest site varying slowest.  DimensionOverflow when
+    the count or one operator exceeds cap, or all exceed TOTAL_AMPLITUDE_CAP.
     """
     z = _check_site_subset(n, sites)
-    if d ** (2 * len(z)) > cap or (d**n) ** 2 > cap:
+    count = d ** (2 * len(z))
+    if count > cap or (d**n) ** 2 > cap:
         raise DimensionOverflow(
-            f"error basis needs {d ** (2 * len(z))} operators of {d**n}x{d**n} amplitudes"
+            f"error basis needs {count} operators of {d**n}x{d**n} amplitudes"
         )
-    basis = []
-    for word in itertools.product(range(d * d), repeat=len(z)):
-        pairs = [(q % d, q // d) for q in word]  # q = a + d*b -> X^a Z^b
-        basis.append(_word_operator(n, d, z, pairs))
-    return basis
+    _require_budget(count * (d**n) ** 2, "error basis")
+    return list(_site_words(n, d, z, range(d * d)))
 
 
 def error_space_basis(
@@ -181,17 +206,15 @@ def error_space_basis(
     """A duplicate-free basis of the span of all words on at most f sites.
 
     Identity first, then for each subset Z with 1 <= |Z| <= f the words
-    acting nontrivially on every site of Z.
+    acting nontrivially on every site of Z.  DimensionOverflow before
+    allocating when one operator exceeds cap or all exceed TOTAL_AMPLITUDE_CAP.
     """
     if (d**n) ** 2 > cap:
         raise DimensionOverflow(f"operators would need {(d**n)**2} amplitudes")
-    basis = [np.eye(d**n, dtype=np.complex128)]
-    for size in range(1, f + 1):
-        for z in itertools.combinations(range(n), size):
-            for word in itertools.product(range(1, d * d), repeat=size):
-                pairs = [(q % d, q // d) for q in word]
-                basis.append(_word_operator(n, d, z, pairs))
-    return basis
+    subsets = [z for size in range(max(f, 0) + 1) for z in itertools.combinations(range(n), size)]
+    count = sum((d * d - 1) ** len(z) for z in subsets)
+    _require_budget(count * (d**n) ** 2, "error basis")
+    return [op for z in subsets for op in _site_words(n, d, z, range(1, d * d))]
 
 
 @dataclass
@@ -274,9 +297,7 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
     kraus = gv.conj().transpose(0, 2, 1)  # (G_k V)*, one per k
     # complement of range(U): route it into rho0 to make D unit preserving
     u = gv.transpose(1, 0, 2).reshape(dim_out, rank * dim_in)
-    projector = np.eye(dim_out) - u @ u.conj().T
-    pvals, pvecs = np.linalg.eigh(projector)
-    complement = pvecs[:, pvals > 0.5]
+    complement = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]  # u has orthonormal columns
     if complement.shape[1]:
         if rho0 is None:
             rho0 = np.zeros((dim_in, dim_in), dtype=np.complex128)

@@ -263,10 +263,9 @@ def _cmd_simulate(args) -> int:
     v = build_isometry(code)
     encoder = Channel((v,))
     decoder = synthesize_decoder(v, error_space_basis(code.n, code.d, args.f))
-    noise = identity_channel(1)
-    for site in range(code.n):
-        stage = site_channel if site in sites else identity_channel(code.d)
-        noise = tensor_channels(noise, stage)
+    noise = tensor_channels(
+        *(site_channel if site in sites else identity_channel(code.d) for site in range(code.n))
+    )
     distance = verify_etd(encoder, noise, decoder)
     elapsed = time.perf_counter() - start
     corrected = distance < KL_TOLERANCE

@@ -116,14 +116,6 @@ class GraphCode:
             gamma[b, a] = gamma[a, b]
         return cls(d, m, n, ModMatrix(d, gamma))
 
-    @property
-    def input_nodes(self) -> range:
-        return range(self.m)
-
-    @property
-    def output_nodes(self) -> range:
-        return range(self.m, self.m + self.n)
-
 
 def _require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

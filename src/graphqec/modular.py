@@ -153,6 +153,11 @@ def _inverses(x: np.ndarray, d: int) -> np.ndarray:
 def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     """Ranks over GF(d) of a batch of matrices, vectorized over the batch.
 
+    Each column takes the first row with a nonzero entry as its pivot and
+    clears that column from every row, the pivot row included, so a used
+    row becomes zero and is never picked again; a matrix whose column is
+    already zero is left unchanged.  No rows are swapped.
+
     Parameters
     ----------
     mats : array of shape (B, N, M), integer entries (reduced internally).
@@ -170,41 +175,22 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     a = np.mod(np.asarray(mats, dtype=dtype), d)
     if a.ndim != 3:
         raise ValueError(f"expected batch of matrices, got shape {a.shape}")
-    nb, nrows, ncols = a.shape
-    if nrows == 0 or ncols == 0:
-        return np.zeros(nb, dtype=np.int64)
-    batch = np.arange(nb)
-    all_rows = np.arange(nrows)[None, :]
-    row = np.zeros(nb, dtype=np.int64)  # next pivot row per matrix
-    for col in range(ncols):
-        eligible = (all_rows >= row[:, None]) & (a[:, :, col] != 0)
-        has = eligible.any(axis=1)
+    batch = np.arange(a.shape[0])
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    for col in range(a.shape[2]):
+        nonzero = a[:, :, col] != 0
+        has = nonzero.any(axis=1)
         if not has.any():
             continue
-        piv = np.where(has, np.argmax(eligible, axis=1), 0)
-        # swap the pivot row into position via a per-matrix permutation
-        perm = np.tile(np.arange(nrows), (nb, 1))
-        perm[batch[has], row[has]] = piv[has]
-        perm[batch[has], piv[has]] = row[has]
-        a = np.take_along_axis(a, perm[:, :, None], axis=1)
-        safe_row = np.minimum(row, nrows - 1)  # exhausted matrices gather garbage,
-        pivot_val = a[batch, safe_row, col]  # masked out below via `has`
-        scale = _inverses(pivot_val, d)  # garbage without a pivot, masked the same way
-        pivot_row = (a[batch, safe_row, :] * scale[:, None]) % d
-        a[batch[has], row[has], :] = pivot_row[has]
-        below = (all_rows > row[:, None]) & has[:, None]
-        factor = a[:, :, col] * below
-        a = (a - factor[:, :, None] * pivot_row[:, None, :]) % d
-        row = row + has
-    return row
+        pivot_row = a[batch, np.argmax(nonzero, axis=1), :]
+        pivot_row = pivot_row * _inverses(pivot_row[:, col], d)[:, None] % d
+        a = (a - a[:, :, col, None] * pivot_row[:, None, :]) % d
+        rank += has
+    return rank
 
 
 def rank_prime(matrix: ModMatrix) -> int:
-    """Rank of a ModMatrix over the prime field GF(d)."""
-    if not is_prime(matrix.modulus):
-        raise CompositeModulus(
-            f"rank is only defined over a field; modulus {matrix.modulus} is composite"
-        )
+    """Rank of a ModMatrix over the prime field GF(d); CompositeModulus otherwise."""
     return int(rank_prime_batch(matrix.entries[None, :, :], matrix.modulus)[0])
 
 

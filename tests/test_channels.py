@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from graphqec import channels
 from graphqec.channels import (
     Channel,
     apply_channel,
@@ -105,6 +106,104 @@ def test_tensor_channels_kraus_count_multiplies():
     t1 = make_depolarizing(2, 0.5)
     t2 = make_depolarizing(2, 0.25)
     assert len(tensor_channels(t1, t2).kraus) == len(t1.kraus) * len(t2.kraus)
+
+
+def _kron_chain(factors):
+    """Reference: a left-to-right chain of np.kron starting from the 1x1 identity."""
+    op = np.ones((1, 1), dtype=np.complex128)
+    for factor in factors:
+        op = np.kron(op, factor)
+    return op
+
+
+def _chain_word(n, d, sites, word):
+    by_site = dict(zip(sites, word))  # q = a + d*b -> X^a Z^b
+    return _kron_chain(
+        weyl_operator(d, by_site[s] % d, by_site[s] // d) if s in by_site else np.eye(d)
+        for s in range(n)
+    )
+
+
+def _bit_equal(got, expect):
+    got, expect = np.asarray(got), np.asarray(expect)
+    return got.shape == expect.shape and np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("d, n, f", [(2, 1, 1), (2, 4, 2), (2, 6, 2), (3, 2, 2), (3, 4, 2), (3, 5, 1)])
+def test_error_space_basis_matches_kron_chain(d, n, f):
+    expect = [np.eye(d**n, dtype=np.complex128)]
+    for size in range(1, f + 1):
+        for z in itertools.combinations(range(n), size):
+            for word in itertools.product(range(1, d * d), repeat=size):
+                expect.append(_chain_word(n, d, z, word))
+    assert _bit_equal(error_space_basis(n, d, f), expect)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (2, 6), (3, 3), (3, 4)])
+def test_localized_error_basis_matches_kron_chain(d, n):
+    for size in range(3):
+        for z in itertools.combinations(range(n), size):
+            expect = [_chain_word(n, d, z, word) for word in itertools.product(range(d * d), repeat=size)]
+            assert _bit_equal(localized_error_basis(n, d, z), expect), z
+
+
+def test_tensor_channels_matches_kron_chain():
+    rng = np.random.default_rng(23)
+    v = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0]
+    isometry = Channel((v,))
+    unitaries = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(2)]
+    mixed = Channel((np.sqrt(0.3) * unitaries[0], np.sqrt(0.7) * unitaries[1]))
+    depolarizing = [make_depolarizing(2, 0.3), make_depolarizing(3, 0.5)]
+    for parts in (
+        [isometry],
+        [mixed, isometry, depolarizing[0]],
+        [depolarizing[1], isometry, mixed, identity_channel(2)],
+        [identity_channel(2), depolarizing[0], identity_channel(2), depolarizing[0], identity_channel(2)],
+    ):
+        expect = [_kron_chain(ops) for ops in itertools.product(*(ch.kraus for ch in parts))]
+        assert _bit_equal(tensor_channels(*parts).kraus, expect)
+    chained = tensor_channels(tensor_channels(mixed, isometry), depolarizing[0])
+    assert _bit_equal(tensor_channels(mixed, isometry, depolarizing[0]).kraus, chained.kraus)
+
+
+def test_total_budget_refuses_before_allocating(monkeypatch):
+    # 2 qubits: each operator holds 16 amplitudes
+    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 16 * 16)
+    assert len(localized_error_basis(2, 2, (0,))) == 4
+    assert len(error_space_basis(2, 2, 1)) == 7
+    assert len(tensor_channels(make_depolarizing(2, 0.3), make_depolarizing(2, 0.3)).kraus) == 16
+    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 16 * 16 - 1)
+    with pytest.raises(DimensionOverflow, match="amplitudes"):
+        localized_error_basis(2, 2, (0, 1))
+    with pytest.raises(DimensionOverflow, match="amplitudes"):
+        error_space_basis(2, 2, 2)
+    with pytest.raises(DimensionOverflow, match="amplitudes"):
+        tensor_channels(make_depolarizing(2, 0.3), make_depolarizing(2, 0.3))
+
+
+def test_total_budget_at_ten_qubits(monkeypatch):
+    built = []
+
+    def record(stacks):  # admits without allocating the 2^20-amplitude operators
+        count = int(np.prod([s.shape[0] for s in stacks]))
+        built.append(count)
+        return np.zeros((count, 0, 0), dtype=np.complex128)
+
+    def fail(stacks):
+        raise AssertionError("the Kronecker product was reached")
+
+    monkeypatch.setattr(channels, "_kron_stacks", record)
+    assert len(error_space_basis(10, 2, 1)) == 31  # 31 x 2^20 amplitudes
+    assert len(localized_error_basis(10, 2, (0, 1, 2))) == 64  # exactly 2^26
+    assert sum(built) == 31 + 64
+    monkeypatch.setattr(channels, "_kron_stacks", fail)
+    with pytest.raises(DimensionOverflow):
+        error_space_basis(10, 2, 2)  # 436 operators, about 7.3 GB
+    with pytest.raises(DimensionOverflow):
+        localized_error_basis(10, 2, (0, 1, 2, 3))
+    noisy = [make_depolarizing(2, 0.3) if s < 5 else identity_channel(2) for s in range(10)]
+    with pytest.raises(DimensionOverflow):
+        tensor_channels(*noisy)  # 1,024 Kraus operators of 2^20 amplitudes
 
 
 def test_weyl_qubit_words():

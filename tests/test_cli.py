@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from graphqec import channels
 from graphqec.cli import main
 from graphqec.graphs import dump_graph, graph_to_dict, loads_graph, wheel_code
 
@@ -142,6 +143,30 @@ def test_kl_check_pass_and_fail(capsys, wheel_file):
     code, out, _ = run_cli(capsys, "kl-check", wheel_file, "--f", "2", "--no-timing")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_ten_qubit_budget_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
+    kron_stacks = channels._kron_stacks
+
+    def guarded(stacks):  # builds one identity operator, refuses anything larger
+        assert np.prod([s.size for s in stacks]) <= 2**20, "a large Kronecker product was reached"
+        return kron_stacks(stacks)
+
+    monkeypatch.setattr(channels, "_kron_stacks", guarded)
+    path = tmp_path / "ring10.json"
+    edges = [[0, 1 + s, 1] for s in range(10)] + [[1 + s, 1 + (s + 1) % 10, 1] for s in range(10)]
+    path.write_text(json.dumps({"d": 2, "m": 1, "n": 10, "edges": edges}))
+    # 436 error operators of 2^20 amplitudes: about 7.3 GB
+    code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "2", "--no-timing")
+    assert (code, out) == (2, "")
+    assert "amplitudes" in err
+    # depolarizing on 5 sites: 1,024 Kraus operators of 2^20 amplitudes
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), "--f", "0",
+        "--noise", "depolarizing:0.3", "--sites", "0,1,2,3,4", "--no-timing",
+    )
+    assert (code, out) == (2, "")
+    assert "amplitudes" in err
 
 
 def test_simulate_single_site(capsys, wheel_file):

@@ -125,10 +125,36 @@ def _low_rank_batch(rng, p, count, rows, cols):
 def test_rank_prime_batch_matches_sympy_large_prime(p):
     assert p <= MAX_BATCH_MODULUS
     rng = np.random.default_rng(p % 1000)
-    mats = _low_rank_batch(rng, p, 40, 6, 4)
-    ranks = rank_prime_batch(mats, p)
-    assert sorted(set(ranks.tolist())) == [0, 1, 2, 3, 4]
-    assert ranks.tolist() == [_sympy_rank(m, p) for m in mats]
+    for rows, cols in [(6, 4), (4, 4), (3, 5)]:
+        mats = _low_rank_batch(rng, p, 40, rows, cols)
+        ranks = rank_prime_batch(mats, p)
+        assert sorted(set(ranks.tolist())) == list(range(min(rows, cols) + 1))
+        assert ranks.tolist() == [_sympy_rank(m, p) for m in mats]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_prime_batch_matches_sympy_small_primes(p):
+    rng = np.random.default_rng(40 + p)
+    for rows, cols in [(7, 3), (3, 7), (5, 5), (1, 4), (4, 1)]:
+        mats = rng.integers(0, p, size=(60, rows, cols))
+        mats[::4, rng.integers(rows)] = 0  # a zero row
+        mats[1::4, -1] = mats[1::4, 0]  # a repeated row
+        mats[2::4] = _low_rank_batch(rng, p, 15, rows, cols)
+        assert rank_prime_batch(mats, p).tolist() == [_sympy_rank(m, p) for m in mats]
+    # column 0 has a pivot in some matrices and none in others, in a different
+    # row each time; in the second matrix the first pivot clears all of column 1
+    mixed = np.array([
+        [[0, 1, 2], [0, 0, 1], [0, 1, 1]],
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [1, 2, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 2], [1, 0, 0]],
+        [[2, 1, 0], [1, 0, 0], [0, 0, 1]],
+    ])
+    mixed %= p
+    assert rank_prime_batch(mixed, p).tolist() == [_sympy_rank(m, p) for m in mixed]
+    assert rank_prime_batch(np.zeros((3, 0, 4)), p).tolist() == [0, 0, 0]
+    assert rank_prime_batch(np.zeros((2, 4, 0)), p).tolist() == [0, 0]
 
 
 def test_rank_prime_batch_matches_sympy_beyond_int64():
