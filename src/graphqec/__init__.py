@@ -53,7 +53,6 @@ from .modular import (
     rank_prime,
 )
 from .noise import (
-    NoiseDescriptor,
     binary_entropy,
     binomial_error_bound,
     cb_lower_witness,

@@ -1,6 +1,7 @@
 """Dense complex Hilbert-space numerics in the Schroedinger convention.
 
-Channels are lists of Kraus operators acting as rho -> sum_j F_j rho F_j*.
+A channel is one (count, dim_out, dim_in) array of Kraus operators acting
+as rho -> sum_j F_j rho F_j*.
 On top of that sit the Weyl (clock-and-shift) error bases, numerical
 verification of the Knill-Laflamme condition, synthesis of an explicit
 decoding channel from the Gram form of a verified error set, and the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,11 +28,10 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DimensionOverflow,
-    InvalidSubset,
     KLViolated,
     NotIsometry,
 )
-from .graphs import DEFAULT_AMPLITUDE_CAP
+from .graphs import DEFAULT_AMPLITUDE_CAP, _normalize_subset
 
 __all__ = [
     "Channel",
@@ -72,39 +72,39 @@ def _as_operator(a) -> np.ndarray:
 class Channel:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    Each Kraus operator maps the input space (dim_in columns) to the
-    output space (dim_out rows); completeness sum F* F = 1 is enforced
-    at construction.
+    kraus is one complex128 array of shape (count, dim_out, dim_in): each
+    operator maps the input space (dim_in columns) to the output space
+    (dim_out rows).  A sequence of equal-shape matrices is stacked into
+    that array; a complex128 array is kept as given, without a copy.
+    Completeness sum F* F = 1 is enforced at construction.
     """
 
-    kraus: tuple[np.ndarray, ...]
-    # the Kraus operators as one (count, dim_out, dim_in) array; kraus holds views of it
-    _stack: np.ndarray = field(init=False, repr=False)
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(_as_operator(f) for f in self.kraus)
-        if not ops:
+        if not len(self.kraus):
             raise ValueError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if any(f.shape != shape for f in ops):
-            raise DimensionMismatch("all Kraus operators must share one shape")
-        stack = np.stack(ops)
-        rows = stack.reshape(-1, shape[1])  # F_1 over F_2 over ...: rows* rows = sum F*F
-        gap = np.abs(rows.conj().T @ rows - np.eye(shape[1])).max()
+        try:
+            kraus = np.asarray(self.kraus, dtype=np.complex128)
+        except ValueError:  # a ragged sequence
+            raise DimensionMismatch("all Kraus operators must share one shape") from None
+        if kraus.ndim != 3:
+            raise DimensionMismatch(f"Kraus operators must be 2-D, got shape {kraus.shape[1:]}")
+        rows = kraus.reshape(-1, kraus.shape[2])  # F_1 over F_2 over ...: rows* rows = sum F*F
+        gap = np.abs(rows.conj().T @ rows - np.eye(kraus.shape[2])).max()
         if gap > _COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus completeness violated: sum F*F differs from identity by {gap:.3e}"
             )
-        object.__setattr__(self, "kraus", tuple(stack))
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 def identity_channel(dim: int) -> Channel:
@@ -130,9 +130,9 @@ def tensor_channels(*channels: Channel) -> Channel:
     chain of two-channel products entry for entry.  DimensionOverflow
     before allocating when it would exceed TOTAL_AMPLITUDE_CAP.
     """
-    stacks = [channel._stack for channel in channels]
+    stacks = [channel.kraus for channel in channels]
     _require_budget(np.prod([s.size for s in stacks], dtype=object), "tensor product")
-    return Channel(tuple(_kron_stacks(stacks)))
+    return Channel(_kron_stacks(stacks))
 
 
 def _kron_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -173,26 +173,18 @@ def _site_words(n: int, d: int, sites: Sequence[int], words: Sequence[int]) -> n
     return _kron_stacks([weyl if site in sites else identity for site in range(n)])
 
 
-def _check_site_subset(n: int, sites: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(sorted(int(s) for s in sites))
-    if len(set(out)) != len(out) or any(not (0 <= s < n) for s in out):
-        raise InvalidSubset(f"sites {out} are not a subset of [0, {n})")
-    return out
-
-
-def localized_error_basis(
-    n: int, d: int, sites: Iterable[int], cap: int = DEFAULT_AMPLITUDE_CAP
-) -> list[np.ndarray]:
+def localized_error_basis(n: int, d: int, sites: Iterable[int]) -> list[np.ndarray]:
     """All d^{2|Z|} Weyl words supported on Z, tensored with identity elsewhere.
 
     The all-zero word comes first, so element 0 is the global identity.
     Per-site words are ordered I, X, Z, XZ, ... (shift power before
-    clock power), the lowest site varying slowest.  DimensionOverflow when
-    the count or one operator exceeds cap, or all exceed TOTAL_AMPLITUDE_CAP.
+    clock power), the lowest site varying slowest.  InvalidSubset for
+    repeated or out-of-range sites; DimensionOverflow when one operator
+    exceeds DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
     """
-    z = _check_site_subset(n, sites)
+    z = _normalize_subset(n, sites)
     count = d ** (2 * len(z))
-    if count > cap or (d**n) ** 2 > cap:
+    if (d**n) ** 2 > DEFAULT_AMPLITUDE_CAP:
         raise DimensionOverflow(
             f"error basis needs {count} operators of {d**n}x{d**n} amplitudes"
         )
@@ -200,16 +192,15 @@ def localized_error_basis(
     return list(_site_words(n, d, z, range(d * d)))
 
 
-def error_space_basis(
-    n: int, d: int, f: int, cap: int = DEFAULT_AMPLITUDE_CAP
-) -> list[np.ndarray]:
+def error_space_basis(n: int, d: int, f: int) -> list[np.ndarray]:
     """A duplicate-free basis of the span of all words on at most f sites.
 
     Identity first, then for each subset Z with 1 <= |Z| <= f the words
     acting nontrivially on every site of Z.  DimensionOverflow before
-    allocating when one operator exceeds cap or all exceed TOTAL_AMPLITUDE_CAP.
+    allocating when one operator exceeds DEFAULT_AMPLITUDE_CAP or all
+    exceed TOTAL_AMPLITUDE_CAP.
     """
-    if (d**n) ** 2 > cap:
+    if (d**n) ** 2 > DEFAULT_AMPLITUDE_CAP:
         raise DimensionOverflow(f"operators would need {(d**n)**2} amplitudes")
     subsets = [z for size in range(max(f, 0) + 1) for z in itertools.combinations(range(n), size)]
     count = sum((d * d - 1) ** len(z) for z in subsets)
@@ -313,7 +304,7 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
         # sqrt(p) |w><c_j| for each eigenpair (p, w) of rho0 and complement vector c_j
         routes = np.einsum("ip,kj->pjik", scaled, complement.conj()).reshape(-1, dim_in, dim_out)
         kraus = np.concatenate([kraus, routes])
-    return Channel(tuple(kraus))
+    return Channel(kraus)
 
 
 def _max_entangled(d: int) -> np.ndarray:
@@ -334,7 +325,7 @@ def _propagate(factor: np.ndarray, stage: Channel, d0: int) -> np.ndarray:
     factor never holds more entries than the dense state would.
     """
     rank = factor.shape[1]
-    images = np.tensordot(stage._stack, factor.reshape(stage.dim_in, d0 * rank), axes=(2, 0))
+    images = np.tensordot(stage.kraus, factor.reshape(stage.dim_in, d0 * rank), axes=(2, 0))
     rows = stage.dim_out * d0
     # (K, dim_out, d0 r) -> rows (out, ref), columns (k, col)
     out = images.reshape(-1, rows, rank).transpose(1, 0, 2).reshape(rows, -1)

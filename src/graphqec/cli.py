@@ -25,7 +25,7 @@ from .channels import (
     tensor_channels,
     verify_etd,
 )
-from .errors import GraphQECError
+from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
     build_isometry,
     find_uncorrectable_subset,
@@ -33,7 +33,7 @@ from .graphs import (
     load_graph,
     max_correctable_f,
 )
-from .noise import NoiseDescriptor
+from .noise import make_depolarizing, make_unitary_channel, phase_rotation
 from .rates import (
     capacity_from_finite_coding,
     capacity_lower_bound_small_noise,
@@ -149,8 +149,8 @@ def _parse_sites(text, n_sites: int) -> list[int]:
     return sites
 
 
-def _read_kraus(path: str) -> list[np.ndarray]:
-    """Operators from a JSON list of {"re": [[...]], "im": [[...]]} objects."""
+def _read_kraus(path: str, site_dim: int) -> list[np.ndarray]:
+    """site_dim x site_dim operators from a JSON list of {"re": [[...]], "im": [[...]]} objects."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -165,17 +165,25 @@ def _read_kraus(path: str) -> list[np.ndarray]:
                 f"custom-kraus operator {index} needs numeric 're' and 'im' arrays of one shape"
             )
         kraus.append(real + 1j * imag)
+    # a second pass, so a malformed entry anywhere is reported before a mis-sized one
+    expected = (site_dim, site_dim)
+    for index, op in enumerate(kraus):
+        if op.shape != expected:
+            raise DimensionMismatch(
+                f"custom-kraus operator {index} has shape {op.shape}; "
+                f"expected {expected} for site dimension {site_dim}"
+            )
     return kraus
 
 
 def _parse_noise(token: str, site_dim: int) -> Channel:
     family, _, params = token.partition(":")
     if family == "depolarizing":
-        return NoiseDescriptor(family, site_dim, {"q": float(params)}).make_channel()
+        return make_depolarizing(site_dim, float(params))
     if family == "unitary-rotation":
-        return NoiseDescriptor(family, site_dim, {"theta": float(params)}).make_channel()
+        return make_unitary_channel(phase_rotation(site_dim, float(params)))[0]
     if family == "custom-kraus":
-        return NoiseDescriptor(family, site_dim, {"kraus": _read_kraus(params)}).make_channel()
+        return Channel(_read_kraus(params, site_dim))
     raise ValueError(
         f"unknown noise family {family!r}; use depolarizing, unitary-rotation, or custom-kraus"
     )

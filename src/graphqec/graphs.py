@@ -123,12 +123,11 @@ def _require_int(value, name: str) -> int:
     return int(value)
 
 
-def _normalize_subset(code: GraphCode, subset: Iterable[int]) -> tuple[int, ...]:
+def _normalize_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
+    """The sites of subset, sorted; InvalidSubset unless they are distinct in [0, n)."""
     sites = tuple(sorted(int(z) for z in subset))
-    if any(not (0 <= z < code.n) for z in sites):
-        raise InvalidSubset(
-            f"subset {sites} contains indices outside the output range [0, {code.n})"
-        )
+    if any(not (0 <= z < n) for z in sites):
+        raise InvalidSubset(f"subset {sites} contains indices outside the output range [0, {n})")
     if len(set(sites)) != len(sites):
         raise InvalidSubset(f"subset {sites} has repeated sites")
     return sites
@@ -153,7 +152,7 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
     arithmetic over Z_d: the (Y \\ Z) x (X u Z) submatrix of gamma must
     have trivial kernel.
     """
-    sites = _normalize_subset(code, subset)
+    sites = _normalize_subset(code.n, subset)
     return first_singular(_blocks(code, [sites]), code.d) is None
 
 
@@ -205,19 +204,19 @@ def _digit_table(count: int, d: int, width: int) -> np.ndarray:
     return (idx[:, None] // powers[None, :]) % d
 
 
-def build_isometry(
-    code: GraphCode, cap: int = DEFAULT_AMPLITUDE_CAP
-) -> np.ndarray:
+def build_isometry(code: GraphCode) -> np.ndarray:
     """The d^n x d^m quadratic-phase encoding matrix of the code.
 
     Entry (j_Y, j_X) is d^{-n/2} exp(i pi / d * j . gamma . j) with j
     the combined digit vector over all nodes.  Whether the result is an
     isometry is exactly the empty-subset kernel condition.
+    DimensionOverflow before allocating when d^n or d^m exceeds
+    DEFAULT_AMPLITUDE_CAP.
     """
     d, m, n = code.d, code.m, code.n
-    if d**n > cap or d**m > cap:
+    if d**n > DEFAULT_AMPLITUDE_CAP or d**m > DEFAULT_AMPLITUDE_CAP:
         raise DimensionOverflow(
-            f"isometry would need {d}^{n} x {d}^{m} amplitudes (cap {cap})"
+            f"isometry would need {d}^{n} x {d}^{m} amplitudes (cap {DEFAULT_AMPLITUDE_CAP})"
         )
     gamma = code.gamma.entries
     a_xx = gamma[:m, :m]

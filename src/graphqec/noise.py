@@ -11,7 +11,6 @@ errors" into cb-norm error bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
 
 __all__ = [
     "binary_entropy",
-    "NoiseDescriptor",
     "phase_rotation",
     "make_unitary_channel",
     "make_depolarizing",
@@ -81,41 +79,7 @@ def make_depolarizing(d: int, q: float) -> Channel:
             if a == b == 0:
                 continue
             kraus.append(np.sqrt(q) / d * weyl_operator(d, a, b))
-    return Channel(tuple(kraus))
-
-
-@dataclass(frozen=True)
-class NoiseDescriptor:
-    """Declarative description of a single-site noise channel.
-
-    family is one of "unitary-rotation" (params: theta), "depolarizing"
-    (params: q) or "custom-kraus" (params: kraus, a list of site_dim x site_dim
-    matrices; any other shape raises DimensionMismatch).
-    """
-
-    family: str
-    site_dim: int
-    params: dict = field(default_factory=dict)
-
-    def make_channel(self) -> Channel:
-        if self.family == "unitary-rotation":
-            channel, _ = make_unitary_channel(
-                phase_rotation(self.site_dim, float(self.params["theta"]))
-            )
-            return channel
-        if self.family == "depolarizing":
-            return make_depolarizing(self.site_dim, float(self.params["q"]))
-        if self.family == "custom-kraus":
-            kraus = tuple(np.asarray(k) for k in self.params["kraus"])
-            expected = (self.site_dim, self.site_dim)
-            for index, op in enumerate(kraus):
-                if op.shape != expected:
-                    raise DimensionMismatch(
-                        f"custom-kraus operator {index} has shape {op.shape}; "
-                        f"expected {expected} for site dimension {self.site_dim}"
-                    )
-            return Channel(kraus)
-        raise ParamOutOfRange(f"unknown noise family {self.family!r}")
+    return Channel(kraus)
 
 
 LinearMap = Union[Channel, Callable[[np.ndarray], np.ndarray]]

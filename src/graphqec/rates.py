@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     CompositeModulus,
@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .modular import is_prime
-from .noise import binary_entropy
+from .noise import binary_entropy, error_threshold
 
 __all__ = [
     "RatePoint",
@@ -47,16 +47,13 @@ LOG2_3 = math.log2(3.0)
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One sample of a rate/exponent curve (unused fields stay None)."""
+    """One sample of an error-exponent curve."""
 
-    eps: Optional[float] = None
-    c: Optional[float] = None
-    lambda_nats: Optional[float] = None
-    lambda_bits: Optional[float] = None
-    p: Optional[int] = None
-    k: Optional[int] = None
-    delta: Optional[float] = None
-    vacuous: bool = False
+    eps: float
+    c: float
+    lambda_nats: float
+    lambda_bits: float
+    vacuous: bool
 
 
 def _check_rates(d: int, mu: float, eps: float) -> None:
@@ -176,9 +173,6 @@ def error_exponent_curve(
                 c=c,
                 lambda_nats=lam,
                 lambda_bits=lam / math.log(2.0),
-                p=p,
-                k=k,
-                delta=delta,
                 vacuous=lam <= 0.0,
             )
         )
@@ -222,10 +216,10 @@ def _default_region_grid() -> list[float]:
     return [k * 0.005 for k in range(0, 101)]
 
 
-def _default_exponent_grid(delta: float, points: int = 200) -> list[float]:
+def _default_exponent_grid(delta: float) -> list[float]:
     lo = math.e * delta
-    step = (0.5 - lo) / (points - 1)
-    return [lo + j * step for j in range(points)]
+    step = (0.5 - lo) / 199
+    return [lo + j * step for j in range(200)]
 
 
 def emit_curves(
@@ -235,7 +229,6 @@ def emit_curves(
     p: int = 2,
     k: int = 1,
     deltas: Sequence[float] = (1e-3, 1e-4, 1e-5, 1e-6),
-    grid: Optional[Iterable[float]] = None,
 ) -> str:
     """Deterministic CSV data for the three bound figures.
 
@@ -244,29 +237,24 @@ def emit_curves(
     mu_random_graph with empty cells where undefined) or "exponent-fig"
     (long format c,lambda_nats,lambda_bits,delta, one block per delta).
     """
-    from .noise import error_threshold
-
     out = io.StringIO()
     if kind == "threshold-fig":
-        eps_grid = list(grid) if grid is not None else _default_threshold_grid()
         out.write("eps,strict_threshold,simple_bound\n")
-        for eps in eps_grid:
+        for eps in _default_threshold_grid():
             strict, simple = error_threshold(eps)
             out.write(f"{_fmt(eps)},{_fmt(strict)},{_fmt(simple)}\n")
     elif kind == "rate-region-fig":
-        eps_grid = list(grid) if grid is not None else _default_region_grid()
         out.write("eps,mu_singleton,mu_hamming,mu_random_graph\n")
-        for eps in eps_grid:
+        for eps in _default_region_grid():
             s, h, r = region_boundaries(d, eps)
             out.write(f"{_fmt(eps)},{_fmt(s)},{_fmt(h)},{_fmt(r)}\n")
     elif kind == "exponent-fig":
         out.write("c,lambda_nats,lambda_bits,delta\n")
         for delta in deltas:
-            eps_grid = list(grid) if grid is not None else _default_exponent_grid(delta)
-            for point in error_exponent_curve(p, k, delta, eps_grid):
+            for point in error_exponent_curve(p, k, delta, _default_exponent_grid(delta)):
                 out.write(
                     f"{_fmt(point.c)},{_fmt(point.lambda_nats)},"
-                    f"{_fmt(point.lambda_bits)},{_fmt(point.delta)}\n"
+                    f"{_fmt(point.lambda_bits)},{_fmt(delta)}\n"
                 )
     else:
         raise ParamOutOfRange(f"unknown figure kind {kind!r}")

@@ -10,7 +10,7 @@ byte-identical no matter how trials would be scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,9 @@ __all__ = [
     "run_search",
     "singular_fraction_experiment",
 ]
+
+# Most matrix entries singular_fraction_experiment draws and eliminates at once.
+_CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -77,16 +80,8 @@ class SearchReport:
         return self.failures / self.config.trials
 
     def to_dict(self) -> dict:
-        cfg = self.config
         return {
-            "config": {
-                "d": cfg.d,
-                "m": cfg.m,
-                "n": cfg.n,
-                "f": cfg.f,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-            },
+            "config": asdict(self.config),
             "successes": self.successes,
             "failures": self.failures,
             "empirical_failure_fraction": self.empirical_failure_fraction,
@@ -201,7 +196,7 @@ def singular_fraction_experiment(
         return 0.0, bound  # no columns: the kernel condition holds vacuously
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     singular = 0
-    chunk = max(1, min(trials, 20_000))
+    chunk = max(1, min(trials, 20_000, _CHUNK_ENTRIES // (big_n * small_m)))
     remaining = trials
     while remaining:
         take = min(chunk, remaining)

@@ -20,6 +20,7 @@ from graphqec.channels import (
 from graphqec.errors import (
     DimensionMismatch,
     DimensionOverflow,
+    InvalidSubset,
     KLViolated,
     NotIsometry,
 )
@@ -32,6 +33,13 @@ def rand_state(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def test_channel_keeps_one_kraus_array():
+    stack = make_depolarizing(2, 0.3).kraus
+    assert (stack.dtype, stack.shape) == (np.complex128, (4, 2, 2))
+    assert np.shares_memory(Channel(stack).kraus, stack)
+    assert Channel([np.eye(2)]).kraus.shape == (1, 2, 2)
 
 
 def test_channel_requires_completeness():
@@ -254,9 +262,19 @@ def test_localized_basis_counts_and_identity_first():
     assert np.allclose(basis[0], np.eye(9))
 
 
-def test_localized_basis_cap():
-    with pytest.raises(DimensionOverflow):
-        localized_error_basis(2, 2, (0, 1), cap=10)
+def test_localized_basis_cap(monkeypatch):
+    def fail(stacks):
+        raise AssertionError("the Kronecker product was reached")
+
+    monkeypatch.setattr(channels, "_kron_stacks", fail)
+    with pytest.raises(DimensionOverflow):  # 2^11 x 2^11 operators exceed 2^20 amplitudes
+        localized_error_basis(11, 2, (0, 1))
+
+
+@pytest.mark.parametrize("sites", [(0, 0), (2,), (-1,)])
+def test_localized_basis_refuses_invalid_sites(sites):
+    with pytest.raises(InvalidSubset):
+        localized_error_basis(2, 2, sites)
 
 
 def test_error_space_basis_counts():

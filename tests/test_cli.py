@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphqec import channels
-from graphqec.cli import main
+from graphqec.cli import _parse_noise, main
 from graphqec.graphs import dump_graph, graph_to_dict, loads_graph, wheel_code
 
 from conftest import smith_first_failing
@@ -276,6 +276,17 @@ def test_simulate_refuses_malformed_custom_kraus(capsys, wheel_file, tmp_path, c
     assert code == 2
     assert out == ""
     assert "custom-kraus" in err
+
+
+def test_parse_noise_families(tmp_path):
+    assert len(_parse_noise("depolarizing:0.25", 2).kraus) == 4
+    assert len(_parse_noise("unitary-rotation:0.2", 3).kraus) == 1
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps([{"re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}]))
+    custom = _parse_noise(f"custom-kraus:{path}", 2)
+    assert (len(custom.kraus), custom.dim_in) == (1, 2)
+    with pytest.raises(ValueError, match="unknown noise family"):
+        _parse_noise("amplitude-damping:0.1", 2)
 
 
 def test_simulate_rejects_uncorrectable_f(capsys, wheel_file):

@@ -218,10 +218,14 @@ def test_isometry_invariant_under_entry_shift_by_d(wheel):
     assert np.allclose(build_isometry(wheel), build_isometry(code2), atol=1e-12)
 
 
-def test_isometry_dimension_cap():
-    code = GraphCode.from_edges(2, 1, 5, [[0, 1, 1]])
-    with pytest.raises(DimensionOverflow):
-        build_isometry(code, cap=16)
+def test_isometry_dimension_cap(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the digit tables were built")
+
+    monkeypatch.setattr(graphs, "_digit_table", fail)
+    code = GraphCode.from_edges(2, 1, 21, [[0, 1, 1]])
+    with pytest.raises(DimensionOverflow):  # 2^21 rows exceed 2^20 amplitudes
+        build_isometry(code)
 
 
 def test_graph_roundtrip_through_file(tmp_path, wheel):

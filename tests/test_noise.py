@@ -11,7 +11,6 @@ from graphqec.errors import (
     PreconditionViolated,
 )
 from graphqec.noise import (
-    NoiseDescriptor,
     binary_entropy,
     binomial_error_bound,
     cb_lower_witness,
@@ -88,19 +87,6 @@ def test_depolarizing_qudit_action():
     rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
     out = apply_channel(make_depolarizing(3, 0.6), rho)
     assert np.allclose(out, 0.4 * rho + 0.6 * np.eye(3) / 3, atol=1e-12)
-
-
-def test_noise_descriptor_families():
-    dep = NoiseDescriptor("depolarizing", 2, {"q": 0.25}).make_channel()
-    assert len(dep.kraus) == 4
-    rot = NoiseDescriptor("unitary-rotation", 3, {"theta": 0.2}).make_channel()
-    assert len(rot.kraus) == 1
-    custom = NoiseDescriptor(
-        "custom-kraus", 2, {"kraus": [np.eye(2)]}
-    ).make_channel()
-    assert custom.dim_in == 2
-    with pytest.raises(ParamOutOfRange):
-        NoiseDescriptor("amplitude-damping", 2, {}).make_channel()
 
 
 def test_cb_witness_zero_for_equal_channels():

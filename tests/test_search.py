@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from graphqec import search
 from graphqec.errors import CompositeModulus, ParamOutOfRange, TooManyErrors
 from graphqec.search import (
     SearchConfig,
@@ -148,6 +149,22 @@ def test_singular_fraction_zero_columns():
     emp, bound = singular_fraction_experiment(2, 4, 0, 100, 1)
     assert emp == 0.0
     assert abs(bound - 2.0**-4) < 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 1_000_000_000_000_000_003])
+def test_singular_fraction_chunks_within_entry_budget(monkeypatch, d):
+    unbudgeted = singular_fraction_experiment(d, 6, 4, 500, 11)
+    entries = []
+    rank = search.rank_prime_batch
+
+    def recording(mats, p):
+        entries.append(mats.size)
+        return rank(mats, p)
+
+    monkeypatch.setattr(search, "rank_prime_batch", recording)
+    monkeypatch.setattr(search, "_CHUNK_ENTRIES", 7 * 24)  # 7 matrices of 6 x 4
+    assert singular_fraction_experiment(d, 6, 4, 500, 11) == unbudgeted
+    assert len(entries) == 72 and max(entries) <= 7 * 24
 
 
 def test_singular_fraction_guards():
