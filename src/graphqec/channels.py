@@ -196,13 +196,15 @@ def error_space_basis(n: int, d: int, f: int) -> list[np.ndarray]:
     """A duplicate-free basis of the span of all words on at most f sites.
 
     Identity first, then for each subset Z with 1 <= |Z| <= f the words
-    acting nontrivially on every site of Z.  DimensionOverflow before
-    allocating when one operator exceeds DEFAULT_AMPLITUDE_CAP or all
-    exceed TOTAL_AMPLITUDE_CAP.
+    acting nontrivially on every site of Z.  ValueError for negative f;
+    DimensionOverflow before allocating when one operator exceeds
+    DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
     """
+    if f < 0:
+        raise ValueError(f"error count must be non-negative, got {f}")
     if (d**n) ** 2 > DEFAULT_AMPLITUDE_CAP:
         raise DimensionOverflow(f"operators would need {(d**n)**2} amplitudes")
-    subsets = [z for size in range(max(f, 0) + 1) for z in itertools.combinations(range(n), size)]
+    subsets = [z for size in range(f + 1) for z in itertools.combinations(range(n), size)]
     count = sum((d * d - 1) ** len(z) for z in subsets)
     _require_budget(count * (d**n) ** 2, "error basis")
     return [op for z in subsets for op in _site_words(n, d, z, range(1, d * d))]

@@ -1,9 +1,13 @@
 """Command-line frontend: verification, simulation, search, and curve data.
 
-Exit codes: 0 on success/pass, 1 on a semantic failure (a verification
-that ran and said no), 2 on usage or input errors.  All output is
-deterministic given the flags; the trailing timing line is suppressed
-by --no-timing.
+Each handler only computes and returns (exit code, JSON payload, text
+lines); the two that must print for themselves (the byte-clean CSV of
+`bounds`, the refusal of `simulate`) return a plain exit code.  `main`
+alone parses, times the whole command (reading the graph file
+included), prints the result and maps errors to exit codes: 0 on
+success/pass, 1 on a semantic failure (a verification that ran and
+said no), 2 on usage or input errors.  All output is deterministic
+given the flags; --no-timing drops the timing line and `elapsed_s`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .channels import (
 )
 from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
+    _normalize_subset,
     build_isometry,
     find_uncorrectable_subset,
     graph_to_dict,
@@ -43,10 +48,7 @@ from .search import SearchConfig, run_search, singular_fraction_experiment
 
 __all__ = ["main"]
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-    parser.add_argument("--no-timing", action="store_true", help="suppress the timing line")
+Result = tuple[int, dict, list[str]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,21 +59,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="certify that a graph code corrects f errors", allow_abbrev=False)
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("verify", _cmd_verify, "certify that a graph code corrects f errors")
     p.add_argument("graph", help="path to a graph file (JSON)")
     p.add_argument("--f", type=int, required=True, help="number of errors to correct")
-    _add_common(p)
 
-    p = sub.add_parser("maxf", help="largest f the code corrects", allow_abbrev=False)
+    p = command("maxf", _cmd_maxf, "largest f the code corrects")
     p.add_argument("graph")
-    _add_common(p)
 
-    p = sub.add_parser("kl-check", help="numerical Knill-Laflamme verification", allow_abbrev=False)
+    p = command("kl-check", _cmd_kl_check, "numerical Knill-Laflamme verification")
     p.add_argument("graph")
     p.add_argument("--f", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("simulate", help="encode, apply noise, decode, report Choi distance", allow_abbrev=False)
+    p = command("simulate", _cmd_simulate, "encode, apply noise, decode, report Choi distance")
     p.add_argument("graph")
     p.add_argument("--f", type=int, required=True)
     p.add_argument(
@@ -86,67 +90,40 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated output sites the noise acts on (default: none)",
     )
-    _add_common(p)
 
-    p = sub.add_parser("search", help="random code search with existence bound", allow_abbrev=False)
+    p = command("search", _cmd_search, "random code search with existence bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("singular-mc", help="Monte Carlo singular-fraction experiment", allow_abbrev=False)
+    p = command("singular-mc", _cmd_singular_mc, "Monte Carlo singular-fraction experiment")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int, required=True, help="rows")
     p.add_argument("--M", type=int, required=True, help="columns")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("bounds", help="CSV curve data for the bound figures", allow_abbrev=False)
+    p = command("bounds", _cmd_bounds, "CSV curve data for the bound figures")
     p.add_argument("--fig", required=True, choices=["threshold", "region", "exponent"])
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--delta", default="1e-3,1e-4,1e-5,1e-6", help="comma-separated list")
     p.add_argument("-o", "--out", default=None, help="output path (default: stdout)")
-    _add_common(p)
 
-    p = sub.add_parser("capacity", help="capacity lower-bound formulas", allow_abbrev=False)
+    p = command("capacity", _cmd_capacity, "capacity lower-bound formulas")
     p.add_argument("--d", type=int, default=None, help="with --eps: small-noise bound")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--p", type=int, default=None, help="with --k/--delta: finite-coding bound")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
-    _add_common(p)
-
+    for p in sub.choices.values():  # added last, so they close every option list
+        p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+        p.add_argument("--no-timing", action="store_true", help="suppress the timing line")
     return parser
-
-
-def _emit(args, payload: dict, lines: list[str], elapsed: float) -> None:
-    if args.json:
-        if not args.no_timing:
-            payload = dict(payload, elapsed_s=round(elapsed, 6))
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-        if not args.no_timing:
-            print(f"time: {elapsed:.3f}s")
-
-
-def _parse_sites(text, n_sites: int) -> list[int]:
-    if text is None:
-        return []
-    sites = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    for s in sites:
-        if not 0 <= s < n_sites:
-            raise ValueError(f"site {s} outside the output range [0, {n_sites})")
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"sites {sites} contain repeats")
-    return sites
 
 
 def _read_kraus(path: str, site_dim: int) -> list[np.ndarray]:
@@ -189,11 +166,9 @@ def _parse_noise(token: str, site_dim: int) -> Channel:
     )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Result:
     code = load_graph(args.graph)
-    start = time.perf_counter()
     witness = find_uncorrectable_subset(code, args.f)
-    elapsed = time.perf_counter() - start
     passes = witness is None
     lines = [
         f"graph: d={code.d} m={code.m} n={code.n}",
@@ -209,31 +184,21 @@ def _cmd_verify(args) -> int:
         "passes": passes,
         "witness": None if witness is None else list(witness),
     }
-    _emit(args, payload, lines, elapsed)
-    return 0 if passes else 1
+    return (0 if passes else 1), payload, lines
 
 
-def _cmd_maxf(args) -> int:
+def _cmd_maxf(args) -> Result:
     code = load_graph(args.graph)
-    start = time.perf_counter()
     value = max_correctable_f(code)
-    elapsed = time.perf_counter() - start
-    _emit(
-        args,
-        {"d": code.d, "m": code.m, "n": code.n, "max_f": value},
-        [f"max correctable f: {value}"],
-        elapsed,
-    )
-    return 0
+    payload = {"d": code.d, "m": code.m, "n": code.n, "max_f": value}
+    return 0, payload, [f"max correctable f: {value}"]
 
 
-def _cmd_kl_check(args) -> int:
+def _cmd_kl_check(args) -> Result:
     code = load_graph(args.graph)
-    start = time.perf_counter()
     v = build_isometry(code)
     basis = error_space_basis(code.n, code.d, args.f)
     report = kl_verify(v, basis)
-    elapsed = time.perf_counter() - start
     lines = [
         f"error space: all words on <= {args.f} of {code.n} sites ({len(basis)} operators)",
         f"max deviation: {report.max_deviation:.3e} (tolerance {KL_TOLERANCE:.0e})",
@@ -246,13 +211,11 @@ def _cmd_kl_check(args) -> int:
         "tolerance": KL_TOLERANCE,
         "passes": report.correcting,
     }
-    _emit(args, payload, lines, elapsed)
-    return 0 if report.correcting else 1
+    return (0 if report.correcting else 1), payload, lines
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Result | int:
     code = load_graph(args.graph)
-    start = time.perf_counter()
     witness = find_uncorrectable_subset(code, args.f)
     if witness is not None:
         print(
@@ -260,7 +223,8 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 1
-    sites = _parse_sites(args.sites, code.n)
+    tokens = (args.sites or "").split(",")
+    sites = list(_normalize_subset(code.n, [int(tok) for tok in tokens if tok.strip() != ""]))
     if args.noise is None and sites:
         raise ValueError("--sites given without --noise")
     site_channel = None
@@ -275,7 +239,6 @@ def _cmd_simulate(args) -> int:
         *(site_channel if site in sites else identity_channel(code.d) for site in range(code.n))
     )
     distance = verify_etd(encoder, noise, decoder)
-    elapsed = time.perf_counter() - start
     corrected = distance < KL_TOLERANCE
     lines = [
         f"noise: {args.noise or 'none'} on sites {sites}",
@@ -289,16 +252,12 @@ def _cmd_simulate(args) -> int:
         "choi_trace_distance": distance,
         "corrected": corrected,
     }
-    _emit(args, payload, lines, elapsed)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> Result:
     cfg = SearchConfig(d=args.d, m=args.m, n=args.n, f=args.f, trials=args.trials, seed=args.seed)
-    start = time.perf_counter()
     report = run_search(cfg)
-    elapsed = time.perf_counter() - start
-    payload = report.to_dict()
     lines = [
         f"trials: {cfg.trials} (seed {cfg.seed})",
         f"successes: {report.successes}  failures: {report.failures}",
@@ -314,16 +273,13 @@ def _cmd_search(args) -> int:
     if report.best_code is not None:
         lines.append("best code (graph-file format):")
         lines.append(json.dumps(graph_to_dict(report.best_code)))
-    _emit(args, payload, lines, elapsed)
-    return 0
+    return 0, report.to_dict(), lines
 
 
-def _cmd_singular_mc(args) -> int:
-    start = time.perf_counter()
+def _cmd_singular_mc(args) -> Result:
     empirical, bound = singular_fraction_experiment(
         args.d, args.N, args.M, args.trials, args.seed
     )
-    elapsed = time.perf_counter() - start
     lines = [
         f"empirical singular fraction: {empirical:.6g}",
         f"analytic bound d^-(N-M): {bound:.6g}",
@@ -337,8 +293,7 @@ def _cmd_singular_mc(args) -> int:
         "empirical": empirical,
         "bound": bound,
     }
-    _emit(args, payload, lines, elapsed)
-    return 0
+    return 0, payload, lines
 
 
 def _cmd_bounds(args) -> int:
@@ -357,8 +312,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_capacity(args) -> int:
-    start = time.perf_counter()
+def _cmd_capacity(args) -> Result:
     small_noise = args.eps is not None
     finite = args.delta is not None
     if small_noise == finite:
@@ -392,27 +346,30 @@ def _cmd_capacity(args) -> int:
             "delta": args.delta,
             "q_lower": value,
         }
-    elapsed = time.perf_counter() - start
-    _emit(args, payload, lines, elapsed)
-    return 0
+    return 0, payload, lines
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "maxf": _cmd_maxf,
-    "kl-check": _cmd_kl_check,
-    "simulate": _cmd_simulate,
-    "search": _cmd_search,
-    "singular-mc": _cmd_singular_mc,
-    "bounds": _cmd_bounds,
-    "capacity": _cmd_capacity,
-}
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
+        result = args.run(args)
+        if isinstance(result, int):
+            return result
+        code, payload, lines = result
+        elapsed = time.perf_counter() - start
+        if args.json:
+            if not args.no_timing:
+                payload = dict(payload, elapsed_s=round(elapsed, 6))
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+            if not args.no_timing:
+                print(f"time: {elapsed:.3f}s")
+        return code
     except (GraphQECError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

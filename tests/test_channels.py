@@ -282,6 +282,12 @@ def test_error_space_basis_counts():
     assert len(error_space_basis(5, 2, 2)) == 1 + 5 * 3 + 10 * 9
 
 
+def test_error_space_basis_refuses_negative_f():
+    # the same refusal as find_uncorrectable_subset, not an identity-only basis
+    with pytest.raises(ValueError, match="error count must be non-negative, got -1"):
+        error_space_basis(5, 2, -1)
+
+
 def test_kl_verify_identity_error():
     v = np.eye(4)[:, :2]
     report = kl_verify(v, [np.eye(4)])

@@ -1,5 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,3 +416,87 @@ def test_unknown_flag_rejected(capsys, wheel_file):
         with pytest.raises(SystemExit) as exc:
             main(["verify", wheel_file, "--f", "1"] + extra)
         assert exc.value.code == 2
+
+
+def test_simulate_sites_are_a_set(capsys, wheel_file):
+    argv = ["simulate", wheel_file, "--f", "1", "--noise", "depolarizing:0.3", "--no-timing"]
+    code, out, _ = run_cli(capsys, *argv, "--sites", "3,1")
+    assert code == 0
+    assert out.startswith("noise: depolarizing:0.3 on sites [1, 3]\n")
+    unsorted, in_order = (json.loads(run_cli(capsys, *argv, "--sites", s, "--json")[1]) for s in ("3,1", "1,3"))
+    assert unsorted["sites"] == [1, 3]
+    assert unsorted["choi_trace_distance"] == in_order["choi_trace_distance"]
+
+
+@pytest.mark.parametrize(
+    "sites, message",
+    [
+        ("1,1", "subset (1, 1) has repeated sites"),
+        ("7", "subset (7,) contains indices outside the output range [0, 5)"),
+        ("1,x", "invalid literal for int()"),
+    ],
+    ids=["repeated", "out-of-range", "non-integer"],
+)
+def test_simulate_refuses_bad_sites(capsys, wheel_file, sites, message):
+    code, out, err = run_cli(
+        capsys, "simulate", wheel_file, "--f", "1", "--noise", "depolarizing:0.3", "--sites", sites
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["verify", "kl-check", "simulate"])
+def test_negative_f_refused(capsys, wheel_file, command):
+    code, out, err = run_cli(capsys, command, wheel_file, "--f", "-1")
+    assert (code, out) == (2, "")
+    assert "error count must be non-negative, got -1" in err
+
+
+_EMITTING = {
+    "verify": (["verify", "WHEEL", "--f", "1"], 0),
+    "verify-fail": (["verify", "WHEEL", "--f", "2"], 1),
+    "maxf": (["maxf", "WHEEL"], 0),
+    "kl-check": (["kl-check", "WHEEL", "--f", "1"], 0),
+    "simulate": (["simulate", "WHEEL", "--f", "1", "--noise", "depolarizing:0.3", "--sites", "2"], 0),
+    "search": (["search", "--d", "2", "--m", "1", "--n", "5", "--f", "1", "--trials", "3", "--seed", "1"], 0),
+    "singular-mc": (["singular-mc", "--d", "2", "--N", "4", "--M", "2", "--trials", "100", "--seed", "1"], 0),
+    "capacity": (["capacity", "--d", "2", "--eps", "0.01"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, expected", list(_EMITTING.values()), ids=list(_EMITTING))
+def test_every_command_emits_once_with_optional_timing(capsys, wheel_file, argv, expected):
+    argv = [wheel_file if a == "WHEEL" else a for a in argv]
+    code, timed, _ = run_cli(capsys, *argv)
+    *report, last = timed.splitlines()
+    assert code == expected
+    assert re.fullmatch(r"time: \d+\.\d{3}s", last)
+    code, untimed, _ = run_cli(capsys, *argv, "--no-timing")
+    assert (code, untimed.splitlines()) == (expected, report)
+    assert "time:" not in untimed
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == expected
+    assert isinstance(payload.pop("elapsed_s"), float)
+    code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing")
+    assert (code, json.loads(out)) == (expected, payload)
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_bounds_prints_no_timing(capsys, extra):
+    timed = run_cli(capsys, "bounds", "--fig", "region", *extra)
+    assert timed == run_cli(capsys, "bounds", "--fig", "region", *extra, "--no-timing")
+    assert "time:" not in timed[1]
+    assert "elapsed_s" not in timed[1]
+
+
+@pytest.mark.parametrize("f, expected", [("1", 0), ("2", 1), (None, 2)], ids=["pass", "fail", "missing-file"])
+def test_module_entry_point_passes_exit_code(capsys, wheel_file, tmp_path, f, expected):
+    graph = wheel_file if f else str(tmp_path / "missing.json")
+    argv = ["verify", graph, "--f", f or "1", "--no-timing"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphqec.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+    assert proc.returncode == expected
