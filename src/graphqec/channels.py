@@ -8,8 +8,9 @@ decoding channel from the Gram form of a verified error set, and the
 Choi-state distance used to certify encode/noise/decode pipelines.
 
 Operators and error bases are dense numpy, built by one batched Kronecker
-product; they refuse to materialize beyond DEFAULT_AMPLITUDE_CAP entries
-per operator or TOTAL_AMPLITUDE_CAP in all rather than silently degrade.  Choi
+product; rather than silently degrade, error bases refuse to materialize
+beyond DEFAULT_AMPLITUDE_CAP entries per operator or TOTAL_AMPLITUDE_CAP in
+all, and tensor_channels beyond TOTAL_AMPLITUDE_CAP in all.  Choi
 states are propagated in factored form: a state W W* on (system) (x)
 (d0-level reference) is carried as its factor W, pushed through every
 stage with one stacked product, so the (d^n d0)^2 dense state of the
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
     KLViolated,
     NotIsometry,
 )
-from .graphs import DEFAULT_AMPLITUDE_CAP, _normalize_subset
+from .graphs import DEFAULT_AMPLITUDE_CAP, _normalize_subset, _require_error_count
 
 __all__ = [
     "Channel",
@@ -55,16 +56,18 @@ logger = logging.getLogger(__name__)
 
 KL_TOLERANCE = 1e-9
 GRAM_EIGENVALUE_CUTOFF = 1e-10
-_COMPLETENESS_TOL = 1e-9
+# Largest entry of |V*V - 1| an isometry, a unitary or a Kraus set sum F*F may show
+_ISOMETRY_TOL = 1e-9
 
 # Most amplitudes of an error basis or tensor_channels result: 1 GiB of complex128
 TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP
 
 
-def _as_operator(a) -> np.ndarray:
+def _as_operator(a, shape: Optional[tuple] = None, what: str = "operator") -> np.ndarray:
+    """a as a complex128 matrix; DimensionMismatch unless it is 2-D, of the given shape if any."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"operator must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or shape not in (None, arr.shape):
+        raise DimensionMismatch(f"{what} must be {shape or '2-D'}, got shape {arr.shape}")
     return arr
 
 
@@ -91,11 +94,7 @@ class Channel:
         if kraus.ndim != 3:
             raise DimensionMismatch(f"Kraus operators must be 2-D, got shape {kraus.shape[1:]}")
         rows = kraus.reshape(-1, kraus.shape[2])  # F_1 over F_2 over ...: rows* rows = sum F*F
-        gap = np.abs(rows.conj().T @ rows - np.eye(kraus.shape[2])).max()
-        if gap > _COMPLETENESS_TOL:
-            raise ValueError(
-                f"Kraus completeness violated: sum F*F differs from identity by {gap:.3e}"
-            )
+        _require_isometry(rows, ValueError, "Kraus completeness violated: sum F*F")
         object.__setattr__(self, "kraus", kraus)
 
     @property
@@ -113,10 +112,7 @@ def identity_channel(dim: int) -> Channel:
 
 def apply_channel(channel: Channel, rho) -> np.ndarray:
     """Schroedinger action sum_j F_j rho F_j*."""
-    rho = _as_operator(rho)
-    d = channel.dim_in
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state must be {d}x{d}, got {rho.shape}")
+    rho = _as_operator(rho, (channel.dim_in, channel.dim_in), "state")
     out = np.zeros((channel.dim_out, channel.dim_out), dtype=np.complex128)
     for f in channel.kraus:
         out += f @ rho @ f.conj().T
@@ -147,6 +143,14 @@ def _kron_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _require_isometry(v: np.ndarray, error: type = NotIsometry, what: str = "V*V") -> None:
+    """Raise error unless V*V = 1 within _ISOMETRY_TOL; a non-finite V never passes."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or nan entries give a nan gap
+        gap = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
+    if not gap <= _ISOMETRY_TOL:
+        raise error(f"{what} deviates from identity by {gap:.3e}")
+
+
 def _require_budget(amplitudes: int, what: str) -> None:
     if amplitudes > TOTAL_AMPLITUDE_CAP:
         raise DimensionOverflow(f"{what} needs {amplitudes} amplitudes > {TOTAL_AMPLITUDE_CAP}")
@@ -166,11 +170,18 @@ def weyl_operator(d: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-def _site_words(n: int, d: int, sites: Sequence[int], words: Sequence[int]) -> np.ndarray:
-    """Every word with a factor from `words` on each of `sites` and identity elsewhere."""
-    weyl = np.stack([weyl_operator(d, q % d, q // d) for q in words])  # q = a + d*b -> X^a Z^b
+def _error_basis(n: int, d: int, subsets: Iterable[tuple], words: range) -> list[np.ndarray]:
+    """Every word with a factor from `words` (q = a + d*b -> X^a Z^b) on each site of
+    each subset, identity elsewhere: views into one Kronecker stack per subset."""
+    amplitudes = (d**n) ** 2
+    if amplitudes > DEFAULT_AMPLITUDE_CAP:
+        raise DimensionOverflow(f"each error operator would need {amplitudes} amplitudes")
+    subsets = list(subsets)
+    _require_budget(sum(len(words) ** len(z) for z in subsets) * amplitudes, "error basis")
+    weyl = np.stack([weyl_operator(d, q % d, q // d) for q in words])
     identity = np.eye(d, dtype=np.complex128)[None]
-    return _kron_stacks([weyl if site in sites else identity for site in range(n)])
+    stacks = (_kron_stacks([weyl if site in z else identity for site in range(n)]) for z in subsets)
+    return [op for stack in stacks for op in stack]
 
 
 def localized_error_basis(n: int, d: int, sites: Iterable[int]) -> list[np.ndarray]:
@@ -182,32 +193,20 @@ def localized_error_basis(n: int, d: int, sites: Iterable[int]) -> list[np.ndarr
     repeated or out-of-range sites; DimensionOverflow when one operator
     exceeds DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
     """
-    z = _normalize_subset(n, sites)
-    count = d ** (2 * len(z))
-    if (d**n) ** 2 > DEFAULT_AMPLITUDE_CAP:
-        raise DimensionOverflow(
-            f"error basis needs {count} operators of {d**n}x{d**n} amplitudes"
-        )
-    _require_budget(count * (d**n) ** 2, "error basis")
-    return list(_site_words(n, d, z, range(d * d)))
+    return _error_basis(n, d, [_normalize_subset(n, sites)], range(d * d))
 
 
 def error_space_basis(n: int, d: int, f: int) -> list[np.ndarray]:
     """A duplicate-free basis of the span of all words on at most f sites.
 
     Identity first, then for each subset Z with 1 <= |Z| <= f the words
-    acting nontrivially on every site of Z.  ValueError for negative f;
-    DimensionOverflow before allocating when one operator exceeds
-    DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
+    acting nontrivially on every site of Z.  ParamOutOfRange (a ValueError)
+    for negative f; DimensionOverflow before allocating when one operator
+    exceeds DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
     """
-    if f < 0:
-        raise ValueError(f"error count must be non-negative, got {f}")
-    if (d**n) ** 2 > DEFAULT_AMPLITUDE_CAP:
-        raise DimensionOverflow(f"operators would need {(d**n)**2} amplitudes")
-    subsets = [z for size in range(f + 1) for z in itertools.combinations(range(n), size)]
-    count = sum((d * d - 1) ** len(z) for z in subsets)
-    _require_budget(count * (d**n) ** 2, "error basis")
-    return [op for z in subsets for op in _site_words(n, d, z, range(1, d * d))]
+    _require_error_count(f)
+    subsets = (z for size in range(f + 1) for z in itertools.combinations(range(n), size))
+    return _error_basis(n, d, subsets, range(1, d * d))
 
 
 @dataclass
@@ -226,20 +225,12 @@ class KLReport:
         return self.max_deviation <= KL_TOLERANCE
 
 
-def _require_isometry(v: np.ndarray) -> None:
-    gap = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
-    if gap > KL_TOLERANCE:
-        raise NotIsometry(f"V*V deviates from identity by {gap:.3e}")
-
-
 def _kl_images(v, errors: Sequence) -> tuple[KLReport, np.ndarray]:
     """The Knill-Laflamme report together with the images F_a V, stacked (K, dim_out, dim_in)."""
     v = _as_operator(v)
     _require_isometry(v)
-    dim_in = v.shape[1]
-    ops = [_as_operator(f) for f in errors]
-    if any(f.shape != (v.shape[0], v.shape[0]) for f in ops):
-        raise DimensionMismatch("error operators must act on the output space")
+    dim_out, dim_in = v.shape
+    ops = [_as_operator(f, (dim_out, dim_out), "error operator") for f in errors]
     w = np.stack([f @ v for f in ops])  # (K, dim_out, dim_in)
     gram_blocks = np.einsum("aji,bjk->abik", w.conj(), w)
     gram = np.trace(gram_blocks, axis1=2, axis2=3) / dim_in
@@ -295,11 +286,7 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
         if rho0 is None:
             rho0 = np.zeros((dim_in, dim_in), dtype=np.complex128)
             rho0[0, 0] = 1.0
-        rho0 = _as_operator(rho0)
-        if rho0.shape != (dim_in, dim_in):
-            raise DimensionMismatch(
-                f"rho0 must be {dim_in}x{dim_in}, got {rho0.shape}"
-            )
+        rho0 = _as_operator(rho0, (dim_in, dim_in), "rho0")
         weights, states = np.linalg.eigh(rho0)
         used = weights > 1e-12
         scaled = states[:, used] * np.sqrt(weights[used])  # columns sqrt(p) w

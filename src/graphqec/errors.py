@@ -13,10 +13,6 @@ class InvalidSubset(GraphQECError):
     """An error subset contains indices outside the output-node range."""
 
 
-class TooManyErrors(GraphQECError):
-    """Requested error count f violates 2f < n."""
-
-
 class DimensionMismatch(GraphQECError):
     """Operator or state dimensions are not composable."""
 
@@ -37,8 +33,12 @@ class KLViolated(GraphQECError):
     """Knill-Laflamme verification failed, so no decoder exists."""
 
 
-class ParamOutOfRange(GraphQECError):
+class ParamOutOfRange(GraphQECError, ValueError):
     """A scalar parameter lies outside its documented range."""
+
+
+class TooManyErrors(ParamOutOfRange):
+    """Requested error count f violates 2f < n."""
 
 
 class PreconditionViolated(GraphQECError):

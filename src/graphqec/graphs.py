@@ -28,9 +28,10 @@ import numpy as np
 from .errors import (
     DimensionOverflow,
     InvalidSubset,
+    ParamOutOfRange,
     TooManyErrors,
 )
-from .modular import ModMatrix, first_singular
+from .modular import ModMatrix, _require_modulus, first_singular
 
 __all__ = [
     "GraphCode",
@@ -70,13 +71,10 @@ class GraphCode:
     gamma: ModMatrix
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"site dimension must be >= 2, got {self.d}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("need at least one input and one output node")
+        _require_shape(self.m, self.n, 0)
         size = self.m + self.n
         g = self.gamma
-        if g.modulus != self.d:
+        if g.modulus != self.d:  # so d >= 2, the rule ModMatrix enforces
             raise ValueError("gamma modulus must equal the code dimension d")
         if g.rows != size or g.cols != size:
             raise ValueError(f"gamma must be {size}x{size}, got {g.rows}x{g.cols}")
@@ -98,8 +96,8 @@ class GraphCode:
         2**63, because gamma stores its residues in int64.
         """
         d, m, n = _require_int(d, "d"), _require_int(m, "m"), _require_int(n, "n")
-        if d < 2:
-            raise ValueError(f"site dimension must be >= 2, got {d}")
+        _require_modulus(d)
+        _require_shape(m, n, 0)
         if d >= 2**63:
             raise ValueError(f"site dimension must be below 2**63 (int64 residues), got {d}")
         size = m + n
@@ -121,6 +119,20 @@ def _require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _require_error_count(f: int) -> None:
+    if not f >= 0:
+        raise ParamOutOfRange(f"error count must be non-negative, got {f}")
+
+
+def _require_shape(m: int, n: int, f: int) -> None:
+    """The code-shape rule: m >= 1 inputs, n >= 1 outputs and f errors with 0 <= 2f < n."""
+    if not (m >= 1 and n >= 1):
+        raise ParamOutOfRange(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _require_error_count(f)
+    if not 2 * f < n:
+        raise TooManyErrors(f"need 2f < n, got f={f}, n={n}")
 
 
 def _normalize_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
@@ -178,10 +190,7 @@ def find_uncorrectable_subset(
     code: GraphCode, f: int
 ) -> Optional[tuple[int, ...]]:
     """First failing Z with |Z| <= 2f, or None when the code corrects f errors."""
-    if f < 0:
-        raise ValueError(f"error count must be non-negative, got {f}")
-    if 2 * f >= code.n:
-        raise TooManyErrors(f"need 2f < n, got f={f} with n={code.n}")
+    _require_shape(code.m, code.n, f)
     return first_failing_subset(code, 2 * f)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CompositeModulus
+from .errors import CompositeModulus, ParamOutOfRange
 
 __all__ = [
     "ModMatrix",
@@ -64,6 +64,18 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _require_modulus(d: int, what: str = "site dimension d") -> None:
+    """The ring rule: Z_d needs d >= 2."""
+    if not d >= 2:
+        raise ParamOutOfRange(f"{what} must be >= 2, got {d}")
+
+
+def _require_prime(d: int, what: str = "site dimension d") -> None:
+    """The field rule: GF(d) and the random-coding arguments need prime d."""
+    if not is_prime(d):
+        raise CompositeModulus(f"{what} must be prime, got {d}")
 
 
 @lru_cache(maxsize=64)
@@ -112,8 +124,7 @@ class ModMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+        _require_modulus(self.modulus, "modulus")
         arr = np.asarray(self.entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"entries must be 2-D, got shape {arr.shape}")
@@ -169,8 +180,7 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     -------
     array of shape (B,) with the GF(d) rank of each matrix.
     """
-    if not is_prime(d):
-        raise CompositeModulus(f"rank over GF(d) needs prime d, got {d}")
+    _require_prime(d, "modulus d")
     dtype = np.int64 if d <= MAX_BATCH_MODULUS else object
     a = np.mod(np.asarray(mats, dtype=dtype), d)
     if a.ndim != 3:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .channels import Channel, weyl_operator
+from .channels import Channel, _require_isometry, weyl_operator
 from .errors import (
     DimensionMismatch,
     NotUnitary,
@@ -49,6 +49,8 @@ def binary_entropy(r: float) -> float:
 
 def phase_rotation(d: int, theta: float) -> np.ndarray:
     """diag(1, e^{i theta}, ..., e^{i (d-1) theta}), a small rotation for small theta."""
+    if not math.isfinite(theta):
+        raise ParamOutOfRange(f"rotation angle theta must be finite, got {theta}")
     return np.diag(np.exp(1j * theta * np.arange(d)))
 
 
@@ -58,8 +60,7 @@ def make_unitary_channel(u) -> tuple[Channel, float]:
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitary(f"expected a square matrix, got shape {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-9:
-        raise NotUnitary("U*U deviates from identity beyond 1e-9")
+    _require_isometry(u, NotUnitary, "U*U")
     bound = 2.0 * float(np.linalg.norm(u - np.eye(u.shape[0]), 2))
     return Channel((u,)), bound
 
@@ -146,9 +147,9 @@ def binomial_error_bound(n: int, f: int, eps: float) -> float:
     Valid when eps <= (f+1)/(n-f-1); the threshold travels with the
     exception when the precondition fails.
     """
-    if f + 1 > n:
+    if not f + 1 <= n:
         raise ParamOutOfRange(f"need f + 1 <= n, got f={f}, n={n}")
-    if eps < 0:
+    if not eps >= 0.0:
         raise ParamOutOfRange(f"eps must be non-negative, got {eps}")
     threshold = math.inf if n == f + 1 else (f + 1) / (n - f - 1)
     if eps > threshold:
@@ -162,7 +163,7 @@ def truncated_binomial_bound(n: int, r: float, a: float) -> float:
     """n (r log2 a + H2(r)) in bits, bounding log2 of sum_{k>=rn} C(n,k) a^k."""
     if not 0.0 <= r <= 1.0:
         raise ParamOutOfRange(f"need r in [0, 1], got {r}")
-    if a <= 0.0:
+    if not a > 0.0:
         raise ParamOutOfRange(f"need a > 0, got {a}")
     threshold = math.inf if r == 1.0 else r / (1.0 - r)
     if a > threshold:
@@ -184,6 +185,6 @@ def delta_exponent(eps: float, cb_dist: float) -> float:
     this value to the n-th power."""
     if not 0.0 < eps <= 0.5:
         raise ParamOutOfRange(f"need 0 < eps <= 1/2, got {eps}")
-    if cb_dist <= 0.0:
+    if not cb_dist > 0.0:
         raise ParamOutOfRange(f"need cb_dist > 0, got {cb_dist}")
     return 2.0 ** binary_entropy(eps) * cb_dist**eps

@@ -18,13 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (
-    CompositeModulus,
-    DeltaTooLarge,
-    ParamOutOfRange,
-    UnsupportedDimension,
-)
-from .modular import is_prime
+from .errors import DeltaTooLarge, ParamOutOfRange, UnsupportedDimension
+from .modular import _require_modulus, _require_prime
 from .noise import binary_entropy, error_threshold
 
 __all__ = [
@@ -56,23 +51,22 @@ class RatePoint:
     vacuous: bool
 
 
-def _check_rates(d: int, mu: float, eps: float) -> None:
-    if d < 2:
-        raise ParamOutOfRange(f"site dimension must be >= 2, got {d}")
-    if not 0.0 <= mu <= 1.0 or not 0.0 <= eps <= 1.0:
+def _check_rates(mu: float, eps: float, d: Optional[int] = None) -> None:
+    if d is not None:
+        _require_modulus(d)
+    if not (0.0 <= mu <= 1.0 and 0.0 <= eps <= 1.0):
         raise ParamOutOfRange(f"rates must lie in [0, 1], got mu={mu}, eps={eps}")
 
 
 def ideal_capacity(d: int) -> float:
     """Quantum capacity of the noiseless channel on a d-level system."""
-    if d < 2:
-        raise ParamOutOfRange(f"site dimension must be >= 2, got {d}")
+    _require_modulus(d)
     return math.log2(d)
 
 
 def achievable_pair(d: int, mu: float, eps: float) -> bool:
     """Random-graph coding region: (1 - mu - 4 eps) log2 d > H2(2 eps)."""
-    _check_rates(d, mu, eps)
+    _check_rates(mu, eps, d)
     if eps > 0.5:
         return False  # left side is negative while the entropy is >= 0
     return (1.0 - mu - 4.0 * eps) * math.log2(d) > binary_entropy(2.0 * eps)
@@ -80,21 +74,20 @@ def achievable_pair(d: int, mu: float, eps: float) -> bool:
 
 def hamming_allows(d: int, mu: float, eps: float) -> bool:
     """mu log2 d + H2(eps) + eps log2(d^2 - 1) <= log2 d."""
-    _check_rates(d, mu, eps)
+    _check_rates(mu, eps, d)
     lhs = mu * math.log2(d) + binary_entropy(eps) + eps * math.log2(d**2 - 1)
     return lhs <= math.log2(d)
 
 
 def singleton_allows(d: int, mu: float, eps: float) -> bool:
     """Weaker singleton form with a dimension-weighted error term: 1 - mu >= d eps."""
-    _check_rates(d, mu, eps)
+    _check_rates(mu, eps, d)
     return 1.0 - mu >= d * eps
 
 
 def singleton_standard_allows(mu: float, eps: float) -> bool:
     """Textbook quantum singleton bound n - m >= 4f, i.e. 1 - mu >= 4 eps."""
-    if not 0.0 <= mu <= 1.0 or not 0.0 <= eps <= 1.0:
-        raise ParamOutOfRange(f"rates must lie in [0, 1], got mu={mu}, eps={eps}")
+    _check_rates(mu, eps)
     return 1.0 - mu >= 4.0 * eps
 
 
@@ -102,10 +95,17 @@ def gv_allows(mu: float, eps: float, d: int = 2) -> bool:
     """Qubit Gilbert-Varshamov region: 1 - mu - 2 eps log2 3 > H2(2 eps)."""
     if d != 2:
         raise UnsupportedDimension("the GV bound is stated for qubits only")
-    _check_rates(d, mu, eps)
+    _check_rates(mu, eps)
     if eps > 0.5:
         return False
     return 1.0 - mu - 2.0 * eps * LOG2_3 > binary_entropy(2.0 * eps)
+
+
+def _require_block_code(p: int, k: int) -> None:
+    """A prime p-level system coded through k >= 1 channel uses."""
+    _require_prime(p, "code dimension p")
+    if not k >= 1:
+        raise ParamOutOfRange(f"block length must be >= 1, got {k}")
 
 
 def capacity_lower_bound_small_noise(d: int, eps: float) -> tuple[float, float]:
@@ -115,11 +115,10 @@ def capacity_lower_bound_small_noise(d: int, eps: float) -> tuple[float, float]:
     threshold = 2^{-H2(eps)/eps}; q_lower = (1 - 4 eps) log2 d - H2(2 eps).
     q_lower can be non-positive for large eps; it is returned as-is.
     """
-    if not is_prime(d):
-        raise CompositeModulus(f"the random-coding bound needs prime d, got {d}")
+    _require_prime(d)
     if not 0.0 < eps < 0.5:
         raise ParamOutOfRange(f"need 0 < eps < 1/2, got {eps}")
-    threshold = 2.0 ** (-binary_entropy(eps) / eps)
+    threshold = error_threshold(eps)[0]
     q_lower = (1.0 - 4.0 * eps) * math.log2(d) - binary_entropy(2.0 * eps)
     return threshold, q_lower
 
@@ -131,12 +130,9 @@ def capacity_from_finite_coding(p: int, k: int, delta: float) -> float:
     with residual error delta < 1/(2e), the capacity is at least
     (log2 p / k)(1 - 4 e delta) - H2(2 e delta) / k.
     """
-    if not is_prime(p):
-        raise CompositeModulus(f"code dimension must be prime, got {p}")
-    if k < 1:
-        raise ParamOutOfRange(f"block length must be >= 1, got {k}")
-    if delta < 0 or delta >= 1.0 / (2.0 * math.e):
-        raise DeltaTooLarge(f"need delta < 1/(2e) ~ {1/(2*math.e):.6f}, got {delta}")
+    _require_block_code(p, k)
+    if not 0.0 <= delta < 1.0 / (2.0 * math.e):
+        raise DeltaTooLarge(f"need 0 <= delta < 1/(2e) ~ {1/(2*math.e):.6f}, got {delta}")
     scaled = math.e * delta
     return (math.log2(p) / k) * (1.0 - 4.0 * scaled) - binary_entropy(2.0 * scaled) / k
 
@@ -151,11 +147,8 @@ def error_exponent_curve(
         lambda = -(eps / k) (ln delta + ln 2 * H2(eps) / eps)   [nats]
     Samples with non-positive lambda are emitted flagged vacuous.
     """
-    if not is_prime(p):
-        raise CompositeModulus(f"code dimension must be prime, got {p}")
-    if k < 1:
-        raise ParamOutOfRange(f"block length must be >= 1, got {k}")
-    if delta <= 0:
+    _require_block_code(p, k)
+    if not delta > 0.0:
         raise ParamOutOfRange(f"coding error must be positive, got {delta}")
     log2p = math.log2(p)
     points = []
@@ -184,6 +177,7 @@ def region_boundaries(
 ) -> tuple[Optional[float], Optional[float], Optional[float]]:
     """Boundary coding rates (mu_singleton, mu_hamming, mu_random_graph)
     at a given error rate; None where the boundary leaves [0, 1]."""
+    _require_modulus(d)
     if not 0.0 <= eps <= 1.0:
         raise ParamOutOfRange(f"need eps in [0, 1], got {eps}")
     log2d = math.log2(d)

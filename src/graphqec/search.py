@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 from scipy.stats import beta
 
-from .errors import CompositeModulus, ParamOutOfRange, TooManyErrors
-from .graphs import GraphCode, find_uncorrectable_subset, graph_to_dict
-from .modular import ModMatrix, is_prime, rank_prime_batch
+from .errors import ParamOutOfRange
+from .graphs import GraphCode, _require_shape, find_uncorrectable_subset, graph_to_dict
+from .modular import ModMatrix, _require_prime, rank_prime_batch
 from .noise import binary_entropy
 
 __all__ = [
@@ -35,6 +35,17 @@ __all__ = [
 _CHUNK_ENTRIES = 2**20
 
 
+def _require_trials(trials: int) -> None:
+    if not trials >= 1:
+        raise ParamOutOfRange(f"trials must be >= 1, got {trials}")
+
+
+def _require_seed(seed: int) -> None:
+    """The seed rule of every seeded entry point: 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ParamOutOfRange(f"seed must fit in 64 bits (0 <= seed < 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one reproducible random-code search."""
@@ -47,18 +58,10 @@ class SearchConfig:
     seed: int
 
     def __post_init__(self):
-        if not is_prime(self.d):
-            raise CompositeModulus(
-                f"random search needs a prime dimension, got {self.d}"
-            )
-        if self.m < 1 or self.n < 1:
-            raise ParamOutOfRange("need m >= 1 and n >= 1")
-        if 2 * self.f >= self.n:
-            raise TooManyErrors(f"need 2f < n, got f={self.f}, n={self.n}")
-        if self.trials < 1:
-            raise ParamOutOfRange(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ParamOutOfRange("seed must fit in 64 bits")
+        _require_prime(self.d)
+        _require_shape(self.m, self.n, self.f)
+        _require_trials(self.trials)
+        _require_seed(self.seed)
 
 
 @dataclass
@@ -101,13 +104,13 @@ class SearchReport:
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Independent substream for one trial, derived from the master seed."""
+    _require_seed(master_seed)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, trial))))
 
 
 def sample_graph(d: int, m: int, n: int, rng: np.random.Generator) -> GraphCode:
     """Uniform random graph code: i.i.d. lower-triangle entries, zero diagonal."""
-    if not is_prime(d):
-        raise CompositeModulus(f"random sampling is stated for prime d, got {d}")
+    _require_prime(d)
     size = m + n
     gamma = np.zeros((size, size), dtype=np.int64)
     idx = np.tril_indices(size, k=-1)
@@ -122,12 +125,8 @@ def failure_bound_log2(d: int, m: int, n: int, f: int) -> float:
     Returns n [ (m/n + 4f/n - 1) log2 d + H2(2f/n) ]; a negative value
     proves at least one correcting code exists at these parameters.
     """
-    if not is_prime(d):
-        raise CompositeModulus(f"the existence bound needs prime d, got {d}")
-    if m < 1 or n < 1 or f < 0:
-        raise ParamOutOfRange("need m >= 1, n >= 1, f >= 0")
-    if 2 * f >= n:
-        raise ParamOutOfRange(f"need 2f < n, got f={f}, n={n}")
+    _require_prime(d)
+    _require_shape(m, n, f)
     return n * (
         (m / n + 4.0 * f / n - 1.0) * math.log2(d) + binary_entropy(2.0 * f / n)
     )
@@ -185,12 +184,11 @@ def singular_fraction_experiment(
 
     Returns (empirical fraction, the analytic bound d^{-(N-M)}).
     """
-    if not is_prime(d):
-        raise CompositeModulus(f"the singularity lemma needs prime d, got {d}")
-    if big_n <= small_m:
-        raise ParamOutOfRange(f"need N > M, got N={big_n}, M={small_m}")
-    if small_m < 0 or trials < 1:
-        raise ParamOutOfRange("need M >= 0 and trials >= 1")
+    _require_prime(d)
+    if not 0 <= small_m < big_n:
+        raise ParamOutOfRange(f"need 0 <= M < N, got N={big_n}, M={small_m}")
+    _require_trials(trials)
+    _require_seed(seed)
     bound = float(d) ** (-(big_n - small_m))
     if small_m == 0:
         return 0.0, bound  # no columns: the kernel condition holds vacuously

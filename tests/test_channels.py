@@ -47,6 +47,22 @@ def test_channel_requires_completeness():
         Channel((0.5 * np.eye(2),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
+def test_isometry_checks_refuse_non_finite_gaps(bad):
+    # filterwarnings = error: an invalid-value or overflow warning would fail here
+    with pytest.raises(ValueError, match="Kraus completeness"):
+        Channel((np.diag([1.0, bad]),))
+    with pytest.raises(NotIsometry):
+        kl_verify(np.array([[1.0], [bad]]), [np.eye(2)])
+
+
+def test_error_bases_are_views_into_per_subset_stacks():
+    for basis in (error_space_basis(3, 2, 2), localized_error_basis(3, 3, (0, 2))):
+        assert all(op.base is not None for op in basis)
+    basis = error_space_basis(3, 2, 1)  # identity, then 3 words on each of 3 sites
+    assert basis[1].base is basis[3].base and basis[3].base is not basis[4].base
+
+
 def test_channel_requires_matching_shapes():
     with pytest.raises(DimensionMismatch):
         Channel((np.eye(2), np.eye(3)))

@@ -500,3 +500,59 @@ def test_module_entry_point_passes_exit_code(capsys, wheel_file, tmp_path, f, ex
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
     assert proc.returncode == expected
+
+
+def _refused(result, message):
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert message in err, err
+
+
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_bounds_region_refuses_site_dimension_below_two(capsys, d):
+    _refused(run_cli(capsys, "bounds", "--fig", "region", "--d", d), f"site dimension d must be >= 2, got {d}")
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_singular_mc_refuses_seed_outside_64_bits(capsys, seed):
+    argv = ["singular-mc", "--d", "2", "--N", "4", "--M", "2", "--trials", "10", "--seed", seed]
+    _refused(run_cli(capsys, *argv), f"seed must fit in 64 bits (0 <= seed < 2**64), got {seed}")
+
+
+_COMPOSITE = {
+    "search": ["search", "--d", "4", "--m", "1", "--n", "5", "--f", "1", "--trials", "3", "--seed", "1"],
+    "singular-mc": ["singular-mc", "--d", "4", "--N", "4", "--M", "2", "--trials", "10", "--seed", "1"],
+    "capacity-small-noise": ["capacity", "--d", "4", "--eps", "0.01"],
+    "capacity-finite": ["capacity", "--p", "4", "--k", "1", "--delta", "1e-3"],
+    "bounds-exponent": ["bounds", "--fig", "exponent", "--p", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_COMPOSITE.values()), ids=list(_COMPOSITE))
+def test_one_prime_rule_refuses_composite_dimension(capsys, argv):
+    _refused(run_cli(capsys, *argv), "must be prime, got 4")
+
+
+def test_simulate_refuses_nan_custom_kraus(capsys, wheel_file, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('[{"re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]')
+    argv = ["simulate", wheel_file, "--f", "1", "--noise", f"custom-kraus:{path}", "--sites", "0"]
+    _refused(run_cli(capsys, *argv), "Kraus completeness violated")
+
+
+@pytest.mark.parametrize("theta", ["inf", "nan"])
+def test_simulate_refuses_non_finite_rotation_under_warnings_as_errors(wheel_file, theta):
+    argv = ["simulate", wheel_file, "--f", "1", "--noise", f"unitary-rotation:{theta}", "--sites", "0"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "graphqec.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: rotation angle theta must be finite, got {theta}\n"
+
+
+def test_capacity_refuses_nan_delta_by_the_delta_rule(capsys):
+    code, out, err = run_cli(capsys, "capacity", "--p", "2", "--k", "1", "--delta", "nan")
+    _refused((code, out, err), "need 0 <= delta < 1/(2e)")
+    assert "binary entropy" not in err

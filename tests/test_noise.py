@@ -239,3 +239,29 @@ def test_delta_exponent_rejects_bad_params():
         delta_exponent(0.0, 0.1)
     with pytest.raises(ParamOutOfRange):
         delta_exponent(0.1, 0.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_phase_rotation_refuses_non_finite_angle(theta):
+    # filterwarnings = error: computing exp(1j * inf) first would raise a RuntimeWarning
+    with pytest.raises(ParamOutOfRange, match="theta"):
+        phase_rotation(2, theta)
+
+
+def test_make_unitary_channel_refuses_non_finite_matrix():
+    with pytest.raises(NotUnitary, match="nan"):
+        make_unitary_channel(np.diag([1.0, math.nan]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binomial_error_bound(5, 1, math.nan),
+        lambda: truncated_binomial_bound(10, 0.3, math.nan),
+        lambda: delta_exponent(0.1, math.nan),
+    ],
+    ids=["binomial-eps", "truncated-a", "delta-cb-dist"],
+)
+def test_bounds_refuse_nan(call):
+    with pytest.raises(ParamOutOfRange):
+        call()

@@ -255,3 +255,23 @@ def test_emit_curves_is_deterministic():
 def test_emit_curves_unknown_kind():
     with pytest.raises(ParamOutOfRange):
         emit_curves("spectrum-fig")
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_region_boundaries_refuse_site_dimension_below_two(d):
+    with pytest.raises(ParamOutOfRange, match="site dimension"):
+        region_boundaries(d, 0.1)
+
+
+def test_delta_rules_refuse_nan():
+    with pytest.raises(DeltaTooLarge):
+        capacity_from_finite_coding(2, 1, math.nan)
+    with pytest.raises(ParamOutOfRange, match="coding error"):
+        error_exponent_curve(2, 1, math.nan, [0.1])
+
+
+def test_small_noise_threshold_is_the_strict_error_threshold():
+    from graphqec.noise import error_threshold
+
+    for eps in (1e-4, 0.01, 0.1, 0.25, 0.4999):
+        assert capacity_lower_bound_small_noise(3, eps)[0] == error_threshold(eps)[0]

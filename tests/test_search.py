@@ -172,3 +172,28 @@ def test_singular_fraction_guards():
         singular_fraction_experiment(2, 5, 5, 10, 0)
     with pytest.raises(CompositeModulus):
         singular_fraction_experiment(4, 5, 2, 10, 0)
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**76])
+def test_every_seeded_entry_point_refuses_seeds_beyond_64_bits(seed):
+    for call in (
+        lambda: SearchConfig(d=2, m=1, n=5, f=1, trials=1, seed=seed),
+        lambda: trial_rng(seed, 0),
+        lambda: singular_fraction_experiment(2, 4, 2, 10, seed),
+        lambda: singular_fraction_experiment(2, 4, 0, 10, seed),
+    ):
+        with pytest.raises(ParamOutOfRange, match="seed must fit in 64 bits"):
+            call()
+
+
+def test_two_f_at_least_n_raises_one_type():
+    # TooManyErrors is a ParamOutOfRange, so callers may catch either
+    from graphqec.graphs import find_uncorrectable_subset, wheel_code
+
+    for call in (
+        lambda: SearchConfig(d=2, m=1, n=4, f=2, trials=1, seed=0),
+        lambda: failure_bound_log2(2, 1, 4, 2),
+        lambda: find_uncorrectable_subset(wheel_code(), 3),
+    ):
+        with pytest.raises(TooManyErrors, match="need 2f < n"):
+            call()
