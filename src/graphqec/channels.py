@@ -2,27 +2,35 @@
 
 A channel is one (count, dim_out, dim_in) array of Kraus operators acting
 as rho -> sum_j F_j rho F_j*.
-On top of that sit the Weyl (clock-and-shift) error bases, numerical
+On top of that sit the Weyl (clock-and-shift) error sets, numerical
 verification of the Knill-Laflamme condition, synthesis of an explicit
 decoding channel from the Gram form of a verified error set, and the
 Choi-state distance used to certify encode/noise/decode pipelines.
 
-Operators and error bases are dense numpy, built by one batched Kronecker
-product; rather than silently degrade, error bases refuse to materialize
-beyond DEFAULT_AMPLITUDE_CAP entries per operator or TOTAL_AMPLITUDE_CAP in
-all, and tensor_channels beyond TOTAL_AMPLITUDE_CAP in all.  Choi
-states are propagated in factored form: a state W W* on (system) (x)
-(d0-level reference) is carried as its factor W, pushed through every
-stage with one stacked product, so the (d^n d0)^2 dense state of the
-encoded register is never formed.
+An error set is enumerated once, as (subsets, per-site letters).  The
+public error bases expand it into dense numpy operators, built by one
+batched Kronecker product; the command-line path expands it into integer
+(shift, clock) words and never forms an operator: a word X^a Z^b is a
+digit shift plus a phase, so its image of the encoder is the row gather
+(F V)[i] = w^{b.(i-a)} V[i-a].  Either way the images F_a V feed one
+Gram routine, which forms M*M for M = [F_1 V | ... | F_K V] one band of
+rows at a time.  Rather than silently degrade, error bases refuse to
+materialize beyond DEFAULT_AMPLITUDE_CAP entries per operator or
+TOTAL_AMPLITUDE_CAP in all, error images and the Gram form beyond
+TOTAL_AMPLITUDE_CAP, and tensor_channels beyond TOTAL_AMPLITUDE_CAP in
+all, each before allocating.  Choi states are propagated in factored
+form: a state W W* on (system) (x) (d0-level reference) is carried as
+its factor W, pushed through every stage with one stacked product, so
+the (d^n d0)^2 dense state of the encoded register is never formed.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +69,9 @@ _ISOMETRY_TOL = 1e-9
 
 # Most amplitudes of an error basis or tensor_channels result: 1 GiB of complex128
 TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP
+
+# Most amplitudes of Gram blocks the Knill-Laflamme check holds at once (beyond one row)
+_GRAM_BAND = 4 * DEFAULT_AMPLITUDE_CAP
 
 
 def _as_operator(a, shape: Optional[tuple] = None, what: str = "operator") -> np.ndarray:
@@ -170,15 +181,19 @@ def weyl_operator(d: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-def _error_basis(n: int, d: int, subsets: Iterable[tuple], words: range) -> list[np.ndarray]:
-    """Every word with a factor from `words` (q = a + d*b -> X^a Z^b) on each site of
+def _require_operator_size(dim: int, what: str) -> None:
+    """DimensionOverflow when one dim x dim operator would exceed DEFAULT_AMPLITUDE_CAP."""
+    if dim * dim > DEFAULT_AMPLITUDE_CAP:
+        raise DimensionOverflow(f"each {what} would need {dim * dim} amplitudes")
+
+
+def _error_basis(n: int, d: int, subsets: Iterable[tuple], letters: range) -> list[np.ndarray]:
+    """Every word with a letter from `letters` (q = a + d*b -> X^a Z^b) on each site of
     each subset, identity elsewhere: views into one Kronecker stack per subset."""
-    amplitudes = (d**n) ** 2
-    if amplitudes > DEFAULT_AMPLITUDE_CAP:
-        raise DimensionOverflow(f"each error operator would need {amplitudes} amplitudes")
+    _require_operator_size(d**n, "error operator")
     subsets = list(subsets)
-    _require_budget(sum(len(words) ** len(z) for z in subsets) * amplitudes, "error basis")
-    weyl = np.stack([weyl_operator(d, q % d, q // d) for q in words])
+    _require_budget(sum(len(letters) ** len(z) for z in subsets) * (d**n) ** 2, "error basis")
+    weyl = np.stack([weyl_operator(d, q % d, q // d) for q in letters])
     identity = np.eye(d, dtype=np.complex128)[None]
     stacks = (_kron_stacks([weyl if site in z else identity for site in range(n)]) for z in subsets)
     return [op for stack in stacks for op in stack]
@@ -204,9 +219,51 @@ def error_space_basis(n: int, d: int, f: int) -> list[np.ndarray]:
     for negative f; DimensionOverflow before allocating when one operator
     exceeds DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
     """
-    _require_error_count(f)
-    subsets = (z for size in range(f + 1) for z in itertools.combinations(range(n), size))
-    return _error_basis(n, d, subsets, range(1, d * d))
+    space = _ErrorSpace(n, d, f)
+    return _error_basis(n, d, space.subsets(), space.letters)
+
+
+@dataclass(frozen=True)
+class _ErrorSpace:
+    """The error set of error_space_basis(n, d, f), kept as (n, d, f).
+
+    kl_verify and synthesize_decoder take it in place of the operator
+    list: its words are expanded to integer digits only once the budget
+    admits their images, and no d^n x d^n operator is formed.
+    ParamOutOfRange (a ValueError) for negative f.
+    """
+
+    n: int
+    d: int
+    f: int
+
+    def __post_init__(self):
+        _require_error_count(self.f)
+
+    @property
+    def letters(self) -> range:
+        return range(1, self.d * self.d)
+
+    def subsets(self) -> Iterator[tuple[int, ...]]:
+        """The empty set, then every Z with 1 <= |Z| <= f, by size and lexicographically."""
+        sizes = range(self.f + 1)
+        return (z for size in sizes for z in itertools.combinations(range(self.n), size))
+
+    def __len__(self) -> int:
+        letters = len(self.letters)
+        return sum(math.comb(self.n, size) * letters**size for size in range(self.f + 1))
+
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shift, clock), each (K, n), in the order of error_space_basis: word k is
+        X^shift[k, s] Z^clock[k, s] on each site s, with letters q = a + d*b."""
+        blocks = []
+        for z in self.subsets():
+            block = np.zeros((len(self.letters) ** len(z), self.n), dtype=np.int64)
+            # the first site varies slowest, as in the Kronecker stacks of _error_basis
+            block[:, list(z)] = list(itertools.product(self.letters, repeat=len(z)))
+            blocks.append(block)
+        words = np.concatenate(blocks)
+        return words % self.d, words // self.d
 
 
 @dataclass
@@ -225,27 +282,89 @@ class KLReport:
         return self.max_deviation <= KL_TOLERANCE
 
 
-def _kl_images(v, errors: Sequence) -> tuple[KLReport, np.ndarray]:
-    """The Knill-Laflamme report together with the images F_a V, stacked (K, dim_out, dim_in)."""
+def _require_kl_budget(count: int, dim_out: int, dim_in: int) -> None:
+    """DimensionOverflow unless the images, the count x count Gram form and its
+    smallest band (one row of count dim_in x dim_in blocks) fit TOTAL_AMPLITUDE_CAP."""
+    _require_budget(count * dim_out * dim_in, "error images")
+    _require_budget(count * max(count, dim_in * dim_in), "Gram form")
+
+
+def _images(v, errors) -> np.ndarray:
+    """M = [F_1 V | ... | F_K V] as a (dim_out, K, dim_in) array, for an isometry V and
+    a sequence of dim_out x dim_out operators or an _ErrorSpace.  DimensionOverflow
+    before allocating when the images or the Gram form would exceed TOTAL_AMPLITUDE_CAP."""
     v = _as_operator(v)
     _require_isometry(v)
     dim_out, dim_in = v.shape
+    if isinstance(errors, _ErrorSpace):
+        if errors.d**errors.n != dim_out:
+            raise DimensionMismatch(f"error words act on {errors.d}^{errors.n} rows, not {dim_out}")
+        _require_kl_budget(len(errors), dim_out, dim_in)  # before a single word is enumerated
+        return _word_images(v, errors.d, *errors.words())
     ops = [_as_operator(f, (dim_out, dim_out), "error operator") for f in errors]
-    w = np.stack([f @ v for f in ops])  # (K, dim_out, dim_in)
-    gram_blocks = np.einsum("aji,bjk->abik", w.conj(), w)
-    gram = np.trace(gram_blocks, axis1=2, axis2=3) / dim_in
-    deviation = gram_blocks - gram[:, :, None, None] * np.eye(dim_in)
-    max_dev = float(np.abs(deviation).max())
-    return KLReport(gram=gram, max_deviation=max_dev), w
+    _require_kl_budget(len(ops), dim_out, dim_in)
+    return np.stack([f @ v for f in ops], axis=1)
+
+
+def _word_images(v: np.ndarray, d: int, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    """M = [F_1 V | ... | F_K V] of the words F_k = X^shift[k] Z^clock[k], as a
+    (dim_out, K, dim_in) array, without forming any F_k.
+
+    X^a Z^b maps |j> to w^{b j} |j + a>, so (F V)[i] = w^{b.(i-a)} V[i-a]
+    with i - a taken digit by digit mod d: a row gather and a multiply,
+    touching only the sites a word acts on.
+    """
+    dim_out, dim_in = v.shape
+    count, n = shift.shape
+    rows = np.arange(dim_out)
+    place = d ** np.arange(n - 1, -1, -1)  # digit 0 is most significant
+    phases = np.diag(weyl_operator(d, 0, 1))  # w^j, the entries of Z
+    out = np.empty((dim_out, count, dim_in), dtype=np.complex128)
+    for k in range(count):
+        source, power = rows, 0
+        for s in np.flatnonzero(shift[k] | clock[k]):
+            digit = rows // place[s] % d
+            moved = (digit - shift[k, s]) % d  # the source digit i_s - a_s
+            source = source + (moved - digit) * place[s]
+            power = power + clock[k, s] * moved
+        np.multiply(phases[power % d, None], v[source], out=out[:, k])
+    return out
+
+
+def _kl_report(images: np.ndarray) -> KLReport:
+    """The Knill-Laflamme report of M = [F_1 V | ... | F_K V], shaped (dim_out, K, dim_in).
+
+    The Gram blocks (F_a V)*(F_b V) are M*M, formed one band of a-rows at
+    a time against b >= the band's first row (the rest follows by
+    Hermitian symmetry), and the deviation is reduced band by band, so at
+    most one band of blocks is ever held.
+    """
+    dim_out, count, dim_in = images.shape
+    flat = images.reshape(dim_out, count * dim_in)
+    band = max(1, _GRAM_BAND // (count * dim_in * dim_in))
+    gram = np.empty((count, count), dtype=np.complex128)
+    diagonal = np.arange(dim_in)
+    max_dev = 0.0
+    for lo in range(0, count, band):
+        hi = min(lo + band, count)
+        blocks = flat[:, lo * dim_in : hi * dim_in].conj().T @ flat[:, lo * dim_in :]
+        blocks = blocks.reshape(hi - lo, dim_in, count - lo, dim_in)
+        gram[lo:hi, lo:] = np.trace(blocks, axis1=1, axis2=3) / dim_in
+        blocks[:, diagonal, :, diagonal] -= gram[lo:hi, lo:]
+        max_dev = max(max_dev, float(np.abs(blocks).max()))
+    lower = np.tril_indices(count, -1)
+    gram[lower] = gram.T[lower].conj()
+    return KLReport(gram=gram, max_deviation=max_dev)
 
 
 def kl_verify(v, errors: Sequence) -> KLReport:
     """Check <V phi1, F_a* F_b V phi2> = <phi1, phi2> w_ab over all pairs.
 
     The code corrects the span of `errors` iff the returned deviation
-    is at most KL_TOLERANCE.
+    is at most KL_TOLERANCE.  DimensionOverflow before forming the images
+    F_a V when they or the Gram form would exceed TOTAL_AMPLITUDE_CAP.
     """
-    return _kl_images(v, errors)[0]
+    return _kl_report(_images(v, errors))
 
 
 def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
@@ -263,12 +382,13 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
     rank-1 operator per eigenvector of rho0 and complement vector of
     range(U).  rho0 defaults to the first basis state of the logical space.
     """
-    report, images = _kl_images(v, errors)
+    images = _images(v, errors)
+    report = _kl_report(images)
     if not report.correcting:
         raise KLViolated(
             f"Knill-Laflamme deviation {report.max_deviation:.3e} exceeds {KL_TOLERANCE}"
         )
-    count, dim_out, dim_in = images.shape
+    dim_out, count, dim_in = images.shape
     vals, vecs = np.linalg.eigh(report.gram)
     keep = vals > GRAM_EIGENVALUE_CUTOFF
     rank = int(keep.sum())
@@ -277,10 +397,10 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
             "degenerate Gram form: rank %d < error-set size %d", rank, count
         )
     coeff = vecs[:, keep] / np.sqrt(vals[keep])  # columns give G_k weights
-    gv = np.tensordot(coeff, images, axes=(0, 0))  # (rank, dim_out, dim_in): G_k V
-    kraus = gv.conj().transpose(0, 2, 1)  # (G_k V)*, one per k
+    gv = np.tensordot(images, coeff, axes=(1, 0))  # (dim_out, dim_in, rank): G_k V
+    u = gv.transpose(0, 2, 1).reshape(dim_out, rank * dim_in)  # columns (k, j)
+    kraus = u.conj().T.reshape(rank, dim_in, dim_out)  # (G_k V)*, one per k
     # complement of range(U): route it into rho0 to make D unit preserving
-    u = gv.transpose(1, 0, 2).reshape(dim_out, rank * dim_in)
     complement = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]  # u has orthonormal columns
     if complement.shape[1]:
         if rho0 is None:

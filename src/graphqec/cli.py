@@ -22,7 +22,8 @@ import numpy as np
 from .channels import (
     KL_TOLERANCE,
     Channel,
-    error_space_basis,
+    _ErrorSpace,
+    _require_operator_size,
     identity_channel,
     kl_verify,
     synthesize_decoder,
@@ -32,6 +33,7 @@ from .channels import (
 from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
     _normalize_subset,
+    _require_shape,
     build_isometry,
     find_uncorrectable_subset,
     graph_to_dict,
@@ -196,17 +198,17 @@ def _cmd_maxf(args) -> Result:
 
 def _cmd_kl_check(args) -> Result:
     code = load_graph(args.graph)
-    v = build_isometry(code)
-    basis = error_space_basis(code.n, code.d, args.f)
-    report = kl_verify(v, basis)
+    _require_shape(code.m, code.n, args.f)
+    errors = _ErrorSpace(code.n, code.d, args.f)
+    report = kl_verify(build_isometry(code), errors)
     lines = [
-        f"error space: all words on <= {args.f} of {code.n} sites ({len(basis)} operators)",
+        f"error space: all words on <= {args.f} of {code.n} sites ({len(errors)} operators)",
         f"max deviation: {report.max_deviation:.3e} (tolerance {KL_TOLERANCE:.0e})",
         f"Knill-Laflamme: {'PASS' if report.correcting else 'FAIL'}",
     ]
     payload = {
         "f": args.f,
-        "operators": len(basis),
+        "operators": len(errors),
         "max_deviation": report.max_deviation,
         "tolerance": KL_TOLERANCE,
         "passes": report.correcting,
@@ -232,9 +234,11 @@ def _cmd_simulate(args) -> Result | int:
         site_channel = _parse_noise(args.noise, code.d)
         if not sites:
             raise ValueError("--noise given without --sites")
+    # the dense noise and the decoder's complement hold d^n x d^n operators
+    _require_operator_size(code.d**code.n, "register operator")
     v = build_isometry(code)
     encoder = Channel((v,))
-    decoder = synthesize_decoder(v, error_space_basis(code.n, code.d, args.f))
+    decoder = synthesize_decoder(v, _ErrorSpace(code.n, code.d, args.f))
     noise = tensor_channels(
         *(site_channel if site in sites else identity_channel(code.d) for site in range(code.n))
     )
@@ -320,6 +324,8 @@ def _cmd_capacity(args) -> Result:
     if small_noise:
         if args.d is None:
             raise ValueError("--eps needs --d")
+        if args.p is not None or args.k is not None:
+            raise ValueError("--p and --k belong to the --delta mode, not --eps")
         threshold, q_lower = capacity_lower_bound_small_noise(args.d, args.eps)
         lines = [
             f"cb-norm threshold: {threshold:.12g}",
@@ -337,6 +343,8 @@ def _cmd_capacity(args) -> Result:
     else:
         if args.p is None or args.k is None:
             raise ValueError("--delta needs --p and --k")
+        if args.d is not None:
+            raise ValueError("--d belongs to the --eps mode, not --delta")
         value = capacity_from_finite_coding(args.p, args.k, args.delta)
         lines = [f"capacity lower bound: {value:.12g} bits/use"]
         payload = {

@@ -230,7 +230,11 @@ def emit_curves(
     simple_bound), "rate-region-fig" (eps,mu_singleton,mu_hamming,
     mu_random_graph with empty cells where undefined) or "exponent-fig"
     (long format c,lambda_nats,lambda_bits,delta, one block per delta).
+    d, p and k are checked whatever the figure, so a flag the figure does
+    not read is still refused when it is out of range.
     """
+    _require_modulus(d)
+    _require_block_code(p, k)
     out = io.StringIO()
     if kind == "threshold-fig":
         out.write("eps,strict_threshold,simple_bound\n")

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import beta
 
 from .errors import ParamOutOfRange
 from .graphs import GraphCode, _require_shape, find_uncorrectable_subset, graph_to_dict
@@ -155,11 +154,15 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             if first_failure_trial is None:
                 first_failure_trial = trial
                 first_failure_witness = witness
-    # exact (Clopper-Pearson) one-sided 99% upper confidence limit
+    # exact (Clopper-Pearson) one-sided 99% upper confidence limit: the 0.99
+    # quantile of Beta(failures + 1, trials - failures); scipy.special is
+    # imported here so that only this command pays for it
     if failures == cfg.trials:
         upper = 1.0
     else:
-        upper = float(beta.ppf(0.99, failures + 1, cfg.trials - failures))
+        from scipy.special import betaincinv
+
+        upper = float(betaincinv(failures + 1, cfg.trials - failures, 0.99))
     return SearchReport(
         config=cfg,
         successes=successes,

@@ -11,7 +11,8 @@ import pytest
 
 from graphqec import channels
 from graphqec.cli import _parse_noise, main
-from graphqec.graphs import dump_graph, graph_to_dict, loads_graph, wheel_code
+from graphqec.graphs import dump_graph, first_failing_subset, graph_to_dict, loads_graph, wheel_code
+from graphqec.search import sample_graph, trial_rng
 
 from conftest import smith_first_failing
 
@@ -150,28 +151,69 @@ def test_kl_check_pass_and_fail(capsys, wheel_file):
     assert "FAIL" in out
 
 
-def test_ten_qubit_budget_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
-    kron_stacks = channels._kron_stacks
+def _ring_file(tmp_path, n):
+    """A hub input joined to every output of an n-cycle, as a qubit graph file."""
+    path = tmp_path / f"ring{n}.json"
+    edges = [[0, 1 + s, 1] for s in range(n)] + [[1 + s, 1 + (s + 1) % n, 1] for s in range(n)]
+    path.write_text(json.dumps({"d": 2, "m": 1, "n": n, "edges": edges}))
+    return path
 
-    def guarded(stacks):  # builds one identity operator, refuses anything larger
+
+def test_ten_qubit_budget_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
+    word_images, kron_stacks = channels._word_images, channels._kron_stacks
+
+    def guarded_images(v, d, shift, clock):  # fills an image stack only within the total budget
+        assert len(shift) * v.size <= channels.TOTAL_AMPLITUDE_CAP, "an oversized image stack was reached"
+        return word_images(v, d, shift, clock)
+
+    def guarded_kron(stacks):  # builds one identity operator, refuses anything larger
         assert np.prod([s.size for s in stacks]) <= 2**20, "a large Kronecker product was reached"
         return kron_stacks(stacks)
 
-    monkeypatch.setattr(channels, "_kron_stacks", guarded)
-    path = tmp_path / "ring10.json"
-    edges = [[0, 1 + s, 1] for s in range(10)] + [[1 + s, 1 + (s + 1) % 10, 1] for s in range(10)]
-    path.write_text(json.dumps({"d": 2, "m": 1, "n": 10, "edges": edges}))
-    # 436 error operators of 2^20 amplitudes: about 7.3 GB
-    code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "2", "--no-timing")
+    monkeypatch.setattr(channels, "_word_images", guarded_images)
+    monkeypatch.setattr(channels, "_kron_stacks", guarded_kron)
+    ring10 = _ring_file(tmp_path, 10)
+    # 436 error words: images of 436 x 2^11 amplitudes, no 2^20-amplitude operator
+    code, out, _ = run_cli(capsys, "kl-check", str(ring10), "--f", "2", "--json", "--no-timing")
+    payload = json.loads(out)
+    passes = first_failing_subset(loads_graph(ring10.read_text()), 4) is None
+    assert (code, payload["operators"], payload["passes"]) == (0 if passes else 1, 436, passes)
+    # 1129 error words on 16 qubits: 1129 x 2^17 image amplitudes > 2^26
+    ring16 = _ring_file(tmp_path, 16)
+    code, out, err = run_cli(capsys, "kl-check", str(ring16), "--f", "2", "--no-timing")
     assert (code, out) == (2, "")
     assert "amplitudes" in err
     # depolarizing on 5 sites: 1,024 Kraus operators of 2^20 amplitudes
     code, out, err = run_cli(
-        capsys, "simulate", str(path), "--f", "0",
+        capsys, "simulate", str(ring10), "--f", "0",
         "--noise", "depolarizing:0.3", "--sites", "0,1,2,3,4", "--no-timing",
     )
     assert (code, out) == (2, "")
     assert "amplitudes" in err
+
+
+def test_simulate_refuses_twelve_qubits_before_allocating(capsys, tmp_path, monkeypatch):
+    def no_isometry(code):
+        raise AssertionError("the encoder was built for a refused register")
+
+    monkeypatch.setattr("graphqec.cli.build_isometry", no_isometry)
+    # 2^12 x 2^12 register operators exceed DEFAULT_AMPLITUDE_CAP = 2^20
+    result = run_cli(capsys, "simulate", str(_ring_file(tmp_path, 12)), "--f", "0")
+    _refused(result, "each register operator would need 16777216 amplitudes")
+
+
+def test_kl_check_refuses_f_with_2f_not_below_n(capsys, wheel_file):
+    _refused(run_cli(capsys, "kl-check", wheel_file, "--f", "3"), "need 2f < n, got f=3, n=5")
+
+
+def test_kl_check_fourteen_qubits_is_admitted(capsys, tmp_path):
+    path = tmp_path / "hub14.json"
+    dump_graph(sample_graph(2, 1, 14, trial_rng(5, 0)), path)
+    code, out, _ = run_cli(capsys, "kl-check", str(path), "--f", "1", "--json", "--no-timing")
+    payload = json.loads(out)
+    assert payload["operators"] == 1 + 14 * 3
+    passes = first_failing_subset(loads_graph(path.read_text()), 2) is None
+    assert (code, payload["passes"]) == (0 if passes else 1, passes)
 
 
 def test_simulate_single_site(capsys, wheel_file):
@@ -556,3 +598,36 @@ def test_capacity_refuses_nan_delta_by_the_delta_rule(capsys):
     code, out, err = run_cli(capsys, "capacity", "--p", "2", "--k", "1", "--delta", "nan")
     _refused((code, out, err), "need 0 <= delta < 1/(2e)")
     assert "binary entropy" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--d", "2", "--eps", "0.01", "--p", "4", "--k", "0"],
+        ["capacity", "--d", "2", "--eps", "0.01", "--k", "2"],
+        ["capacity", "--d", "3", "--p", "3", "--k", "2", "--delta", "0.001"],
+    ],
+    ids=["eps-with-p-k", "eps-with-k", "delta-with-d"],
+)
+def test_capacity_refuses_flags_of_the_other_mode(capsys, argv):
+    _refused(run_cli(capsys, *argv), "belong")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--fig", "threshold", "--d", "1"], "site dimension d must be >= 2, got 1"),
+        (["--fig", "region", "--p", "4"], "code dimension p must be prime, got 4"),
+        (["--fig", "threshold", "--k", "0"], "block length must be >= 1, got 0"),
+    ],
+    ids=["threshold-d", "region-p", "threshold-k"],
+)
+def test_bounds_checks_flags_the_figure_does_not_read(capsys, argv, message):
+    _refused(run_cli(capsys, "bounds", *argv), message)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    probe = "import sys, graphqec.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

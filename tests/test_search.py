@@ -197,3 +197,18 @@ def test_two_f_at_least_n_raises_one_type():
     ):
         with pytest.raises(TooManyErrors, match="need 2f < n"):
             call()
+
+
+def test_failure_fraction_upper_limit_is_the_beta_quantile():
+    from scipy.stats import beta  # the reference only; the library does not import scipy.stats
+
+    failures = []
+    for d, n, trials, seed in [(5, 6, 1, 3), (5, 6, 7, 1), (5, 6, 40, 2), (5, 6, 200, 5), (2, 5, 7, 1)]:
+        report = run_search(SearchConfig(d=d, m=1, n=n, f=1, trials=trials, seed=seed))
+        failures.append(report.failures)
+        if report.failures == trials:
+            want = 1.0
+        else:
+            want = float(beta.ppf(0.99, report.failures + 1, trials - report.failures))
+        assert report.failure_fraction_upper99 == want
+    assert failures == [0, 2, 20, 117, 7]  # none, some and all trials failing

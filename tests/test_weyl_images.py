@@ -1,0 +1,173 @@
+"""Matrix-free Weyl images and the banded Gram form against the dense path.
+
+The oracle is the straightforward algorithm: every error word as a dense
+d^n x d^n operator from the public error_space_basis, the images F_a V as
+matrix products, the Gram blocks from one einsum with a deviation array
+of the same size, and an explicit decoder built from the dense operators
+G_k = sum_a c_ak F_a.  It lives only here.
+"""
+
+import numpy as np
+import pytest
+
+from graphqec import channels
+from graphqec.channels import (
+    GRAM_EIGENVALUE_CUTOFF,
+    KL_TOLERANCE,
+    Channel,
+    _ErrorSpace,
+    _images,
+    error_space_basis,
+    identity_channel,
+    kl_verify,
+    synthesize_decoder,
+    tensor_channels,
+    verify_etd,
+)
+from graphqec.errors import DimensionOverflow
+from graphqec.graphs import GraphCode, build_isometry, first_failing_subset
+from graphqec.modular import ModMatrix
+from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
+
+# (d, m, n, f): prime and composite d, one and two errors, one and two inputs
+CASES = [
+    (2, 1, 5, 1), (2, 1, 6, 2), (2, 2, 5, 1),
+    (3, 1, 5, 1), (3, 1, 4, 2), (3, 2, 4, 1),
+    (4, 1, 4, 1), (4, 1, 2, 2),
+    (5, 1, 3, 1), (6, 1, 3, 1),
+]
+# cases whose second code is drawn to correct f, so both verdicts occur
+CORRECTING = {(2, 1, 5, 1), (3, 1, 5, 1)}
+
+
+def seeded_code(d, m, n, seed, f):
+    """First code of a seeded stream that corrects f errors (f = 0: whose V is an isometry)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
+        code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
+        if first_failing_subset(code, 2 * f) is None:
+            return code
+
+
+def corpus():
+    """Per case two isometric codes, the second correcting f for the CORRECTING cases."""
+    for index, (d, m, n, f) in enumerate(CASES):
+        yield d, f, seeded_code(d, m, n, 100 * index, 0)
+        yield d, f, seeded_code(d, m, n, 100 * index + 1, f if (d, m, n, f) in CORRECTING else 0)
+
+
+def dense_images(v, basis):
+    return np.stack([op @ v for op in basis], axis=1)
+
+
+def einsum_report(v, basis):
+    """(gram, max deviation) with all K x K Gram blocks held at once."""
+    w = np.stack([op @ v for op in basis])
+    blocks = np.einsum("aji,bjk->abik", w.conj(), w)
+    gram = np.trace(blocks, axis1=2, axis2=3) / v.shape[1]
+    deviation = blocks - gram[:, :, None, None] * np.eye(v.shape[1])
+    return gram, float(np.abs(deviation).max())
+
+
+def explicit_decoder(v, basis):
+    """The decoder as dense Kraus operators (G_k V)*, with the complement routed to |0><0|."""
+    dim_out, dim_in = v.shape
+    gram, deviation = einsum_report(v, basis)
+    assert deviation <= KL_TOLERANCE
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > GRAM_EIGENVALUE_CUTOFF
+    coeff = vecs[:, keep] / np.sqrt(vals[keep])
+    g_ops = np.einsum("ak,aij->kij", coeff, np.stack(basis))
+    kraus = [(g @ v).conj().T for g in g_ops]
+    u = np.concatenate([g @ v for g in g_ops], axis=1)
+    pvals, pvecs = np.linalg.eigh(np.eye(dim_out) - u @ u.conj().T)
+    for c in pvecs[:, pvals > 0.5].T:
+        route = np.zeros((dim_in, dim_out), dtype=np.complex128)
+        route[0] = c.conj()
+        kraus.append(route)
+    return Channel(tuple(kraus))
+
+
+def test_error_space_counts_its_words():
+    for d, f, code in corpus():
+        space = _ErrorSpace(code.n, d, f)
+        shift, clock = space.words()
+        assert len(space) == len(shift) == len(error_space_basis(code.n, d, f))
+        assert shift.shape == clock.shape == (len(space), code.n)
+
+
+def test_word_images_match_dense_products():
+    for d, f, code in corpus():
+        v = build_isometry(code)
+        got = _images(v, _ErrorSpace(code.n, d, f))
+        want = dense_images(v, error_space_basis(code.n, d, f))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15, (d, f, code.n)
+        if d == 2 and f == 1:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_max_deviation_matches_the_einsum_oracle():
+    verdicts = set()
+    for d, f, code in corpus():
+        v = build_isometry(code)
+        basis = error_space_basis(code.n, d, f)
+        gram, deviation = einsum_report(v, basis)
+        for errors in (_ErrorSpace(code.n, d, f), basis):
+            report = kl_verify(v, errors)
+            assert abs(report.max_deviation - deviation) <= 1e-12, (d, f, code.n)
+            assert report.correcting == (deviation <= KL_TOLERANCE)
+            assert np.abs(report.gram - gram).max() <= 1e-12
+        verdicts.add(report.correcting)
+    assert verdicts == {True, False}
+
+
+def test_gram_bands_agree_with_one_band(monkeypatch):
+    for d, f, code in corpus():
+        v = build_isometry(code)
+        whole = kl_verify(v, _ErrorSpace(code.n, d, f))
+        monkeypatch.setattr(channels, "_GRAM_BAND", 1)  # one a-row per band
+        banded = kl_verify(v, _ErrorSpace(code.n, d, f))
+        monkeypatch.undo()
+        assert abs(banded.max_deviation - whole.max_deviation) <= 1e-14
+        assert np.abs(banded.gram - whole.gram).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (2, 5, 2), (2, 7, 3), (3, 5, 4)])
+def test_decoder_choi_distances_match_the_explicit_decoder(d, n, seed):
+    code = seeded_code(d, 1, n, seed, 1)
+    v = build_isometry(code)
+    encoder = Channel((v,))
+    decoder = synthesize_decoder(v, _ErrorSpace(n, d, 1))
+    oracle = explicit_decoder(v, error_space_basis(n, d, 1))
+    depolarizing, rotation = make_depolarizing(d, 0.3), make_unitary_channel(phase_rotation(d, 0.4))[0]
+    for single, sites in [(depolarizing, (1,)), (rotation, (2,)), (depolarizing, (0, 3))]:
+        noise = tensor_channels(*(single if s in sites else identity_channel(d) for s in range(n)))
+        got, want = verify_etd(encoder, noise, decoder), verify_etd(encoder, noise, oracle)
+        assert abs(got - want) <= 1e-12, (sites, got, want)
+
+
+def test_image_and_gram_budgets_refuse_before_allocating(monkeypatch, wheel):
+    v = build_isometry(wheel)  # 32 x 2
+    space = _ErrorSpace(5, 2, 2)  # 106 words: 6,784 image amplitudes, a 106 x 106 Gram form
+    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 106 * 106)
+    assert len(kl_verify(v, space).gram) == 106
+
+    def fail(*args):
+        raise AssertionError("the images were formed")
+
+    monkeypatch.setattr(channels, "_word_images", fail)
+    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 106 * 106 - 1)
+    with pytest.raises(DimensionOverflow, match="Gram form needs 11236 amplitudes"):
+        kl_verify(v, space)
+    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 106 * 64 - 1)
+    with pytest.raises(DimensionOverflow, match="error images needs 6784 amplitudes"):
+        synthesize_decoder(v, space)
+    # dense operators: the same budgets, checked before any product F @ V
+    identities = [np.eye(32)] * 100
+    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 100 * 100)
+    assert kl_verify(v, identities).correcting
+    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 100 * 100 - 1)
+    with pytest.raises(DimensionOverflow, match="Gram form needs 10000 amplitudes"):
+        kl_verify(v, identities)
