@@ -154,10 +154,15 @@ def _kron_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _isometry_gap(v: np.ndarray) -> float:
+    """The largest entry of V*V - 1; nan when V has inf or nan entries."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max())
+
+
 def _require_isometry(v: np.ndarray, error: type = NotIsometry, what: str = "V*V") -> None:
     """Raise error unless V*V = 1 within _ISOMETRY_TOL; a non-finite V never passes."""
-    with np.errstate(invalid="ignore", over="ignore"):  # inf or nan entries give a nan gap
-        gap = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
+    gap = _isometry_gap(v)
     if not gap <= _ISOMETRY_TOL:
         raise error(f"{what} deviates from identity by {gap:.3e}")
 

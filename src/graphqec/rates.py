@@ -2,13 +2,15 @@
 
 All rates are in bits (base-2 logarithms).  The error exponent is the
 one place natural logs appear; curve samples therefore carry the value
-in nats per channel use alongside the bits-per-use conversion.  The
-random-coding existence bound's unqualified "log" is read as log2, the
-same base as the binary entropy it is paired with.
+in nats per channel use alongside the bits-per-use conversion.
 
-Two singleton-type checks ship side by side: the weaker form
-1 - mu >= d*eps with a dimension-weighted error term, and the textbook
-quantum singleton bound 1 - mu >= 4*eps for comparison.
+Each boundary of the rate region is one private function of (d, eps)
+giving mu in units of log2 d (random graph, Hamming, weaker singleton
+1 - d eps).  The predicates compare mu with it, the region figure prints
+it, and the capacity bounds, the exponent curve's c and
+search.failure_bound_log2 (the existence bound, its "log" read as log2)
+scale the random-graph rate.  The textbook singleton 1 - mu >= 4 eps and
+the qubit GV region are kept for comparison.
 """
 
 from __future__ import annotations
@@ -64,25 +66,39 @@ def ideal_capacity(d: int) -> float:
     return math.log2(d)
 
 
+def _random_graph_rate(d: int, eps: float) -> Optional[float]:
+    """Random-graph coding rate in units of log2 d: 1 - 4 eps - H2(2 eps) / log2 d;
+    None beyond eps > 1/2, where 2 eps is no probability."""
+    return None if eps > 0.5 else 1.0 - 4.0 * eps - binary_entropy(2.0 * eps) / math.log2(d)
+
+
+def _singleton_rate(d: int, eps: float) -> float:
+    """Weaker singleton boundary: 1 - d eps."""
+    return 1.0 - d * eps
+
+
+def _hamming_rate(d: int, eps: float) -> float:
+    """Quantum Hamming boundary: 1 - (H2(eps) + eps log2(d^2 - 1)) / log2 d."""
+    return 1.0 - (binary_entropy(eps) + eps * math.log2(d**2 - 1)) / math.log2(d)
+
+
 def achievable_pair(d: int, mu: float, eps: float) -> bool:
     """Random-graph coding region: (1 - mu - 4 eps) log2 d > H2(2 eps)."""
     _check_rates(mu, eps, d)
-    if eps > 0.5:
-        return False  # left side is negative while the entropy is >= 0
-    return (1.0 - mu - 4.0 * eps) * math.log2(d) > binary_entropy(2.0 * eps)
+    rate = _random_graph_rate(d, eps)
+    return rate is not None and mu < rate
 
 
 def hamming_allows(d: int, mu: float, eps: float) -> bool:
     """mu log2 d + H2(eps) + eps log2(d^2 - 1) <= log2 d."""
     _check_rates(mu, eps, d)
-    lhs = mu * math.log2(d) + binary_entropy(eps) + eps * math.log2(d**2 - 1)
-    return lhs <= math.log2(d)
+    return mu <= _hamming_rate(d, eps)
 
 
 def singleton_allows(d: int, mu: float, eps: float) -> bool:
     """Weaker singleton form with a dimension-weighted error term: 1 - mu >= d eps."""
     _check_rates(mu, eps, d)
-    return 1.0 - mu >= d * eps
+    return mu <= _singleton_rate(d, eps)
 
 
 def singleton_standard_allows(mu: float, eps: float) -> bool:
@@ -101,6 +117,12 @@ def gv_allows(mu: float, eps: float, d: int = 2) -> bool:
     return 1.0 - mu - 2.0 * eps * LOG2_3 > binary_entropy(2.0 * eps)
 
 
+def _require_coding_error(delta: float) -> None:
+    """The finite-coding rule on a scheme's residual error: 0 <= delta < 1/(2e)."""
+    if not 0.0 <= delta < 1.0 / (2.0 * math.e):
+        raise DeltaTooLarge(f"need 0 <= delta < 1/(2e) ~ {1/(2*math.e):.6f}, got {delta}")
+
+
 def _require_block_code(p: int, k: int) -> None:
     """A prime p-level system coded through k >= 1 channel uses."""
     _require_prime(p, "code dimension p")
@@ -112,15 +134,13 @@ def capacity_lower_bound_small_noise(d: int, eps: float) -> tuple[float, float]:
     """(threshold, q_lower): channels with cb-distance from the identity
     below the threshold have capacity at least q_lower.
 
-    threshold = 2^{-H2(eps)/eps}; q_lower = (1 - 4 eps) log2 d - H2(2 eps).
-    q_lower can be non-positive for large eps; it is returned as-is.
+    threshold = 2^{-H2(eps)/eps}; q_lower = (1 - 4 eps) log2 d - H2(2 eps), the
+    random-graph rate times log2 d, returned as-is even when non-positive.
     """
     _require_prime(d)
     if not 0.0 < eps < 0.5:
         raise ParamOutOfRange(f"need 0 < eps < 1/2, got {eps}")
-    threshold = error_threshold(eps)[0]
-    q_lower = (1.0 - 4.0 * eps) * math.log2(d) - binary_entropy(2.0 * eps)
-    return threshold, q_lower
+    return error_threshold(eps)[0], math.log2(d) * _random_graph_rate(d, eps)
 
 
 def capacity_from_finite_coding(p: int, k: int, delta: float) -> float:
@@ -131,16 +151,14 @@ def capacity_from_finite_coding(p: int, k: int, delta: float) -> float:
     (log2 p / k)(1 - 4 e delta) - H2(2 e delta) / k.
     """
     _require_block_code(p, k)
-    if not 0.0 <= delta < 1.0 / (2.0 * math.e):
-        raise DeltaTooLarge(f"need 0 <= delta < 1/(2e) ~ {1/(2*math.e):.6f}, got {delta}")
-    scaled = math.e * delta
-    return (math.log2(p) / k) * (1.0 - 4.0 * scaled) - binary_entropy(2.0 * scaled) / k
+    _require_coding_error(delta)
+    return (math.log2(p) / k) * _random_graph_rate(p, math.e * delta)
 
 
 def error_exponent_curve(
     p: int, k: int, delta: float, eps_grid: Sequence[float]
 ) -> list[RatePoint]:
-    """Parametric lower-bound curve (c, lambda) for the error exponent.
+    """Parametric lower-bound curve (c, lambda) of the error exponent, 0 < delta < 1/(2e).
 
     For each error rate eps in [e delta, 1/2]:
         c      = (log2 p / k) (1 - 4 eps - H2(2 eps) / log2 p)
@@ -150,7 +168,7 @@ def error_exponent_curve(
     _require_block_code(p, k)
     if not delta > 0.0:
         raise ParamOutOfRange(f"coding error must be positive, got {delta}")
-    log2p = math.log2(p)
+    _require_coding_error(delta)
     points = []
     for eps in eps_grid:
         if not math.e * delta <= eps <= 0.5:
@@ -158,7 +176,7 @@ def error_exponent_curve(
                 f"grid point eps={eps} outside [e*delta, 1/2] = "
                 f"[{math.e * delta}, 0.5]"
             )
-        c = (log2p / k) * (1.0 - 4.0 * eps - binary_entropy(2.0 * eps) / log2p)
+        c = (math.log2(p) / k) * _random_graph_rate(p, eps)
         lam = -(eps / k) * (math.log(delta) + math.log(2.0) * binary_entropy(eps) / eps)
         points.append(
             RatePoint(
@@ -180,18 +198,8 @@ def region_boundaries(
     _require_modulus(d)
     if not 0.0 <= eps <= 1.0:
         raise ParamOutOfRange(f"need eps in [0, 1], got {eps}")
-    log2d = math.log2(d)
-    singleton = 1.0 - d * eps
-    hamming = 1.0 - (binary_entropy(eps) + eps * math.log2(d**2 - 1)) / log2d
-    if eps <= 0.5:
-        random_graph = 1.0 - 4.0 * eps - binary_entropy(2.0 * eps) / log2d
-    else:
-        random_graph = None
-
-    def clip(x):
-        return x if x is not None and 0.0 <= x <= 1.0 else None
-
-    return clip(singleton), clip(hamming), clip(random_graph)
+    rates = (_singleton_rate(d, eps), _hamming_rate(d, eps), _random_graph_rate(d, eps))
+    return tuple(x if x is not None and 0.0 <= x <= 1.0 else None for x in rates)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParamOutOfRange
 from .graphs import GraphCode, _require_shape, find_uncorrectable_subset, graph_to_dict
 from .modular import ModMatrix, _require_prime, rank_prime_batch
-from .noise import binary_entropy
+from .rates import _random_graph_rate
 
 __all__ = [
     "SearchConfig",
@@ -121,14 +121,12 @@ def sample_graph(d: int, m: int, n: int, rng: np.random.Generator) -> GraphCode:
 def failure_bound_log2(d: int, m: int, n: int, f: int) -> float:
     """log2 upper bound on the probability a random code fails to correct f.
 
-    Returns n [ (m/n + 4f/n - 1) log2 d + H2(2f/n) ]; a negative value
-    proves at least one correcting code exists at these parameters.
+    Returns n log2 d (m/n - R(f/n)) = n [ (m/n + 4f/n - 1) log2 d + H2(2f/n) ],
+    R the random-graph rate of rates; negative proves a correcting code exists.
     """
     _require_prime(d)
     _require_shape(m, n, f)
-    return n * (
-        (m / n + 4.0 * f / n - 1.0) * math.log2(d) + binary_entropy(2.0 * f / n)
-    )
+    return n * math.log2(d) * (m / n - _random_graph_rate(d, f / n))
 
 
 def run_search(cfg: SearchConfig) -> SearchReport:

@@ -202,6 +202,26 @@ def test_simulate_refuses_twelve_qubits_before_allocating(capsys, tmp_path, monk
     _refused(result, "each register operator would need 16777216 amplitudes")
 
 
+def test_kl_check_reports_a_non_isometric_encoder_as_a_fail(capsys, tmp_path):
+    # two inputs wired to the same output: the empty subset already fails
+    path = tmp_path / "collapsed.json"
+    path.write_text(json.dumps({"d": 2, "m": 2, "n": 3, "edges": [[0, 2, 1], [1, 2, 1]]}))
+    assert run_cli(capsys, "verify", str(path), "--f", "0", "--no-timing")[0] == 1
+    code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "0", "--no-timing")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "error space: all words on <= 0 of 3 sites (1 operators)",
+        "max deviation: 1.000e+00 (tolerance 1e-09)",
+        "Knill-Laflamme: FAIL",
+    ]
+    code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "1", "--json", "--no-timing")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert set(payload) == {"f", "operators", "max_deviation", "tolerance", "passes"}
+    assert (payload["operators"], payload["passes"]) == (10, False)
+    assert 0.5 < payload["max_deviation"] < 2.0
+
+
 def test_kl_check_refuses_f_with_2f_not_below_n(capsys, wheel_file):
     _refused(run_cli(capsys, "kl-check", wheel_file, "--f", "3"), "need 2f < n, got f=3, n=5")
 
@@ -592,6 +612,13 @@ def test_simulate_refuses_non_finite_rotation_under_warnings_as_errors(wheel_fil
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: rotation angle theta must be finite, got {theta}\n"
+
+
+@pytest.mark.parametrize("delta", ["0.2", "1e-3,0.2"])
+def test_bounds_exponent_refuses_delta_by_the_delta_rule(capsys, delta):
+    code, out, err = run_cli(capsys, "bounds", "--fig", "exponent", "--delta", delta)
+    _refused((code, out, err), "need 0 <= delta < 1/(2e) ~ 0.183940, got 0.2")
+    assert "grid point" not in err
 
 
 def test_capacity_refuses_nan_delta_by_the_delta_rule(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from graphqec.rates import (
     gv_allows,
     hamming_allows,
     ideal_capacity,
+    _default_region_grid,
     region_boundaries,
     singleton_allows,
     singleton_standard_allows,
@@ -206,6 +208,10 @@ def test_exponent_curve_guards():
         error_exponent_curve(2, 1, 1e-3, [1e-4])  # below e*delta
     with pytest.raises(CompositeModulus):
         error_exponent_curve(6, 1, 1e-3, [0.1])
+    # the finite-coding rule on delta, 1/(2e) itself included
+    for delta in (0.2, 1.0 / (2.0 * math.e)):
+        with pytest.raises(DeltaTooLarge, match=r"1/\(2e\)"):
+            error_exponent_curve(2, 1, delta, [0.5])
 
 
 def test_region_boundaries_ordering():
@@ -275,3 +281,59 @@ def test_small_noise_threshold_is_the_strict_error_threshold():
 
     for eps in (1e-4, 0.01, 0.1, 0.25, 0.4999):
         assert capacity_lower_bound_small_noise(3, eps)[0] == error_threshold(eps)[0]
+
+
+# Each boundary has one formula, so the predicates, the region figure,
+# the capacity bounds and the exponent curve agree to the last bit.
+
+
+def test_region_boundaries_lie_inside_their_predicates():
+    for d in range(2, 50):
+        for eps in _default_region_grid():
+            s, h, _ = region_boundaries(d, eps)
+            assert s is None or singleton_allows(d, s, eps), (d, eps, s)
+            assert h is None or hamming_allows(d, h, eps), (d, eps, h)
+
+
+def test_achievable_one_float_below_the_random_graph_boundary():
+    for d in range(2, 50):
+        for eps in _default_region_grid():
+            r = region_boundaries(d, eps)[2]
+            if r is not None and r > 0.0:
+                assert achievable_pair(d, math.nextafter(r, 0.0), eps), (d, eps, r)
+                assert not achievable_pair(d, r, eps)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 4), (7, 2), (101, 3)])
+def test_finite_coding_capacity_is_the_exponent_curve_c_at_e_delta(p, k):
+    for delta in (1e-12, 1e-6, 1e-3, 3e-3, 0.01, 0.05, 0.1, 0.137, 0.18):
+        curve = error_exponent_curve(p, k, delta, [math.e * delta])
+        assert capacity_from_finite_coding(p, k, delta) == curve[0].c
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 13, 97])
+def test_small_noise_capacity_is_log2_d_times_the_random_graph_rate(d):
+    for eps in [j / 1000.0 for j in range(1, 500)]:
+        r = region_boundaries(d, eps)[2]
+        if r is not None:
+            assert capacity_lower_bound_small_noise(d, eps)[1] == math.log2(d) * r, eps
+
+
+# sha256 of emit_curves output; the CSV bytes are a contract of the figures
+CSV_DIGESTS = {
+    ("threshold-fig", ()): "d6f08d7fd2335dd20a233af7c40cbec493496463665a668783e33faf528b854c",
+    ("rate-region-fig", (("d", 2),)): "26f758cba64879fbe348b4d888929e55e98ac4854db25a31781b576943ee81ae",
+    ("rate-region-fig", (("d", 3),)): "e03169488a4ad6b442c4ec3343f64031c734ea7a54aed56a29069b9354c4dd40",
+    ("rate-region-fig", (("d", 101),)): "3d12751cfcc6b1a38d2fd9f0315b3d2e19c71f44751f563c512e0e9f4cfb627e",
+    ("exponent-fig", (("p", 2), ("k", 1))): "a47efd3c7133baf24bd5c2edbeb648a6482ef03ac386c9ad4fa59cd562f549fc",
+    ("exponent-fig", (("p", 3), ("k", 4), ("deltas", (1e-2, 3e-3, 1e-5)))):
+        "6b9782989cf34d0a6f02790254418acc761efa75810c6dafabc520b5a4b03ead",
+    ("exponent-fig", (("p", 7), ("k", 2), ("deltas", (1e-2, 3e-3, 1e-5)))):
+        "cd40f67aeca258f920f97a2d61bd292a78876e0860b418e19f325048ff531287",
+}
+
+
+@pytest.mark.parametrize("kind, options", list(CSV_DIGESTS))
+def test_emit_curves_bytes_match_recorded_digests(kind, options):
+    csv = emit_curves(kind, **dict(options))
+    assert hashlib.sha256(csv.encode()).hexdigest() == CSV_DIGESTS[kind, options]

@@ -75,6 +75,18 @@ def test_failure_bound_f_zero():
     assert value < 0
 
 
+def test_failure_bound_is_negative_exactly_on_the_achievable_region():
+    # the existence bound and achievable_pair read the same random-graph rate
+    from graphqec.rates import achievable_pair
+
+    for d in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 60):
+            for m in range(1, n + 1):
+                for f in range((n + 1) // 2):
+                    negative = failure_bound_log2(d, m, n, f) < 0
+                    assert negative == achievable_pair(d, m / n, f / n), (d, m, n, f)
+
+
 def test_failure_bound_guards():
     with pytest.raises(CompositeModulus):
         failure_bound_log2(4, 1, 10, 1)
