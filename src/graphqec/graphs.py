@@ -98,8 +98,7 @@ class GraphCode:
         d, m, n = _require_int(d, "d"), _require_int(m, "m"), _require_int(n, "n")
         _require_modulus(d)
         _require_shape(m, n, 0)
-        if d >= 2**63:
-            raise ValueError(f"site dimension must be below 2**63 (int64 residues), got {d}")
+        _require_int64_modulus(d)
         size = m + n
         gamma = np.zeros((size, size), dtype=object)
         for edge in edges:
@@ -119,6 +118,12 @@ def _require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _require_int64_modulus(d: int) -> None:
+    """The storage rule: gamma and sampled residues are int64, so d < 2**63."""
+    if d >= 2**63:
+        raise ParamOutOfRange(f"site dimension must be below 2**63 (int64 residues), got {d}")
 
 
 def _require_error_count(f: int) -> None:

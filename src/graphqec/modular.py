@@ -5,8 +5,12 @@ field GF(p) and, for arbitrary d >= 2, whether a matrix has trivial
 kernel mod d (M h = 0 implies h = 0).  Both go through one batched
 Gaussian elimination, rank_prime_batch: first_singular answers the
 second question by running it once for each prime divisor of d.  The
-elimination multiplies residues in int64 up to MAX_BATCH_MODULUS and in
-Python integers above it, so every modulus gets an exact answer.
+elimination picks its representation from d and the column count: at
+d = 2 with at most 64 columns each row is one uint64 bitmask (as in M4RI),
+and otherwise residues live in the narrowest of int16 (d <= 181), int32
+(d <= 46337) and int64 (d <= MAX_BATCH_MODULUS) that holds (d - 1)^2, the
+largest product of two residues, and in Python integers above that, so
+every modulus gets an exact answer.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ __all__ = [
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# rank_prime_batch multiplies residues below d in int64 while (d - 1)^2 fits,
-# and in Python integers above this
+# rank_prime_batch multiplies residues below d in the narrowest of int16, int32
+# and int64 in which (d - 1)^2 fits, so a row minus a product never wraps; int64
+# holds it up to this d, and Python integers take over above it
 MAX_BATCH_MODULUS = isqrt(2**63 - 1)
 
 
@@ -161,6 +166,30 @@ def _inverses(x: np.ndarray, d: int) -> np.ndarray:
     return result
 
 
+def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
+    """a mod d stored as dtype, reduced in a type that holds every entry and d."""
+    if a.dtype.kind == "O" or dtype is object:  # Python integers: exact at any size
+        return np.mod(a.astype(object), d).astype(dtype)
+    out = np.empty(a.shape, dtype)
+    if d == 2 and a.dtype.kind != "f":  # the low bit, also of a negative entry
+        return np.bitwise_and(a, 1, out=out, casting="unsafe")
+    divisor = np.uint64(d) if a.dtype.kind == "u" else np.int64(d)
+    return np.remainder(a, divisor, out=out, casting="unsafe")
+
+
+def _rank_gf2(bits: np.ndarray) -> np.ndarray:
+    """Ranks of 0/1 matrices with at most 64 columns, each row one uint64 bitmask."""
+    rows = bits @ (np.uint64(1) << np.arange(bits.shape[2], dtype=np.uint64))
+    rank = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in range(bits.shape[2]):
+        bit = np.uint64(1 << col)
+        hit = (rows & bit) != 0
+        pivot = np.take_along_axis(rows, np.argmax(hit, axis=1)[:, None], axis=1)
+        rows ^= hit * pivot  # the pivot row too, so it is never picked again
+        rank += (pivot[:, 0] & bit) != 0
+    return rank
+
+
 def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     """Ranks over GF(d) of a batch of matrices, vectorized over the batch.
 
@@ -169,33 +198,42 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     row becomes zero and is never picked again; a matrix whose column is
     already zero is left unchanged.  No rows are swapped.
 
+    The representation follows from d and the column count.  At d = 2 with
+    at most 64 columns each row is one uint64 bitmask, and clearing a column
+    is one XOR of the pivot row.  Otherwise residues are stored in the
+    narrowest of int16, int32 and int64 that holds (d - 1)^2, because a row
+    minus a product of two residues lies in [-(d - 1)^2, d - 1]: int16 up to
+    d = 181, int32 up to 46337 and int64 up to MAX_BATCH_MODULUS.  Above
+    that the same elimination runs on Python integers (dtype object), which
+    is slower but exact.
+
     Parameters
     ----------
-    mats : array of shape (B, N, M), integer entries (reduced internally).
-    d : prime modulus.  Up to MAX_BATCH_MODULUS the elimination runs on
-        int64 residues; above it, the same elimination runs on arrays of
-        Python integers (dtype object), which is slower but exact.
+    mats : array of shape (B, N, M), integer entries of any sign, size and
+        dtype (reduced mod d internally).
+    d : prime modulus.
 
     Returns
     -------
     array of shape (B,) with the GF(d) rank of each matrix.
     """
     _require_prime(d, "modulus d")
-    dtype = np.int64 if d <= MAX_BATCH_MODULUS else object
-    a = np.mod(np.asarray(mats, dtype=dtype), d)
+    a = np.asarray(mats)
     if a.ndim != 3:
         raise ValueError(f"expected batch of matrices, got shape {a.shape}")
+    if 0 in a.shape:
+        return np.zeros(a.shape[0], dtype=np.int64)
+    if d == 2 and a.shape[2] <= 64:
+        return _rank_gf2(_residues(a, 2, np.uint8))
+    wide = (t for t in (np.int16, np.int32, np.int64) if (d - 1) ** 2 <= np.iinfo(t).max)
+    a = _residues(a, d, next(wide, object))
     batch = np.arange(a.shape[0])
     rank = np.zeros(a.shape[0], dtype=np.int64)
-    for col in range(a.shape[2]):
-        nonzero = a[:, :, col] != 0
-        has = nonzero.any(axis=1)
-        if not has.any():
-            continue
-        pivot_row = a[batch, np.argmax(nonzero, axis=1), :]
-        pivot_row = pivot_row * _inverses(pivot_row[:, col], d)[:, None] % d
-        a = (a - a[:, :, col, None] * pivot_row[:, None, :]) % d
-        rank += has
+    for _ in range(a.shape[2]):  # column 0 of a is the next column; cleared ones are dropped
+        pivot = a[batch, np.argmax(a[:, :, 0] != 0, axis=1)]
+        factor = a[:, :, 0] * _inverses(pivot[:, 0], d)[:, None] % d
+        a = (a[:, :, 1:] - factor[:, :, None] * pivot[:, None, 1:]) % d
+        rank += pivot[:, 0] != 0
     return rank
 
 

@@ -16,7 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParamOutOfRange
-from .graphs import GraphCode, _require_shape, find_uncorrectable_subset, graph_to_dict
+from .graphs import (
+    GraphCode,
+    _require_int64_modulus,
+    _require_shape,
+    find_uncorrectable_subset,
+    graph_to_dict,
+)
 from .modular import ModMatrix, _require_prime, rank_prime_batch
 from .rates import _random_graph_rate
 
@@ -110,6 +116,7 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 def sample_graph(d: int, m: int, n: int, rng: np.random.Generator) -> GraphCode:
     """Uniform random graph code: i.i.d. lower-triangle entries, zero diagonal."""
     _require_prime(d)
+    _require_int64_modulus(d)
     size = m + n
     gamma = np.zeros((size, size), dtype=np.int64)
     idx = np.tril_indices(size, k=-1)
@@ -186,6 +193,7 @@ def singular_fraction_experiment(
     Returns (empirical fraction, the analytic bound d^{-(N-M)}).
     """
     _require_prime(d)
+    _require_int64_modulus(d)
     if not 0 <= small_m < big_n:
         raise ParamOutOfRange(f"need 0 <= M < N, got N={big_n}, M={small_m}")
     _require_trials(trials)

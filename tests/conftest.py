@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library code paths they check:
 kernel triviality by exhaustive enumeration or by sympy's integer Smith
-normal form, binomial tails by exact integer sums, roots by scipy's brentq.
+normal form, the largest correctable f by a minimum symplectic weight over
+vectors, binomial tails by exact integer sums, roots by scipy's brentq.
 """
 
 from __future__ import annotations
@@ -53,6 +54,28 @@ def smith_first_failing(code, max_size: int):
             if not smith_kernel_trivial(gamma[rows][:, cols], code.d):
                 return subset
     return None
+
+
+def symplectic_max_f(code) -> int:
+    """max_f = (w_min - 1) // 2 from the least symplectic weight of the code.
+
+    w_min is the minimum of |supp h_Y u supp (gamma h)_Y| over nonzero
+    h in Z_d^(m+n).  Such an h with weight w is a kernel vector of the block
+    of the w sites it touches, and a kernel vector of a failing block of Z
+    has weight at most |Z|, so w_min is the smallest failing subset size.
+    Enumerates vectors, not subsets, in chunks of one leading digit.
+    """
+    d, m, n = code.d, code.m, code.n
+    gamma = np.asarray(code.gamma.entries, dtype=np.int64)
+    size = m + n
+    tail = np.indices((d,) * (size - 1)).reshape(size - 1, -1).T
+    w_min = n
+    for lead in range(d):
+        h = np.hstack([np.full((len(tail), 1), lead), tail])[1 if lead == 0 else 0:]
+        image = h @ gamma % d  # gamma is symmetric
+        weight = ((h[:, m:] != 0) | (image[:, m:] != 0)).sum(axis=1)
+        w_min = min(w_min, int(weight.min()))
+    return (w_min - 1) // 2
 
 
 def exact_binomial_tail(n: int, start: int, x: float) -> float:

@@ -595,6 +595,18 @@ def test_one_prime_rule_refuses_composite_dimension(capsys, argv):
     _refused(run_cli(capsys, *argv), "must be prime, got 4")
 
 
+_HUGE_PRIME = "18446744073709551629"  # a prime above 2**64: it passes the prime rule
+_BEYOND_INT64 = {
+    "search": ["search", "--d", _HUGE_PRIME, "--m", "1", "--n", "3", "--f", "1", "--trials", "2", "--seed", "1"],
+    "singular-mc": ["singular-mc", "--d", _HUGE_PRIME, "--N", "3", "--M", "2", "--trials", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_BEYOND_INT64.values()), ids=list(_BEYOND_INT64))
+def test_sampling_commands_refuse_prime_dimension_beyond_int64(capsys, argv):
+    _refused(run_cli(capsys, *argv), f"site dimension must be below 2**63 (int64 residues), got {_HUGE_PRIME}")
+
+
 def test_simulate_refuses_nan_custom_kraus(capsys, wheel_file, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('[{"re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]')

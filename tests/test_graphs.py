@@ -1,11 +1,14 @@
 import itertools
 import json
 import warnings
+from collections import defaultdict
+from math import comb
 
 import numpy as np
 import pytest
 
 import graphqec.graphs as graphs
+from graphqec.cli import main
 from graphqec.errors import DimensionOverflow, InvalidSubset, TooManyErrors
 from graphqec.graphs import (
     GraphCode,
@@ -24,7 +27,7 @@ from graphqec.graphs import (
 )
 from graphqec.modular import ModMatrix
 
-from conftest import brute_force_kernel_trivial
+from conftest import brute_force_kernel_trivial, symplectic_max_f
 
 
 def test_constructor_rejects_asymmetric_gamma():
@@ -162,6 +165,68 @@ def test_scan_matches_brute_force_oracle(monkeypatch, chunk):
         assert first_failing_subset(code, 2 * f_cap) == expected[f_cap]
         passing = [f for f in range(f_cap + 1) if expected[f] is None]
         assert max_correctable_f(code) == max(passing, default=-1)
+
+
+def _random_code(d, m, n, seed):
+    rng = np.random.default_rng((d, m, n, seed))
+    g = np.tril(rng.integers(0, d, size=(m + n, m + n)), -1)
+    return GraphCode(d, m, n, ModMatrix(d, g + g.T))
+
+
+def _lifted_five_qubit_codes(ds, seed):
+    """The wheel and the prism lifted to Z_d with +-1 edges: mostly f = 1 codes."""
+    rng = np.random.default_rng(seed)
+    for base, d in itertools.product([wheel_code(), prism_code()], ds):
+        signs = np.triu(rng.choice([1, d - 1], size=(6, 6)), 1)
+        yield GraphCode(d, 1, 5, ModMatrix(d, (base.gamma.entries * (signs + signs.T)) % d))
+
+
+def test_max_correctable_f_matches_symplectic_weight_oracle():
+    codes = [
+        _random_code(d, m, n, seed)
+        for d, m, n, seed in itertools.product([2, 3, 4, 6], [1, 2], range(3, 7), range(2))
+    ]
+    codes += _lifted_five_qubit_codes([2, 3, 4, 6], 4)
+    seen = set()
+    for code in codes:
+        expected = symplectic_max_f(code)
+        assert max_correctable_f(code) == expected, (code.d, code.m, code.n)
+        seen.add(expected)
+    assert seen == {-1, 0, 1}
+
+
+# kl-check's Gram form costs about K^2 d^(2m) d^n for K error words; the slice
+# keeps the grid points where that is at most this, so it runs in seconds
+_KL_COST_CAP = 10**9
+
+
+def _schlingemann_werner_slice():
+    for d, m, n in itertools.product([2, 3, 4, 5, 6], [1, 2], range(3, 7)):
+        if d**n > 4096:
+            continue
+        for f in range((n - 1) // 2 + 1):
+            words = sum(comb(n, k) * (d * d - 1) ** k for k in range(f + 1))
+            if words**2 * d ** (2 * m + n) <= _KL_COST_CAP:
+                yield from ((_random_code(d, m, n, seed), f) for seed in range(3))
+    yield from ((code, 1) for code in _lifted_five_qubit_codes([2, 3, 4, 5], 6))
+
+
+def test_exact_verdict_matches_kl_check_verdict(tmp_path, capsys):
+    # Schlingemann-Werner: a graph code corrects f errors exactly when every
+    # |Z| <= 2f block has a trivial kernel, i.e. when Knill-Laflamme holds
+    path = tmp_path / "code.json"
+    verdicts = defaultdict(set)
+    for code, f in _schlingemann_werner_slice():
+        dump_graph(code, path)
+        status = main(["kl-check", str(path), "--f", str(f), "--json", "--no-timing"])
+        capsys.readouterr()
+        assert status in (0, 1)
+        exact = find_uncorrectable_subset(code, f) is None
+        assert (status == 0) == exact, (code.d, code.m, code.n, f)
+        verdicts[code.d].add((f, exact))
+    for d in (2, 3, 4, 5, 6):
+        assert {exact for _, exact in verdicts[d]} == {True, False}, d
+        assert d == 6 or (1, True) in verdicts[d], d  # at d = 6, d^5 > 4096
 
 
 def test_max_correctable_f(wheel, prism):

@@ -106,7 +106,8 @@ def _sympy_rank(mat, p):
     from sympy import GF, ZZ
     from sympy.polys.matrices import DomainMatrix
 
-    return DomainMatrix.from_list(mat.tolist(), ZZ).convert_to(GF(p)).rank()
+    rows = [[int(x) for x in row] for row in np.asarray(mat).tolist()]
+    return DomainMatrix.from_list(rows, ZZ).convert_to(GF(p)).rank()
 
 
 def _low_rank_batch(rng, p, count, rows, cols):
@@ -155,6 +156,70 @@ def test_rank_prime_batch_matches_sympy_small_primes(p):
     assert rank_prime_batch(mixed, p).tolist() == [_sympy_rank(m, p) for m in mixed]
     assert rank_prime_batch(np.zeros((3, 0, 4)), p).tolist() == [0, 0, 0]
     assert rank_prime_batch(np.zeros((2, 4, 0)), p).tolist() == [0, 0]
+
+
+# each switch of representation (packed bits, int16, int32, int64) from both sides
+_BOUNDARY_PRIMES = [2, 3, 5, 7, 181, 191, 46337, 46349]
+
+
+@pytest.mark.parametrize("p", _BOUNDARY_PRIMES)
+def test_rank_prime_batch_matches_sympy_at_representation_boundaries(p):
+    rng = np.random.default_rng(p)
+    for rows, cols in [(7, 3), (3, 7), (6, 6)]:
+        # every entry p - 1, then p - 1 off a zero diagonal: the largest products
+        worst = np.full((2, rows, cols), p - 1)
+        worst[1, np.arange(min(rows, cols)), np.arange(min(rows, cols))] = 0
+        mats = np.concatenate([
+            rng.integers(0, p, size=(10, rows, cols)),
+            _low_rank_batch(rng, p, 14, rows, cols),
+            worst,
+        ])
+        ranks = rank_prime_batch(mats, p)
+        assert ranks.tolist() == [_sympy_rank(m, p) for m in mats]
+        assert set(ranks.tolist()) == set(range(min(rows, cols) + 1))
+    for shape in [(3, 0, 4), (2, 4, 0), (0, 4, 3), (2, 0, 70), (0, 0, 0)]:
+        assert rank_prime_batch(np.zeros(shape, dtype=np.int64), p).tolist() == [0] * shape[0]
+
+
+@pytest.mark.parametrize("cols", [63, 64, 65])
+def test_rank_prime_batch_matches_sympy_at_the_packed_word_width(cols):
+    # up to 64 columns a GF(2) row is one uint64 bitmask, beyond that int16
+    rng = np.random.default_rng(cols)
+    for rows in (cols - 5, cols + 5):
+        mats = np.concatenate([
+            rng.integers(0, 2, size=(3, rows, cols)),
+            _low_rank_batch(rng, 2, 3, rows, cols),
+        ])
+        mats[0, :, -1] = mats[0, :, 0]  # a dependency found only at the last bit
+        ranks = rank_prime_batch(mats, 2)
+        assert ranks.tolist() == [_sympy_rank(m, 2) for m in mats]
+        padded = np.concatenate([mats, np.zeros((len(mats), rows, 1), dtype=mats.dtype)], axis=2)
+        assert rank_prime_batch(padded, 2).tolist() == ranks.tolist()
+
+
+_RAW_ENTRIES = {
+    "negative-and-large": lambda rng, shape: rng.integers(-(2**62), 2**62, size=shape),
+    "bool": lambda rng, shape: rng.integers(0, 2, size=shape).astype(bool),
+    "int8": lambda rng, shape: rng.integers(-128, 128, size=shape, dtype=np.int8),
+    "uint8": lambda rng, shape: rng.integers(0, 256, size=shape, dtype=np.uint8),
+    "uint64": lambda rng, shape: rng.integers(0, 2**64 - 1, size=shape, dtype=np.uint64),
+    "object": lambda rng, shape: (
+        rng.integers(-(2**62), 2**62, size=shape).astype(object) * 2**40
+        + rng.integers(0, 2**40, size=shape)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RAW_ENTRIES))
+def test_rank_prime_batch_reduces_any_integer_input_exactly(kind):
+    for p in _BOUNDARY_PRIMES:
+        rng = np.random.default_rng(p)
+        raw = _RAW_ENTRIES[kind](rng, (12, 6, 4))
+        raw[::2, 1] = raw[::2, 0]  # repeated rows and columns vary the rank
+        raw[::3, :, 3] = raw[::3, :, 0]
+        ranks = rank_prime_batch(raw, p)
+        assert ranks.tolist() == [_sympy_rank(m, p) for m in raw], p
+        assert len(set(ranks.tolist())) > 1
 
 
 def test_rank_prime_batch_matches_sympy_beyond_int64():
