@@ -14,14 +14,11 @@ batched Kronecker product; the command-line path expands it into integer
 digit shift plus a phase, so its image of the encoder is the row gather
 (F V)[i] = w^{b.(i-a)} V[i-a].  Either way the images F_a V feed one
 Gram routine, which forms M*M for M = [F_1 V | ... | F_K V] one band of
-rows at a time.  Rather than silently degrade, error bases refuse to
-materialize beyond DEFAULT_AMPLITUDE_CAP entries per operator or
-TOTAL_AMPLITUDE_CAP in all, error images and the Gram form beyond
-TOTAL_AMPLITUDE_CAP, and tensor_channels beyond TOTAL_AMPLITUDE_CAP in
-all, each before allocating.  Choi states are propagated in factored
-form: a state W W* on (system) (x) (d0-level reference) is carried as
-its factor W, pushed through every stage with one stacked product, so
-the (d^n d0)^2 dense state of the encoded register is never formed.
+rows at a time.  Every input-sized array passes the gate graphs._require_budget.
+Choi states are propagated in factored form: a state W W* on (system) (x)
+(d0-level reference) is carried as its factor W, pushed through every stage
+with one stacked product, so the (d^n d0)^2 dense state of the encoded
+register is never formed.
 """
 
 from __future__ import annotations
@@ -34,13 +31,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionOverflow,
-    KLViolated,
-    NotIsometry,
+from .errors import DimensionMismatch, KLViolated, NotIsometry
+from .graphs import (
+    DEFAULT_AMPLITUDE_CAP,
+    TOTAL_AMPLITUDE_CAP,
+    _normalize_subset,
+    _require_budget,
+    _require_error_count,
 )
-from .graphs import DEFAULT_AMPLITUDE_CAP, _normalize_subset, _require_error_count
 
 __all__ = [
     "Channel",
@@ -66,9 +64,6 @@ KL_TOLERANCE = 1e-9
 GRAM_EIGENVALUE_CUTOFF = 1e-10
 # Largest entry of |V*V - 1| an isometry, a unitary or a Kraus set sum F*F may show
 _ISOMETRY_TOL = 1e-9
-
-# Most amplitudes of an error basis or tensor_channels result: 1 GiB of complex128
-TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP
 
 # Most amplitudes of Gram blocks the Knill-Laflamme check holds at once (beyond one row)
 _GRAM_BAND = 4 * DEFAULT_AMPLITUDE_CAP
@@ -134,8 +129,7 @@ def tensor_channels(*channels: Channel) -> Channel:
     """Independent parallel use: the Kraus set of all products F_1 (x) F_2 (x) ...
 
     The first channel's index varies slowest, so the Kraus list equals a
-    chain of two-channel products entry for entry.  DimensionOverflow
-    before allocating when it would exceed TOTAL_AMPLITUDE_CAP.
+    chain of two-channel products entry for entry.  Budgeted as a whole.
     """
     stacks = [channel.kraus for channel in channels]
     _require_budget(np.prod([s.size for s in stacks], dtype=object), "tensor product")
@@ -167,11 +161,6 @@ def _require_isometry(v: np.ndarray, error: type = NotIsometry, what: str = "V*V
         raise error(f"{what} deviates from identity by {gap:.3e}")
 
 
-def _require_budget(amplitudes: int, what: str) -> None:
-    if amplitudes > TOTAL_AMPLITUDE_CAP:
-        raise DimensionOverflow(f"{what} needs {amplitudes} amplitudes > {TOTAL_AMPLITUDE_CAP}")
-
-
 def weyl_operator(d: int, a: int, b: int) -> np.ndarray:
     """Clock-and-shift unitary X^a Z^b on C^d.
 
@@ -186,16 +175,10 @@ def weyl_operator(d: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-def _require_operator_size(dim: int, what: str) -> None:
-    """DimensionOverflow when one dim x dim operator would exceed DEFAULT_AMPLITUDE_CAP."""
-    if dim * dim > DEFAULT_AMPLITUDE_CAP:
-        raise DimensionOverflow(f"each {what} would need {dim * dim} amplitudes")
-
-
 def _error_basis(n: int, d: int, subsets: Iterable[tuple], letters: range) -> list[np.ndarray]:
     """Every word with a letter from `letters` (q = a + d*b -> X^a Z^b) on each site of
     each subset, identity elsewhere: views into one Kronecker stack per subset."""
-    _require_operator_size(d**n, "error operator")
+    _require_budget(d ** (2 * n), "each error operator", DEFAULT_AMPLITUDE_CAP)
     subsets = list(subsets)
     _require_budget(sum(len(letters) ** len(z) for z in subsets) * (d**n) ** 2, "error basis")
     weyl = np.stack([weyl_operator(d, q % d, q // d) for q in letters])
@@ -210,8 +193,7 @@ def localized_error_basis(n: int, d: int, sites: Iterable[int]) -> list[np.ndarr
     The all-zero word comes first, so element 0 is the global identity.
     Per-site words are ordered I, X, Z, XZ, ... (shift power before
     clock power), the lowest site varying slowest.  InvalidSubset for
-    repeated or out-of-range sites; DimensionOverflow when one operator
-    exceeds DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
+    repeated or out-of-range sites.  Budgeted per operator and as a whole.
     """
     return _error_basis(n, d, [_normalize_subset(n, sites)], range(d * d))
 
@@ -221,8 +203,7 @@ def error_space_basis(n: int, d: int, f: int) -> list[np.ndarray]:
 
     Identity first, then for each subset Z with 1 <= |Z| <= f the words
     acting nontrivially on every site of Z.  ParamOutOfRange (a ValueError)
-    for negative f; DimensionOverflow before allocating when one operator
-    exceeds DEFAULT_AMPLITUDE_CAP or all exceed TOTAL_AMPLITUDE_CAP.
+    for negative f.  Budgeted per operator and as a whole.
     """
     space = _ErrorSpace(n, d, f)
     return _error_basis(n, d, space.subsets(), space.letters)
@@ -287,28 +268,23 @@ class KLReport:
         return self.max_deviation <= KL_TOLERANCE
 
 
-def _require_kl_budget(count: int, dim_out: int, dim_in: int) -> None:
-    """DimensionOverflow unless the images, the count x count Gram form and its
-    smallest band (one row of count dim_in x dim_in blocks) fit TOTAL_AMPLITUDE_CAP."""
-    _require_budget(count * dim_out * dim_in, "error images")
-    _require_budget(count * max(count, dim_in * dim_in), "Gram form")
-
-
 def _images(v, errors) -> np.ndarray:
     """M = [F_1 V | ... | F_K V] as a (dim_out, K, dim_in) array, for an isometry V and
-    a sequence of dim_out x dim_out operators or an _ErrorSpace.  DimensionOverflow
-    before allocating when the images or the Gram form would exceed TOTAL_AMPLITUDE_CAP."""
+    a sequence of dim_out x dim_out operators or an _ErrorSpace.  Budgeted: the images,
+    and the K x K Gram form or its smallest band (one row of K dim_in x dim_in blocks)."""
     v = _as_operator(v)
     _require_isometry(v)
     dim_out, dim_in = v.shape
     if isinstance(errors, _ErrorSpace):
         if errors.d**errors.n != dim_out:
             raise DimensionMismatch(f"error words act on {errors.d}^{errors.n} rows, not {dim_out}")
-        _require_kl_budget(len(errors), dim_out, dim_in)  # before a single word is enumerated
+    else:
+        errors = [_as_operator(f, (dim_out, dim_out), "error operator") for f in errors]
+    _require_budget(len(errors) * dim_out * dim_in, "error images")  # before a word is enumerated
+    _require_budget(len(errors) * max(len(errors), dim_in * dim_in), "Gram form")
+    if isinstance(errors, _ErrorSpace):
         return _word_images(v, errors.d, *errors.words())
-    ops = [_as_operator(f, (dim_out, dim_out), "error operator") for f in errors]
-    _require_kl_budget(len(ops), dim_out, dim_in)
-    return np.stack([f @ v for f in ops], axis=1)
+    return np.stack([f @ v for f in errors], axis=1)
 
 
 def _word_images(v: np.ndarray, d: int, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
@@ -366,8 +342,7 @@ def kl_verify(v, errors: Sequence) -> KLReport:
     """Check <V phi1, F_a* F_b V phi2> = <phi1, phi2> w_ab over all pairs.
 
     The code corrects the span of `errors` iff the returned deviation
-    is at most KL_TOLERANCE.  DimensionOverflow before forming the images
-    F_a V when they or the Gram form would exceed TOTAL_AMPLITUDE_CAP.
+    is at most KL_TOLERANCE.  The images F_a V and the Gram form are budgeted.
     """
     return _kl_report(_images(v, errors))
 
@@ -386,6 +361,7 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
     as an explicit Kraus channel: the rank operators (G_k V)*, then one
     rank-1 operator per eigenvector of rho0 and complement vector of
     range(U).  rho0 defaults to the first basis state of the logical space.
+    Budgeted: the images, the complete QR's Q (one register operator), the routes.
     """
     images = _images(v, errors)
     report = _kl_report(images)
@@ -406,6 +382,7 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
     u = gv.transpose(0, 2, 1).reshape(dim_out, rank * dim_in)  # columns (k, j)
     kraus = u.conj().T.reshape(rank, dim_in, dim_out)  # (G_k V)*, one per k
     # complement of range(U): route it into rho0 to make D unit preserving
+    _require_budget(dim_out * dim_out, "register operator", DEFAULT_AMPLITUDE_CAP)
     complement = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]  # u has orthonormal columns
     if complement.shape[1]:
         if rho0 is None:
@@ -415,6 +392,7 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
         weights, states = np.linalg.eigh(rho0)
         used = weights > 1e-12
         scaled = states[:, used] * np.sqrt(weights[used])  # columns sqrt(p) w
+        _require_budget(scaled.shape[1] * complement.size * dim_in, "complement routes")
         # sqrt(p) |w><c_j| for each eigenpair (p, w) of rho0 and complement vector c_j
         routes = np.einsum("ip,kj->pjik", scaled, complement.conj()).reshape(-1, dim_in, dim_out)
         kraus = np.concatenate([kraus, routes])
@@ -444,6 +422,7 @@ def _propagate(factor: np.ndarray, stage: Channel, d0: int) -> np.ndarray:
     # (K, dim_out, d0 r) -> rows (out, ref), columns (k, col)
     out = images.reshape(-1, rows, rank).transpose(1, 0, 2).reshape(rows, -1)
     if out.shape[1] > rows:
+        _require_budget(rows * rows, "Choi state")
         vals, vecs = np.linalg.eigh(out @ out.conj().T)
         out = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return out

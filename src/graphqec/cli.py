@@ -24,7 +24,6 @@ from .channels import (
     Channel,
     _ErrorSpace,
     _isometry_gap,
-    _require_operator_size,
     identity_channel,
     kl_verify,
     synthesize_decoder,
@@ -240,8 +239,6 @@ def _cmd_simulate(args) -> Result | int:
         site_channel = _parse_noise(args.noise, code.d)
         if not sites:
             raise ValueError("--noise given without --sites")
-    # the dense noise and the decoder's complement hold d^n x d^n operators
-    _require_operator_size(code.d**code.n, "register operator")
     v = build_isometry(code)
     encoder = Channel((v,))
     decoder = synthesize_decoder(v, _ErrorSpace(code.n, code.d, args.f))

@@ -50,11 +50,21 @@ __all__ = [
     "DEFAULT_AMPLITUDE_CAP",
 ]
 
-# Dense objects refuse to materialize beyond this many amplitudes.
+# The caps of _require_budget, in array entries ("amplitudes") of any dtype: one
+# operator, register dimension or subset-scan chunk, and any other input-sized array
 DEFAULT_AMPLITUDE_CAP = 2**20
+TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP  # 1 GiB of complex128
 
 # Most subsets whose blocks first_failing_subset holds in memory at once.
 _SUBSET_CHUNK = 4096
+
+
+def _require_budget(count: int, what: str, cap: Optional[int] = None) -> None:
+    """The allocation gate: DimensionOverflow unless count entries fit cap, by default
+    TOTAL_AMPLITUDE_CAP.  Called before the array is allocated."""
+    cap = TOTAL_AMPLITUDE_CAP if cap is None else cap
+    if count > cap:
+        raise DimensionOverflow(f"{what} needs {count} amplitudes > {cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +110,7 @@ class GraphCode:
         _require_shape(m, n, 0)
         _require_int64_modulus(d)
         size = m + n
+        _require_budget(size * size, "adjacency matrix")
         gamma = np.zeros((size, size), dtype=object)
         for edge in edges:
             if not isinstance(edge, (list, tuple, np.ndarray)) or len(edge) != 3:
@@ -179,12 +190,16 @@ def first_failing_subset(
     """First Z with |Z| <= max_size whose block has a nontrivial kernel, or None.
 
     Subsets are scanned by increasing cardinality and lexicographically
-    within each cardinality, _SUBSET_CHUNK at a time, so the returned
-    witness is the smallest counterexample under that order.
+    within each cardinality, so the returned witness is the smallest
+    counterexample under that order.  A chunk holds 1 to _SUBSET_CHUNK
+    subsets, whose blocks are budgeted under DEFAULT_AMPLITUDE_CAP.
     """
     for size in range(min(max_size, code.n) + 1):
+        block = (code.n - size) * (code.m + size)
+        take = max(1, min(_SUBSET_CHUNK, DEFAULT_AMPLITUDE_CAP // max(block, 1)))
+        _require_budget(take * block, "subset-scan chunk", DEFAULT_AMPLITUDE_CAP)
         subsets = itertools.combinations(range(code.n), size)
-        while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
+        while chunk := list(itertools.islice(subsets, take)):
             bad = first_singular(_blocks(code, chunk), code.d)
             if bad is not None:
                 return chunk[bad]
@@ -213,9 +228,10 @@ def max_correctable_f(code: GraphCode) -> int:
 
 def _digit_table(count: int, d: int, width: int) -> np.ndarray:
     """Rows are base-d digit expansions; digit 0 is most significant."""
-    idx = np.arange(count)
     powers = d ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % d
+    table = np.arange(count)[:, None] // powers
+    table %= d
+    return table
 
 
 def build_isometry(code: GraphCode) -> np.ndarray:
@@ -223,27 +239,30 @@ def build_isometry(code: GraphCode) -> np.ndarray:
 
     Entry (j_Y, j_X) is d^{-n/2} exp(i pi / d * j . gamma . j) with j
     the combined digit vector over all nodes.  Whether the result is an
-    isometry is exactly the empty-subset kernel condition.
-    DimensionOverflow before allocating when d^n or d^m exceeds
-    DEFAULT_AMPLITUDE_CAP.
+    isometry is exactly the empty-subset kernel condition.  Budgeted: d^n, d^m
+    and V; besides V only its int64 phase exponent is held at V's size.
     """
     d, m, n = code.d, code.m, code.n
-    if d**n > DEFAULT_AMPLITUDE_CAP or d**m > DEFAULT_AMPLITUDE_CAP:
-        raise DimensionOverflow(
-            f"isometry would need {d}^{n} x {d}^{m} amplitudes (cap {DEFAULT_AMPLITUDE_CAP})"
-        )
+    _require_budget(d**n, "isometry rows", DEFAULT_AMPLITUDE_CAP)
+    _require_budget(d**m, "isometry columns", DEFAULT_AMPLITUDE_CAP)
+    _require_budget(d ** (n + m), "isometry")
+    phases = 1j * np.pi / d * _phase_exponent(code)
+    np.exp(phases, out=phases)
+    return np.multiply(d ** (-n / 2), phases, out=phases).T
+
+
+def _phase_exponent(code: GraphCode) -> np.ndarray:
+    """j . gamma . j mod 2d as one (d^m, d^n) int64 array, built in place."""
+    d, m, n = code.d, code.m, code.n
     gamma = code.gamma.entries
-    a_xx = gamma[:m, :m]
-    a_xy = gamma[:m, m:]
-    a_yy = gamma[m:, m:]
     jx = _digit_table(d**m, d, m)
     jy = _digit_table(d**n, d, n)
-    qx = np.einsum("ki,ij,kj->k", jx, a_xx, jx)
-    qy = np.einsum("ri,ij,rj->r", jy, a_yy, jy)
-    cross = 2 * (jx @ a_xy) @ jy.T  # (d^m, d^n)
-    exponent = qx[:, None] + qy[None, :] + cross
-    phases = np.exp(1j * np.pi / d * (exponent % (2 * d)))
-    return d ** (-n / 2) * phases.T
+    qy = np.einsum("ri,ij,rj->r", jy, gamma[m:, m:], jy)  # its temporaries never meet the exponent
+    exponent = 2 * (jx @ gamma[:m, m:]) @ jy.T
+    exponent += np.einsum("ki,ij,kj->k", jx, gamma[:m, :m], jx)[:, None]
+    exponent += qy
+    exponent %= 2 * d
+    return exponent
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,12 @@ def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
     """a mod d stored as dtype, reduced in a type that holds every entry and d."""
     if a.dtype.kind == "O" or dtype is object:  # Python integers: exact at any size
         return np.mod(a.astype(object), d).astype(dtype)
-    out = np.empty(a.shape, dtype)
     if d == 2 and a.dtype.kind != "f":  # the low bit, also of a negative entry
-        return np.bitwise_and(a, 1, out=out, casting="unsafe")
+        return np.bitwise_and(a, 1, out=np.empty(a.shape, dtype), casting="unsafe")
+    if a.dtype.kind in "biu" and a.min() >= 0 and a.max() < d:  # already residues: no division
+        return a.astype(dtype)
     divisor = np.uint64(d) if a.dtype.kind == "u" else np.int64(d)
-    return np.remainder(a, divisor, out=out, casting="unsafe")
+    return np.remainder(a, divisor, out=np.empty(a.shape, dtype), casting="unsafe")
 
 
 def _rank_gf2(bits: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParamOutOfRange
 from .graphs import (
     GraphCode,
+    _require_budget,
     _require_int64_modulus,
     _require_shape,
     find_uncorrectable_subset,
@@ -118,6 +119,7 @@ def sample_graph(d: int, m: int, n: int, rng: np.random.Generator) -> GraphCode:
     _require_prime(d)
     _require_int64_modulus(d)
     size = m + n
+    _require_budget(size * size, "adjacency matrix")
     gamma = np.zeros((size, size), dtype=np.int64)
     idx = np.tril_indices(size, k=-1)
     gamma[idx] = rng.integers(0, d, size=len(idx[0]))
@@ -201,6 +203,7 @@ def singular_fraction_experiment(
     bound = float(d) ** (-(big_n - small_m))
     if small_m == 0:
         return 0.0, bound  # no columns: the kernel condition holds vacuously
+    _require_budget(big_n * small_m, "random matrix")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     singular = 0
     chunk = max(1, min(trials, 20_000, _CHUNK_ENTRIES // (big_n * small_m)))

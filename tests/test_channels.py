@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphqec import channels
+from graphqec import channels, graphs
 from graphqec.channels import (
     Channel,
     apply_channel,
@@ -192,11 +192,11 @@ def test_tensor_channels_matches_kron_chain():
 
 def test_total_budget_refuses_before_allocating(monkeypatch):
     # 2 qubits: each operator holds 16 amplitudes
-    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 16 * 16)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 16 * 16)
     assert len(localized_error_basis(2, 2, (0,))) == 4
     assert len(error_space_basis(2, 2, 1)) == 7
     assert len(tensor_channels(make_depolarizing(2, 0.3), make_depolarizing(2, 0.3)).kraus) == 16
-    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 16 * 16 - 1)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 16 * 16 - 1)
     with pytest.raises(DimensionOverflow, match="amplitudes"):
         localized_error_basis(2, 2, (0, 1))
     with pytest.raises(DimensionOverflow, match="amplitudes"):

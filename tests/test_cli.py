@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -193,13 +194,60 @@ def test_ten_qubit_budget_exits_2_before_allocating(capsys, tmp_path, monkeypatc
 
 
 def test_simulate_refuses_twelve_qubits_before_allocating(capsys, tmp_path, monkeypatch):
-    def no_isometry(code):
-        raise AssertionError("the encoder was built for a refused register")
+    def no_register(*args, **kwargs):
+        raise AssertionError("a register operator was built for a refused register")
 
-    monkeypatch.setattr("graphqec.cli.build_isometry", no_isometry)
+    # the decoder's complete QR and the dense noise are the register-sized arrays
+    monkeypatch.setattr(np.linalg, "qr", no_register)
+    monkeypatch.setattr(channels, "_kron_stacks", no_register)
     # 2^12 x 2^12 register operators exceed DEFAULT_AMPLITUDE_CAP = 2^20
     result = run_cli(capsys, "simulate", str(_ring_file(tmp_path, 12)), "--f", "0")
-    _refused(result, "each register operator would need 16777216 amplitudes")
+    _refused(result, "register operator needs 16777216 amplitudes > 1048576")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+_W8_EDGES = [[10 + s, 10 + (s + 1) % 20, 1] for s in range(20)] + [[i, 10 + 2 * i, 1] for i in range(10)]
+_OVERSIZED = {  # graph file (or None), argv, the refused object and its count
+    "kl-check-isometry": (
+        {"d": 2, "m": 10, "n": 20, "edges": _W8_EDGES}, ["kl-check", "--f", "0"],
+        "isometry needs 1073741824 amplitudes",
+    ),
+    "verify-adjacency": (
+        {"d": 2, "m": 1, "n": 100000, "edges": []}, ["verify", "--f", "1"],
+        "adjacency matrix needs 10000200001 amplitudes",
+    ),
+    "search-adjacency": (
+        None, ["search", "--d", "2", "--m", "1", "--n", "100000", "--f", "1", "--trials", "1", "--seed", "1"],
+        "adjacency matrix needs 10000200001 amplitudes",
+    ),
+    "singular-mc-matrix": (
+        None, ["singular-mc", "--d", "2", "--N", "100000000", "--M", "100000", "--trials", "1", "--seed", "1"],
+        "random matrix needs 10000000000000 amplitudes",
+    ),
+    "verify-subset-chunk": (
+        {"d": 2, "m": 2000, "n": 2000, "edges": [[i, 2000 + i, 1] for i in range(2000)]}, ["verify", "--f", "1"],
+        "subset-scan chunk needs 4000000 amplitudes",
+    ),
+}
+
+
+@pytest.mark.parametrize("graph, argv, message", list(_OVERSIZED.values()), ids=list(_OVERSIZED))
+def test_oversized_inputs_exit_2_within_three_gib_of_address_space(tmp_path, graph, argv, message):
+    if graph is not None:
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        argv = [argv[0], str(path), *argv[1:]]
+    # one BLAS thread, so that OpenBLAS reserves little address space of its own
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphqec.cli", *argv, "--no-timing"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr, proc.stderr
 
 
 def test_kl_check_reports_a_non_isometric_encoder_as_a_fail(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 from collections import defaultdict
 from math import comb
@@ -154,17 +155,35 @@ def _engine_corpus():
         yield GraphCode(d, 1, 5, ModMatrix(d, (base.gamma.entries * (signs + signs.T)) % d))
 
 
-@pytest.mark.parametrize("chunk", [graphs._SUBSET_CHUNK, 3])
-def test_scan_matches_brute_force_oracle(monkeypatch, chunk):
+@pytest.mark.parametrize(
+    "chunk, block_cap",
+    [(graphs._SUBSET_CHUNK, False), (3, False), (graphs._SUBSET_CHUNK, True)],
+    ids=[str(graphs._SUBSET_CHUNK), "3", "block-cap"],
+)
+def test_scan_matches_brute_force_oracle(monkeypatch, chunk, block_cap):
     monkeypatch.setattr(graphs, "_SUBSET_CHUNK", chunk)
+    blocks, held = graphs._blocks, []
+
+    def recording(code, subsets):
+        out = blocks(code, subsets)
+        held.append(out.size)
+        return out
+
+    monkeypatch.setattr(graphs, "_blocks", recording)
     for code in _engine_corpus():
         f_cap = (code.n - 1) // 2
+        if block_cap:  # the cap admits the largest block alone: its size goes one subset per chunk
+            largest = max((code.n - s) * (code.m + s) for s in range(code.n + 1))
+            monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", largest)
         expected = [_oracle_first_failing(code, 2 * f) for f in range(f_cap + 1)]
         for f in range(f_cap + 1):
             assert find_uncorrectable_subset(code, f) == expected[f], (code.d, code.m, code.n, f)
         assert first_failing_subset(code, 2 * f_cap) == expected[f_cap]
+        assert first_failing_subset(code, code.n) == _oracle_first_failing(code, code.n)
         passing = [f for f in range(f_cap + 1) if expected[f] is None]
         assert max_correctable_f(code) == max(passing, default=-1)
+        assert max(held) <= graphs.DEFAULT_AMPLITUDE_CAP
+        held.clear()
 
 
 def _random_code(d, m, n, seed):
@@ -291,6 +310,24 @@ def test_isometry_dimension_cap(monkeypatch):
     code = GraphCode.from_edges(2, 1, 21, [[0, 1, 1]])
     with pytest.raises(DimensionOverflow):  # 2^21 rows exceed 2^20 amplitudes
         build_isometry(code)
+    # 2^20 rows and 2^10 columns pass one by one, but V would hold 2^30 amplitudes
+    code = GraphCode.from_edges(2, 10, 20, [[0, 10, 1]])
+    with pytest.raises(DimensionOverflow, match="isometry needs 1073741824 amplitudes > 67108864"):
+        build_isometry(code)
+
+
+def test_isometry_holds_only_itself_and_its_exponent():
+    rng = np.random.default_rng(7)
+    g = np.tril(rng.integers(0, 2, size=(14, 14)), -1)
+    code = GraphCode(2, 4, 10, ModMatrix(2, g + g.T))
+    tracemalloc.start()
+    try:
+        v = build_isometry(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 B of complex128 V and 8 B of int64 exponent per amplitude, plus the digit tables
+    assert peak <= 40 * v.size, peak / v.size
 
 
 def test_graph_roundtrip_through_file(tmp_path, wheel):

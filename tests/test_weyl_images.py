@@ -10,7 +10,7 @@ G_k = sum_a c_ak F_a.  It lives only here.
 import numpy as np
 import pytest
 
-from graphqec import channels
+from graphqec import channels, graphs
 from graphqec.channels import (
     GRAM_EIGENVALUE_CUTOFF,
     KL_TOLERANCE,
@@ -151,23 +151,38 @@ def test_decoder_choi_distances_match_the_explicit_decoder(d, n, seed):
 def test_image_and_gram_budgets_refuse_before_allocating(monkeypatch, wheel):
     v = build_isometry(wheel)  # 32 x 2
     space = _ErrorSpace(5, 2, 2)  # 106 words: 6,784 image amplitudes, a 106 x 106 Gram form
-    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 106 * 106)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 106)
     assert len(kl_verify(v, space).gram) == 106
 
     def fail(*args):
         raise AssertionError("the images were formed")
 
     monkeypatch.setattr(channels, "_word_images", fail)
-    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 106 * 106 - 1)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 106 - 1)
     with pytest.raises(DimensionOverflow, match="Gram form needs 11236 amplitudes"):
         kl_verify(v, space)
-    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 106 * 64 - 1)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 64 - 1)
     with pytest.raises(DimensionOverflow, match="error images needs 6784 amplitudes"):
         synthesize_decoder(v, space)
     # dense operators: the same budgets, checked before any product F @ V
     identities = [np.eye(32)] * 100
-    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 100 * 100)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 100 * 100)
     assert kl_verify(v, identities).correcting
-    monkeypatch.setattr(channels, "TOTAL_AMPLITUDE_CAP", 100 * 100 - 1)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 100 * 100 - 1)
     with pytest.raises(DimensionOverflow, match="Gram form needs 10000 amplitudes"):
         kl_verify(v, identities)
+
+
+def test_decoder_register_budget_refuses_before_the_complete_qr(monkeypatch, wheel):
+    v = build_isometry(wheel)  # 32 x 2: the complete Q is one 32 x 32 register operator
+    space = _ErrorSpace(5, 2, 1)
+    monkeypatch.setattr(channels, "DEFAULT_AMPLITUDE_CAP", 32 * 32)
+    assert synthesize_decoder(v, space).dim_out == 2
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the complete QR was reached")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    monkeypatch.setattr(channels, "DEFAULT_AMPLITUDE_CAP", 32 * 32 - 1)
+    with pytest.raises(DimensionOverflow, match="register operator needs 1024 amplitudes > 1023"):
+        synthesize_decoder(v, space)
