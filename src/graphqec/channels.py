@@ -15,10 +15,16 @@ digit shift plus a phase, so its image of the encoder is the row gather
 (F V)[i] = w^{b.(i-a)} V[i-a].  Either way the images F_a V feed one
 Gram routine, which forms M*M for M = [F_1 V | ... | F_K V] one band of
 rows at a time.  Every input-sized array passes the gate graphs._require_budget.
-Choi states are propagated in factored form: a state W W* on (system) (x)
-(d0-level reference) is carried as its factor W, pushed through every stage
-with one stacked product, so the (d^n d0)^2 dense state of the encoded
-register is never formed.
+Choi states are propagated by one routine, _propagate: a state W W* on
+(system) (x) (d0-level reference) is carried as its factor W, and a stage
+acts on one axis of W's rows (left, stage input, right) with one stacked
+product: the whole register for verify_etd's stages, one site for the
+site-local noise of the command line.  Only when a stage would make W
+wider than tall is the dense state formed, once and budgeted, and every
+later stage then acts on both sides of it.  The command line's decoder
+stays implicit: the decoded state needs only (U* (x) 1) rho (U (x) 1),
+for the isometry U of the decoder, and the reduced reference state, so no
+register-sized noise operator, complement basis or QR is formed.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ _ISOMETRY_TOL = 1e-9
 
 # Most amplitudes of Gram blocks the Knill-Laflamme check holds at once (beyond one row)
 _GRAM_BAND = 4 * DEFAULT_AMPLITUDE_CAP
+# Most amplitudes of rows the isometry check copies at once (beyond one row)
+_ISOMETRY_BAND = 2**16
 
 
 def _as_operator(a, shape: Optional[tuple] = None, what: str = "operator") -> np.ndarray:
@@ -149,9 +157,22 @@ def _kron_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _isometry_gap(v: np.ndarray) -> float:
-    """The largest entry of V*V - 1; nan when V has inf or nan entries."""
+    """The largest entry of V*V - 1; nan when V has inf or nan entries.
+
+    V*V is summed over bands of at most _ISOMETRY_BAND amplitudes of rows,
+    each admitted by the gate, so V (or a stacked Kraus set) is never copied whole.
+    """
+    rows, cols = v.shape
+    _require_budget(cols * cols, "isometry Gram form")
+    step = max(1, min(rows, _ISOMETRY_BAND // max(cols, 1)))
+    _require_budget(step * cols, "isometry band")
+    gram = np.zeros((cols, cols), dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):
-        return float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max())
+        for lo in range(0, rows, step):
+            band = v[lo : lo + step]
+            gram += band.conj().T @ band
+        gram[np.diag_indices(cols)] -= 1.0
+        return float(np.abs(gram).max())
 
 
 def _require_isometry(v: np.ndarray, error: type = NotIsometry, what: str = "V*V") -> None:
@@ -347,21 +368,14 @@ def kl_verify(v, errors: Sequence) -> KLReport:
     return _kl_report(_images(v, errors))
 
 
-def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
-    """Build the explicit decoding channel for a verified error set.
+def _decoder_isometry(v, errors) -> np.ndarray:
+    """U = [G_1 V | ... | G_r V] of a verified error set, as a (dim_out, rank, dim_in) array.
 
-    Steps: orthonormalize the error set through the eigenbasis of the
-    Gram form (eigenvalues below GRAM_EIGENVALUE_CUTOFF span the
-    degenerate directions and are dropped), assemble the isometry
-    U(phi (x) e_k) = G_k V phi from the images F_a V (G_k itself is never
-    formed), and return the partial-trace decoder
-
-        D(rho) = tr_bad(U* rho U) + tr[(1 - UU*) rho] rho0
-
-    as an explicit Kraus channel: the rank operators (G_k V)*, then one
-    rank-1 operator per eigenvector of rho0 and complement vector of
-    range(U).  rho0 defaults to the first basis state of the logical space.
-    Budgeted: the images, the complete QR's Q (one register operator), the routes.
+    Steps: the images F_a V, their Knill-Laflamme report (KLViolated unless
+    the code corrects the set), the eigenbasis of the Gram form (eigenvalues
+    below GRAM_EIGENVALUE_CUTOFF span the degenerate directions and are
+    dropped), and G_k V = sum_a c_ak F_a V with the weights c scaled to make
+    U an isometry.  No G_k is formed.  Budgeted as _images.
     """
     images = _images(v, errors)
     report = _kl_report(images)
@@ -369,7 +383,7 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
         raise KLViolated(
             f"Knill-Laflamme deviation {report.max_deviation:.3e} exceeds {KL_TOLERANCE}"
         )
-    dim_out, count, dim_in = images.shape
+    count = images.shape[1]
     vals, vecs = np.linalg.eigh(report.gram)
     keep = vals > GRAM_EIGENVALUE_CUTOFF
     rank = int(keep.sum())
@@ -378,16 +392,33 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
             "degenerate Gram form: rank %d < error-set size %d", rank, count
         )
     coeff = vecs[:, keep] / np.sqrt(vals[keep])  # columns give G_k weights
-    gv = np.tensordot(images, coeff, axes=(1, 0))  # (dim_out, dim_in, rank): G_k V
-    u = gv.transpose(0, 2, 1).reshape(dim_out, rank * dim_in)  # columns (k, j)
+    return np.tensordot(images, coeff, axes=(1, 0)).transpose(0, 2, 1)
+
+
+def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
+    """Build the explicit decoding channel for a verified error set.
+
+    With the isometry U(phi (x) e_k) = G_k V phi of _decoder_isometry
+    (G_k orthonormalizes the error set through the eigenbasis of its Gram
+    form), return the partial-trace decoder
+
+        D(rho) = tr_bad(U* rho U) + tr[(1 - UU*) rho] rho0
+
+    as an explicit Kraus channel: the rank operators (G_k V)*, then one
+    rank-1 operator per eigenvector of rho0 and complement vector of
+    range(U).  rho0 defaults to the first basis state of the logical space.
+    Budgeted: the images, the complete QR's Q (one register operator), the routes.
+    """
+    gv = _decoder_isometry(v, errors)
+    dim_out, rank, dim_in = gv.shape
+    u = gv.reshape(dim_out, rank * dim_in)  # columns (k, j)
     kraus = u.conj().T.reshape(rank, dim_in, dim_out)  # (G_k V)*, one per k
     # complement of range(U): route it into rho0 to make D unit preserving
     _require_budget(dim_out * dim_out, "register operator", DEFAULT_AMPLITUDE_CAP)
     complement = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]  # u has orthonormal columns
     if complement.shape[1]:
         if rho0 is None:
-            rho0 = np.zeros((dim_in, dim_in), dtype=np.complex128)
-            rho0[0, 0] = 1.0
+            rho0 = _ground_state(dim_in)
         rho0 = _as_operator(rho0, (dim_in, dim_in), "rho0")
         weights, states = np.linalg.eigh(rho0)
         used = weights > 1e-12
@@ -399,6 +430,13 @@ def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
     return Channel(kraus)
 
 
+def _ground_state(dim: int) -> np.ndarray:
+    """rho0 = |0><0| on C^dim."""
+    rho0 = np.zeros((dim, dim), dtype=np.complex128)
+    rho0[0, 0] = 1.0
+    return rho0
+
+
 def _max_entangled(d: int) -> np.ndarray:
     """Factor (d^2, 1) of the maximally entangled state on C^d (x) C^d."""
     omega = np.zeros((d * d, 1), dtype=np.complex128)
@@ -406,32 +444,65 @@ def _max_entangled(d: int) -> np.ndarray:
     return omega
 
 
-def _propagate(factor: np.ndarray, stage: Channel, d0: int) -> np.ndarray:
-    """Apply stage (x) id_{d0} to the state W W* given by its factor W.
+@dataclass(frozen=True)
+class _Choi:
+    """A state on (system) (x) (reference), carried as its factor W (the state is W W*)
+    or, once dense, as the state itself."""
 
-    W has rows indexed (stage input, d0-level reference) and r columns.
-    The result is the factor [(F_1 (x) 1) W | ... | (F_K (x) 1) W] of the
-    output state, computed as one tensordot of the stacked Kraus operators
-    against W reshaped to (dim_in, d0 r).  When it has more columns than
-    rows it is replaced by the square root of its state (from eigh), so a
-    factor never holds more entries than the dense state would.
+    array: np.ndarray
+    dense: bool = False
+
+    def state(self) -> np.ndarray:
+        return self.array if self.dense else self.array @ self.array.conj().T
+
+
+def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
+    """Apply 1_left (x) F (x) 1_right to a state whose rows are (left, stage input, right).
+
+    kraus is a (count, dim_out, dim_in) stack; a whole-register stage is
+    left = 1, right = d0 (the reference), one site of a register is the
+    site's axis.  A factor W becomes [(1 (x) F_1 (x) 1) W | ... ], one
+    tensordot of the stack against W with the Kraus index joined to the
+    columns.  A stage that would make the factor wider than tall switches
+    to the dense state, formed once and budgeted as the "Choi state": the
+    state W W* before the stage, or, for a stage that shrinks the rows (a
+    decoder), the smaller state after it.  A dense state goes through every
+    later stage on both sides, by the superoperator sum_k F_k (x) conj(F_k).
     """
-    rank = factor.shape[1]
-    images = np.tensordot(stage.kraus, factor.reshape(stage.dim_in, d0 * rank), axes=(2, 0))
-    rows = stage.dim_out * d0
-    # (K, dim_out, d0 r) -> rows (out, ref), columns (k, col)
-    out = images.reshape(-1, rows, rank).transpose(1, 0, 2).reshape(rows, -1)
-    if out.shape[1] > rows:
+    count, dim_out, dim_in = kraus.shape
+    rows, rows_in = left * dim_out * right, left * dim_in * right
+    if not choi.dense and count * choi.array.shape[1] > rows >= rows_in:
+        _require_budget(rows_in * rows_in, "Choi state")
+        choi = _Choi(choi.state(), dense=True)
+    if choi.dense:
+        _require_budget((dim_out * dim_in) ** 2, "superoperator")
+        sup = np.tensordot(kraus, kraus.conj(), axes=(0, 0))  # (out, in, out', in')
+        rho = choi.array.reshape(left, dim_in, right, left, dim_in, right)
+        out = np.tensordot(rho, sup, axes=([1, 4], [1, 3]))  # (left, right, left', right', out, out')
+        return _Choi(np.moveaxis(out, (4, 5), (1, 4)).reshape(rows, rows), dense=True)
+    cols = choi.array.shape[1]
+    _require_budget(rows * count * cols, "Choi factor")
+    images = np.tensordot(kraus, choi.array.reshape(left, dim_in, right * cols), axes=(2, 1))
+    # (K, out, left, right, col) -> rows (left, out, right), columns (k, col)
+    out = images.reshape(count, dim_out, left, right, cols).transpose(2, 1, 3, 0, 4)
+    out = out.reshape(rows, count * cols)
+    if count * cols > rows:
         _require_budget(rows * rows, "Choi state")
-        vals, vecs = np.linalg.eigh(out @ out.conj().T)
-        out = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return out
+        return _Choi(out @ out.conj().T, dense=True)
+    return _Choi(out)
+
+
+def _distance_from_identity(state: np.ndarray, d0: int) -> float:
+    """Trace distance of a (d0 d0) x (d0 d0) state from the maximally entangled one."""
+    reference = _max_entangled(d0)
+    gaps = np.linalg.eigvalsh(state - reference @ reference.conj().T)
+    return float(0.5 * np.abs(gaps).sum())
 
 
 def choi_state(channel: Channel) -> np.ndarray:
     """Normalized Choi state: feed half of a maximally entangled pair through."""
-    factor = _propagate(_max_entangled(channel.dim_in), channel, channel.dim_in)
-    return factor @ factor.conj().T
+    d0 = channel.dim_in
+    return _propagate(_Choi(_max_entangled(d0)), channel.kraus, 1, d0).state()
 
 
 def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
@@ -440,17 +511,51 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
     Zero (within tolerance) certifies exact correction; any positive
     value lower-bounds the cb-norm distance of the composite from the
     identity up to normalization.  The Choi state travels as a factor
-    through the three stages (see _propagate); the only dense state
-    formed is the final one on the (d0 d0)-dimensional logical pair.
+    through the three stages (see _propagate) until a stage would make
+    it wider than tall.
     """
     if encoder.dim_out != noise.dim_in or noise.dim_out != decoder.dim_in:
         raise DimensionMismatch("channels do not compose: E -> T -> D")
     if decoder.dim_out != encoder.dim_in:
         raise DimensionMismatch("composite must return to the encoder input space")
     d0 = encoder.dim_in
-    reference = _max_entangled(d0)
-    factor = reference
+    choi = _Choi(_max_entangled(d0))
     for stage in (encoder, noise, decoder):
-        factor = _propagate(factor, stage, d0)
-    gaps = np.linalg.eigvalsh(factor @ factor.conj().T - reference @ reference.conj().T)
-    return float(0.5 * np.abs(gaps).sum())
+        choi = _propagate(choi, stage.kraus, 1, d0)
+    return _distance_from_identity(choi.state(), d0)
+
+
+def _local_etd(v, errors: _ErrorSpace, noise: Optional[Channel], sites: Sequence[int]) -> float:
+    """verify_etd(Channel((V,)), T, synthesize_decoder(V, errors)), with T the site
+    channel `noise` on each of `sites` of the n-site register and identity elsewhere.
+
+    Each noisy site's d x d Kraus stack acts on that site's axis of the
+    Choi state (see _propagate).  The decoder stays implicit: with
+    Y = (U* (x) 1) rho (U (x) 1) for the isometry U of _decoder_isometry,
+    the decoded state is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y),
+    rho0 = |0><0|, so no register-sized noise operator, complement basis
+    or QR is formed.
+    """
+    v = _as_operator(v)
+    u = _decoder_isometry(v, errors)
+    dim_out, _, d0 = u.shape
+    n, d = errors.n, errors.d
+    choi = _propagate(_Choi(_max_entangled(d0)), v[None], 1, d0)
+    for site in sites:
+        choi = _propagate(choi, noise.kraus, d**site, d ** (n - 1 - site) * d0)
+    # (U* (x) 1) applied to the state's rows: (rank d0) x (columns of W or rho, times d0)
+    _require_budget(u.size // dim_out * (choi.array.size // dim_out), "decoded state")
+    u_conj = u.conj()
+    if choi.dense:
+        rho = choi.array.reshape(dim_out, d0, dim_out, d0)
+        half = np.tensordot(u_conj, rho, axes=(0, 0))  # (U* (x) 1) rho: (k, j, a, i, b)
+        kept = np.einsum("kjaib,ikl->jalb", half, u)  # tr_k Y
+        reduced = np.trace(rho, axis1=0, axis2=2)  # tr_sys rho
+    else:
+        w = choi.array.reshape(dim_out, d0, -1)
+        z = np.tensordot(u_conj, w, axes=(0, 0))  # (U* (x) 1) W: (k, j, a, col)
+        kept = np.einsum("kjac,klbc->jalb", z, z.conj())
+        reduced = np.einsum("iac,ibc->ab", w, w.conj())
+    lost = reduced - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
+    state = kept.reshape(d0 * d0, d0 * d0) + np.kron(_ground_state(d0), lost)
+    return _distance_from_identity(state, d0)

@@ -24,11 +24,8 @@ from .channels import (
     Channel,
     _ErrorSpace,
     _isometry_gap,
-    identity_channel,
+    _local_etd,
     kl_verify,
-    synthesize_decoder,
-    tensor_channels,
-    verify_etd,
 )
 from .errors import DimensionMismatch, GraphQECError, NotIsometry
 from .graphs import (
@@ -239,13 +236,7 @@ def _cmd_simulate(args) -> Result | int:
         site_channel = _parse_noise(args.noise, code.d)
         if not sites:
             raise ValueError("--noise given without --sites")
-    v = build_isometry(code)
-    encoder = Channel((v,))
-    decoder = synthesize_decoder(v, _ErrorSpace(code.n, code.d, args.f))
-    noise = tensor_channels(
-        *(site_channel if site in sites else identity_channel(code.d) for site in range(code.n))
-    )
-    distance = verify_etd(encoder, noise, decoder)
+    distance = _local_etd(build_isometry(code), _ErrorSpace(code.n, code.d, args.f), site_channel, sites)
     corrected = distance < KL_TOLERANCE
     lines = [
         f"noise: {args.noise or 'none'} on sites {sites}",

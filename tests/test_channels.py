@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from graphqec.errors import (
 from graphqec.graphs import GraphCode, build_isometry, check_subset
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing
+from graphqec.search import sample_graph, trial_rng
 
 
 def rand_state(rng, d):
@@ -54,6 +56,23 @@ def test_isometry_checks_refuse_non_finite_gaps(bad):
         Channel((np.diag([1.0, bad]),))
     with pytest.raises(NotIsometry):
         kl_verify(np.array([[1.0], [bad]]), [np.eye(2)])
+
+
+def test_isometry_check_copies_one_band_of_v():
+    v = build_isometry(sample_graph(2, 4, 14, trial_rng(3, 0)))  # 2^14 x 2^4, four bands
+    band = channels._ISOMETRY_BAND * v.itemsize
+    result = v.shape[1] ** 2 * v.itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        channels._isometry_gap(v)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the band's conjugate, the dim_in^2 sum and one product of it, and numpy's fixed
+    # ufunc buffer; V * V from the whole of V would hold a conjugate copy of V
+    assert v.nbytes == 4 * band
+    assert extra < band + 2 * result + np.getbufsize() * v.itemsize
 
 
 def test_error_bases_are_views_into_per_subset_stacks():

@@ -5,14 +5,21 @@ full (dim d0)^2 Choi state, applies every Kraus operator as F (x) 1 on
 both sides, and builds the decoder from the dense operators
 G_k = sum_a c_ak F_a.  It lives only here, as the oracle for
 channels.choi_state, channels.verify_etd and channels.synthesize_decoder.
+The site-local, implicit-decoder distance behind `simulate`
+(channels._local_etd) is checked against verify_etd, and with noise on
+every site against this reference.
 """
 
 import numpy as np
 import pytest
 
+from graphqec import channels
 from graphqec.channels import (
     Channel,
     GRAM_EIGENVALUE_CUTOFF,
+    _Choi,
+    _ErrorSpace,
+    _local_etd,
     _max_entangled,
     _propagate,
     choi_state,
@@ -188,13 +195,15 @@ def test_verify_etd_duplicated_identity_only(wheel):
     "dim_in,dim_out,count", [(2, 3, 8), (3, 2, 7), (2, 2, 5), (3, 3, 1), (2, 4, 2)]
 )
 def test_choi_state_matches_dense_reference(dim_in, dim_out, count):
-    # count > dim_in * dim_out makes the factor wider than tall, so it is compressed
+    # count > dim_in * dim_out makes the factor wider than tall, so its state is formed
     channel = rand_channel(np.random.default_rng(dim_in * 100 + count), dim_in, dim_out, count)
     got = choi_state(channel)
     assert np.abs(got - dense_choi_state(channel)).max() < TOL
     assert abs(np.trace(got) - 1.0) < TOL
-    factor = _propagate(_max_entangled(dim_in), channel, dim_in)
-    assert factor.shape == (dim_out * dim_in, min(count, dim_out * dim_in))
+    rows = dim_out * dim_in
+    choi = _propagate(_Choi(_max_entangled(dim_in)), channel.kraus, 1, dim_in)
+    assert choi.dense == (count > rows)
+    assert choi.array.shape == (rows, rows if choi.dense else count)
 
 
 def test_choi_state_of_named_channels_matches_dense_reference():
@@ -205,3 +214,86 @@ def test_choi_state_of_named_channels_matches_dense_reference():
         tensor_channels(make_depolarizing(2, 0.3), make_depolarizing(2, 0.6)),
     ):
         assert np.abs(choi_state(channel) - dense_choi_state(channel)).max() < TOL
+
+
+def amplitude_damping(d, gamma):
+    """Decay of every level to |0> with probability gamma: a non-unital channel."""
+    kraus = [np.diag([1.0] + [np.sqrt(1 - gamma)] * (d - 1)).astype(np.complex128)]
+    for level in range(1, d):
+        op = np.zeros((d, d), dtype=np.complex128)
+        op[0, level] = np.sqrt(gamma)
+        kraus.append(op)
+    return Channel(tuple(kraus))
+
+
+SITE_CHANNELS = {
+    "depolarizing": lambda d: make_depolarizing(d, 0.3),
+    "rotation": lambda d: make_unitary_channel(phase_rotation(d, 0.3))[0],
+    "damping": lambda d: amplitude_damping(d, 0.3),
+}
+LOCAL_CODES = dict(
+    CODES,
+    d2n10=lambda wheel, prism: seeded_code(2, 10, 25),
+    d3n6=lambda wheel, prism: seeded_code(3, 6, 26),
+)
+# f = 1 codes with noise on none, <= f and > f sites; the full-register oracle holds
+# prod(Kraus counts) x d^2n amplitudes, so the larger codes take the lighter channels
+LOCAL_CASES = [
+    (code, channel, sites)
+    for code in ("wheel", "prism", "d2n7", "d2n8", "d3n5")
+    for channel in SITE_CHANNELS
+    for sites in ((), (1,), (0, 3), (0, 2, 4))
+    if (code, channel, len(sites)) != ("d3n5", "depolarizing", 3)
+] + [
+    ("d2n10", "rotation", (0, 2, 4)),
+    ("d2n10", "damping", (1,)),
+    ("d2n10", "damping", (0, 3)),
+    ("d3n6", "depolarizing", (1,)),
+    ("d3n6", "damping", (0, 3)),
+]
+
+
+@pytest.mark.parametrize("name, channel, sites", LOCAL_CASES)
+def test_local_etd_matches_verify_etd(name, channel, sites, wheel, prism):
+    code = LOCAL_CODES[name](wheel, prism)
+    v = build_isometry(code)
+    single = SITE_CHANNELS[channel](code.d)
+    space = _ErrorSpace(code.n, code.d, 1)
+    got = _local_etd(v, space, single, sites)
+    noise = tensor_channels(*(single if s in sites else identity_channel(code.d) for s in range(code.n)))
+    assert abs(got - verify_etd(Channel((v,)), noise, synthesize_decoder(v, space))) < TOL
+    if len(sites) <= 1:
+        assert got < 1e-9
+
+
+def dense_site_propagate(state, single, left, right):
+    out = np.zeros_like(state)
+    for f in single.kraus:
+        k = np.kron(np.kron(np.eye(left), f), np.eye(right))
+        out += k @ state @ k.conj().T
+    return out
+
+
+@pytest.mark.parametrize("channel", ["depolarizing", "damping"])
+def test_local_etd_with_noise_on_every_site_matches_dense_reference(channel, monkeypatch):
+    code = seeded_code(2, 7, 21)
+    v = build_isometry(code)
+    single = SITE_CHANNELS[channel](2)
+    dense, propagate = [], channels._propagate
+
+    def spy(choi, kraus, left, right):
+        out = propagate(choi, kraus, left, right)
+        dense.append(out.dense)
+        return out
+
+    monkeypatch.setattr(channels, "_propagate", spy)
+    got = _local_etd(v, _ErrorSpace(7, 2, 1), single, range(7))
+    # 2^8 rows: 4^5 depolarizing columns switch to the dense state, 2^7 damping ones do not
+    assert dense == [False] * 5 + [channel == "depolarizing"] * 3
+    state = dense_propagate(dense_max_entangled(2), Channel((v,)), 2)
+    for site in range(7):
+        state = dense_site_propagate(state, single, 2**site, 2 ** (6 - site) * 2)
+    state = dense_propagate(state, dense_decoder(v, error_space_basis(7, 2, 1)), 2)
+    reference = float(0.5 * np.abs(np.linalg.eigvalsh(state - dense_max_entangled(2))).sum())
+    assert abs(got - reference) < TOL
+    assert got > 0.1

@@ -184,29 +184,41 @@ def test_ten_qubit_budget_exits_2_before_allocating(capsys, tmp_path, monkeypatc
     code, out, err = run_cli(capsys, "kl-check", str(ring16), "--f", "2", "--no-timing")
     assert (code, out) == (2, "")
     assert "amplitudes" in err
-    # depolarizing on 5 sites: 1,024 Kraus operators of 2^20 amplitudes
-    code, out, err = run_cli(
+    # depolarizing on 5 sites: each site's 4 Kraus operators act on its own axis of the Choi factor
+    code, out, _ = run_cli(
         capsys, "simulate", str(ring10), "--f", "0",
-        "--noise", "depolarizing:0.3", "--sites", "0,1,2,3,4", "--no-timing",
+        "--noise", "depolarizing:0.3", "--sites", "0,1,2,3,4", "--json", "--no-timing",
     )
-    assert (code, out) == (2, "")
-    assert "amplitudes" in err
+    assert code == 0
+    assert json.loads(out)["sites"] == [0, 1, 2, 3, 4]
 
 
-def test_simulate_refuses_twelve_qubits_before_allocating(capsys, tmp_path, monkeypatch):
+def test_simulate_runs_twelve_qubits_without_a_register_operator(capsys, tmp_path, monkeypatch):
     def no_register(*args, **kwargs):
-        raise AssertionError("a register operator was built for a refused register")
+        raise AssertionError("a register operator was built")
 
-    # the decoder's complete QR and the dense noise are the register-sized arrays
+    # a complete QR of the decoder and dense noise would be the register-sized arrays
     monkeypatch.setattr(np.linalg, "qr", no_register)
     monkeypatch.setattr(channels, "_kron_stacks", no_register)
-    # 2^12 x 2^12 register operators exceed DEFAULT_AMPLITUDE_CAP = 2^20
-    result = run_cli(capsys, "simulate", str(_ring_file(tmp_path, 12)), "--f", "0")
-    _refused(result, "register operator needs 16777216 amplitudes > 1048576")
+    # 2^12 x 2^12 register operators would exceed DEFAULT_AMPLITUDE_CAP = 2^20
+    code, out, err = run_cli(capsys, "simulate", str(_ring_file(tmp_path, 12)), "--f", "0", "--no-timing")
+    assert (code, err) == (0, "")
+    assert "corrected: yes" in out
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+def test_simulate_refuses_twenty_qubits_at_the_image_budget(capsys, tmp_path):
+    # f = 1 on 20 qubits: 61 error words x 2^21 amplitudes of V exceed TOTAL_AMPLITUDE_CAP = 2^26
+    ring20 = _ring_file(tmp_path, 20)
+    assert first_failing_subset(loads_graph(ring20.read_text()), 2) is None
+    result = run_cli(capsys, "simulate", str(ring20), "--f", "1", "--noise", "depolarizing:0.3", "--sites", "0")
+    _refused(result, "error images needs 127926272 amplitudes > 67108864")
+
+
+def _address_space_limit(gib):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (gib * 2**30, gib * 2**30))
+
+    return limit
 
 
 _W8_EDGES = [[10 + s, 10 + (s + 1) % 20, 1] for s in range(20)] + [[i, 10 + 2 * i, 1] for i in range(10)]
@@ -244,10 +256,31 @@ def test_oversized_inputs_exit_2_within_three_gib_of_address_space(tmp_path, gra
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "graphqec.cli", *argv, "--no-timing"],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_address_space_limit(3),
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr, proc.stderr
+
+
+def test_simulate_fourteen_qubits_within_one_gib_of_address_space(tmp_path):
+    ring14 = _ring_file(tmp_path, 14)
+    # the child reports its own peak resident set after the command
+    script = (
+        "import resource, sys\n"
+        "from graphqec.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["simulate", str(ring14), "--f", "1", "--noise", "depolarizing:0.3", "--sites", "0,7", "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_address_space_limit(1),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["sites"] == [0, 7]
+    assert int(proc.stderr.split()[-1]) < 512 * 1024  # ru_maxrss in KiB
 
 
 def test_kl_check_reports_a_non_isometric_encoder_as_a_fail(capsys, tmp_path):
@@ -358,7 +391,7 @@ def test_simulate_refuses_missized_custom_kraus(capsys, wheel_file, tmp_path, mo
     def no_decoder(*args, **kwargs):
         raise AssertionError("decoder built before the noise was checked")
 
-    monkeypatch.setattr("graphqec.cli.synthesize_decoder", no_decoder)
+    monkeypatch.setattr(channels, "_decoder_isometry", no_decoder)
     code, out, err = run_cli(
         capsys,
         "simulate", wheel_file, "--f", "1",
