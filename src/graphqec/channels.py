@@ -160,12 +160,11 @@ def _isometry_gap(v: np.ndarray) -> float:
     """The largest entry of V*V - 1; nan when V has inf or nan entries.
 
     V*V is summed over bands of at most _ISOMETRY_BAND amplitudes of rows,
-    each admitted by the gate, so V (or a stacked Kraus set) is never copied whole.
+    so V (or a stacked Kraus set) is never copied whole.
     """
     rows, cols = v.shape
     _require_budget(cols * cols, "isometry Gram form")
     step = max(1, min(rows, _ISOMETRY_BAND // max(cols, 1)))
-    _require_budget(step * cols, "isometry band")
     gram = np.zeros((cols, cols), dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, rows, step):
@@ -463,24 +462,27 @@ def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
     left = 1, right = d0 (the reference), one site of a register is the
     site's axis.  A factor W becomes [(1 (x) F_1 (x) 1) W | ... ], one
     tensordot of the stack against W with the Kraus index joined to the
-    columns.  A stage that would make the factor wider than tall switches
-    to the dense state, formed once and budgeted as the "Choi state": the
-    state W W* before the stage, or, for a stage that shrinks the rows (a
-    decoder), the smaller state after it.  A dense state goes through every
-    later stage on both sides, by the superoperator sum_k F_k (x) conj(F_k).
+    columns; when that is wider than tall, the state is formed after the
+    stage.  A stage whose superoperator sum_k F_k (x) conj(F_k) is no larger
+    than the state (one site, or a decoder) acts on a dense state through
+    it, on both sides at once, and a site stage that would make the factor
+    wider than tall forms the state W W* before it.  A dense state meeting
+    a larger stage goes back to a factor, its square root from eigh.
     """
     count, dim_out, dim_in = kraus.shape
     rows, rows_in = left * dim_out * right, left * dim_in * right
-    if not choi.dense and count * choi.array.shape[1] > rows >= rows_in:
-        _require_budget(rows_in * rows_in, "Choi state")
-        choi = _Choi(choi.state(), dense=True)
-    if choi.dense:
-        _require_budget((dim_out * dim_in) ** 2, "superoperator")
+    cols = choi.array.shape[1]
+    if dim_out * dim_in <= rows_in and (choi.dense or count * cols > rows >= rows_in):
+        # the state, the superoperator and the product, each with the reordered copy
+        # that tensordot or moveaxis makes of it
+        _require_budget(2 * (rows_in**2 + (dim_out * dim_in) ** 2 + rows**2), "dense Choi stage")
         sup = np.tensordot(kraus, kraus.conj(), axes=(0, 0))  # (out, in, out', in')
-        rho = choi.array.reshape(left, dim_in, right, left, dim_in, right)
+        rho = choi.state().reshape(left, dim_in, right, left, dim_in, right)
         out = np.tensordot(rho, sup, axes=([1, 4], [1, 3]))  # (left, right, left', right', out, out')
         return _Choi(np.moveaxis(out, (4, 5), (1, 4)).reshape(rows, rows), dense=True)
-    cols = choi.array.shape[1]
+    if choi.dense:
+        vals, vecs = np.linalg.eigh(choi.array)
+        choi, cols = _Choi(vecs * np.sqrt(np.clip(vals, 0.0, None))), rows_in
     _require_budget(rows * count * cols, "Choi factor")
     images = np.tensordot(kraus, choi.array.reshape(left, dim_in, right * cols), axes=(2, 1))
     # (K, out, left, right, col) -> rows (left, out, right), columns (k, col)
@@ -490,13 +492,6 @@ def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
         _require_budget(rows * rows, "Choi state")
         return _Choi(out @ out.conj().T, dense=True)
     return _Choi(out)
-
-
-def _distance_from_identity(state: np.ndarray, d0: int) -> float:
-    """Trace distance of a (d0 d0) x (d0 d0) state from the maximally entangled one."""
-    reference = _max_entangled(d0)
-    gaps = np.linalg.eigvalsh(state - reference @ reference.conj().T)
-    return float(0.5 * np.abs(gaps).sum())
 
 
 def choi_state(channel: Channel) -> np.ndarray:
@@ -522,7 +517,9 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
     choi = _Choi(_max_entangled(d0))
     for stage in (encoder, noise, decoder):
         choi = _propagate(choi, stage.kraus, 1, d0)
-    return _distance_from_identity(choi.state(), d0)
+    reference = _max_entangled(d0)
+    gaps = np.linalg.eigvalsh(choi.state() - reference @ reference.conj().T)
+    return float(0.5 * np.abs(gaps).sum())
 
 
 def _local_etd(v, errors: _ErrorSpace, noise: Optional[Channel], sites: Sequence[int]) -> float:
@@ -558,4 +555,9 @@ def _local_etd(v, errors: _ErrorSpace, noise: Optional[Channel], sites: Sequence
         reduced = np.einsum("iac,ibc->ab", w, w.conj())
     lost = reduced - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
     state = kept.reshape(d0 * d0, d0 * d0) + np.kron(_ground_state(d0), lost)
-    return _distance_from_identity(state, d0)
+    # the logical channel D T E, from the eigenvectors of its Choi state, goes to verify_etd
+    vals, vecs = np.linalg.eigh(state)
+    keep = vals > 0
+    logical = Channel((vecs[:, keep] * np.sqrt(d0 * vals[keep])).T.reshape(-1, d0, d0))
+    identity = identity_channel(d0)
+    return verify_etd(logical, identity, identity)

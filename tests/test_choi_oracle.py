@@ -288,10 +288,38 @@ def test_local_etd_with_noise_on_every_site_matches_dense_reference(channel, mon
 
     monkeypatch.setattr(channels, "_propagate", spy)
     got = _local_etd(v, _ErrorSpace(7, 2, 1), single, range(7))
-    # 2^8 rows: 4^5 depolarizing columns switch to the dense state, 2^7 damping ones do not
-    assert dense == [False] * 5 + [channel == "depolarizing"] * 3
+    # 2^8 rows: 4^5 depolarizing columns switch to the dense state, 2^7 damping ones do not;
+    # verify_etd's three stages of the d0-level logical channel follow
+    assert dense[:8] == [False] * 5 + [channel == "depolarizing"] * 3
     state = dense_propagate(dense_max_entangled(2), Channel((v,)), 2)
     for site in range(7):
+        state = dense_site_propagate(state, single, 2**site, 2 ** (6 - site) * 2)
+    state = dense_propagate(state, dense_decoder(v, error_space_basis(7, 2, 1)), 2)
+    reference = float(0.5 * np.abs(np.linalg.eigvalsh(state - dense_max_entangled(2))).sum())
+    assert abs(got - reference) < TOL
+    assert got > 0.1
+
+
+def test_verify_etd_with_a_register_noise_stage_wider_than_the_state(monkeypatch):
+    code = seeded_code(2, 7, 21)
+    v = build_isometry(code)
+    single = SITE_CHANNELS["depolarizing"](2)
+    # 4^5 Kraus operators of 2^7 x 2^7 against 2^8 rows: a 2^28-amplitude superoperator
+    noise = tensor_channels(*(single if s < 5 else identity_channel(2) for s in range(7)))
+    decoder = synthesize_decoder(v, error_space_basis(7, 2, 1))
+    routes, propagate = [], channels._propagate
+
+    def spy(choi, kraus, left, right):
+        out = propagate(choi, kraus, left, right)
+        routes.append((choi.dense, out.dense))
+        return out
+
+    monkeypatch.setattr(channels, "_propagate", spy)
+    got = verify_etd(Channel((v,)), noise, decoder)
+    # the noise stage widens the factor and forms the 2^8 x 2^8 state after it
+    assert routes == [(False, False), (False, True), (True, True)]
+    state = dense_propagate(dense_max_entangled(2), Channel((v,)), 2)
+    for site in range(5):
         state = dense_site_propagate(state, single, 2**site, 2 ** (6 - site) * 2)
     state = dense_propagate(state, dense_decoder(v, error_space_basis(7, 2, 1)), 2)
     reference = float(0.5 * np.abs(np.linalg.eigvalsh(state - dense_max_entangled(2))).sum())

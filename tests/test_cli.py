@@ -152,11 +152,15 @@ def test_kl_check_pass_and_fail(capsys, wheel_file):
     assert "FAIL" in out
 
 
-def _ring_file(tmp_path, n):
-    """A hub input joined to every output of an n-cycle, as a qubit graph file."""
-    path = tmp_path / f"ring{n}.json"
+def _ring_graph(n):
+    """A hub input joined to every output of an n-cycle, as a qubit graph."""
     edges = [[0, 1 + s, 1] for s in range(n)] + [[1 + s, 1 + (s + 1) % n, 1] for s in range(n)]
-    path.write_text(json.dumps({"d": 2, "m": 1, "n": n, "edges": edges}))
+    return {"d": 2, "m": 1, "n": n, "edges": edges}
+
+
+def _ring_file(tmp_path, n):
+    path = tmp_path / f"ring{n}.json"
+    path.write_text(json.dumps(_ring_graph(n)))
     return path
 
 
@@ -242,6 +246,11 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
     "verify-subset-chunk": (
         {"d": 2, "m": 2000, "n": 2000, "edges": [[i, 2000 + i, 1] for i in range(2000)]}, ["verify", "--f", "1"],
         "subset-scan chunk needs 4000000 amplitudes",
+    ),
+    # noise on all 12 sites: a 2^13 x 2^13 dense Choi state and the copies of a dense stage
+    "simulate-dense-stage": (
+        _ring_graph(12), ["simulate", "--f", "0", "--noise", "depolarizing:0.3", "--sites", ",".join(map(str, range(12)))],
+        "dense Choi stage needs 268435488 amplitudes",
     ),
 }
 
