@@ -20,11 +20,13 @@ Choi states are propagated by one routine, _propagate: a state W W* on
 acts on one axis of W's rows (left, stage input, right) with one stacked
 product: the whole register for verify_etd's stages, one site for the
 site-local noise of the command line.  Only when a stage would make W
-wider than tall is the dense state formed, once and budgeted, and every
-later stage then acts on both sides of it.  The command line's decoder
-stays implicit: the decoded state needs only (U* (x) 1) rho (U (x) 1),
-for the isometry U of the decoder, and the reduced reference state, so no
-register-sized noise operator, complement basis or QR is formed.
+wider than tall is the dense state formed, and a dense state goes through
+later stages by their superoperators while these are no larger than it
+(one site, or a decoder).  The command line's decoder stays implicit: the
+decoded state needs only (U* (x) 1) rho (U (x) 1), for the isometry U of
+the decoder, and the reduced reference state, so no register-sized noise
+operator, complement basis or QR is formed; the resulting d0-level
+logical channel is certified by verify_etd.
 """
 
 from __future__ import annotations
@@ -531,7 +533,9 @@ def _local_etd(v, errors: _ErrorSpace, noise: Optional[Channel], sites: Sequence
     Y = (U* (x) 1) rho (U (x) 1) for the isometry U of _decoder_isometry,
     the decoded state is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y),
     rho0 = |0><0|, so no register-sized noise operator, complement basis
-    or QR is formed.
+    or QR is formed.  That state is the Choi state of the logical channel
+    D T E; its Kraus operators, read off the eigenvectors, go through
+    verify_etd with identity noise and decoder.
     """
     v = _as_operator(v)
     u = _decoder_isometry(v, errors)
@@ -555,7 +559,6 @@ def _local_etd(v, errors: _ErrorSpace, noise: Optional[Channel], sites: Sequence
         reduced = np.einsum("iac,ibc->ab", w, w.conj())
     lost = reduced - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
     state = kept.reshape(d0 * d0, d0 * d0) + np.kron(_ground_state(d0), lost)
-    # the logical channel D T E, from the eigenvectors of its Choi state, goes to verify_etd
     vals, vecs = np.linalg.eigh(state)
     keep = vals > 0
     logical = Channel((vecs[:, keep] * np.sqrt(d0 * vals[keep])).T.reshape(-1, d0, d0))

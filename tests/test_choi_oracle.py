@@ -182,6 +182,19 @@ def test_verify_etd_qutrit_mixed_rho0_rotation_noise():
     assert abs(got - dense_verify_etd(encoder, noise, dense_decoder(v, errors, rho0))) < TOL
 
 
+def test_verify_etd_redundant_encoder_state_meets_a_wider_stage(wheel):
+    # 65 Kraus operators V / sqrt(65) make the 2^6-row factor wider than tall at the
+    # encoder; the register noise stage then meets the dense state and, being wider
+    # than it, takes the state's square root as its factor
+    v = build_isometry(wheel)
+    noise = site_noise(5, 2, (0, 3), make_depolarizing(2, 0.3))
+    decoder = synthesize_decoder(v, error_space_basis(5, 2, 1))
+    redundant = Channel(np.repeat(v[None], 65, axis=0) / np.sqrt(65))
+    got = verify_etd(redundant, noise, decoder)
+    assert abs(got - dense_verify_etd(Channel((v,)), noise, decoder)) < TOL
+    assert got > 0.01
+
+
 def test_verify_etd_duplicated_identity_only(wheel):
     v = build_isometry(wheel)
     errors = [np.eye(32), np.eye(32)]
