@@ -485,7 +485,8 @@ def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
     if choi.dense:
         vals, vecs = np.linalg.eigh(choi.array)
         choi, cols = _Choi(vecs * np.sqrt(np.clip(vals, 0.0, None))), rows_in
-    _require_budget(rows * count * cols, "Choi factor")
+    # the tensordot images and their reordered copy
+    _require_budget(2 * rows * count * cols, "Choi factor")
     images = np.tensordot(kraus, choi.array.reshape(left, dim_in, right * cols), axes=(2, 1))
     # (K, out, left, right, col) -> rows (left, out, right), columns (k, col)
     out = images.reshape(count, dim_out, left, right, cols).transpose(2, 1, 3, 0, 4)

@@ -3,13 +3,18 @@
 A code is a symmetric adjacency matrix over Z_d on m input and n output
 nodes.  Whether it corrects f errors reduces to an exact statement: for
 every output subset Z with |Z| <= 2f, the (Y \\ Z) x (X u Z) submatrix
-must have trivial kernel mod d.  One scan, first_failing_subset, checks
-that statement for every caller: it visits subsets by increasing size,
-lexicographically within a size, gathers at most _SUBSET_CHUNK blocks at
-a time, and asks modular.first_singular, which decides any modulus
-through its prime divisors.  The encoding isometry itself is a
-quadratic-phase matrix; both views are implemented here and their
-consistency is exercised by the tests.
+must have trivial kernel mod d, that is full column rank over GF(p) for
+every prime p | d.  Over GF(p) that holds exactly when the 2|Z| columns
+gamma[Y, z] and e_z (z in Z) stay independent after projecting out the
+columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once into a
+table of two projected vectors per site (_site_vectors).  One scan,
+first_failing_subset, checks the statement for every caller: it visits
+subsets by increasing size, lexicographically within a size, reduces each
+(s-1)-prefix's vectors once and then only the two new vectors of every
+site above the prefix's last, at most _PREFIX_CHUNK prefixes at a time.
+check_subset asks the same table about one subset.  The encoding
+isometry itself is a quadratic-phase matrix; both views are implemented
+here and their consistency is exercised by the tests.
 
 Node numbering convention: inputs are 0..m-1, outputs are m..m+n-1.
 Basis indices are base-d integers whose most-significant digit belongs
@@ -31,7 +36,15 @@ from .errors import (
     ParamOutOfRange,
     TooManyErrors,
 )
-from .modular import ModMatrix, _require_modulus, first_singular
+from .modular import (
+    ModMatrix,
+    _inverses,
+    _pack_bits,
+    _prime_factors,
+    _require_modulus,
+    _residue_dtype,
+    _residues,
+)
 
 __all__ = [
     "GraphCode",
@@ -51,12 +64,12 @@ __all__ = [
 ]
 
 # The caps of _require_budget, in array entries ("amplitudes") of any dtype: one
-# operator, register dimension or subset-scan chunk, and any other input-sized array
+# operator, register dimension, subset-scan table or chunk, and any other input-sized array
 DEFAULT_AMPLITUDE_CAP = 2**20
 TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP  # 1 GiB of complex128
 
-# Most subsets whose blocks first_failing_subset holds in memory at once.
-_SUBSET_CHUNK = 4096
+# Most (s-1)-prefixes whose leaves first_failing_subset reduces at once.
+_PREFIX_CHUNK = 256
 
 
 def _require_budget(count: int, what: str, cap: Optional[int] = None) -> None:
@@ -161,16 +174,111 @@ def _normalize_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
     return sites
 
 
-def _blocks(code: GraphCode, subsets) -> np.ndarray:
-    """Stacked (Y \\ Z) x (X u Z) blocks of gamma, one per equal-size subset Z."""
-    zs = np.asarray(subsets, dtype=np.int64)
-    count, size = zs.shape
-    outside = np.ones((count, code.n), dtype=bool)
-    outside[np.arange(count)[:, None], zs] = False
-    rows = code.m + np.nonzero(outside)[1].reshape(count, code.n - size)
-    inputs = np.broadcast_to(np.arange(code.m), (count, code.m))
-    cols = np.concatenate([inputs, code.m + zs], axis=1)
-    return code.gamma.entries[rows[:, :, None], cols[:, None, :]]
+class _Gf2Words:
+    """Vectors over GF(2) of length <= 64, each one uint64 word (see modular._pack_bits).
+
+    A vector's pivot is its lowest set bit, and every operand of the word
+    arithmetic is a np.uint64 array, so no Python integer promotes it.
+    """
+
+    @staticmethod
+    def pivot(x):
+        return x & (~x + np.uint64(1))
+
+    @staticmethod
+    def unit(x, pivot):
+        return x
+
+    @staticmethod
+    def eliminate(x, b, pivot):
+        return x ^ b * ((x & pivot) != 0)
+
+    @staticmethod
+    def zero(x):
+        return x == 0
+
+
+class _Residues:
+    """Vectors over GF(p) along the last axis, as residues in the dtype of
+    modular._residue_dtype.  A vector's pivot is the index of its first nonzero entry."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def pivot(self, x):
+        return np.argmax(x != 0, axis=-1)[..., None]
+
+    def unit(self, x, pivot):
+        return x * _inverses(np.take_along_axis(x, pivot, -1), self.p) % self.p
+
+    def eliminate(self, x, b, pivot):
+        return (x - np.take_along_axis(x, pivot, -1) * b) % self.p
+
+    def zero(self, x):
+        return ~(x != 0).any(axis=-1)
+
+
+def _site_vectors(code: GraphCode, p: int, rank_only: bool = False):
+    """(field, u, v), the projected table mod the prime p, or None when
+    A = gamma[Y, X] has rank below m over GF(p).
+
+    Z fails mod p exactly when [A | a_z, e_z for z in Z] (a_z = gamma[Y, z],
+    e_z the unit vector of site z) lacks full column rank.  Row-reducing
+    [gamma[Y, X u Y] | 1] on A's columns and keeping the n - m rows without a
+    pivot leaves u[z] and v[z], the images of a_z and e_z there, so Z fails
+    exactly when its 2|Z| vectors are dependent.  At p = 2 with n - m <= 64
+    each vector is one uint64 word; otherwise residues, Python integers above
+    MAX_BATCH_MODULUS.  rank_only reduces A alone.
+    """
+    m, n = code.m, code.n
+    if m > n:
+        return None
+    _require_budget(n * (m if rank_only else m + 2 * n), "subset-scan table", DEFAULT_AMPLITUDE_CAP)
+    dtype = _residue_dtype(p)
+    gamma = code.gamma.entries[m:]  # rows Y; columns X, then Y
+    table = _residues(gamma[:, :m] if rank_only else gamma, p, dtype)
+    if not rank_only:
+        table = np.hstack([table, np.eye(n, dtype=dtype)])
+    free = np.ones(n, dtype=bool)
+    for col in range(m):
+        candidates = np.flatnonzero(free & (table[:, col] != 0))
+        if not candidates.size:
+            return None
+        free[candidates[0]] = False
+        pivot = table[candidates[0]] * pow(int(table[candidates[0], col]), -1, p) % p
+        table[free] = (table[free] - table[free, col][:, None] * pivot) % p
+    u, v = table[free, m : m + n].T, table[free, m + n :].T
+    if p == 2 and n - m <= 64:
+        return _Gf2Words(), _pack_bits(u.astype(np.uint64)), _pack_bits(v.astype(np.uint64))
+    return _Residues(p), u, v
+
+
+def _leaf_failures(field, u, v, prefixes, owner, sites) -> np.ndarray:
+    """Mask of the leaves prefixes[owner] + (sites,) whose 2|Z| vectors are dependent.
+
+    prefixes is a (count, k) site array, owner and sites one entry per leaf.
+    The 2k vectors of each prefix are reduced once into a basis with
+    distinct pivots; then only the two vectors of each leaf's new site are
+    reduced against its prefix's basis, all leaves at once.
+    """
+    basis, pivots = [], []
+    dependent = np.zeros(len(prefixes), dtype=bool)
+    for column in prefixes.T:
+        for x in (u[column], v[column]):
+            for b, pivot in zip(basis, pivots):
+                x = field.eliminate(x, b, pivot)
+            dependent |= field.zero(x)
+            pivot = field.pivot(x)
+            basis.append(field.unit(x, pivot))
+            pivots.append(pivot)
+    lu, lv = u[sites], v[sites]
+    for b, pivot in zip(basis, pivots):
+        b, pivot = b[owner], pivot[owner]
+        lu = field.eliminate(lu, b, pivot)
+        lv = field.eliminate(lv, b, pivot)
+    pivot = field.pivot(lu)
+    lv = field.eliminate(lv, field.unit(lu, pivot), pivot)
+    return field.zero(lu) | field.zero(lv) | dependent[owner]
 
 
 def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
@@ -178,10 +286,19 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
 
     Z is given as output-site indices in [0, n).  The check is exact
     arithmetic over Z_d: the (Y \\ Z) x (X u Z) submatrix of gamma must
-    have trivial kernel.
+    have trivial kernel, decided on the projected table of each prime p | d.
     """
     sites = _normalize_subset(code.n, subset)
-    return first_singular(_blocks(code, [sites]), code.d) is None
+    if 2 * len(sites) > code.n - code.m:  # fewer rows than columns
+        return False
+    head = np.array([sites[:-1]], dtype=np.intp)
+    for p in _prime_factors(code.d):
+        vectors = _site_vectors(code, p, rank_only=not sites)
+        if vectors is None:
+            return False
+        if sites and _leaf_failures(*vectors, head, np.zeros(1, np.intp), np.array(sites[-1:]))[0]:
+            return False
+    return True
 
 
 def first_failing_subset(
@@ -191,18 +308,57 @@ def first_failing_subset(
 
     Subsets are scanned by increasing cardinality and lexicographically
     within each cardinality, so the returned witness is the smallest
-    counterexample under that order.  A chunk holds 1 to _SUBSET_CHUNK
-    subsets, whose blocks are budgeted under DEFAULT_AMPLITUDE_CAP.
+    counterexample under that order.  Each prime p | d scans its projected
+    table (_site_vectors); a later prime only looks at the subsets before
+    the witness found so far.
     """
-    for size in range(min(max_size, code.n) + 1):
-        block = (code.n - size) * (code.m + size)
-        take = max(1, min(_SUBSET_CHUNK, DEFAULT_AMPLITUDE_CAP // max(block, 1)))
-        _require_budget(take * block, "subset-scan chunk", DEFAULT_AMPLITUDE_CAP)
-        subsets = itertools.combinations(range(code.n), size)
-        while chunk := list(itertools.islice(subsets, take)):
-            bad = first_singular(_blocks(code, chunk), code.d)
-            if bad is not None:
-                return chunk[bad]
+    if max_size < 0:  # not even the empty subset is asked about
+        return None
+    witness = None
+    for p in _prime_factors(code.d):
+        found = _first_dependent(code, p, min(max_size, code.n), witness)
+        witness = witness if found is None else found
+        if witness == ():
+            break
+    return witness
+
+
+def _first_dependent(
+    code: GraphCode, p: int, max_size: int, before: Optional[tuple[int, ...]]
+) -> Optional[tuple[int, ...]]:
+    """The first failing Z mod p in (size, lex) order with |Z| <= max_size, and before
+    the witness `before` when one is given.
+
+    A size s is walked by its (s-1)-prefixes in lex order, at most
+    _PREFIX_CHUNK at a time; each leaf extends its prefix by a site above
+    the prefix's last, so leaves come in lex order too.  Every prefix passed
+    at size s - 1, so a leaf fails by its two new vectors.  Past 2s > n - m
+    no s-subset has room for 2s independent vectors.
+    """
+    n, rows = code.n, code.n - code.m
+    if before is not None:
+        max_size = len(before)
+    vectors = _site_vectors(code, p, rank_only=max_size == 0)
+    if vectors is None:
+        return ()
+    width = vectors[1].size // n  # entries per vector: one word, or n - m residues
+    for size in range(1, max_size + 1):
+        if 2 * size > rows:
+            return tuple(range(size))
+        take = max(1, min(_PREFIX_CHUNK, DEFAULT_AMPLITUDE_CAP // (2 * n * width)))
+        _require_budget(take * 2 * n * width, "subset-scan chunk", DEFAULT_AMPLITUDE_CAP)
+        prefixes = itertools.combinations(range(n), size - 1)
+        while chunk := list(itertools.islice(prefixes, take)):
+            heads = np.array(chunk, dtype=np.intp).reshape(len(chunk), size - 1)
+            low = heads[:, -1] + 1 if size > 1 else np.zeros(1, dtype=np.intp)
+            owner = np.repeat(np.arange(len(chunk)), n - low)  # leaves z = low..n-1 of each head
+            sites = np.arange(len(owner)) - (np.cumsum(n - low) - n)[owner]
+            hit = np.flatnonzero(_leaf_failures(*vectors, heads, owner, sites))
+            if hit.size:
+                leaf = chunk[owner[hit[0]]] + (int(sites[hit[0]]),)
+                return leaf if before is None or (size, leaf) < (len(before), before) else None
+            if before is not None and size == len(before) and chunk[-1] >= before[:-1]:
+                return None
     return None
 
 

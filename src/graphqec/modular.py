@@ -10,7 +10,8 @@ d = 2 with at most 64 columns each row is one uint64 bitmask (as in M4RI),
 and otherwise residues live in the narrowest of int16 (d <= 181), int32
 (d <= 46337) and int64 (d <= MAX_BATCH_MODULUS) that holds (d - 1)^2, the
 largest product of two residues, and in Python integers above that, so
-every modulus gets an exact answer.
+every modulus gets an exact answer.  The subset scan of graphs keeps its
+projected vectors in the same representations (_pack_bits, _residue_dtype).
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     """The distinct prime divisors of n >= 1, ascending.
 
     A Miller-Rabin base that divides n splits it first; Pollard's rho
-    splits what is left.  Cached: a subset scan asks once per chunk.
+    splits what is left.  Cached: every subset scan and subset check asks.
     """
     if n == 1:
         return ()
@@ -178,9 +179,20 @@ def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
     return np.remainder(a, divisor, out=np.empty(a.shape, dtype), casting="unsafe")
 
 
+def _residue_dtype(d: int):
+    """The narrowest of int16, int32 and int64 that holds (d - 1)^2, else object."""
+    wide = (t for t in (np.int16, np.int32, np.int64) if (d - 1) ** 2 <= np.iinfo(t).max)
+    return next(wide, object)
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """0/1 vectors of length <= 64 along the last axis as uint64 words, entry j as bit j."""
+    return bits @ (np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64))
+
+
 def _rank_gf2(bits: np.ndarray) -> np.ndarray:
     """Ranks of 0/1 matrices with at most 64 columns, each row one uint64 bitmask."""
-    rows = bits @ (np.uint64(1) << np.arange(bits.shape[2], dtype=np.uint64))
+    rows = _pack_bits(bits)
     rank = np.zeros(rows.shape[0], dtype=np.int64)
     for col in range(bits.shape[2]):
         bit = np.uint64(1 << col)
@@ -226,8 +238,7 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
         return np.zeros(a.shape[0], dtype=np.int64)
     if d == 2 and a.shape[2] <= 64:
         return _rank_gf2(_residues(a, 2, np.uint8))
-    wide = (t for t in (np.int16, np.int32, np.int64) if (d - 1) ** 2 <= np.iinfo(t).max)
-    a = _residues(a, d, next(wide, object))
+    a = _residues(a, d, _residue_dtype(d))
     batch = np.arange(a.shape[0])
     rank = np.zeros(a.shape[0], dtype=np.int64)
     for _ in range(a.shape[2]):  # column 0 of a is the next column; cleared ones are dropped

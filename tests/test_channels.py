@@ -224,6 +224,16 @@ def test_total_budget_refuses_before_allocating(monkeypatch):
         tensor_channels(make_depolarizing(2, 0.3), make_depolarizing(2, 0.3))
 
 
+def test_choi_factor_gate_counts_the_images_and_their_reordered_copy(monkeypatch):
+    # four 2x2 Kraus operators on a (4, 1) factor: images of 4 x 4 amplitudes, and the copy
+    channel = make_depolarizing(2, 0.3)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 2 * 16)
+    assert choi_state(channel).shape == (4, 4)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 2 * 16 - 1)
+    with pytest.raises(DimensionOverflow, match="Choi factor needs 32 amplitudes"):
+        choi_state(channel)
+
+
 def test_total_budget_at_ten_qubits(monkeypatch):
     built = []
 

@@ -210,6 +210,17 @@ def test_simulate_runs_twelve_qubits_without_a_register_operator(capsys, tmp_pat
     assert "corrected: yes" in out
 
 
+def test_simulate_runs_noise_on_all_ten_sites(capsys, tmp_path):
+    # the largest all-site register the Choi factor and dense-stage gates admit
+    sites = ",".join(map(str, range(10)))
+    code, out, err = run_cli(
+        capsys, "simulate", str(_ring_file(tmp_path, 10)), "--f", "0",
+        "--noise", "depolarizing:0.3", "--sites", sites, "--json", "--no-timing",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sites"] == list(range(10))
+
+
 def test_simulate_refuses_twenty_qubits_at_the_image_budget(capsys, tmp_path):
     # f = 1 on 20 qubits: 61 error words x 2^21 amplitudes of V exceed TOTAL_AMPLITUDE_CAP = 2^26
     ring20 = _ring_file(tmp_path, 20)
@@ -245,7 +256,12 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
     ),
     "verify-subset-chunk": (
         {"d": 2, "m": 2000, "n": 2000, "edges": [[i, 2000 + i, 1] for i in range(2000)]}, ["verify", "--f", "1"],
-        "subset-scan chunk needs 4000000 amplitudes",
+        "subset-scan table needs 12000000 amplitudes",
+    ),
+    # noise on all 11 sites: a 2^12 x 2^12 dense state, just above the budget with its copies
+    "simulate-dense-stage-11": (
+        _ring_graph(11), ["simulate", "--f", "0", "--noise", "depolarizing:0.3", "--sites", ",".join(map(str, range(11)))],
+        "dense Choi stage needs 67108896 amplitudes",
     ),
     # noise on all 12 sites: a 2^13 x 2^13 dense Choi state and the copies of a dense stage
     "simulate-dense-stage": (

@@ -28,7 +28,7 @@ from graphqec.graphs import (
 )
 from graphqec.modular import ModMatrix
 
-from conftest import brute_force_kernel_trivial, symplectic_max_f
+from conftest import brute_force_kernel_trivial, smith_first_failing, symplectic_max_f
 
 
 def test_constructor_rejects_asymmetric_gamma():
@@ -157,24 +157,23 @@ def _engine_corpus():
 
 @pytest.mark.parametrize(
     "chunk, block_cap",
-    [(graphs._SUBSET_CHUNK, False), (3, False), (graphs._SUBSET_CHUNK, True)],
-    ids=[str(graphs._SUBSET_CHUNK), "3", "block-cap"],
+    [(1, False), (3, False), (graphs._PREFIX_CHUNK, False), (graphs._PREFIX_CHUNK, True)],
+    ids=["1", "3", "default", "block-cap"],
 )
 def test_scan_matches_brute_force_oracle(monkeypatch, chunk, block_cap):
-    monkeypatch.setattr(graphs, "_SUBSET_CHUNK", chunk)
-    blocks, held = graphs._blocks, []
+    monkeypatch.setattr(graphs, "_PREFIX_CHUNK", chunk)
+    leaf_failures, held = graphs._leaf_failures, []
 
-    def recording(code, subsets):
-        out = blocks(code, subsets)
-        held.append(out.size)
-        return out
+    def recording(field, u, v, prefixes, owner, sites):
+        assert len(prefixes) <= chunk
+        held.append(2 * len(sites) * (u.size // len(u)))  # the two vectors of every leaf
+        return leaf_failures(field, u, v, prefixes, owner, sites)
 
-    monkeypatch.setattr(graphs, "_blocks", recording)
+    monkeypatch.setattr(graphs, "_leaf_failures", recording)
     for code in _engine_corpus():
         f_cap = (code.n - 1) // 2
-        if block_cap:  # the cap admits the largest block alone: its size goes one subset per chunk
-            largest = max((code.n - s) * (code.m + s) for s in range(code.n + 1))
-            monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", largest)
+        if block_cap:  # the cap admits the projected table alone: about one prefix per chunk
+            monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", code.n * (code.m + 2 * code.n))
         expected = [_oracle_first_failing(code, 2 * f) for f in range(f_cap + 1)]
         for f in range(f_cap + 1):
             assert find_uncorrectable_subset(code, f) == expected[f], (code.d, code.m, code.n, f)
@@ -182,7 +181,7 @@ def test_scan_matches_brute_force_oracle(monkeypatch, chunk, block_cap):
         assert first_failing_subset(code, code.n) == _oracle_first_failing(code, code.n)
         passing = [f for f in range(f_cap + 1) if expected[f] is None]
         assert max_correctable_f(code) == max(passing, default=-1)
-        assert max(held) <= graphs.DEFAULT_AMPLITUDE_CAP
+        assert max(held, default=0) <= graphs.DEFAULT_AMPLITUDE_CAP
         held.clear()
 
 
@@ -228,6 +227,121 @@ def _schlingemann_werner_slice():
             if words**2 * d ** (2 * m + n) <= _KL_COST_CAP:
                 yield from ((_random_code(d, m, n, seed), f) for seed in range(3))
     yield from ((code, 1) for code in _lifted_five_qubit_codes([2, 3, 4, 5], 6))
+
+
+# (d, m, n) per ring, small enough that symplectic_max_f's d^(m+n) vectors stay cheap
+_ORACLE_SHAPES = [
+    (2, 1, 9), (2, 3, 9), (3, 1, 7), (3, 2, 6), (4, 1, 6), (5, 1, 5),
+    (5, 2, 5), (6, 1, 5), (9, 1, 4), (12, 1, 4),
+]
+_BIG_PRIME = 4294967311  # above MAX_BATCH_MODULUS: its residues are Python integers
+
+
+def _sparse_code(d, m, n, rng, entries, density):
+    g = rng.choice(entries, size=(m + n, m + n)) * (rng.random((m + n, m + n)) < density)
+    return GraphCode(d, m, n, ModMatrix(d, np.triu(g, 1) + np.triu(g, 1).T))
+
+
+def test_projected_table_scan_matches_smith_and_symplectic_oracles():
+    rng = np.random.default_rng(14001)
+    codes = [
+        _sparse_code(d, m, n, rng, np.arange(1, d), density)
+        for d, m, n in _ORACLE_SHAPES
+        for density in (0.6, 1.0, 1.0)
+    ]
+    codes += _lifted_five_qubit_codes([2, 3, 4, 5, 6, 9, 12], 14001)
+    sizes, max_fs = set(), set()
+    for code in codes:
+        f_cap = (code.n - 1) // 2
+        expected = smith_first_failing(code, 2 * f_cap)
+        for max_size in range(2 * f_cap + 1):  # a shorter scan stops before a later witness
+            within = expected if expected is not None and len(expected) <= max_size else None
+            assert first_failing_subset(code, max_size) == within, (code.d, code.m, code.n, max_size)
+        max_f = symplectic_max_f(code)
+        assert max_correctable_f(code) == max_f, (code.d, code.m, code.n)
+        sizes.add(len(expected))
+        max_fs.add(max_f)
+    assert sizes >= {0, 1, 2, 3} and max_fs >= {-1, 0, 1}, (sizes, max_fs)
+    # d = 2q: entries 0, 1, q, q + 1 are (0, 0), (1, 1), (1, 0), (0, 1) mod (2, q), so
+    # blocks fail mod either factor alone; mod q the residues are Python integers
+    d = 2 * _BIG_PRIME
+    for m, n in [(1, 5), (1, 6), (2, 6)]:
+        for density in (0.6, 1.0, 1.0):
+            code = _sparse_code(d, m, n, rng, [1, _BIG_PRIME, _BIG_PRIME + 1], density)
+            assert first_failing_subset(code, n) == smith_first_failing(code, n), (m, n)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_check_subset_matches_brute_force_on_lifted_five_qubit_codes(d):
+    for code in _lifted_five_qubit_codes([d], 14002):
+        for size in range(code.n + 1):
+            for subset in itertools.combinations(range(code.n), size):
+                assert check_subset(code, subset) == _oracle_block_passes(code, subset), subset
+
+
+def _oracle_block_passes(code, subset):
+    """Whether the block of subset has trivial kernel, by counting or kernel enumeration."""
+    rows = [code.m + j for j in range(code.n) if j not in subset]
+    cols = list(range(code.m)) + [code.m + z for z in subset]
+    return len(rows) >= len(cols) and brute_force_kernel_trivial(code.gamma.entries[rows][:, cols], code.d)
+
+
+def test_check_subset_fails_when_its_prefix_already_fails():
+    # sites 0 and 1 meet nothing, so every subset holding both fails, also when its
+    # last site's two vectors are independent of the rest
+    edges = [[0, 4, 1], [0, 5, 1], [2, 3, 1], [3, 6, 1], [4, 7, 1], [5, 6, 1], [6, 7, 1], [2, 7, 1]]
+    code = GraphCode.from_edges(2, 1, 7, edges)
+    verdicts = set()
+    for size in range(4):
+        for subset in itertools.combinations(range(code.n), size):
+            expected = _oracle_block_passes(code, subset)
+            assert check_subset(code, subset) == expected, subset
+            verdicts.add((subset[:2] == (0, 1), expected))
+    assert verdicts == {(True, False), (False, True), (False, False)}
+
+
+def test_later_prime_finds_an_earlier_witness_in_a_later_chunk(monkeypatch):
+    # over Z_6 the scan mod 2 runs first; mod 3 it looks only before that witness,
+    # and here its own witness has the same size but a later prefix chunk
+    monkeypatch.setattr(graphs, "_PREFIX_CHUNK", 1)
+    rng = np.random.default_rng(14004)
+    seen = 0
+    for _ in range(300):
+        parts = [np.triu(rng.random((9, 9)) < 0.5, 1).astype(np.int64) for _ in range(2)]
+        gamma = (3 * parts[0] + 4 * parts[1]) % 6  # parts[0] mod 2, parts[1] mod 3
+        code = GraphCode(6, 1, 8, ModMatrix(6, gamma + gamma.T))
+        mod2, mod3 = (
+            smith_first_failing(GraphCode(p, 1, 8, ModMatrix(p, (gamma + gamma.T) % p)), 4) for p in (2, 3)
+        )
+        if mod2 is None or mod3 is None or len(mod2) != len(mod3) or mod3[:-1] >= mod2[:-1]:
+            continue
+        if mod3[:-1] == tuple(range(len(mod3) - 1)):  # in the first chunk
+            continue
+        assert first_failing_subset(code, 4) == mod3 == smith_first_failing(code, 4)
+        seen += 1
+        if seen == 3:
+            break
+    assert seen == 3
+
+
+@pytest.mark.parametrize("free_rows", [64, 65], ids=["packed", "int16"])
+def test_scan_keeps_the_top_bit_of_a_full_word(free_rows):
+    # n - m = 64 vectors fill a uint64 word (65 take the int16 path); the input meets
+    # site 0 only, so the projected rows are sites 1..n-1 and site n-1 is the last
+    # entry, bit 63 of a word.  Site n-1 joins site n-2 alone: {n-1} passes only if
+    # e_{n-1} keeps that entry
+    n = free_rows + 1
+    rng = np.random.default_rng(14003)
+    edges = [[0, 1, 1], [n - 1, n, 1]]
+    edges += [[1 + a, 1 + b, 1] for a, b in itertools.combinations(range(n - 1), 2) if rng.random() < 0.06]
+    code = GraphCode.from_edges(2, 1, n, edges)
+    field, u, v = graphs._site_vectors(code, 2)
+    assert isinstance(field, graphs._Gf2Words) == (free_rows == 64)
+    if free_rows == 64:
+        assert u.dtype == v.dtype == np.uint64 and v[n - 1] == np.uint64(1) << np.uint64(63)
+    assert check_subset(code, [n - 1])
+    for max_size in (1, 2):
+        assert first_failing_subset(code, max_size) == _oracle_first_failing(code, max_size)
 
 
 def test_exact_verdict_matches_kl_check_verdict(tmp_path, capsys):

@@ -286,7 +286,6 @@ def test_kernel_trivial_large_prime_factor_matches_smith_oracle(moduli):
 
 @pytest.mark.parametrize("moduli", _BIG_COMPOSITES, ids=lambda q: "x".join(map(str, q)))
 def test_scan_large_prime_factor_matches_smith_oracle(monkeypatch, moduli):
-    monkeypatch.setattr(graphs, "_SUBSET_CHUNK", 3)
     rng = np.random.default_rng(sum(moduli) % 997)
     d = int(np.prod(moduli))
     witnesses = set()
@@ -299,8 +298,10 @@ def test_scan_large_prime_factor_matches_smith_oracle(monkeypatch, moduli):
             code = GraphCode(d, m, n, ModMatrix(d, _crt(parts)))
             f_cap = (n - 1) // 2
             expected = smith_first_failing(code, 2 * f_cap)
-            assert first_failing_subset(code, 2 * f_cap) == expected
-            assert max_correctable_f(code) == (f_cap if expected is None else (len(expected) - 1) // 2)
+            for chunk in (1, 3, graphs._PREFIX_CHUNK):  # prefixes reduced at once
+                monkeypatch.setattr(graphs, "_PREFIX_CHUNK", chunk)
+                assert first_failing_subset(code, 2 * f_cap) == expected
+                assert max_correctable_f(code) == (f_cap if expected is None else (len(expected) - 1) // 2)
             witnesses.add(expected)
     assert len(witnesses) > 2
 
