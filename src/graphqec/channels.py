@@ -457,6 +457,26 @@ class _Choi:
         return self.array if self.dense else self.array @ self.array.conj().T
 
 
+def _stage_route(dense: bool, cols: int, shape: tuple, left: int, right: int) -> tuple[bool, bool, int]:
+    """(through the superoperator, dense after, columns after) of the _propagate stage of a
+    (count, dim_out, dim_in) Kraus stack on a state with `cols` columns (its rows when
+    dense), from the shapes alone.  The stage's allocations pass _require_budget here."""
+    count, dim_out, dim_in = shape
+    rows, rows_in = left * dim_out * right, left * dim_in * right
+    if dim_out * dim_in <= rows_in and (dense or count * cols > rows >= rows_in):
+        # the state, the superoperator and the product, each with the reordered copy
+        # that tensordot or moveaxis makes of it
+        _require_budget(2 * (rows_in**2 + (dim_out * dim_in) ** 2 + rows**2), "dense Choi stage")
+        return True, True, rows
+    cols = rows_in if dense else cols  # a dense state goes back to its eigh factor
+    # the tensordot images and their reordered copy
+    _require_budget(2 * rows * count * cols, "Choi factor")
+    if count * cols > rows:
+        _require_budget(rows * rows, "Choi state")
+        return False, True, rows
+    return False, False, count * cols
+
+
 def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
     """Apply 1_left (x) F (x) 1_right to a state whose rows are (left, stage input, right).
 
@@ -469,30 +489,26 @@ def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
     than the state (one site, or a decoder) acts on a dense state through
     it, on both sides at once, and a site stage that would make the factor
     wider than tall forms the state W W* before it.  A dense state meeting
-    a larger stage goes back to a factor, its square root from eigh.
+    a larger stage goes back to a factor, its square root from eigh.  The
+    route and its budget are _stage_route's.
     """
     count, dim_out, dim_in = kraus.shape
-    rows, rows_in = left * dim_out * right, left * dim_in * right
-    cols = choi.array.shape[1]
-    if dim_out * dim_in <= rows_in and (choi.dense or count * cols > rows >= rows_in):
-        # the state, the superoperator and the product, each with the reordered copy
-        # that tensordot or moveaxis makes of it
-        _require_budget(2 * (rows_in**2 + (dim_out * dim_in) ** 2 + rows**2), "dense Choi stage")
+    rows = left * dim_out * right
+    superoperator, dense, _ = _stage_route(choi.dense, choi.array.shape[1], kraus.shape, left, right)
+    if superoperator:
         sup = np.tensordot(kraus, kraus.conj(), axes=(0, 0))  # (out, in, out', in')
         rho = choi.state().reshape(left, dim_in, right, left, dim_in, right)
         out = np.tensordot(rho, sup, axes=([1, 4], [1, 3]))  # (left, right, left', right', out, out')
         return _Choi(np.moveaxis(out, (4, 5), (1, 4)).reshape(rows, rows), dense=True)
     if choi.dense:
         vals, vecs = np.linalg.eigh(choi.array)
-        choi, cols = _Choi(vecs * np.sqrt(np.clip(vals, 0.0, None))), rows_in
-    # the tensordot images and their reordered copy
-    _require_budget(2 * rows * count * cols, "Choi factor")
+        choi = _Choi(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    cols = choi.array.shape[1]
     images = np.tensordot(kraus, choi.array.reshape(left, dim_in, right * cols), axes=(2, 1))
     # (K, out, left, right, col) -> rows (left, out, right), columns (k, col)
     out = images.reshape(count, dim_out, left, right, cols).transpose(2, 1, 3, 0, 4)
     out = out.reshape(rows, count * cols)
-    if count * cols > rows:
-        _require_budget(rows * rows, "Choi state")
+    if dense:
         return _Choi(out @ out.conj().T, dense=True)
     return _Choi(out)
 
@@ -542,11 +558,15 @@ def _local_etd(v, errors: _ErrorSpace, noise: Optional[Channel], sites: Sequence
     u = _decoder_isometry(v, errors)
     dim_out, _, d0 = u.shape
     n, d = errors.n, errors.d
-    choi = _propagate(_Choi(_max_entangled(d0)), v[None], 1, d0)
-    for site in sites:
-        choi = _propagate(choi, noise.kraus, d**site, d ** (n - 1 - site) * d0)
+    stages = [(v[None], 1, d0)] + [(noise.kraus, d**site, d ** (n - 1 - site) * d0) for site in sites]
+    dense, cols = False, 1  # the shapes first: an oversized stage is refused before any runs
+    for kraus, left, right in stages:
+        dense, cols = _stage_route(dense, cols, kraus.shape, left, right)[1:]
     # (U* (x) 1) applied to the state's rows: (rank d0) x (columns of W or rho, times d0)
-    _require_budget(u.size // dim_out * (choi.array.size // dim_out), "decoded state")
+    _require_budget(u.size // dim_out * d0 * cols, "decoded state")
+    choi = _Choi(_max_entangled(d0))
+    for kraus, left, right in stages:
+        choi = _propagate(choi, kraus, left, right)
     u_conj = u.conj()
     if choi.dense:
         rho = choi.array.reshape(dim_out, d0, dim_out, d0)

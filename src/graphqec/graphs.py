@@ -38,6 +38,7 @@ from .errors import (
 )
 from .modular import (
     ModMatrix,
+    _Gf2Words,
     _inverses,
     _pack_bits,
     _prime_factors,
@@ -174,30 +175,6 @@ def _normalize_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
     return sites
 
 
-class _Gf2Words:
-    """Vectors over GF(2) of length <= 64, each one uint64 word (see modular._pack_bits).
-
-    A vector's pivot is its lowest set bit, and every operand of the word
-    arithmetic is a np.uint64 array, so no Python integer promotes it.
-    """
-
-    @staticmethod
-    def pivot(x):
-        return x & (~x + np.uint64(1))
-
-    @staticmethod
-    def unit(x, pivot):
-        return x
-
-    @staticmethod
-    def eliminate(x, b, pivot):
-        return x ^ b * ((x & pivot) != 0)
-
-    @staticmethod
-    def zero(x):
-        return x == 0
-
-
 class _Residues:
     """Vectors over GF(p) along the last axis, as residues in the dtype of
     modular._residue_dtype.  A vector's pivot is the index of its first nonzero entry."""
@@ -249,7 +226,7 @@ def _site_vectors(code: GraphCode, p: int, rank_only: bool = False):
         table[free] = (table[free] - table[free, col][:, None] * pivot) % p
     u, v = table[free, m : m + n].T, table[free, m + n :].T
     if p == 2 and n - m <= 64:
-        return _Gf2Words(), _pack_bits(u.astype(np.uint64)), _pack_bits(v.astype(np.uint64))
+        return _Gf2Words(), _pack_bits(u), _pack_bits(v)
     return _Residues(p), u, v
 
 

@@ -3,15 +3,18 @@
 The two questions answered here are the rank of a matrix over a prime
 field GF(p) and, for arbitrary d >= 2, whether a matrix has trivial
 kernel mod d (M h = 0 implies h = 0).  Both go through one batched
-Gaussian elimination, rank_prime_batch: first_singular answers the
-second question by running it once for each prime divisor of d.  The
-elimination picks its representation from d and the column count: at
-d = 2 with at most 64 columns each row is one uint64 bitmask (as in M4RI),
-and otherwise residues live in the narrowest of int16 (d <= 181), int32
-(d <= 46337) and int64 (d <= MAX_BATCH_MODULUS) that holds (d - 1)^2, the
-largest product of two residues, and in Python integers above that, so
-every modulus gets an exact answer.  The subset scan of graphs keeps its
-projected vectors in the same representations (_pack_bits, _residue_dtype).
+kernel, rank_prime_batch: first_singular answers the second question by
+running it once for each prime divisor of d.  The kernel reduces each
+column of every matrix against a basis of the earlier columns, and a
+matrix's rank is the number of its columns that stay nonzero.  Each
+column is one batched vector, the batch on the long axis: at d = 2 with
+at most 64 rows one uint64 word per matrix (as in M4RI, _Gf2Words), and
+otherwise an (N, B) residue array whose dtype, the narrowest of int16,
+int32 and int64 that holds the sums of a run of eliminations, follows
+from d and the column count (_BatchResidues); Python integers take over
+above MAX_BATCH_MODULUS, so every modulus gets an exact answer.  The
+subset scan of graphs keeps its projected vectors in the same
+representations (_Gf2Words, _pack_bits, _residue_dtype).
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ __all__ = [
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# rank_prime_batch multiplies residues below d in the narrowest of int16, int32
-# and int64 in which (d - 1)^2 fits, so a row minus a product never wraps; int64
-# holds it up to this d, and Python integers take over above it
-MAX_BATCH_MODULUS = isqrt(2**63 - 1)
+# Residues below d are multiplied in the narrowest of int16, int32 and int64 that
+# holds (d - 1) + (d - 1)^2, a residue plus a product of two, so no sum wraps;
+# int64 holds it up to this d, and Python integers take over above it
+_INT64_MAX = 2**63 - 1
+MAX_BATCH_MODULUS = isqrt(_INT64_MAX)
 
 
 def is_prime(n: int) -> bool:
@@ -155,14 +159,25 @@ class ModMatrix:
         return self.entries.shape[1]
 
 
+def _reduce(x: np.ndarray, d: int) -> np.ndarray:
+    """x mod d in place, returned.  A long fixed-width x takes x - (x // d) d:
+    numpy divides by a scalar about ten times faster than it takes the
+    remainder, which pays for the two extra passes from about a thousand
+    entries on.  Shorter arrays and Python integers take one remainder."""
+    if x.dtype.kind == "O" or x.size < 1024:
+        return np.remainder(x, d, out=x)
+    x -= x // d * d
+    return x
+
+
 def _inverses(x: np.ndarray, d: int) -> np.ndarray:
-    """x^(d-2) mod prime d elementwise: the inverse of every nonzero x."""
+    """x^(d-2) mod prime d elementwise: the inverse of every nonzero x, and 0 for 0."""
     result = np.ones_like(x)
     base, power = x, d - 2
     while power:
         if power & 1:
-            result = result * base % d
-        base = base * base % d
+            result = _reduce(result * base, d)
+        base = _reduce(base * base, d)
         power >>= 1
     return result
 
@@ -179,46 +194,117 @@ def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
     return np.remainder(a, divisor, out=np.empty(a.shape, dtype), casting="unsafe")
 
 
-def _residue_dtype(d: int):
-    """The narrowest of int16, int32 and int64 that holds (d - 1)^2, else object."""
-    wide = (t for t in (np.int16, np.int32, np.int64) if (d - 1) ** 2 <= np.iinfo(t).max)
-    return next(wide, object)
+def _residue_dtype(d: int, steps: int = 1):
+    """The narrowest of int16, int32 and int64 that holds (d - 1) + steps (d - 1)^2,
+    a residue plus `steps` products of two residues, else object."""
+    bound = (d - 1) + steps * (d - 1) ** 2
+    return next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object)
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """0/1 vectors of length <= 64 along the last axis as uint64 words, entry j as bit j."""
-    return bits @ (np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64))
+    padded = np.zeros(bits.shape[:-1] + (64,), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")[..., 0].astype(np.uint64)
 
 
-def _rank_gf2(bits: np.ndarray) -> np.ndarray:
-    """Ranks of 0/1 matrices with at most 64 columns, each row one uint64 bitmask."""
-    rows = _pack_bits(bits)
-    rank = np.zeros(rows.shape[0], dtype=np.int64)
-    for col in range(bits.shape[2]):
-        bit = np.uint64(1 << col)
-        hit = (rows & bit) != 0
-        pivot = np.take_along_axis(rows, np.argmax(hit, axis=1)[:, None], axis=1)
-        rows ^= hit * pivot  # the pivot row too, so it is never picked again
-        rank += (pivot[:, 0] & bit) != 0
-    return rank
+class _Gf2Words:
+    """Vectors over GF(2) of length <= 64, each one uint64 word (see _pack_bits).
+
+    A vector's pivot is its lowest set bit, and every operand of the word
+    arithmetic is a np.uint64 array, so no Python integer promotes it.  A
+    word is always reduced, so reduce is the identity.
+    """
+
+    interval = 1  # any: reduce is the identity
+
+    @staticmethod
+    def columns(a):
+        """The columns of a (B, N, M) batch, N <= 64, as an (M, B) array of words."""
+        return _pack_bits(_residues(a, 2, np.uint8).transpose(2, 0, 1))
+
+    @staticmethod
+    def pivot(x):
+        return x & (~x + np.uint64(1))
+
+    @staticmethod
+    def unit(x, pivot):
+        return x
+
+    @staticmethod
+    def eliminate(x, b, pivot):
+        return x ^ b * ((x & pivot) != 0)
+
+    @staticmethod
+    def reduce(x):
+        return x
+
+    @staticmethod
+    def zero(x):
+        return x == 0
+
+
+class _BatchResidues:
+    """The columns of a batch of B matrices over GF(p), each one (N, B) array
+    with the batch on the long, contiguous axis.
+
+    An elimination adds c b to a column x, where c = -x[pivot] / b[pivot] is
+    reduced on its own, a (B,) array, so x grows by at most (p - 1)^2.  The
+    column itself is reduced after every `interval`-th elimination and once
+    at its end.  interval is M - 1, so no column is reduced partway, unless
+    int64 cannot hold M - 1 products; then it is as many as int64 holds,
+    1 near MAX_BATCH_MODULUS and for Python integers above it.  dtype is
+    the narrowest that holds (p - 1) + interval (p - 1)^2 (_residue_dtype).
+    A pivot is the last nonzero row of each matrix's reduced column, as
+    flat indices into the (N, B) array, with the negated inverse of the
+    entry there.
+    """
+
+    def __init__(self, p: int, count: int, cols: int):
+        self.p = p
+        self.interval = max(1, min(cols - 1, (_INT64_MAX - (p - 1)) // (p - 1) ** 2))
+        self.dtype = _residue_dtype(p, self.interval)
+        self.batch = np.arange(count)
+
+    def columns(self, a):
+        """The columns of a (B, N, M) batch as an (M, N, B) array of residues."""
+        return np.ascontiguousarray(_residues(a, self.p, self.dtype).transpose(2, 1, 0))
+
+    def pivot(self, x):
+        rows = np.arange(len(x), dtype=np.min_scalar_type(len(x)))[:, None]
+        where = ((x != 0) * rows).max(axis=0).astype(np.intp) * len(self.batch) + self.batch
+        return where, _reduce(self.p - _inverses(x.ravel().take(where), self.p), self.p)
+
+    def eliminate(self, x, b, pivot):
+        where, negated_inverse = pivot
+        c = _reduce(x.ravel().take(where), self.p)
+        x += b * _reduce(c * negated_inverse, self.p)
+        return x
+
+    def reduce(self, x):
+        return _reduce(x, self.p)
+
+    def zero(self, x):
+        return ~(x != 0).any(axis=0)
 
 
 def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     """Ranks over GF(d) of a batch of matrices, vectorized over the batch.
 
-    Each column takes the first row with a nonzero entry as its pivot and
-    clears that column from every row, the pivot row included, so a used
-    row becomes zero and is never picked again; a matrix whose column is
-    already zero is left unchanged.  No rows are swapped.
+    Each column is reduced against a basis of the earlier columns, whose
+    vectors have distinct pivots; a matrix's rank is the number of its
+    columns that stay nonzero.  A column that is zero in every matrix of
+    the batch is left out of the basis.
 
-    The representation follows from d and the column count.  At d = 2 with
-    at most 64 columns each row is one uint64 bitmask, and clearing a column
-    is one XOR of the pivot row.  Otherwise residues are stored in the
-    narrowest of int16, int32 and int64 that holds (d - 1)^2, because a row
-    minus a product of two residues lies in [-(d - 1)^2, d - 1]: int16 up to
-    d = 181, int32 up to 46337 and int64 up to MAX_BATCH_MODULUS.  Above
-    that the same elimination runs on Python integers (dtype object), which
-    is slower but exact.
+    The representation follows from d and the row count N.  At d = 2 with
+    N <= 64 each column of a matrix is one uint64 word, and an elimination
+    is one XOR (_Gf2Words).  Otherwise each column is an (N, B) array of
+    residues with the batch on the long axis (_BatchResidues): its dtype
+    is the narrowest of int16, int32 and int64 that holds the sum of the
+    eliminations between two reductions, which follows from d and the
+    column count, with int64 reducing after every elimination as d nears
+    MAX_BATCH_MODULUS.  Above that the same elimination runs on Python
+    integers (dtype object), which is slower but exact.
 
     Parameters
     ----------
@@ -234,18 +320,22 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     a = np.asarray(mats)
     if a.ndim != 3:
         raise ValueError(f"expected batch of matrices, got shape {a.shape}")
+    count, rows, cols = a.shape
+    rank = np.zeros(count, dtype=np.int64)
     if 0 in a.shape:
-        return np.zeros(a.shape[0], dtype=np.int64)
-    if d == 2 and a.shape[2] <= 64:
-        return _rank_gf2(_residues(a, 2, np.uint8))
-    a = _residues(a, d, _residue_dtype(d))
-    batch = np.arange(a.shape[0])
-    rank = np.zeros(a.shape[0], dtype=np.int64)
-    for _ in range(a.shape[2]):  # column 0 of a is the next column; cleared ones are dropped
-        pivot = a[batch, np.argmax(a[:, :, 0] != 0, axis=1)]
-        factor = a[:, :, 0] * _inverses(pivot[:, 0], d)[:, None] % d
-        a = (a[:, :, 1:] - factor[:, :, None] * pivot[:, None, 1:]) % d
-        rank += pivot[:, 0] != 0
+        return rank
+    field = _Gf2Words() if d == 2 and rows <= 64 else _BatchResidues(d, count, cols)
+    basis = []
+    for x in field.columns(a):
+        for step, (b, pivot) in enumerate(basis, 1):
+            x = field.eliminate(x, b, pivot)
+            if step % field.interval == 0:
+                x = field.reduce(x)
+        x = field.reduce(x)
+        independent = ~field.zero(x)
+        rank += independent
+        if independent.any():
+            basis.append((x, field.pivot(x)))
     return rank
 
 

@@ -231,7 +231,7 @@ def test_simulate_refuses_twenty_qubits_at_the_image_budget(capsys, tmp_path):
 
 def _address_space_limit(gib):
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (gib * 2**30, gib * 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (int(gib * 2**30), int(gib * 2**30)))
 
     return limit
 
@@ -271,8 +271,8 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
 }
 
 
-@pytest.mark.parametrize("graph, argv, message", list(_OVERSIZED.values()), ids=list(_OVERSIZED))
-def test_oversized_inputs_exit_2_within_three_gib_of_address_space(tmp_path, graph, argv, message):
+def _assert_refused_in_child(tmp_path, graph, argv, message, gib):
+    """Run the CLI in a subprocess with gib GiB of address space; expect exit 2 and message."""
     if graph is not None:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(graph))
@@ -281,10 +281,21 @@ def test_oversized_inputs_exit_2_within_three_gib_of_address_space(tmp_path, gra
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "graphqec.cli", *argv, "--no-timing"],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_address_space_limit(3),
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_address_space_limit(gib),
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("graph, argv, message", list(_OVERSIZED.values()), ids=list(_OVERSIZED))
+def test_oversized_inputs_exit_2_within_three_gib_of_address_space(tmp_path, graph, argv, message):
+    _assert_refused_in_child(tmp_path, graph, argv, message, 3)
+
+
+def test_simulate_refuses_an_oversized_stage_before_any_stage_runs(tmp_path):
+    # noise on all 12 sites: the stage shapes alone refuse the dense stage after the
+    # sixth site, so the factor stages before it (2^25 amplitudes) are never allocated
+    _assert_refused_in_child(tmp_path, *_OVERSIZED["simulate-dense-stage"], 0.5)
 
 
 def test_simulate_fourteen_qubits_within_one_gib_of_address_space(tmp_path):
@@ -512,6 +523,33 @@ def test_singular_mc(capsys):
     payload = json.loads(out)
     assert payload["bound"] == 2.0**-4
     assert payload["empirical"] <= payload["bound"] + 3 * (payload["bound"] / 2000) ** 0.5
+
+
+# singular matrices among `trials` seeded draws, per (d, N, M, trials) and seed
+_SINGULAR_COUNTS = {
+    (2, 10, 9, 3000): {15: 1302, 16: 1224},
+    (2, 65, 64, 300): {15: 133, 16: 113},  # beyond one 64-bit word of rows
+    (3, 6, 5, 3000): {15: 486, 16: 475},
+    (5, 7, 6, 3000): {15: 160, 16: 143},
+    (7, 5, 4, 3000): {15: 63, 16: 74},
+    (181, 4, 3, 20000): {15: 2, 16: 2},
+    (46349, 3, 2, 3000): {15: 0, 16: 0},
+    (3037000507, 3, 2, 300): {15: 0, 16: 0},  # Python integers
+}
+
+
+@pytest.mark.parametrize("shape", list(_SINGULAR_COUNTS), ids=lambda s: "d{}-N{}-M{}".format(*s))
+def test_singular_mc_json_is_pinned(capsys, shape):
+    # seeded reproducibility: the draw and the rank kernel fix every byte of the report
+    d, big_n, small_m, trials = shape
+    for seed, singular in _SINGULAR_COUNTS[shape].items():
+        argv = ["--d", d, "--N", big_n, "--M", small_m, "--trials", trials, "--seed", seed]
+        code, out, err = run_cli(capsys, "singular-mc", *map(str, argv), "--json", "--no-timing")
+        payload = {
+            "d": d, "N": big_n, "M": small_m, "trials": trials, "seed": seed,
+            "empirical": singular / trials, "bound": float(d) ** -(big_n - small_m),
+        }
+        assert (code, out, err) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
 
 
 def test_bounds_threshold_csv(capsys):

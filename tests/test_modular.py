@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphqec import graphs
+from graphqec import graphs, modular
 from graphqec.errors import CompositeModulus
 from graphqec.graphs import GraphCode, first_failing_subset, max_correctable_f
 from graphqec.modular import (
@@ -126,7 +126,10 @@ def _low_rank_batch(rng, p, count, rows, cols):
 def test_rank_prime_batch_matches_sympy_large_prime(p):
     assert p <= MAX_BATCH_MODULUS
     rng = np.random.default_rng(p % 1000)
-    for rows, cols in [(6, 4), (4, 4), (3, 5)]:
+    # int64 holds a residue plus 9 products near 1e9, and 1 near 3e9, so at 38 columns
+    # a column is reduced partway through its eliminations, and 37 unreduced ones would wrap
+    assert modular._BatchResidues(p, 1, 38).interval == (9 if p < 2 * 10**9 else 1)
+    for rows, cols in [(6, 4), (4, 4), (3, 5), (40, 38)]:
         mats = _low_rank_batch(rng, p, 40, rows, cols)
         ranks = rank_prime_batch(mats, p)
         assert sorted(set(ranks.tolist())) == list(range(min(rows, cols) + 1))
@@ -141,6 +144,7 @@ def test_rank_prime_batch_matches_sympy_small_primes(p):
         mats[::4, rng.integers(rows)] = 0  # a zero row
         mats[1::4, -1] = mats[1::4, 0]  # a repeated row
         mats[2::4] = _low_rank_batch(rng, p, 15, rows, cols)
+        mats[3::4, :, -1] = mats[3::4, :, :-1].sum(axis=2) % p  # dependent only at the last column
         assert rank_prime_batch(mats, p).tolist() == [_sympy_rank(m, p) for m in mats]
     # column 0 has a pivot in some matrices and none in others, in a different
     # row each time; in the second matrix the first pivot clears all of column 1
@@ -161,11 +165,22 @@ def test_rank_prime_batch_matches_sympy_small_primes(p):
 # each switch of representation (packed bits, int16, int32, int64) from both sides
 _BOUNDARY_PRIMES = [2, 3, 5, 7, 181, 191, 46337, 46349]
 
+# the most columns whose eliminations still sum within the narrower accumulator:
+# (p - 1) + (cols - 1) (p - 1)^2 fits int16 (p <= 181) or int32 (46337)
+_ACCUMULATOR_SWITCH = {3: 8192, 5: 2048, 7: 911, 181: 2, 46337: 2}
+
 
 @pytest.mark.parametrize("p", _BOUNDARY_PRIMES)
 def test_rank_prime_batch_matches_sympy_at_representation_boundaries(p):
     rng = np.random.default_rng(p)
-    for rows, cols in [(7, 3), (3, 7), (6, 6)]:
+    shapes = [(7, 3), (3, 7), (6, 6)]
+    if p in _ACCUMULATOR_SWITCH:  # the column counts on both sides of the dtype switch
+        cols = _ACCUMULATOR_SWITCH[p]
+        dtypes = [modular._BatchResidues(p, 1, c).dtype for c in (cols, cols + 1)]
+        assert dtypes in ([np.int16, np.int32], [np.int32, np.int64])
+        rows = 7 if cols < 7 else 2  # few rows keep the wide sympy oracle fast
+        shapes += [(rows, cols), (rows, cols + 1)]
+    for rows, cols in shapes:
         # every entry p - 1, then p - 1 off a zero diagonal: the largest products
         worst = np.full((2, rows, cols), p - 1)
         worst[1, np.arange(min(rows, cols)), np.arange(min(rows, cols))] = 0
@@ -181,16 +196,18 @@ def test_rank_prime_batch_matches_sympy_at_representation_boundaries(p):
         assert rank_prime_batch(np.zeros(shape, dtype=np.int64), p).tolist() == [0] * shape[0]
 
 
-@pytest.mark.parametrize("cols", [63, 64, 65])
-def test_rank_prime_batch_matches_sympy_at_the_packed_word_width(cols):
-    # up to 64 columns a GF(2) row is one uint64 bitmask, beyond that int16
-    rng = np.random.default_rng(cols)
-    for rows in (cols - 5, cols + 5):
+@pytest.mark.parametrize("width", [63, 64, 65])
+def test_rank_prime_batch_matches_sympy_at_the_packed_word_width(width):
+    # up to 64 rows a GF(2) column is one uint64 word, beyond that int16 residues
+    rng = np.random.default_rng(width)
+    for rows, cols in [(width - 5, width), (width + 5, width), (width, 5), (width, width)]:
         mats = np.concatenate([
             rng.integers(0, 2, size=(3, rows, cols)),
             _low_rank_batch(rng, 2, 3, rows, cols),
         ])
-        mats[0, :, -1] = mats[0, :, 0]  # a dependency found only at the last bit
+        mats[0, :, -1] = mats[0, :, 0]  # a dependency found only at the last column
+        mats[1, :-1, -1] = mats[1, :-1, 0]  # columns that differ only at the last row
+        mats[1, -1, -1] = 1 - mats[1, -1, 0]
         ranks = rank_prime_batch(mats, 2)
         assert ranks.tolist() == [_sympy_rank(m, 2) for m in mats]
         padded = np.concatenate([mats, np.zeros((len(mats), rows, 1), dtype=mats.dtype)], axis=2)
