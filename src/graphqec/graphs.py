@@ -7,11 +7,12 @@ must have trivial kernel mod d, that is full column rank over GF(p) for
 every prime p | d.  Over GF(p) that holds exactly when the 2|Z| columns
 gamma[Y, z] and e_z (z in Z) stay independent after projecting out the
 columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once into a
-table of two projected vectors per site (_site_vectors).  One scan,
-first_failing_subset, checks the statement for every caller: it visits
-subsets by increasing size, lexicographically within a size, reduces each
-(s-1)-prefix's vectors once and then only the two new vectors of every
-site above the prefix's last, at most _PREFIX_CHUNK prefixes at a time.
+table of two projected vectors per site (_site_vectors), in the field that
+rank_prime_batch uses for n - m rows.  One scan, first_failing_subset,
+checks the statement for every caller: it visits subsets by increasing
+size, lexicographically within a size, reduces each (s-1)-prefix's
+vectors once and then only the two new vectors of every site above the
+prefix's last, at most _PREFIX_CHUNK prefixes at a time.
 check_subset asks the same table about one subset.  The encoding
 isometry itself is a quadratic-phase matrix; both views are implemented
 here and their consistency is exercised by the tests.
@@ -38,10 +39,9 @@ from .errors import (
 )
 from .modular import (
     ModMatrix,
-    _Gf2Words,
-    _inverses,
-    _pack_bits,
+    _field,
     _prime_factors,
+    _reduce_against,
     _require_modulus,
     _residue_dtype,
     _residues,
@@ -175,46 +175,26 @@ def _normalize_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
     return sites
 
 
-class _Residues:
-    """Vectors over GF(p) along the last axis, as residues in the dtype of
-    modular._residue_dtype.  A vector's pivot is the index of its first nonzero entry."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def pivot(self, x):
-        return np.argmax(x != 0, axis=-1)[..., None]
-
-    def unit(self, x, pivot):
-        return x * _inverses(np.take_along_axis(x, pivot, -1), self.p) % self.p
-
-    def eliminate(self, x, b, pivot):
-        return (x - np.take_along_axis(x, pivot, -1) * b) % self.p
-
-    def zero(self, x):
-        return ~(x != 0).any(axis=-1)
-
-
-def _site_vectors(code: GraphCode, p: int, rank_only: bool = False):
-    """(field, u, v), the projected table mod the prime p, or None when
-    A = gamma[Y, X] has rank below m over GF(p).
+def _site_vectors(code: GraphCode, p: int, size: int):
+    """(field, u, v), the projected table mod the prime p for subsets of at
+    most `size` sites, or None when A = gamma[Y, X] has rank below m over GF(p).
 
     Z fails mod p exactly when [A | a_z, e_z for z in Z] (a_z = gamma[Y, z],
     e_z the unit vector of site z) lacks full column rank.  Row-reducing
     [gamma[Y, X u Y] | 1] on A's columns and keeping the n - m rows without a
-    pivot leaves u[z] and v[z], the images of a_z and e_z there, so Z fails
-    exactly when its 2|Z| vectors are dependent.  At p = 2 with n - m <= 64
-    each vector is one uint64 word; otherwise residues, Python integers above
-    MAX_BATCH_MODULUS.  rank_only reduces A alone.
+    pivot leaves u[..., z] and v[..., z], the images of a_z and e_z there, so
+    Z fails exactly when its 2|Z| vectors are dependent.  They are vectors of
+    modular._field for n - m rows and the 2 size - 1 eliminations a leaf
+    takes, the sites on the last axis.  size 0 reduces A alone.
     """
     m, n = code.m, code.n
     if m > n:
         return None
-    _require_budget(n * (m if rank_only else m + 2 * n), "subset-scan table", DEFAULT_AMPLITUDE_CAP)
+    _require_budget(n * (m + 2 * n if size else m), "subset-scan table", DEFAULT_AMPLITUDE_CAP)
     dtype = _residue_dtype(p)
     gamma = code.gamma.entries[m:]  # rows Y; columns X, then Y
-    table = _residues(gamma[:, :m] if rank_only else gamma, p, dtype)
-    if not rank_only:
+    table = _residues(gamma if size else gamma[:, :m], p, dtype)
+    if size:
         table = np.hstack([table, np.eye(n, dtype=dtype)])
     free = np.ones(n, dtype=bool)
     for col in range(m):
@@ -224,10 +204,16 @@ def _site_vectors(code: GraphCode, p: int, rank_only: bool = False):
         free[candidates[0]] = False
         pivot = table[candidates[0]] * pow(int(table[candidates[0], col]), -1, p) % p
         table[free] = (table[free] - table[free, col][:, None] * pivot) % p
-    u, v = table[free, m : m + n].T, table[free, m + n :].T
-    if p == 2 and n - m <= 64:
-        return _Gf2Words(), _pack_bits(u), _pack_bits(v)
-    return _Residues(p), u, v
+    field = _field(p, n - m, 2 * size - 1)
+    return field, field.vectors(table[free, m : m + n]), field.vectors(table[free, m + n :])
+
+
+def _reduce_site(field, basis, u, v):
+    """A site's two vectors reduced against basis, and v also against u; with u's pivot."""
+    u, v = _reduce_against(field, basis, u, v)
+    pivot = field.pivot(u)
+    (v,) = _reduce_against(field, [(u, pivot)], v)
+    return u, pivot, v
 
 
 def _leaf_failures(field, u, v, prefixes, owner, sites) -> np.ndarray:
@@ -236,25 +222,17 @@ def _leaf_failures(field, u, v, prefixes, owner, sites) -> np.ndarray:
     prefixes is a (count, k) site array, owner and sites one entry per leaf.
     The 2k vectors of each prefix are reduced once into a basis with
     distinct pivots; then only the two vectors of each leaf's new site are
-    reduced against its prefix's basis, all leaves at once.
+    reduced against its prefix's basis, gathered one vector at a time, all
+    leaves at once.
     """
-    basis, pivots = [], []
+    basis = []
     dependent = np.zeros(len(prefixes), dtype=bool)
     for column in prefixes.T:
-        for x in (u[column], v[column]):
-            for b, pivot in zip(basis, pivots):
-                x = field.eliminate(x, b, pivot)
-            dependent |= field.zero(x)
-            pivot = field.pivot(x)
-            basis.append(field.unit(x, pivot))
-            pivots.append(pivot)
-    lu, lv = u[sites], v[sites]
-    for b, pivot in zip(basis, pivots):
-        b, pivot = b[owner], pivot[owner]
-        lu = field.eliminate(lu, b, pivot)
-        lv = field.eliminate(lv, b, pivot)
-    pivot = field.pivot(lu)
-    lv = field.eliminate(lv, field.unit(lu, pivot), pivot)
+        xu, pivot, xv = _reduce_site(field, basis, u.take(column, axis=-1), v.take(column, axis=-1))
+        dependent |= field.zero(xu) | field.zero(xv)
+        basis += [(xu, pivot), (xv, field.pivot(xv))]
+    gathered = ((b.take(owner, axis=-1), pivot.take(owner, axis=-1)) for b, pivot in basis)
+    lu, _, lv = _reduce_site(field, gathered, u.take(sites, axis=-1), v.take(sites, axis=-1))
     return field.zero(lu) | field.zero(lv) | dependent[owner]
 
 
@@ -270,7 +248,7 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
         return False
     head = np.array([sites[:-1]], dtype=np.intp)
     for p in _prime_factors(code.d):
-        vectors = _site_vectors(code, p, rank_only=not sites)
+        vectors = _site_vectors(code, p, len(sites))
         if vectors is None:
             return False
         if sites and _leaf_failures(*vectors, head, np.zeros(1, np.intp), np.array(sites[-1:]))[0]:
@@ -315,7 +293,7 @@ def _first_dependent(
     n, rows = code.n, code.n - code.m
     if before is not None:
         max_size = len(before)
-    vectors = _site_vectors(code, p, rank_only=max_size == 0)
+    vectors = _site_vectors(code, p, max_size)
     if vectors is None:
         return ()
     width = vectors[1].size // n  # entries per vector: one word, or n - m residues

@@ -11,10 +11,10 @@ column is one batched vector, the batch on the long axis: at d = 2 with
 at most 64 rows one uint64 word per matrix (as in M4RI, _Gf2Words), and
 otherwise an (N, B) residue array whose dtype, the narrowest of int16,
 int32 and int64 that holds the sums of a run of eliminations, follows
-from d and the column count (_BatchResidues); Python integers take over
-above MAX_BATCH_MODULUS, so every modulus gets an exact answer.  The
-subset scan of graphs keeps its projected vectors in the same
-representations (_Gf2Words, _pack_bits, _residue_dtype).
+from d and the most eliminations a vector takes (_BatchResidues); Python
+integers take over above MAX_BATCH_MODULUS, so every modulus gets an
+exact answer.  The subset scan of graphs uses the same two fields
+(_field) and the same reduction loop (_reduce_against).
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _reduce(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _inverses(x: np.ndarray, d: int) -> np.ndarray:
-    """x^(d-2) mod prime d elementwise: the inverse of every nonzero x, and 0 for 0."""
+    """x^(d-2) mod prime d elementwise: the inverse of every nonzero x, and 0 for 0 if d > 2."""
     result = np.ones_like(x)
     base, power = x, d - 2
     while power:
@@ -183,15 +183,16 @@ def _inverses(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
-    """a mod d stored as dtype, reduced in a type that holds every entry and d."""
+    """a mod d stored as dtype in a's memory order, reduced in a type that holds
+    every entry and d."""
     if a.dtype.kind == "O" or dtype is object:  # Python integers: exact at any size
         return np.mod(a.astype(object), d).astype(dtype)
     if d == 2 and a.dtype.kind != "f":  # the low bit, also of a negative entry
-        return np.bitwise_and(a, 1, out=np.empty(a.shape, dtype), casting="unsafe")
-    if a.dtype.kind in "biu" and a.min() >= 0 and a.max() < d:  # already residues: no division
+        return np.bitwise_and(a, 1, out=np.empty_like(a, dtype), casting="unsafe")
+    if a.dtype.kind in "biu" and (not a.size or a.min() >= 0 and a.max() < d):  # residues already
         return a.astype(dtype)
     divisor = np.uint64(d) if a.dtype.kind == "u" else np.int64(d)
-    return np.remainder(a, divisor, out=np.empty(a.shape, dtype), casting="unsafe")
+    return np.remainder(a, divisor, out=np.empty_like(a, dtype), casting="unsafe")
 
 
 def _residue_dtype(d: int, steps: int = 1):
@@ -216,20 +217,16 @@ class _Gf2Words:
     word is always reduced, so reduce is the identity.
     """
 
-    interval = 1  # any: reduce is the identity
+    interval = 2**62  # reduce is the identity, so never needed between eliminations
 
     @staticmethod
-    def columns(a):
-        """The columns of a (B, N, M) batch, N <= 64, as an (M, B) array of words."""
-        return _pack_bits(_residues(a, 2, np.uint8).transpose(2, 0, 1))
+    def vectors(a):
+        """The (..., N, B) array a, N <= 64, as a (..., B) array of words."""
+        return _pack_bits(_residues(a, 2, np.uint8).swapaxes(-1, -2))
 
     @staticmethod
     def pivot(x):
         return x & (~x + np.uint64(1))
-
-    @staticmethod
-    def unit(x, pivot):
-        return x
 
     @staticmethod
     def eliminate(x, b, pivot):
@@ -245,47 +242,72 @@ class _Gf2Words:
 
 
 class _BatchResidues:
-    """The columns of a batch of B matrices over GF(p), each one (N, B) array
-    with the batch on the long, contiguous axis.
+    """Vectors over GF(p) as (N, B) arrays of residues, the batch on the long,
+    contiguous, last axis.
 
-    An elimination adds c b to a column x, where c = -x[pivot] / b[pivot] is
-    reduced on its own, a (B,) array, so x grows by at most (p - 1)^2.  The
-    column itself is reduced after every `interval`-th elimination and once
-    at its end.  interval is M - 1, so no column is reduced partway, unless
-    int64 cannot hold M - 1 products; then it is as many as int64 holds,
-    1 near MAX_BATCH_MODULUS and for Python integers above it.  dtype is
-    the narrowest that holds (p - 1) + interval (p - 1)^2 (_residue_dtype).
-    A pivot is the last nonzero row of each matrix's reduced column, as
-    flat indices into the (N, B) array, with the negated inverse of the
-    entry there.
+    An elimination adds c b to a vector x, where c = -x[pivot] / b[pivot] is
+    reduced on its own, a (B,) array, so x grows by at most (p - 1)^2.  x
+    itself is reduced after every `interval`-th elimination and once at its
+    end (_reduce_against).  interval is `steps`, the most eliminations a
+    vector takes, so no vector is reduced partway, unless int64 cannot hold
+    that many products; then it is as many as int64 holds, 1 near
+    MAX_BATCH_MODULUS and for Python integers above it.  dtype is the
+    narrowest that holds (p - 1) + interval (p - 1)^2 (_residue_dtype).  A
+    pivot is a (2, B) array: the last nonzero row of each reduced vector,
+    and the negated inverse of the entry there.
     """
 
-    def __init__(self, p: int, count: int, cols: int):
+    def __init__(self, p: int, steps: int):
         self.p = p
-        self.interval = max(1, min(cols - 1, (_INT64_MAX - (p - 1)) // (p - 1) ** 2))
+        self.interval = max(1, min(steps, (_INT64_MAX - (p - 1)) // (p - 1) ** 2))
         self.dtype = _residue_dtype(p, self.interval)
-        self.batch = np.arange(count)
 
-    def columns(self, a):
-        """The columns of a (B, N, M) batch as an (M, N, B) array of residues."""
-        return np.ascontiguousarray(_residues(a, self.p, self.dtype).transpose(2, 1, 0))
+    def vectors(self, a):
+        """The (..., N, B) array a as residues, contiguous."""
+        return np.ascontiguousarray(_residues(a, self.p, self.dtype))
 
     def pivot(self, x):
-        rows = np.arange(len(x), dtype=np.min_scalar_type(len(x)))[:, None]
-        where = ((x != 0) * rows).max(axis=0).astype(np.intp) * len(self.batch) + self.batch
-        return where, _reduce(self.p - _inverses(x.ravel().take(where), self.p), self.p)
+        rows = np.arange(len(x), dtype=np.min_scalar_type(-len(x)))[:, None]
+        row = ((x != 0) * rows).max(axis=0)
+        negated_inverse = _reduce(self.p - _inverses(self._at(x, row), self.p), self.p)
+        return np.stack([row, negated_inverse])
 
     def eliminate(self, x, b, pivot):
-        where, negated_inverse = pivot
-        c = _reduce(x.ravel().take(where), self.p)
-        x += b * _reduce(c * negated_inverse, self.p)
+        row, negated_inverse = pivot
+        x += b * _reduce(_reduce(self._at(x, row), self.p) * negated_inverse, self.p)
         return x
+
+    @staticmethod
+    def _at(x, row):
+        """x[row[j], j] for every j."""
+        count = x.shape[-1]
+        return x.ravel().take(row.astype(np.intp) * count + np.arange(count))
 
     def reduce(self, x):
         return _reduce(x, self.p)
 
     def zero(self, x):
         return ~(x != 0).any(axis=0)
+
+
+def _field(p: int, rows: int, steps: int):
+    """The field of vectors of `rows` entries over GF(p) that take at most
+    `steps` eliminations: words at p = 2 with rows <= 64, else residues."""
+    return _Gf2Words() if p == 2 and rows <= 64 else _BatchResidues(p, steps)
+
+
+def _reduce_against(field, basis, *vectors) -> list:
+    """The vectors, each reduced against basis, an iterable of (vector, pivot)
+    pairs with distinct pivots: every elimination reduces only its
+    coefficient, and a vector is reduced after every field.interval-th
+    elimination and at the end."""
+    vectors = list(vectors)
+    for step, (b, pivot) in enumerate(basis, 1):
+        for i, x in enumerate(vectors):
+            vectors[i] = field.eliminate(x, b, pivot)
+        if step % field.interval == 0:
+            vectors = [field.reduce(x) for x in vectors]
+    return [field.reduce(x) for x in vectors]
 
 
 def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
@@ -324,14 +346,10 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     rank = np.zeros(count, dtype=np.int64)
     if 0 in a.shape:
         return rank
-    field = _Gf2Words() if d == 2 and rows <= 64 else _BatchResidues(d, count, cols)
+    field = _field(d, rows, cols - 1)
     basis = []
-    for x in field.columns(a):
-        for step, (b, pivot) in enumerate(basis, 1):
-            x = field.eliminate(x, b, pivot)
-            if step % field.interval == 0:
-                x = field.reduce(x)
-        x = field.reduce(x)
+    for x in field.vectors(a.transpose(2, 1, 0)):
+        (x,) = _reduce_against(field, basis, x)
         independent = ~field.zero(x)
         rank += independent
         if independent.any():

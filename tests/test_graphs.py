@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import graphqec.graphs as graphs
+import graphqec.modular as modular
 from graphqec.cli import main
 from graphqec.errors import DimensionOverflow, InvalidSubset, TooManyErrors
 from graphqec.graphs import (
@@ -166,7 +167,7 @@ def test_scan_matches_brute_force_oracle(monkeypatch, chunk, block_cap):
 
     def recording(field, u, v, prefixes, owner, sites):
         assert len(prefixes) <= chunk
-        held.append(2 * len(sites) * (u.size // len(u)))  # the two vectors of every leaf
+        held.append(2 * len(sites) * (u.size // code.n))  # the two vectors of every leaf
         return leaf_failures(field, u, v, prefixes, owner, sites)
 
     monkeypatch.setattr(graphs, "_leaf_failures", recording)
@@ -271,6 +272,74 @@ def test_projected_table_scan_matches_smith_and_symplectic_oracles():
             assert first_failing_subset(code, n) == smith_first_failing(code, n), (m, n)
 
 
+# the accumulator switches of the scan's residue vectors, whose dtype holds a residue
+# plus 2 size - 1 products, as (dtype at size 1, at size 2): int16 -> int32 between
+# 181 and 191 and int32 -> int64 between 46337 and 46349 at size 1, and int64 at
+# prevprime(MAX_BATCH_MODULUS), where a vector is reduced after every elimination
+_TOP_BATCH_PRIME = 3037000493
+_SCAN_SWITCH_DTYPES = {
+    181: (np.int16, np.int32), 191: (np.int32, np.int32), 46337: (np.int32, np.int64),
+    46349: (np.int64, np.int64), _TOP_BATCH_PRIME: (np.int64, np.int64),
+}
+
+
+def _exact_reduce_against(field, basis, *vectors):
+    """modular._reduce_against in Python integers, reduced after every elimination."""
+    reduced = []
+    for x in vectors:
+        x = x.astype(object) % field.p
+        for b, (row, negated_inverse) in basis:
+            c = x[row.astype(np.intp), np.arange(x.shape[-1])] * negated_inverse.astype(object)
+            x = (x + b.astype(object) * (c % field.p)) % field.p
+        reduced.append(x)
+    return reduced
+
+
+@pytest.mark.parametrize("p", sorted(_SCAN_SWITCH_DTYPES))
+def test_scan_matches_smith_oracle_at_accumulator_switch_primes(monkeypatch, p):
+    from sympy import prevprime
+
+    assert prevprime(modular.MAX_BATCH_MODULUS) == _TOP_BATCH_PRIME
+    reduce_against, eliminations = graphs._reduce_against, []
+
+    def exact(field, basis, *vectors):  # every reduced vector of the scan, entry by entry
+        basis = list(basis)
+        expected = _exact_reduce_against(field, basis, *vectors)
+        reduced = reduce_against(field, basis, *vectors)
+        assert all(np.array_equal(x.astype(object), y) for x, y in zip(reduced, expected))
+        eliminations.append(len(basis))
+        return reduced
+
+    monkeypatch.setattr(graphs, "_reduce_against", exact)
+    rng = np.random.default_rng(p % 10007)
+    # every nonzero entry p - 1, so the largest products meet; the sparse n = 9 and 10
+    # draws include f = 1 codes, whose size-3 leaves take 5 eliminations
+    codes = [GraphCode.from_edges(p, 1, 2, [[0, 1, p - 1], [0, 2, p - 1], [1, 2, p - 1]])]
+    for base in (wheel_code(), prism_code()):
+        codes.append(GraphCode(p, 1, 5, ModMatrix(p, base.gamma.entries * (p - 1))))
+    for m, n, densities in [(1, 6, (0.6, 0.8, 1)), (2, 7, (0.6, 0.8, 1)), (1, 9, (0.5, 0.6, 0.7))]:
+        codes += [_sparse_code(p, m, n, rng, [p - 1], density) for density in densities]
+    codes += [_sparse_code(p, 1, 10, rng, [p - 1], density) for density in (0.5, 0.6, 0.7)]
+    sizes = set()
+    for code in codes:
+        for size, dtype in zip((1, 2), _SCAN_SWITCH_DTYPES[p]):
+            vectors = graphs._site_vectors(code, p, size)
+            if vectors is not None:  # at the top, each of a leaf's eliminations is one interval
+                field, u, v = vectors
+                assert u.dtype == v.dtype == dtype
+                assert field.interval == (1 if p == _TOP_BATCH_PRIME else 2 * size - 1)
+        expected = smith_first_failing(code, code.n)  # every subset of more than n - m sites fails
+        for max_size in range(code.n + 1):
+            within = expected if len(expected) <= max_size else None
+            assert first_failing_subset(code, max_size) == within, (code.m, code.n, max_size)
+        max_f = min((code.n - 1) // 2, (len(expected) - 1) // 2)
+        if p ** (code.m + code.n) <= 10**7:  # symplectic_max_f enumerates p^(m+n) vectors
+            assert symplectic_max_f(code) == max_f
+        assert max_correctable_f(code) == max_f, (code.m, code.n)
+        sizes.add(len(expected))
+    assert sizes >= {1, 2, 3} and max(eliminations) >= 4, sizes
+
+
 @pytest.mark.parametrize("d", [4, 6])
 def test_check_subset_matches_brute_force_on_lifted_five_qubit_codes(d):
     for code in _lifted_five_qubit_codes([d], 14002):
@@ -335,8 +404,9 @@ def test_scan_keeps_the_top_bit_of_a_full_word(free_rows):
     edges = [[0, 1, 1], [n - 1, n, 1]]
     edges += [[1 + a, 1 + b, 1] for a, b in itertools.combinations(range(n - 1), 2) if rng.random() < 0.06]
     code = GraphCode.from_edges(2, 1, n, edges)
-    field, u, v = graphs._site_vectors(code, 2)
-    assert isinstance(field, graphs._Gf2Words) == (free_rows == 64)
+    field, u, v = graphs._site_vectors(code, 2, 1)
+    # the class rank_prime_batch picks for p = 2 and that row count
+    assert isinstance(field, modular._Gf2Words if free_rows == 64 else modular._BatchResidues)
     if free_rows == 64:
         assert u.dtype == v.dtype == np.uint64 and v[n - 1] == np.uint64(1) << np.uint64(63)
     assert check_subset(code, [n - 1])

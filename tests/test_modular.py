@@ -128,7 +128,7 @@ def test_rank_prime_batch_matches_sympy_large_prime(p):
     rng = np.random.default_rng(p % 1000)
     # int64 holds a residue plus 9 products near 1e9, and 1 near 3e9, so at 38 columns
     # a column is reduced partway through its eliminations, and 37 unreduced ones would wrap
-    assert modular._BatchResidues(p, 1, 38).interval == (9 if p < 2 * 10**9 else 1)
+    assert modular._BatchResidues(p, 37).interval == (9 if p < 2 * 10**9 else 1)
     for rows, cols in [(6, 4), (4, 4), (3, 5), (40, 38)]:
         mats = _low_rank_batch(rng, p, 40, rows, cols)
         ranks = rank_prime_batch(mats, p)
@@ -176,7 +176,7 @@ def test_rank_prime_batch_matches_sympy_at_representation_boundaries(p):
     shapes = [(7, 3), (3, 7), (6, 6)]
     if p in _ACCUMULATOR_SWITCH:  # the column counts on both sides of the dtype switch
         cols = _ACCUMULATOR_SWITCH[p]
-        dtypes = [modular._BatchResidues(p, 1, c).dtype for c in (cols, cols + 1)]
+        dtypes = [modular._BatchResidues(p, c - 1).dtype for c in (cols, cols + 1)]
         assert dtypes in ([np.int16, np.int32], [np.int32, np.int64])
         rows = 7 if cols < 7 else 2  # few rows keep the wide sympy oracle fast
         shapes += [(rows, cols), (rows, cols + 1)]
