@@ -9,12 +9,18 @@ Choi-state distance used to certify encode/noise/decode pipelines.
 
 An error set is enumerated once, as (subsets, per-site letters).  The
 public error bases expand it into dense numpy operators, built by one
-batched Kronecker product; the command-line path expands it into integer
-(shift, clock) words and never forms an operator: a word X^a Z^b is a
-digit shift plus a phase, so its image of the encoder is the row gather
-(F V)[i] = w^{b.(i-a)} V[i-a].  Either way the images F_a V feed one
-Gram routine, which forms M*M for M = [F_1 V | ... | F_K V] one band of
-rows at a time.  Every input-sized array passes the gate graphs._require_budget.
+batched Kronecker product; the private _ErrorSpace expands it into
+integer (shift, clock) words and never forms an operator: a word X^a Z^b
+is a digit shift plus a phase, so its image of the encoder is the row
+gather (F V)[i] = w^{b.(i-a)} V[i-a], done for all words at once.  Either
+way the images F_a V feed one Gram routine, which forms M*M for
+M = [F_1 V | ... | F_K V] one band of rows at a time: the dense route of
+kl_verify and synthesize_decoder, kept for arbitrary operators.  The
+command line needs neither V nor the images to check Knill-Laflamme for a
+graph code: _graph_kl evaluates the Gram blocks in closed form from the
+adjacency matrix (Schlingemann and Werner's character sums), through the
+words' syndromes, and simulate gathers one image per syndrome class for
+its decoder.  Every input-sized array passes the gate graphs._require_budget.
 Choi states are propagated by one routine, _propagate: a state W W* on
 (system) (x) (d0-level reference) is carried as its factor W, and a stage
 acts on one axis of W's rows (left, stage input, right) with one stacked
@@ -43,10 +49,14 @@ from .errors import DimensionMismatch, KLViolated, NotIsometry
 from .graphs import (
     DEFAULT_AMPLITUDE_CAP,
     TOTAL_AMPLITUDE_CAP,
+    GraphCode,
     _normalize_subset,
     _require_budget,
     _require_error_count,
+    _site_vectors,
+    build_isometry,
 )
+from .modular import _prime_factors, _residue_dtype
 
 __all__ = [
     "Channel",
@@ -190,11 +200,16 @@ def weyl_operator(d: int, a: int, b: int) -> np.ndarray:
     d = 2 these are the Pauli words I, X, Z, XZ.
     """
     a, b = a % d, b % d
-    omega = np.exp(2j * np.pi / d)
     w = np.zeros((d, d), dtype=np.complex128)
-    for k in range(d):
-        w[(k + a) % d, k] = omega ** (b * k)
+    k = np.arange(d)
+    w[(k + a) % d, k] = _clock_phases(d, b)
     return w
+
+
+def _clock_phases(d: int, b: int = 1) -> np.ndarray:
+    """w^(b k) for k = 0..d-1, w = exp(2 pi i / d): the diagonal of Z^b."""
+    omega = np.exp(2j * np.pi / d)
+    return np.array([omega ** (b * k) for k in range(d)], dtype=np.complex128)
 
 
 def _error_basis(n: int, d: int, subsets: Iterable[tuple], letters: range) -> list[np.ndarray]:
@@ -257,16 +272,21 @@ class _ErrorSpace:
         sizes = range(self.f + 1)
         return (z for size in sizes for z in itertools.combinations(range(self.n), size))
 
-    def __len__(self) -> int:
-        letters = len(self.letters)
+    @property
+    def size(self) -> int:
+        """The word count, a Python integer of any size (len() needs it below 2**63)."""
+        letters = self.d * self.d - 1
         return sum(math.comb(self.n, size) * letters**size for size in range(self.f + 1))
+
+    def __len__(self) -> int:
+        return self.size
 
     def words(self) -> tuple[np.ndarray, np.ndarray]:
         """(shift, clock), each (K, n), in the order of error_space_basis: word k is
         X^shift[k, s] Z^clock[k, s] on each site s, with letters q = a + d*b."""
         blocks = []
         for z in self.subsets():
-            block = np.zeros((len(self.letters) ** len(z), self.n), dtype=np.int64)
+            block = np.zeros(((self.d * self.d - 1) ** len(z), self.n), dtype=np.int64)
             # the first site varies slowest, as in the Kronecker stacks of _error_basis
             block[:, list(z)] = list(itertools.product(self.letters, repeat=len(z)))
             blocks.append(block)
@@ -314,24 +334,30 @@ def _word_images(v: np.ndarray, d: int, shift: np.ndarray, clock: np.ndarray) ->
     (dim_out, K, dim_in) array, without forming any F_k.
 
     X^a Z^b maps |j> to w^{b j} |j + a>, so (F V)[i] = w^{b.(i-a)} V[i-a]
-    with i - a taken digit by digit mod d: a row gather and a multiply,
-    touching only the sites a word acts on.
+    with i - a taken digit by digit mod d: a row gather and a multiply.
+    Each word's support sites are moved to its first slots, so one pass
+    per slot (at most f) updates the source rows and phase powers of all
+    K words at once, and V is gathered straight into M.  The index arrays
+    pass _require_budget.
     """
     dim_out, dim_in = v.shape
     count, n = shift.shape
-    rows = np.arange(dim_out)
+    support = (shift | clock) != 0
+    width = int(support.sum(axis=1).max(initial=0))
+    _require_budget(dim_out * count, "error image rows")  # each index array: source rows, powers
+    slots = np.argsort(~support, axis=1, kind="stable")[:, :width]  # support first, then letter-free sites
     place = d ** np.arange(n - 1, -1, -1)  # digit 0 is most significant
-    phases = np.diag(weyl_operator(d, 0, 1))  # w^j, the entries of Z
-    out = np.empty((dim_out, count, dim_in), dtype=np.complex128)
-    for k in range(count):
-        source, power = rows, 0
-        for s in np.flatnonzero(shift[k] | clock[k]):
-            digit = rows // place[s] % d
-            moved = (digit - shift[k, s]) % d  # the source digit i_s - a_s
-            source = source + (moved - digit) * place[s]
-            power = power + clock[k, s] * moved
-        np.multiply(phases[power % d, None], v[source], out=out[:, k])
-    return out
+    rows = np.arange(dim_out)[:, None]
+    source = np.repeat(rows, count, axis=1)
+    power = np.zeros((dim_out, count), dtype=np.int64)
+    for slot in slots.T:
+        a = shift[np.arange(count), slot]
+        step = place[slot]
+        digit = rows // step % d
+        moved = (digit - a) % d  # the source digit i_s - a_s
+        source += (moved - digit) * step
+        power += clock[np.arange(count), slot] * moved
+    return _clock_phases(d)[power % d, None] * v[source]
 
 
 def _kl_report(images: np.ndarray) -> KLReport:
@@ -369,29 +395,166 @@ def kl_verify(v, errors: Sequence) -> KLReport:
     return _kl_report(_images(v, errors))
 
 
+@dataclass(frozen=True)
+class _GraphKL:
+    """The Knill-Laflamme report of a graph code's error space, from _graph_kl.
+
+    shift and clock hold one word per syndrome class, the class of its
+    first word in the space's order; both are None when V is no isometry.
+    """
+
+    space: _ErrorSpace
+    max_deviation: float
+    shift: Optional[np.ndarray] = None
+    clock: Optional[np.ndarray] = None
+
+    @property
+    def correcting(self) -> bool:
+        return self.max_deviation <= KL_TOLERANCE
+
+
+def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
+    """The Knill-Laflamme report of all words on at most f sites, from the graph alone.
+
+    With V[y, x] = d^(-n/2) w^(S_XX(x) + x.Gamma_XY y + S_YY(y)) and
+    S(y) = sum_{i<j} Gamma_ij y_i y_j, the character sum over y collapses:
+    T(a, b) = V* X^a Z^b V has T[x', x] = w^c when
+    Gamma_YX (x - x') = Gamma_YY a - b (mod d) and 0 otherwise, with
+    c = S_XX(x) - S_XX(x') - x'.Gamma_XY a - S_YY(a), for every d >= 2; and
+    V* F_a* F_b V = w^(-c_a.(s_b - s_a)) T(s_b - s_a, c_b - c_a) for
+    F = X^s Z^c.  So:
+    - V is an isometry exactly when Gamma_YX has a trivial kernel mod d;
+      otherwise T(0, 0) - 1 has unit entries off its diagonal, a gap of 1.
+    - Two words of different syndromes Gamma_YY s - c whose difference is
+      Gamma_YX delta have a block of unit entries at x = x' + delta, and
+      trace 0: a deviation of 1.  Blocks of other syndrome pairs are 0.
+    - Two words of one syndrome have the diagonal block
+      w^(phase - x.Gamma_XY (s_b - s_a)): a scalar when Gamma_XY s agrees,
+      otherwise of trace 0 and deviation 1.
+    So the deviation is 0 or 1, and a correcting class of g words has the
+    rank-one Gram block u u*, |u_a| = 1.  Words are grouped by their
+    syndromes projected mod every p | d through the scan's table
+    (graphs._site_vectors): distinct groups differ outside the column
+    module, and within a group _share_a_coset decides exactly.  Budgeted:
+    the words and their syndromes; no d^n-sized and no K x K array.
+    """
+    d, m, n = code.d, code.m, code.n
+    space = _ErrorSpace(n, d, f)
+    _require_budget(3 * space.size * n, "error words")  # shift, clock and syndromes
+    primes = _prime_factors(d)
+    tables = [_site_vectors(code, p, 1) for p in primes]
+    if any(table is None for table in tables):
+        return _GraphKL(space, 1.0)
+    shift, clock = space.words()
+    gamma = code.gamma.entries
+    syndromes = (_mod_matmul(shift, gamma[m:, m:], d) - clock) % d
+    first, label = _row_classes(syndromes)
+    dual = _mod_matmul(shift, gamma[m:, :m], d)  # Gamma_XY s
+    split = bool((dual != dual[first][label]).any())
+    shift, clock = shift[first], clock[first]
+    keys = np.column_stack([_projected_syndromes(t, p, shift, clock) for p, t in zip(primes, tables)])
+    group = _row_classes(keys)[1]
+    deviation = 1.0 if split or _share_a_coset(code, syndromes[first], group) else 0.0
+    return _GraphKL(space, deviation, shift, clock)
+
+
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, label) of the equal rows of a 2-D integer array: the index of each class's
+    first row, and each row's class, classes in lexicographic order of their rows."""
+    # stable, so a run of equal rows starts at its first; rows without entries are all equal
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    label = np.empty(len(rows), dtype=np.intp)
+    label[order] = np.cumsum(starts) - 1
+    return order[starts], label
+
+
+def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """a @ b mod d as int64 for residue arrays a and b, in Python integers when int64
+    cannot hold the sums."""
+    if _residue_dtype(d, a.shape[-1]) is object:
+        return (a.astype(object) @ b.astype(object) % d).astype(np.int64)
+    return a.astype(np.int64) @ b.astype(np.int64) % d
+
+
+def _projected_syndromes(table, p: int, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    """sum_z s_z u_z - c_z v_z mod p of each word (s, c), from the projected table
+    (field, u, v) of graphs._site_vectors: the syndrome modulo the columns of
+    Gamma_YX, as a (K, width) int64 array."""
+    _, u, v = table
+    s, c = shift % p, clock % p
+    if u.dtype == np.uint64:  # one GF(2) word per site
+        zero = np.uint64(0)
+        terms = np.where(s == 1, u, zero) ^ np.where(c == 1, v, zero)
+        return np.bitwise_xor.reduce(terms, axis=1).view(np.int64)[:, None]
+    return (_mod_matmul(s, u.T, p) - _mod_matmul(c, v.T, p)) % p
+
+
+def _share_a_coset(code: GraphCode, syndromes: np.ndarray, group: np.ndarray) -> bool:
+    """Whether two of the distinct syndromes differ by some Gamma_YX delta mod d.
+
+    Only syndromes of one group (equal projections mod every p | d) can.
+    For square-free d the projections are exact, so any group of two does;
+    otherwise each pair of a group is compared with all d^m columns
+    Gamma_YX delta, one syndrome against the later ones at a time.
+    """
+    d, m, n = code.d, code.m, code.n
+    crowded = np.flatnonzero(np.bincount(group) > 1)
+    if not crowded.size or math.prod(_prime_factors(d)) == d:
+        return bool(crowded.size)
+    _require_budget(d**m * n, "column module")
+    deltas = np.indices((d,) * m).reshape(m, -1).T
+    module = _mod_matmul(deltas, code.gamma.entries[:m, m:], d)  # (Gamma_YX delta)^T
+    for index in crowded:
+        members = syndromes[group == index]
+        _require_budget(len(members) * module.size, "column module comparison")
+        for i in range(len(members) - 1):
+            gaps = (members[i + 1 :] - members[i]) % d
+            if (gaps[:, None, :] == module).all(axis=2).any():
+                return True
+    return False
+
+
+def _require_correcting(deviation: float) -> None:
+    if not deviation <= KL_TOLERANCE:
+        raise KLViolated(f"Knill-Laflamme deviation {deviation:.3e} exceeds {KL_TOLERANCE}")
+
+
+def _log_rank(rank: int, count: int) -> None:
+    if rank < count:
+        logger.info("degenerate Gram form: rank %d < error-set size %d", rank, count)
+
+
 def _decoder_isometry(v, errors) -> np.ndarray:
     """U = [G_1 V | ... | G_r V] of a verified error set, as a (dim_out, rank, dim_in) array.
 
-    Steps: the images F_a V, their Knill-Laflamme report (KLViolated unless
-    the code corrects the set), the eigenbasis of the Gram form (eigenvalues
-    below GRAM_EIGENVALUE_CUTOFF span the degenerate directions and are
-    dropped), and G_k V = sum_a c_ak F_a V with the weights c scaled to make
-    U an isometry.  No G_k is formed.  Budgeted as _images.
+    For a sequence of operators or an _ErrorSpace: the images F_a V, their
+    Knill-Laflamme report (KLViolated unless the code corrects the set),
+    the eigenbasis of the Gram form (eigenvalues below
+    GRAM_EIGENVALUE_CUTOFF span the degenerate directions and are
+    dropped), and G_k V = sum_a c_ak F_a V with the weights c scaled to
+    make U an isometry.  No G_k is formed.  Budgeted as _images.
+
+    For the _GraphKL of a graph code's error space the Gram form is known:
+    a rank-one block per syndrome class, whose one eigenvector weights
+    images that agree up to a phase.  So G_k V is the image of the class's
+    first word, up to a phase, which leaves the decoding channel as it is;
+    only those rank images are gathered, under the same budget.
     """
+    if isinstance(errors, _GraphKL):
+        _require_correcting(errors.max_deviation)
+        rank = len(errors.shift)
+        _log_rank(rank, len(errors.space))
+        _require_budget(rank * v.size, "error images")
+        return _word_images(v, errors.space.d, errors.shift, errors.clock)
     images = _images(v, errors)
     report = _kl_report(images)
-    if not report.correcting:
-        raise KLViolated(
-            f"Knill-Laflamme deviation {report.max_deviation:.3e} exceeds {KL_TOLERANCE}"
-        )
-    count = images.shape[1]
+    _require_correcting(report.max_deviation)
     vals, vecs = np.linalg.eigh(report.gram)
     keep = vals > GRAM_EIGENVALUE_CUTOFF
-    rank = int(keep.sum())
-    if rank < count:
-        logger.info(
-            "degenerate Gram form: rank %d < error-set size %d", rank, count
-        )
+    _log_rank(int(keep.sum()), images.shape[1])
     coeff = vecs[:, keep] / np.sqrt(vals[keep])  # columns give G_k weights
     return np.tensordot(images, coeff, axes=(1, 0)).transpose(0, 2, 1)
 
@@ -541,23 +704,25 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
     return float(0.5 * np.abs(gaps).sum())
 
 
-def _local_etd(v, errors: _ErrorSpace, noise: Optional[Channel], sites: Sequence[int]) -> float:
-    """verify_etd(Channel((V,)), T, synthesize_decoder(V, errors)), with T the site
-    channel `noise` on each of `sites` of the n-site register and identity elsewhere.
+def _local_etd(code: GraphCode, f: int, noise: Optional[Channel], sites: Sequence[int]) -> float:
+    """verify_etd(Channel((V,)), T, synthesize_decoder(V, errors)) for the code's isometry V
+    and errors all words on at most f sites, with T the site channel `noise` on each of
+    `sites` of the n-site register and identity elsewhere.
 
     Each noisy site's d x d Kraus stack acts on that site's axis of the
     Choi state (see _propagate).  The decoder stays implicit: with
     Y = (U* (x) 1) rho (U (x) 1) for the isometry U of _decoder_isometry,
-    the decoded state is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y),
-    rho0 = |0><0|, so no register-sized noise operator, complement basis
-    or QR is formed.  That state is the Choi state of the logical channel
-    D T E; its Kraus operators, read off the eigenvectors, go through
-    verify_etd with identity noise and decoder.
+    taken from the code's syndrome classes (_graph_kl), the decoded state
+    is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y), rho0 = |0><0|, so no
+    register-sized noise operator, complement basis or QR is formed.
+    That state is the Choi state of the logical channel D T E; its Kraus
+    operators, read off the eigenvectors, go through verify_etd with
+    identity noise and decoder.
     """
-    v = _as_operator(v)
-    u = _decoder_isometry(v, errors)
+    v = build_isometry(code)
+    u = _decoder_isometry(v, _graph_kl(code, f))
     dim_out, _, d0 = u.shape
-    n, d = errors.n, errors.d
+    n, d = code.n, code.d
     stages = [(v[None], 1, d0)] + [(noise.kraus, d**site, d ** (n - 1 - site) * d0) for site in sites]
     dense, cols = False, 1  # the shapes first: an oversized stage is refused before any runs
     for kraus, left, right in stages:

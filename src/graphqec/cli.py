@@ -19,19 +19,11 @@ import time
 
 import numpy as np
 
-from .channels import (
-    KL_TOLERANCE,
-    Channel,
-    _ErrorSpace,
-    _isometry_gap,
-    _local_etd,
-    kl_verify,
-)
-from .errors import DimensionMismatch, GraphQECError, NotIsometry
+from .channels import KL_TOLERANCE, Channel, _graph_kl, _local_etd
+from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
     _normalize_subset,
     _require_shape,
-    build_isometry,
     find_uncorrectable_subset,
     graph_to_dict,
     load_graph,
@@ -196,21 +188,17 @@ def _cmd_maxf(args) -> Result:
 def _cmd_kl_check(args) -> Result:
     code = load_graph(args.graph)
     _require_shape(code.m, code.n, args.f)
-    errors = _ErrorSpace(code.n, code.d, args.f)
-    v = build_isometry(code)
-    try:
-        deviation = kl_verify(v, errors).max_deviation
-    except NotIsometry:  # the identity word's condition V*V = 1 already fails
-        deviation = _isometry_gap(v)
-    passes = deviation <= KL_TOLERANCE
+    report = _graph_kl(code, args.f)
+    deviation = report.max_deviation
+    passes = report.correcting
     lines = [
-        f"error space: all words on <= {args.f} of {code.n} sites ({len(errors)} operators)",
+        f"error space: all words on <= {args.f} of {code.n} sites ({len(report.space)} operators)",
         f"max deviation: {deviation:.3e} (tolerance {KL_TOLERANCE:.0e})",
         f"Knill-Laflamme: {'PASS' if passes else 'FAIL'}",
     ]
     payload = {
         "f": args.f,
-        "operators": len(errors),
+        "operators": len(report.space),
         "max_deviation": deviation,
         "tolerance": KL_TOLERANCE,
         "passes": passes,
@@ -236,7 +224,7 @@ def _cmd_simulate(args) -> Result | int:
         site_channel = _parse_noise(args.noise, code.d)
         if not sites:
             raise ValueError("--noise given without --sites")
-    distance = _local_etd(build_isometry(code), _ErrorSpace(code.n, code.d, args.f), site_channel, sites)
+    distance = _local_etd(code, args.f, site_channel, sites)
     corrected = distance < KL_TOLERANCE
     lines = [
         f"noise: {args.noise or 'none'} on sites {sites}",

@@ -272,9 +272,29 @@ def test_local_etd_matches_verify_etd(name, channel, sites, wheel, prism):
     v = build_isometry(code)
     single = SITE_CHANNELS[channel](code.d)
     space = _ErrorSpace(code.n, code.d, 1)
-    got = _local_etd(v, space, single, sites)
+    got = _local_etd(code, 1, single, sites)
     noise = tensor_channels(*(single if s in sites else identity_channel(code.d) for s in range(code.n)))
     assert abs(got - verify_etd(Channel((v,)), noise, synthesize_decoder(v, space))) < TOL
+    if len(sites) <= 1:
+        assert got < 1e-9
+
+
+# composite d, where a register-sized noise operator is out of reach: the graph route's
+# decoder against the dense Gram route of the same error space (images, Gram form, eigh);
+# at d = 6 the 7776-row images make each case take seconds, so two cases run
+COMPOSITE_CASES = [
+    (4, channel, sites) for channel in SITE_CHANNELS for sites in ((), (1,), (0, 3), (0, 2, 4))
+] + [(6, "rotation", (1,)), (6, "damping", (0, 3))]
+
+
+@pytest.mark.parametrize("d, channel, sites", COMPOSITE_CASES)
+def test_local_etd_at_composite_d_matches_the_dense_gram_decoder(d, channel, sites, wheel, monkeypatch):
+    code = seeded_code(4, 5, 27) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
+    single = SITE_CHANNELS[channel](d)
+    got = _local_etd(code, 1, single, sites)
+    decoder_isometry = channels._decoder_isometry
+    monkeypatch.setattr(channels, "_decoder_isometry", lambda v, report: decoder_isometry(v, report.space))
+    assert abs(got - _local_etd(code, 1, single, sites)) < TOL
     if len(sites) <= 1:
         assert got < 1e-9
 
@@ -300,7 +320,7 @@ def test_local_etd_with_noise_on_every_site_matches_dense_reference(channel, mon
         return out
 
     monkeypatch.setattr(channels, "_propagate", spy)
-    got = _local_etd(v, _ErrorSpace(7, 2, 1), single, range(7))
+    got = _local_etd(code, 1, single, range(7))
     # 2^8 rows: 4^5 depolarizing columns switch to the dense state, 2^7 damping ones do not;
     # verify_etd's three stages of the d0-level logical channel follow
     assert dense[:8] == [False] * 5 + [channel == "depolarizing"] * 3

@@ -4,13 +4,14 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphqec import channels
+from graphqec import channels, graphs
 from graphqec.cli import _parse_noise, main
 from graphqec.graphs import dump_graph, first_failing_subset, graph_to_dict, loads_graph, wheel_code
 from graphqec.search import sample_graph, trial_rng
@@ -164,7 +165,7 @@ def _ring_file(tmp_path, n):
     return path
 
 
-def test_ten_qubit_budget_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
+def test_kl_check_runs_ten_and_sixteen_qubits_at_f_2(capsys, tmp_path, monkeypatch):
     word_images, kron_stacks = channels._word_images, channels._kron_stacks
 
     def guarded_images(v, d, shift, clock):  # fills an image stack only within the total budget
@@ -177,24 +178,41 @@ def test_ten_qubit_budget_exits_2_before_allocating(capsys, tmp_path, monkeypatc
 
     monkeypatch.setattr(channels, "_word_images", guarded_images)
     monkeypatch.setattr(channels, "_kron_stacks", guarded_kron)
-    ring10 = _ring_file(tmp_path, 10)
-    # 436 error words: images of 436 x 2^11 amplitudes, no 2^20-amplitude operator
-    code, out, _ = run_cli(capsys, "kl-check", str(ring10), "--f", "2", "--json", "--no-timing")
-    payload = json.loads(out)
-    passes = first_failing_subset(loads_graph(ring10.read_text()), 4) is None
-    assert (code, payload["operators"], payload["passes"]) == (0 if passes else 1, 436, passes)
-    # 1129 error words on 16 qubits: 1129 x 2^17 image amplitudes > 2^26
-    ring16 = _ring_file(tmp_path, 16)
-    code, out, err = run_cli(capsys, "kl-check", str(ring16), "--f", "2", "--no-timing")
-    assert (code, out) == (2, "")
-    assert "amplitudes" in err
+    # 436 and 1129 error words: kl-check reads the graph alone, so the 1129 x 2^17
+    # image amplitudes that 16 qubits would take (> 2^26) are never asked for
+    for n, words in [(10, 436), (16, 1129)]:
+        ring = _ring_file(tmp_path, n)
+        code, out, _ = run_cli(capsys, "kl-check", str(ring), "--f", "2", "--json", "--no-timing")
+        payload = json.loads(out)
+        passes = first_failing_subset(loads_graph(ring.read_text()), 4) is None
+        assert (code, payload["operators"], payload["passes"]) == (0 if passes else 1, words, passes)
     # depolarizing on 5 sites: each site's 4 Kraus operators act on its own axis of the Choi factor
     code, out, _ = run_cli(
-        capsys, "simulate", str(ring10), "--f", "0",
+        capsys, "simulate", str(_ring_file(tmp_path, 10)), "--f", "0",
         "--noise", "depolarizing:0.3", "--sites", "0,1,2,3,4", "--json", "--no-timing",
     )
     assert code == 0
     assert json.loads(out)["sites"] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("d, n, trial", [(2, 16, 303), (3, 12, 46)], ids=["qubit-n16", "qutrit-n12"])
+def test_kl_check_passes_f_2_codes_from_the_graph_alone(capsys, tmp_path, monkeypatch, d, n, trial):
+    def dense(*args, **kwargs):
+        raise AssertionError("kl-check reached the isometry or the error images")
+
+    for module, name in [(graphs, "build_isometry"), (channels, "build_isometry"), (channels, "_images"),
+                         (channels, "_word_images"), (channels, "_kl_report")]:
+        monkeypatch.setattr(module, name, dense)
+    # the first f = 2 passers of sample_graph(d, 1, n, trial_rng(5, t)): 1129 and 4321 words,
+    # whose images would hold 2^17 and 3^12 amplitudes each
+    path = tmp_path / "passer.json"
+    dump_graph(sample_graph(d, 1, n, trial_rng(5, trial)), path)
+    assert first_failing_subset(loads_graph(path.read_text()), 4) is None
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "2", "--no-timing")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "Knill-Laflamme: PASS"
 
 
 def test_simulate_runs_twelve_qubits_without_a_register_operator(capsys, tmp_path, monkeypatch):
@@ -238,9 +256,9 @@ def _address_space_limit(gib):
 
 _W8_EDGES = [[10 + s, 10 + (s + 1) % 20, 1] for s in range(20)] + [[i, 10 + 2 * i, 1] for i in range(10)]
 _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
-    "kl-check-isometry": (
-        {"d": 2, "m": 10, "n": 20, "edges": _W8_EDGES}, ["kl-check", "--f", "0"],
-        "isometry needs 1073741824 amplitudes",
+    # 2,333,431 words on <= 4 of 30 sites, each with its shift, clock and syndrome rows
+    "kl-check-words": (
+        _ring_graph(30), ["kl-check", "--f", "4"], "error words needs 210008790 amplitudes",
     ),
     "verify-adjacency": (
         {"d": 2, "m": 1, "n": 100000, "edges": []}, ["verify", "--f", "1"],
@@ -271,18 +289,23 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
 }
 
 
-def _assert_refused_in_child(tmp_path, graph, argv, message, gib):
-    """Run the CLI in a subprocess with gib GiB of address space; expect exit 2 and message."""
+def _run_in_child(tmp_path, graph, argv, gib):
+    """Run the CLI in a subprocess with gib GiB of address space; return the finished process."""
     if graph is not None:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(graph))
         argv = [argv[0], str(path), *argv[1:]]
     # one BLAS thread, so that OpenBLAS reserves little address space of its own
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "graphqec.cli", *argv, "--no-timing"],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=_address_space_limit(gib),
     )
+
+
+def _assert_refused_in_child(tmp_path, graph, argv, message, gib):
+    """Expect exit 2 and message from the CLI run in a subprocess with gib GiB of address space."""
+    proc = _run_in_child(tmp_path, graph, argv, gib)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr, proc.stderr
 
@@ -290,6 +313,18 @@ def _assert_refused_in_child(tmp_path, graph, argv, message, gib):
 @pytest.mark.parametrize("graph, argv, message", list(_OVERSIZED.values()), ids=list(_OVERSIZED))
 def test_oversized_inputs_exit_2_within_three_gib_of_address_space(tmp_path, graph, argv, message):
     _assert_refused_in_child(tmp_path, graph, argv, message, 3)
+
+
+@pytest.mark.parametrize("f", [0, 1, 2])
+def test_kl_check_answers_a_thirty_node_code_within_three_gib_of_address_space(capsys, tmp_path, f):
+    # W8: its isometry would hold 2^20 x 2^10 amplitudes, but kl-check reads the graph alone
+    graph = {"d": 2, "m": 10, "n": 20, "edges": _W8_EDGES}
+    path = tmp_path / "w8.json"
+    path.write_text(json.dumps(graph))
+    passes = run_cli(capsys, "verify", str(path), "--f", str(f), "--no-timing")[0] == 0
+    proc = _run_in_child(tmp_path, graph, ["kl-check", "--f", str(f)], 3)
+    assert (proc.returncode, proc.stderr) == (0 if passes else 1, "")
+    assert proc.stdout.splitlines()[-1] == f"Knill-Laflamme: {'PASS' if passes else 'FAIL'}"
 
 
 def test_simulate_refuses_an_oversized_stage_before_any_stage_runs(tmp_path):
@@ -351,6 +386,20 @@ def test_kl_check_fourteen_qubits_is_admitted(capsys, tmp_path):
     assert payload["operators"] == 1 + 14 * 3
     passes = first_failing_subset(loads_graph(path.read_text()), 2) is None
     assert (code, payload["passes"]) == (0 if passes else 1, passes)
+
+
+def test_kl_check_answers_f_0_beyond_int64_products_and_budgets_the_words(capsys, tmp_path):
+    # d = 2q, q above MAX_BATCH_MODULUS: d^2 - 1 letters per site overflow len(), and the
+    # syndromes take Python integers; f = 0 has the identity word alone
+    d = 2 * 4294967311
+    path = tmp_path / "big.json"
+    for edges in ([[0, 1, 1], [1, 2, d - 1], [2, 3, 4294967312], [0, 3, 3]], [[1, 2, 1]]):
+        path.write_text(json.dumps({"d": d, "m": 1, "n": 3, "edges": edges}))
+        passes = run_cli(capsys, "verify", str(path), "--f", "0", "--no-timing")[0] == 0
+        code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "0", "--no-timing")
+        assert (code, err) == (0 if passes else 1, "")
+        assert out.splitlines()[-1] == f"Knill-Laflamme: {'PASS' if passes else 'FAIL'}"
+    _refused(run_cli(capsys, "kl-check", str(path), "--f", "1"), "error words needs")
 
 
 def test_simulate_single_site(capsys, wheel_file):

@@ -1,11 +1,18 @@
-"""Matrix-free Weyl images and the banded Gram form against the dense path.
+"""Matrix-free Weyl images, the banded Gram form and the graph's closed form
+against the dense path.
 
 The oracle is the straightforward algorithm: every error word as a dense
 d^n x d^n operator from the public error_space_basis, the images F_a V as
 matrix products, the Gram blocks from one einsum with a deviation array
 of the same size, and an explicit decoder built from the dense operators
-G_k = sum_a c_ak F_a.  It lives only here.
+G_k = sum_a c_ak F_a.  The per-word gather loop that the vectorized
+_word_images replaced is kept as its bit-exact oracle.  The closed-form
+Knill-Laflamme report of a graph code (channels._graph_kl) is checked
+against the dense kl_verify and against the exact verdict of verify.
+It all lives only here.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,16 +23,20 @@ from graphqec.channels import (
     KL_TOLERANCE,
     Channel,
     _ErrorSpace,
+    _graph_kl,
     _images,
+    _isometry_gap,
+    _word_images,
     error_space_basis,
     identity_channel,
     kl_verify,
     synthesize_decoder,
     tensor_channels,
     verify_etd,
+    weyl_operator,
 )
-from graphqec.errors import DimensionOverflow
-from graphqec.graphs import GraphCode, build_isometry, first_failing_subset
+from graphqec.errors import DimensionOverflow, NotIsometry
+from graphqec.graphs import GraphCode, build_isometry, first_failing_subset, prism_code, wheel_code
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
@@ -106,6 +117,120 @@ def test_word_images_match_dense_products():
         assert np.abs(got - want).max() <= 1e-15, (d, f, code.n)
         if d == 2 and f == 1:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def loop_word_images(v, d, shift, clock):
+    """_word_images one word at a time: a row gather and a phase per word."""
+    dim_out, dim_in = v.shape
+    count, n = shift.shape
+    rows = np.arange(dim_out)
+    place = d ** np.arange(n - 1, -1, -1)
+    phases = np.diag(weyl_operator(d, 0, 1))
+    out = np.empty((dim_out, count, dim_in), dtype=np.complex128)
+    for k in range(count):
+        source, power = rows, 0
+        for s in np.flatnonzero(shift[k] | clock[k]):
+            digit = rows // place[s] % d
+            moved = (digit - shift[k, s]) % d
+            source = source + (moved - digit) * place[s]
+            power = power + clock[k, s] * moved
+        np.multiply(phases[power % d, None], v[source], out=out[:, k])
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_word_images_match_the_per_word_loop_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for m, n in [(1, 5), (2, 4)] if d < 4 else [(1, 3), (2, 3)]:
+        g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
+        v = build_isometry(GraphCode(d, m, n, ModMatrix(d, g + g.T)))
+        for f in (0, 1, 2):
+            shift, clock = _ErrorSpace(n, d, f).words()
+            got, want = _word_images(v, d, shift, clock), loop_word_images(v, d, shift, clock)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (m, n, f)
+
+
+def graph_kl_corpus():
+    """(code, f): seeded codes at prime, prime-power and mixed d, sparse draws included,
+    so that non-isometric encoders, passing codes and failing ones occur; every f with
+    2f < n whose dense Gram form costs at most about 10^8 multiply-adds."""
+    rng = np.random.default_rng(17001)
+    for d in (2, 3, 4, 5, 6, 9):
+        for m, n in [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5)]:
+            for density in (0.4, 0.7, 1.0):
+                g = np.triu(rng.integers(0, d, size=(m + n, m + n)) * (rng.random((m + n, m + n)) < density), 1)
+                code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
+                for f in range((n - 1) // 2 + 1):
+                    if len(_ErrorSpace(n, d, f)) ** 2 * d ** (2 * m + n) <= 10**8:
+                        yield code, f
+
+
+def test_graph_kl_matches_dense_kl_verify_and_verify():
+    seen = set()
+    for code, f in graph_kl_corpus():
+        report = _graph_kl(code, f)
+        v = build_isometry(code)
+        try:
+            dense = kl_verify(v, _ErrorSpace(code.n, code.d, f)).max_deviation
+        except NotIsometry:  # what kl-check reported before: the gap of V*V
+            dense = _isometry_gap(v)
+            seen.add("non-isometric")
+        assert abs(report.max_deviation - dense) <= 1e-12, (code.d, code.m, code.n, f)
+        assert report.correcting == (first_failing_subset(code, 2 * f) is None), (code.d, code.n, f)
+        if report.shift is not None and len(report.shift) < len(report.space):
+            seen.add("multi-word classes")
+        seen.add((code.d, report.correcting))
+    assert {"non-isometric", "multi-word classes"} <= seen
+    assert {(d, verdict) for d in (2, 3, 4, 5, 6) for verdict in (True, False)} <= seen
+
+
+def test_graph_kl_verdicts_at_prime_power_d_decide_shared_cosets_exactly(monkeypatch):
+    # at d = p^k equal syndromes mod p leave two classes in one group, and only the
+    # comparison with the columns Gamma_YX delta mod d tells whether their blocks vanish
+    share, outcomes = channels._share_a_coset, set()
+
+    def spy(code, syndromes, group):
+        found = share(code, syndromes, group)
+        if np.bincount(group).max() > 1:
+            outcomes.add((code.d, found))
+        return found
+
+    monkeypatch.setattr(channels, "_share_a_coset", spy)
+    rng = np.random.default_rng(17002)
+    for d, m, n in [(4, 1, 4), (4, 1, 5), (4, 2, 5), (9, 1, 4), (9, 1, 5), (8, 1, 5)]:
+        for density in (0.4, 0.7, 1.0):
+            g = np.triu(rng.integers(0, d, size=(m + n, m + n)) * (rng.random((m + n, m + n)) < density), 1)
+            code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
+            for f in range((n - 1) // 2 + 1):
+                assert _graph_kl(code, f).correcting == (first_failing_subset(code, 2 * f) is None), (d, n, f)
+    # the five-qubit graphs at d = p^k correct one error: the identity and each Z_z^p
+    # share their syndromes mod p but no coset of the column module mod d
+    for base, d in itertools.product([wheel_code(), prism_code()], [4, 8, 9]):
+        assert _graph_kl(GraphCode(d, 1, 5, ModMatrix(d, base.gamma.entries)), 1).correcting
+    assert {found for _, found in outcomes} == {True, False}, outcomes
+    assert {d for d, _ in outcomes} >= {4, 9}, outcomes
+
+
+def degenerate_wheel():
+    """The wheel with a sixth, isolated output: X on it acts trivially on the code, so
+    19 words on at most one site fall into 17 syndrome classes."""
+    edges = [[0, k, 1] for k in range(1, 6)] + [[1, 2, 1], [2, 3, 1], [3, 5, 1], [5, 4, 1], [4, 1, 1]]
+    return GraphCode.from_edges(2, 1, 6, edges)
+
+
+def test_graph_kl_and_decoder_of_a_degenerate_code_match_the_dense_path():
+    code = degenerate_wheel()
+    v, space = build_isometry(code), _ErrorSpace(6, 2, 1)
+    report = _graph_kl(code, 1)
+    assert (len(report.shift), len(report.space)) == (17, 19)
+    dense = kl_verify(v, space)
+    assert report.correcting and abs(report.max_deviation - dense.max_deviation) <= 1e-12
+    assert np.linalg.matrix_rank(dense.gram, tol=GRAM_EIGENVALUE_CUTOFF) == 17
+    encoder, decoder = Channel((v,)), synthesize_decoder(v, space)
+    for sites in [(), (5,), (0,), (1, 5)]:
+        noise = tensor_channels(*(make_depolarizing(2, 0.3) if s in sites else identity_channel(2) for s in range(6)))
+        want = verify_etd(encoder, noise, decoder)
+        assert abs(channels._local_etd(code, 1, make_depolarizing(2, 0.3), sites) - want) <= 1e-12, sites
 
 
 def test_max_deviation_matches_the_einsum_oracle():
