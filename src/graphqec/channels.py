@@ -7,20 +7,20 @@ verification of the Knill-Laflamme condition, synthesis of an explicit
 decoding channel from the Gram form of a verified error set, and the
 Choi-state distance used to certify encode/noise/decode pipelines.
 
-An error set is enumerated once, as (subsets, per-site letters).  The
-public error bases expand it into dense numpy operators, built by one
-batched Kronecker product; the private _ErrorSpace expands it into
-integer (shift, clock) words and never forms an operator: a word X^a Z^b
-is a digit shift plus a phase, so its image of the encoder is the row
-gather (F V)[i] = w^{b.(i-a)} V[i-a], done for all words at once.  Either
-way the images F_a V feed one Gram routine, which forms M*M for
-M = [F_1 V | ... | F_K V] one band of rows at a time: the dense route of
-kl_verify and synthesize_decoder, kept for arbitrary operators.  The
-command line needs neither V nor the images to check Knill-Laflamme for a
-graph code: _graph_kl evaluates the Gram blocks in closed form from the
-adjacency matrix (Schlingemann and Werner's character sums), through the
-words' syndromes, and simulate gathers one image per syndrome class for
-its decoder.  Every input-sized array passes the gate graphs._require_budget.
+The Knill-Laflamme condition has two routes, each for one kind of input.
+kl_verify and synthesize_decoder take a sequence of dense operators (the
+public error bases build them by one batched Kronecker product); their
+images F_a V feed one Gram routine, which forms M*M for
+M = [F_1 V | ... | F_K V] one band of rows at a time.  A graph code's
+error space on at most f sites needs neither V nor the images: _graph_kl
+takes the code and f, enumerates the words as integer (shift, clock)
+digits (_error_words) and evaluates the Gram blocks in closed form from
+the adjacency matrix (Schlingemann and Werner's character sums), through
+the words' syndromes.  simulate's decoder then gathers one image per
+syndrome class, never forming an operator: a word X^a Z^b is a digit
+shift plus a phase, so its image of the encoder is the row gather
+(F V)[i] = w^{b.(i-a)} V[i-a].  Every input-sized array passes the gate
+graphs._require_budget.
 Choi states are propagated by one routine, _propagate: a state W W* on
 (system) (x) (d0-level reference) is carried as its factor W, and a stage
 acts on one axis of W's rows (left, stage input, right) with one stacked
@@ -41,14 +41,13 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, KLViolated, NotIsometry
 from .graphs import (
     DEFAULT_AMPLITUDE_CAP,
-    TOTAL_AMPLITUDE_CAP,
     GraphCode,
     _normalize_subset,
     _require_budget,
@@ -63,7 +62,6 @@ __all__ = [
     "KLReport",
     "KL_TOLERANCE",
     "GRAM_EIGENVALUE_CUTOFF",
-    "TOTAL_AMPLITUDE_CAP",
     "identity_channel",
     "apply_channel",
     "tensor_channels",
@@ -242,56 +240,27 @@ def error_space_basis(n: int, d: int, f: int) -> list[np.ndarray]:
     acting nontrivially on every site of Z.  ParamOutOfRange (a ValueError)
     for negative f.  Budgeted per operator and as a whole.
     """
-    space = _ErrorSpace(n, d, f)
-    return _error_basis(n, d, space.subsets(), space.letters)
+    _require_error_count(f)
+    subsets = (z for size in range(f + 1) for z in itertools.combinations(range(n), size))
+    return _error_basis(n, d, subsets, range(1, d * d))
 
 
-@dataclass(frozen=True)
-class _ErrorSpace:
-    """The error set of error_space_basis(n, d, f), kept as (n, d, f).
-
-    kl_verify and synthesize_decoder take it in place of the operator
-    list: its words are expanded to integer digits only once the budget
-    admits their images, and no d^n x d^n operator is formed.
-    ParamOutOfRange (a ValueError) for negative f.
-    """
-
-    n: int
-    d: int
-    f: int
-
-    def __post_init__(self):
-        _require_error_count(self.f)
-
-    @property
-    def letters(self) -> range:
-        return range(1, self.d * self.d)
-
-    def subsets(self) -> Iterator[tuple[int, ...]]:
-        """The empty set, then every Z with 1 <= |Z| <= f, by size and lexicographically."""
-        sizes = range(self.f + 1)
-        return (z for size in sizes for z in itertools.combinations(range(self.n), size))
-
-    @property
-    def size(self) -> int:
-        """The word count, a Python integer of any size (len() needs it below 2**63)."""
-        letters = self.d * self.d - 1
-        return sum(math.comb(self.n, size) * letters**size for size in range(self.f + 1))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def words(self) -> tuple[np.ndarray, np.ndarray]:
-        """(shift, clock), each (K, n), in the order of error_space_basis: word k is
-        X^shift[k, s] Z^clock[k, s] on each site s, with letters q = a + d*b."""
-        blocks = []
-        for z in self.subsets():
-            block = np.zeros(((self.d * self.d - 1) ** len(z), self.n), dtype=np.int64)
-            # the first site varies slowest, as in the Kronecker stacks of _error_basis
-            block[:, list(z)] = list(itertools.product(self.letters, repeat=len(z)))
-            blocks.append(block)
-        words = np.concatenate(blocks)
-        return words % self.d, words // self.d
+def _error_words(n: int, d: int, f: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, shift, clock) of the words of error_space_basis(n, d, f), in its order:
+    word k is X^shift[k, s] Z^clock[k, s] on each site s, with letters q = a + d*b.
+    count is a Python int.  Budgeted before any word is enumerated: shift, clock and
+    their syndromes.  ParamOutOfRange (a ValueError) for negative f."""
+    _require_error_count(f)
+    count = sum(math.comb(n, size) * (d * d - 1) ** size for size in range(f + 1))
+    _require_budget(3 * count * n, "error words")
+    words, row = np.zeros((count, n), dtype=np.int64), 0
+    for size in range(f + 1):
+        # the first site varies slowest, as in the Kronecker stacks of _error_basis
+        block = list(itertools.product(range(1, d * d), repeat=size))
+        for z in itertools.combinations(range(n), size):
+            words[row : row + len(block), list(z)] = block
+            row += len(block)
+    return count, words % d, words // d
 
 
 @dataclass
@@ -310,22 +279,16 @@ class KLReport:
         return self.max_deviation <= KL_TOLERANCE
 
 
-def _images(v, errors) -> np.ndarray:
+def _images(v, errors: Sequence) -> np.ndarray:
     """M = [F_1 V | ... | F_K V] as a (dim_out, K, dim_in) array, for an isometry V and
-    a sequence of dim_out x dim_out operators or an _ErrorSpace.  Budgeted: the images,
+    a sequence of dim_out x dim_out operators.  Budgeted before any product: the images,
     and the K x K Gram form or its smallest band (one row of K dim_in x dim_in blocks)."""
     v = _as_operator(v)
     _require_isometry(v)
     dim_out, dim_in = v.shape
-    if isinstance(errors, _ErrorSpace):
-        if errors.d**errors.n != dim_out:
-            raise DimensionMismatch(f"error words act on {errors.d}^{errors.n} rows, not {dim_out}")
-    else:
-        errors = [_as_operator(f, (dim_out, dim_out), "error operator") for f in errors]
-    _require_budget(len(errors) * dim_out * dim_in, "error images")  # before a word is enumerated
+    errors = [_as_operator(f, (dim_out, dim_out), "error operator") for f in errors]
+    _require_budget(len(errors) * dim_out * dim_in, "error images")
     _require_budget(len(errors) * max(len(errors), dim_in * dim_in), "Gram form")
-    if isinstance(errors, _ErrorSpace):
-        return _word_images(v, errors.d, *errors.words())
     return np.stack([f @ v for f in errors], axis=1)
 
 
@@ -389,8 +352,8 @@ def _kl_report(images: np.ndarray) -> KLReport:
 def kl_verify(v, errors: Sequence) -> KLReport:
     """Check <V phi1, F_a* F_b V phi2> = <phi1, phi2> w_ab over all pairs.
 
-    The code corrects the span of `errors` iff the returned deviation
-    is at most KL_TOLERANCE.  The images F_a V and the Gram form are budgeted.
+    errors are dense operators on V's output space; the code corrects their span iff
+    the deviation is at most KL_TOLERANCE.  The images F_a V and the Gram form are budgeted.
     """
     return _kl_report(_images(v, errors))
 
@@ -399,11 +362,11 @@ def kl_verify(v, errors: Sequence) -> KLReport:
 class _GraphKL:
     """The Knill-Laflamme report of a graph code's error space, from _graph_kl.
 
-    shift and clock hold one word per syndrome class, the class of its
-    first word in the space's order; both are None when V is no isometry.
+    words counts the space.  shift and clock hold one word per syndrome class, the
+    class's first in the order of _error_words; both are None when V is no isometry.
     """
 
-    space: _ErrorSpace
+    words: int
     max_deviation: float
     shift: Optional[np.ndarray] = None
     clock: Optional[np.ndarray] = None
@@ -414,7 +377,7 @@ class _GraphKL:
 
 
 def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
-    """The Knill-Laflamme report of all words on at most f sites, from the graph alone.
+    """The Knill-Laflamme report of all words on at most f sites, from the code and f alone.
 
     With V[y, x] = d^(-n/2) w^(S_XX(x) + x.Gamma_XY y + S_YY(y)) and
     S(y) = sum_{i<j} Gamma_ij y_i y_j, the character sum over y collapses:
@@ -436,16 +399,14 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     syndromes projected mod every p | d through the scan's table
     (graphs._site_vectors): distinct groups differ outside the column
     module, and within a group _share_a_coset decides exactly.  Budgeted:
-    the words and their syndromes; no d^n-sized and no K x K array.
+    the words and their syndromes (_error_words); no d^n-sized, no K x K array.
     """
     d, m, n = code.d, code.m, code.n
-    space = _ErrorSpace(n, d, f)
-    _require_budget(3 * space.size * n, "error words")  # shift, clock and syndromes
+    count, shift, clock = _error_words(n, d, f)
     primes = _prime_factors(d)
     tables = [_site_vectors(code, p, 1) for p in primes]
     if any(table is None for table in tables):
-        return _GraphKL(space, 1.0)
-    shift, clock = space.words()
+        return _GraphKL(count, 1.0)
     gamma = code.gamma.entries
     syndromes = (_mod_matmul(shift, gamma[m:, m:], d) - clock) % d
     first, label = _row_classes(syndromes)
@@ -455,7 +416,7 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     keys = np.column_stack([_projected_syndromes(t, p, shift, clock) for p, t in zip(primes, tables)])
     group = _row_classes(keys)[1]
     deviation = 1.0 if split or _share_a_coset(code, syndromes[first], group) else 0.0
-    return _GraphKL(space, deviation, shift, clock)
+    return _GraphKL(count, deviation, shift, clock)
 
 
 def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -527,29 +488,12 @@ def _log_rank(rank: int, count: int) -> None:
         logger.info("degenerate Gram form: rank %d < error-set size %d", rank, count)
 
 
-def _decoder_isometry(v, errors) -> np.ndarray:
-    """U = [G_1 V | ... | G_r V] of a verified error set, as a (dim_out, rank, dim_in) array.
-
-    For a sequence of operators or an _ErrorSpace: the images F_a V, their
-    Knill-Laflamme report (KLViolated unless the code corrects the set),
-    the eigenbasis of the Gram form (eigenvalues below
-    GRAM_EIGENVALUE_CUTOFF span the degenerate directions and are
-    dropped), and G_k V = sum_a c_ak F_a V with the weights c scaled to
-    make U an isometry.  No G_k is formed.  Budgeted as _images.
-
-    For the _GraphKL of a graph code's error space the Gram form is known:
-    a rank-one block per syndrome class, whose one eigenvector weights
-    images that agree up to a phase.  So G_k V is the image of the class's
-    first word, up to a phase, which leaves the decoding channel as it is;
-    only those rank images are gathered, under the same budget.
-    """
-    if isinstance(errors, _GraphKL):
-        _require_correcting(errors.max_deviation)
-        rank = len(errors.shift)
-        _log_rank(rank, len(errors.space))
-        _require_budget(rank * v.size, "error images")
-        return _word_images(v, errors.space.d, errors.shift, errors.clock)
-    images = _images(v, errors)
+def _gram_isometry(images: np.ndarray) -> np.ndarray:
+    """U = [G_1 V | ... | G_r V], a (dim_out, rank, dim_in) array, of a verified error set
+    from its images M = [F_1 V | ... | F_K V], shaped (dim_out, K, dim_in): the report of M
+    (KLViolated unless the code corrects the set), the eigenbasis of its Gram form
+    (eigenvalues below GRAM_EIGENVALUE_CUTOFF span the degenerate directions and are
+    dropped), and G_k V = sum_a c_ak F_a V with the weights c that make U an isometry."""
     report = _kl_report(images)
     _require_correcting(report.max_deviation)
     vals, vecs = np.linalg.eigh(report.gram)
@@ -559,21 +503,41 @@ def _decoder_isometry(v, errors) -> np.ndarray:
     return np.tensordot(images, coeff, axes=(1, 0)).transpose(0, 2, 1)
 
 
-def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
-    """Build the explicit decoding channel for a verified error set.
+def _class_isometry(v: np.ndarray, d: int, report: _GraphKL) -> np.ndarray:
+    """U of _gram_isometry for the error space of a graph code's _graph_kl report.
 
-    With the isometry U(phi (x) e_k) = G_k V phi of _decoder_isometry
+    Its Gram form is a rank-one block per syndrome class, whose eigenvector
+    weights images that agree up to a phase, so G_k V is the image of the
+    class's first word up to a phase, which leaves the decoding channel as
+    it is: only those rank images are gathered, under the images' budget.
+    """
+    _require_correcting(report.max_deviation)
+    rank = len(report.shift)
+    _log_rank(rank, report.words)
+    _require_budget(rank * v.size, "error images")
+    return _word_images(v, d, report.shift, report.clock)
+
+
+def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
+    """Build the explicit decoding channel for a verified error set of dense operators.
+
+    With the isometry U(phi (x) e_k) = G_k V phi of _gram_isometry
     (G_k orthonormalizes the error set through the eigenbasis of its Gram
     form), return the partial-trace decoder
 
         D(rho) = tr_bad(U* rho U) + tr[(1 - UU*) rho] rho0
 
-    as an explicit Kraus channel: the rank operators (G_k V)*, then one
-    rank-1 operator per eigenvector of rho0 and complement vector of
-    range(U).  rho0 defaults to the first basis state of the logical space.
-    Budgeted: the images, the complete QR's Q (one register operator), the routes.
+    as an explicit Kraus channel (_decoder_channel).  rho0 defaults to the
+    first basis state of the logical space.  Budgeted as _images, then the
+    complete QR's Q (one register operator) and the routes.
     """
-    gv = _decoder_isometry(v, errors)
+    return _decoder_channel(_gram_isometry(_images(v, errors)), rho0)
+
+
+def _decoder_channel(gv: np.ndarray, rho0=None) -> Channel:
+    """synthesize_decoder's channel for U = gv, a (dim_out, rank, dim_in) array: the rank
+    operators (G_k V)*, then one rank-1 operator per eigenvector of rho0 and complement
+    vector of range(U)."""
     dim_out, rank, dim_in = gv.shape
     u = gv.reshape(dim_out, rank * dim_in)  # columns (k, j)
     kraus = u.conj().T.reshape(rank, dim_in, dim_out)  # (G_k V)*, one per k
@@ -705,13 +669,13 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
 
 
 def _local_etd(code: GraphCode, f: int, noise: Optional[Channel], sites: Sequence[int]) -> float:
-    """verify_etd(Channel((V,)), T, synthesize_decoder(V, errors)) for the code's isometry V
-    and errors all words on at most f sites, with T the site channel `noise` on each of
-    `sites` of the n-site register and identity elsewhere.
+    """verify_etd(Channel((V,)), T, synthesize_decoder(V, error_space_basis(n, d, f))) for
+    the code's isometry V, with T the site channel `noise` on each of `sites` of the
+    n-site register and identity elsewhere, without forming that basis.
 
     Each noisy site's d x d Kraus stack acts on that site's axis of the
     Choi state (see _propagate).  The decoder stays implicit: with
-    Y = (U* (x) 1) rho (U (x) 1) for the isometry U of _decoder_isometry,
+    Y = (U* (x) 1) rho (U (x) 1) for the isometry U of _class_isometry,
     taken from the code's syndrome classes (_graph_kl), the decoded state
     is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y), rho0 = |0><0|, so no
     register-sized noise operator, complement basis or QR is formed.
@@ -720,7 +684,7 @@ def _local_etd(code: GraphCode, f: int, noise: Optional[Channel], sites: Sequenc
     identity noise and decoder.
     """
     v = build_isometry(code)
-    u = _decoder_isometry(v, _graph_kl(code, f))
+    u = _class_isometry(v, code.d, _graph_kl(code, f))
     dim_out, _, d0 = u.shape
     n, d = code.n, code.d
     stages = [(v[None], 1, d0)] + [(noise.kraus, d**site, d ** (n - 1 - site) * d0) for site in sites]

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library code paths they check:
 kernel triviality by exhaustive enumeration or by sympy's integer Smith
 normal form, the largest correctable f by a minimum symplectic weight over
-vectors, binomial tails by exact integer sums, roots by scipy's brentq.
+vectors, binomial tails by exact integer sums, roots by scipy's brentq, error
+words by a loop over supports and letters.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import comb, gcd, log2
 import numpy as np
 import pytest
 
-from graphqec.graphs import prism_code, wheel_code
+from graphqec.graphs import GraphCode, prism_code, wheel_code
 
 
 def brute_force_kernel_trivial(entries, d: int) -> bool:
@@ -78,6 +79,22 @@ def symplectic_max_f(code) -> int:
     return (w_min - 1) // 2
 
 
+def error_words(n: int, d: int, f: int):
+    """(shift, clock), each (K, n) int64, of every Weyl word on at most f of n sites in the
+    order of channels.error_space_basis: by support size, supports lexicographically, then
+    the letters q = a + d*b of X^a Z^b on the support, its first site slowest, q >= 1."""
+    rows = []
+    for size in range(f + 1):
+        for support in itertools.combinations(range(n), size):
+            for letters in itertools.product(range(1, d * d), repeat=size):
+                word = [0] * n
+                for site, q in zip(support, letters):
+                    word[site] = q
+                rows.append(word)
+    words = np.array(rows, dtype=np.int64)
+    return words % d, words // d
+
+
 def exact_binomial_tail(n: int, start: int, x: float) -> float:
     """Sum_{k=start}^{n} C(n,k) x^k with exact binomial coefficients."""
     return float(sum(comb(n, k) * x**k for k in range(start, n + 1)))
@@ -92,6 +109,14 @@ def entropy_oracle(r: float) -> float:
     if r in (0.0, 1.0):
         return 0.0
     return -r * log2(r) - (1.0 - r) * log2(1.0 - r)
+
+
+def degenerate_wheel():
+    """The wheel with a sixth, isolated output: X on it acts trivially on the code, so
+    19 words on at most one site fall into 17 syndrome classes, and the block of the
+    isolated site alone has a kernel vector."""
+    edges = [[0, k, 1] for k in range(1, 6)] + [[1, 2, 1], [2, 3, 1], [3, 5, 1], [5, 4, 1], [4, 1, 1]]
+    return GraphCode.from_edges(2, 1, 6, edges)
 
 
 @pytest.fixture(scope="session")

@@ -18,10 +18,12 @@ from graphqec.channels import (
     Channel,
     GRAM_EIGENVALUE_CUTOFF,
     _Choi,
-    _ErrorSpace,
+    _decoder_channel,
+    _gram_isometry,
     _local_etd,
     _max_entangled,
     _propagate,
+    _word_images,
     choi_state,
     error_space_basis,
     identity_channel,
@@ -33,6 +35,8 @@ from graphqec.channels import (
 from graphqec.graphs import GraphCode, build_isometry, find_uncorrectable_subset
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
+
+from conftest import error_words
 
 TOL = 1e-12
 
@@ -271,10 +275,11 @@ def test_local_etd_matches_verify_etd(name, channel, sites, wheel, prism):
     code = LOCAL_CODES[name](wheel, prism)
     v = build_isometry(code)
     single = SITE_CHANNELS[channel](code.d)
-    space = _ErrorSpace(code.n, code.d, 1)
+    # the dense Gram route's decoder of the error space, from the gathered word images
+    decoder = _decoder_channel(_gram_isometry(_word_images(v, code.d, *error_words(code.n, code.d, 1))))
     got = _local_etd(code, 1, single, sites)
     noise = tensor_channels(*(single if s in sites else identity_channel(code.d) for s in range(code.n)))
-    assert abs(got - verify_etd(Channel((v,)), noise, synthesize_decoder(v, space))) < TOL
+    assert abs(got - verify_etd(Channel((v,)), noise, decoder)) < TOL
     if len(sites) <= 1:
         assert got < 1e-9
 
@@ -292,8 +297,8 @@ def test_local_etd_at_composite_d_matches_the_dense_gram_decoder(d, channel, sit
     code = seeded_code(4, 5, 27) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
     single = SITE_CHANNELS[channel](d)
     got = _local_etd(code, 1, single, sites)
-    decoder_isometry = channels._decoder_isometry
-    monkeypatch.setattr(channels, "_decoder_isometry", lambda v, report: decoder_isometry(v, report.space))
+    words = error_words(code.n, d, 1)
+    monkeypatch.setattr(channels, "_class_isometry", lambda v, d, report: _gram_isometry(_word_images(v, d, *words)))
     assert abs(got - _local_etd(code, 1, single, sites)) < TOL
     if len(sites) <= 1:
         assert got < 1e-9

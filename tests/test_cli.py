@@ -12,11 +12,27 @@ import numpy as np
 import pytest
 
 from graphqec import channels, graphs
+from graphqec.channels import (
+    Channel,
+    error_space_basis,
+    identity_channel,
+    synthesize_decoder,
+    tensor_channels,
+    verify_etd,
+)
 from graphqec.cli import _parse_noise, main
-from graphqec.graphs import dump_graph, first_failing_subset, graph_to_dict, loads_graph, wheel_code
+from graphqec.graphs import (
+    build_isometry,
+    dump_graph,
+    first_failing_subset,
+    graph_to_dict,
+    loads_graph,
+    wheel_code,
+)
+from graphqec.noise import make_depolarizing
 from graphqec.search import sample_graph, trial_rng
 
-from conftest import smith_first_failing
+from conftest import degenerate_wheel, smith_first_failing
 
 
 @pytest.fixture()
@@ -169,7 +185,7 @@ def test_kl_check_runs_ten_and_sixteen_qubits_at_f_2(capsys, tmp_path, monkeypat
     word_images, kron_stacks = channels._word_images, channels._kron_stacks
 
     def guarded_images(v, d, shift, clock):  # fills an image stack only within the total budget
-        assert len(shift) * v.size <= channels.TOTAL_AMPLITUDE_CAP, "an oversized image stack was reached"
+        assert len(shift) * v.size <= graphs.TOTAL_AMPLITUDE_CAP, "an oversized image stack was reached"
         return word_images(v, d, shift, clock)
 
     def guarded_kron(stacks):  # builds one identity operator, refuses anything larger
@@ -476,7 +492,7 @@ def test_simulate_refuses_missized_custom_kraus(capsys, wheel_file, tmp_path, mo
     def no_decoder(*args, **kwargs):
         raise AssertionError("decoder built before the noise was checked")
 
-    monkeypatch.setattr(channels, "_decoder_isometry", no_decoder)
+    monkeypatch.setattr(channels, "_class_isometry", no_decoder)
     code, out, err = run_cli(
         capsys,
         "simulate", wheel_file, "--f", "1",
@@ -528,6 +544,31 @@ def test_simulate_rejects_uncorrectable_f(capsys, wheel_file):
     )
     assert code == 1
     assert "does not correct" in err
+
+
+def test_simulate_accepts_a_degenerate_code_that_verify_refuses(capsys, tmp_path, monkeypatch):
+    code = degenerate_wheel()
+    path = tmp_path / "degenerate.json"
+    dump_graph(code, path)
+    # verify's kernel criterion still reports the isolated site
+    status, out, _ = run_cli(capsys, "verify", str(path), "--f", "1", "--no-timing")
+    assert status == 1
+    assert out.splitlines()[1:] == ["corrects f=1: FAIL", "failing subset Z: [5]"]
+    # simulate asks the closed-form Knill-Laflamme check, which passes, and decodes
+    v = build_isometry(code)
+    encoder, decoder = Channel((v,)), synthesize_decoder(v, error_space_basis(6, 2, 1))
+    for sites in [(), (5,), (0,), (1, 5)]:
+        argv = ["simulate", str(path), "--f", "1", "--json", "--no-timing"]
+        if sites:
+            argv += ["--noise", "depolarizing:0.3", "--sites", ",".join(map(str, sites))]
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        noise = tensor_channels(*(make_depolarizing(2, 0.3) if s in sites else identity_channel(2) for s in range(6)))
+        assert abs(json.loads(out)["choi_trace_distance"] - verify_etd(encoder, noise, decoder)) <= 1e-12, sites
+    # when the closed form's word budget (19 words x 6 sites x 3 arrays) refuses, the refusal stands
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 3 * 19 * 6 - 1)
+    status, out, err = run_cli(capsys, "simulate", str(path), "--f", "1", "--no-timing")
+    assert (status, out, err) == (1, "", "code does not correct f=1 (failing subset [5])\n")
 
 
 def test_simulate_bad_noise_token(capsys, wheel_file):

@@ -6,13 +6,15 @@ d^n x d^n operator from the public error_space_basis, the images F_a V as
 matrix products, the Gram blocks from one einsum with a deviation array
 of the same size, and an explicit decoder built from the dense operators
 G_k = sum_a c_ak F_a.  The per-word gather loop that the vectorized
-_word_images replaced is kept as its bit-exact oracle.  The closed-form
+_word_images replaced is kept as its bit-exact oracle.  The gathered word
+images feed the same Gram routine (_kl_report) and decoder (_gram_isometry,
+_decoder_channel) as kl_verify and synthesize_decoder, and the closed-form
 Knill-Laflamme report of a graph code (channels._graph_kl) is checked
-against the dense kl_verify and against the exact verdict of verify.
-It all lives only here.
+against them and against the exact verdict of verify.  It all lives only here.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,10 +24,13 @@ from graphqec.channels import (
     GRAM_EIGENVALUE_CUTOFF,
     KL_TOLERANCE,
     Channel,
-    _ErrorSpace,
+    _decoder_channel,
+    _error_words,
     _graph_kl,
-    _images,
+    _gram_isometry,
     _isometry_gap,
+    _kl_report,
+    _require_isometry,
     _word_images,
     error_space_basis,
     identity_channel,
@@ -39,6 +44,8 @@ from graphqec.errors import DimensionOverflow, NotIsometry
 from graphqec.graphs import GraphCode, build_isometry, first_failing_subset, prism_code, wheel_code
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
+
+from conftest import degenerate_wheel, error_words
 
 # (d, m, n, f): prime and composite d, one and two errors, one and two inputs
 CASES = [
@@ -66,6 +73,17 @@ def corpus():
     for index, (d, m, n, f) in enumerate(CASES):
         yield d, f, seeded_code(d, m, n, 100 * index, 0)
         yield d, f, seeded_code(d, m, n, 100 * index + 1, f if (d, m, n, f) in CORRECTING else 0)
+
+
+def word_report(v, d, n, f):
+    """kl_verify of every word on at most f of n sites, from the gathered images."""
+    _require_isometry(v)
+    return _kl_report(_word_images(v, d, *error_words(n, d, f)))
+
+
+def word_decoder(v, d, n, f):
+    """synthesize_decoder of every word on at most f of n sites, from the gathered images."""
+    return _decoder_channel(_gram_isometry(_word_images(v, d, *error_words(n, d, f))))
 
 
 def dense_images(v, basis):
@@ -102,16 +120,17 @@ def explicit_decoder(v, basis):
 
 def test_error_space_counts_its_words():
     for d, f, code in corpus():
-        space = _ErrorSpace(code.n, d, f)
-        shift, clock = space.words()
-        assert len(space) == len(shift) == len(error_space_basis(code.n, d, f))
-        assert shift.shape == clock.shape == (len(space), code.n)
+        count, shift, clock = _error_words(code.n, d, f)
+        assert count == len(shift) == len(error_space_basis(code.n, d, f))
+        assert shift.shape == clock.shape == (count, code.n)
+        want_shift, want_clock = error_words(code.n, d, f)
+        assert np.array_equal(shift, want_shift) and np.array_equal(clock, want_clock)
 
 
 def test_word_images_match_dense_products():
     for d, f, code in corpus():
         v = build_isometry(code)
-        got = _images(v, _ErrorSpace(code.n, d, f))
+        got = _word_images(v, d, *error_words(code.n, d, f))
         want = dense_images(v, error_space_basis(code.n, d, f))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15, (d, f, code.n)
@@ -145,7 +164,7 @@ def test_word_images_match_the_per_word_loop_bit_for_bit(d):
         g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
         v = build_isometry(GraphCode(d, m, n, ModMatrix(d, g + g.T)))
         for f in (0, 1, 2):
-            shift, clock = _ErrorSpace(n, d, f).words()
+            shift, clock = error_words(n, d, f)
             got, want = _word_images(v, d, shift, clock), loop_word_images(v, d, shift, clock)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (m, n, f)
 
@@ -161,7 +180,8 @@ def graph_kl_corpus():
                 g = np.triu(rng.integers(0, d, size=(m + n, m + n)) * (rng.random((m + n, m + n)) < density), 1)
                 code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
                 for f in range((n - 1) // 2 + 1):
-                    if len(_ErrorSpace(n, d, f)) ** 2 * d ** (2 * m + n) <= 10**8:
+                    words = sum(comb(n, size) * (d * d - 1) ** size for size in range(f + 1))
+                    if words**2 * d ** (2 * m + n) <= 10**8:
                         yield code, f
 
 
@@ -171,13 +191,13 @@ def test_graph_kl_matches_dense_kl_verify_and_verify():
         report = _graph_kl(code, f)
         v = build_isometry(code)
         try:
-            dense = kl_verify(v, _ErrorSpace(code.n, code.d, f)).max_deviation
+            dense = word_report(v, code.d, code.n, f).max_deviation
         except NotIsometry:  # what kl-check reported before: the gap of V*V
             dense = _isometry_gap(v)
             seen.add("non-isometric")
         assert abs(report.max_deviation - dense) <= 1e-12, (code.d, code.m, code.n, f)
         assert report.correcting == (first_failing_subset(code, 2 * f) is None), (code.d, code.n, f)
-        if report.shift is not None and len(report.shift) < len(report.space):
+        if report.shift is not None and len(report.shift) < report.words:
             seen.add("multi-word classes")
         seen.add((code.d, report.correcting))
     assert {"non-isometric", "multi-word classes"} <= seen
@@ -211,22 +231,15 @@ def test_graph_kl_verdicts_at_prime_power_d_decide_shared_cosets_exactly(monkeyp
     assert {d for d, _ in outcomes} >= {4, 9}, outcomes
 
 
-def degenerate_wheel():
-    """The wheel with a sixth, isolated output: X on it acts trivially on the code, so
-    19 words on at most one site fall into 17 syndrome classes."""
-    edges = [[0, k, 1] for k in range(1, 6)] + [[1, 2, 1], [2, 3, 1], [3, 5, 1], [5, 4, 1], [4, 1, 1]]
-    return GraphCode.from_edges(2, 1, 6, edges)
-
-
 def test_graph_kl_and_decoder_of_a_degenerate_code_match_the_dense_path():
     code = degenerate_wheel()
-    v, space = build_isometry(code), _ErrorSpace(6, 2, 1)
+    v = build_isometry(code)
     report = _graph_kl(code, 1)
-    assert (len(report.shift), len(report.space)) == (17, 19)
-    dense = kl_verify(v, space)
+    assert (len(report.shift), report.words) == (17, 19)
+    dense = word_report(v, 2, 6, 1)
     assert report.correcting and abs(report.max_deviation - dense.max_deviation) <= 1e-12
     assert np.linalg.matrix_rank(dense.gram, tol=GRAM_EIGENVALUE_CUTOFF) == 17
-    encoder, decoder = Channel((v,)), synthesize_decoder(v, space)
+    encoder, decoder = Channel((v,)), word_decoder(v, 2, 6, 1)
     for sites in [(), (5,), (0,), (1, 5)]:
         noise = tensor_channels(*(make_depolarizing(2, 0.3) if s in sites else identity_channel(2) for s in range(6)))
         want = verify_etd(encoder, noise, decoder)
@@ -239,8 +252,7 @@ def test_max_deviation_matches_the_einsum_oracle():
         v = build_isometry(code)
         basis = error_space_basis(code.n, d, f)
         gram, deviation = einsum_report(v, basis)
-        for errors in (_ErrorSpace(code.n, d, f), basis):
-            report = kl_verify(v, errors)
+        for report in (word_report(v, d, code.n, f), kl_verify(v, basis)):
             assert abs(report.max_deviation - deviation) <= 1e-12, (d, f, code.n)
             assert report.correcting == (deviation <= KL_TOLERANCE)
             assert np.abs(report.gram - gram).max() <= 1e-12
@@ -251,9 +263,9 @@ def test_max_deviation_matches_the_einsum_oracle():
 def test_gram_bands_agree_with_one_band(monkeypatch):
     for d, f, code in corpus():
         v = build_isometry(code)
-        whole = kl_verify(v, _ErrorSpace(code.n, d, f))
+        whole = word_report(v, d, code.n, f)
         monkeypatch.setattr(channels, "_GRAM_BAND", 1)  # one a-row per band
-        banded = kl_verify(v, _ErrorSpace(code.n, d, f))
+        banded = word_report(v, d, code.n, f)
         monkeypatch.undo()
         assert abs(banded.max_deviation - whole.max_deviation) <= 1e-14
         assert np.abs(banded.gram - whole.gram).max() <= 1e-14
@@ -264,7 +276,7 @@ def test_decoder_choi_distances_match_the_explicit_decoder(d, n, seed):
     code = seeded_code(d, 1, n, seed, 1)
     v = build_isometry(code)
     encoder = Channel((v,))
-    decoder = synthesize_decoder(v, _ErrorSpace(n, d, 1))
+    decoder = word_decoder(v, d, n, 1)
     oracle = explicit_decoder(v, error_space_basis(n, d, 1))
     depolarizing, rotation = make_depolarizing(d, 0.3), make_unitary_channel(phase_rotation(d, 0.4))[0]
     for single, sites in [(depolarizing, (1,)), (rotation, (2,)), (depolarizing, (0, 3))]:
@@ -275,21 +287,22 @@ def test_decoder_choi_distances_match_the_explicit_decoder(d, n, seed):
 
 def test_image_and_gram_budgets_refuse_before_allocating(monkeypatch, wheel):
     v = build_isometry(wheel)  # 32 x 2
-    space = _ErrorSpace(5, 2, 2)  # 106 words: 6,784 image amplitudes, a 106 x 106 Gram form
+    basis = error_space_basis(5, 2, 2)  # 106 words: 6,784 image amplitudes, a 106 x 106 Gram form
     monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 106)
-    assert len(kl_verify(v, space).gram) == 106
+    assert len(kl_verify(v, basis).gram) == 106
 
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise AssertionError("the images were formed")
 
-    monkeypatch.setattr(channels, "_word_images", fail)
-    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 106 - 1)
-    with pytest.raises(DimensionOverflow, match="Gram form needs 11236 amplitudes"):
-        kl_verify(v, space)
-    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 64 - 1)
-    with pytest.raises(DimensionOverflow, match="error images needs 6784 amplitudes"):
-        synthesize_decoder(v, space)
-    # dense operators: the same budgets, checked before any product F @ V
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "stack", fail)  # the images F_a V are stacked only past both budgets
+        patch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 106 - 1)
+        with pytest.raises(DimensionOverflow, match="Gram form needs 11236 amplitudes"):
+            kl_verify(v, basis)
+        patch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 106 * 64 - 1)
+        with pytest.raises(DimensionOverflow, match="error images needs 6784 amplitudes"):
+            synthesize_decoder(v, basis)
+    # more operators than dim_in^2 = 4: the Gram form, not the images, meets the cap
     identities = [np.eye(32)] * 100
     monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 100 * 100)
     assert kl_verify(v, identities).correcting
@@ -300,9 +313,9 @@ def test_image_and_gram_budgets_refuse_before_allocating(monkeypatch, wheel):
 
 def test_decoder_register_budget_refuses_before_the_complete_qr(monkeypatch, wheel):
     v = build_isometry(wheel)  # 32 x 2: the complete Q is one 32 x 32 register operator
-    space = _ErrorSpace(5, 2, 1)
+    basis = error_space_basis(5, 2, 1)
     monkeypatch.setattr(channels, "DEFAULT_AMPLITUDE_CAP", 32 * 32)
-    assert synthesize_decoder(v, space).dim_out == 2
+    assert synthesize_decoder(v, basis).dim_out == 2
 
     def fail(*args, **kwargs):
         raise AssertionError("the complete QR was reached")
@@ -310,4 +323,4 @@ def test_decoder_register_budget_refuses_before_the_complete_qr(monkeypatch, whe
     monkeypatch.setattr(np.linalg, "qr", fail)
     monkeypatch.setattr(channels, "DEFAULT_AMPLITUDE_CAP", 32 * 32 - 1)
     with pytest.raises(DimensionOverflow, match="register operator needs 1024 amplitudes > 1023"):
-        synthesize_decoder(v, space)
+        synthesize_decoder(v, basis)
