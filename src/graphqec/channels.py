@@ -16,23 +16,30 @@ error space on at most f sites needs neither V nor the images: _graph_kl
 takes the code and f, enumerates the words as integer (shift, clock)
 digits (_error_words) and evaluates the Gram blocks in closed form from
 the adjacency matrix (Schlingemann and Werner's character sums), through
-the words' syndromes.  simulate's decoder then gathers one image per
-syndrome class, never forming an operator: a word X^a Z^b is a digit
-shift plus a phase, so its image of the encoder is the row gather
+the words' syndromes.  simulate's decoded logical channel comes from the
+same syndrome table (_table_decoded): each site Kraus operator is a sum of
+the site's Weyl words, V* F_k* W V is a phase times a shift of the logical
+levels for the one syndrome class k whose coset holds the word W's
+syndrome, and the Kraus index sums out into the noise's Weyl process
+matrix, so no V, image or d^n-sized array is formed while the words of
+the noisy sites fit the budget.  Past it (noise on many sites) the
+register-sized route (_dense_decoded) gathers one image per syndrome
+class, never forming an operator: a word X^a Z^b is a digit shift plus a
+phase, so its image of the encoder is the row gather
 (F V)[i] = w^{b.(i-a)} V[i-a].  Every input-sized array passes the gate
 graphs._require_budget.
 Choi states are propagated by one routine, _propagate: a state W W* on
 (system) (x) (d0-level reference) is carried as its factor W, and a stage
 acts on one axis of W's rows (left, stage input, right) with one stacked
 product: the whole register for verify_etd's stages, one site for the
-site-local noise of the command line.  Only when a stage would make W
+register-sized route's site-local noise.  Only when a stage would make W
 wider than tall is the dense state formed, and a dense state goes through
 later stages by their superoperators while these are no larger than it
-(one site, or a decoder).  The command line's decoder stays implicit: the
-decoded state needs only (U* (x) 1) rho (U (x) 1), for the isometry U of
-the decoder, and the reduced reference state, so no register-sized noise
-operator, complement basis or QR is formed; the resulting d0-level
-logical channel is certified by verify_etd.
+(one site, or a decoder).  simulate's decoder stays implicit on both
+routes: the decoded state needs only (U* (x) 1) rho (U (x) 1), for the
+isometry U of the decoder, and the reduced reference state, so no
+register-sized noise operator, complement basis or QR is formed; the
+resulting d0-level logical channel is certified by verify_etd.
 """
 
 from __future__ import annotations
@@ -45,10 +52,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, KLViolated, NotIsometry
+from .errors import DimensionMismatch, DimensionOverflow, KLViolated, NotIsometry
 from .graphs import (
     DEFAULT_AMPLITUDE_CAP,
     GraphCode,
+    _digit_table,
     _normalize_subset,
     _require_budget,
     _require_error_count,
@@ -668,23 +676,55 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
     return float(0.5 * np.abs(gaps).sum())
 
 
-def _local_etd(code: GraphCode, f: int, noise: Optional[Channel], sites: Sequence[int]) -> float:
+def _local_etd(
+    code: GraphCode, report: _GraphKL, noise: Optional[Channel], sites: Sequence[int]
+) -> float:
     """verify_etd(Channel((V,)), T, synthesize_decoder(V, error_space_basis(n, d, f))) for
-    the code's isometry V, with T the site channel `noise` on each of `sites` of the
-    n-site register and identity elsewhere, without forming that basis.
+    the code's isometry V and report = _graph_kl(code, f), with T the site channel `noise`
+    on each of `sites` of the n-site register and identity elsewhere, without forming
+    that basis.
 
-    Each noisy site's d x d Kraus stack acts on that site's axis of the
-    Choi state (see _propagate).  The decoder stays implicit: with
-    Y = (U* (x) 1) rho (U (x) 1) for the isometry U of _class_isometry,
-    taken from the code's syndrome classes (_graph_kl), the decoded state
-    is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y), rho0 = |0><0|, so no
-    register-sized noise operator, complement basis or QR is formed.
-    That state is the Choi state of the logical channel D T E; its Kraus
-    operators, read off the eigenvectors, go through verify_etd with
-    identity noise and decoder.
+    The decoder stays implicit: with Y = (U* (x) 1) rho (U (x) 1) for the
+    isometry U of _class_isometry (one image per syndrome class), the
+    decoded state is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y),
+    rho0 = |0><0|, so no register-sized noise operator, complement basis or
+    QR is formed.  tr_k Y comes from the syndrome table (_table_decoded),
+    which holds no d^n-sized array, whenever its word pairs fit the budget;
+    otherwise from the register-sized route (_dense_decoded), which alone
+    admits noise on many sites.  That state is the Choi state of the logical
+    channel D T E; its Kraus operators, read off the eigenvectors, go
+    through verify_etd with identity noise and decoder.  The d0^2 x d0^2
+    state and eigh's copies are budgeted before either route runs.
+    """
+    d0 = code.d**code.m
+    # the state, eigh's copy of it and its eigenvectors, the Kraus operators read off them
+    _require_budget(4 * d0**4, "logical Choi state")
+    _require_correcting(report.max_deviation)
+    try:  # the table's budgets come first, so a refusal allocates nothing of it
+        kept, reduced = _table_decoded(code, report, noise, sites)
+    except DimensionOverflow:
+        kept, reduced = _dense_decoded(code, report, noise, sites)
+    lost = reduced - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
+    state = kept.reshape(d0 * d0, d0 * d0) + np.kron(_ground_state(d0), lost)
+    vals, vecs = np.linalg.eigh(state)
+    keep = vals > 0
+    logical = Channel((vecs[:, keep] * np.sqrt(d0 * vals[keep])).T.reshape(-1, d0, d0))
+    identity = identity_channel(d0)
+    return verify_etd(logical, identity, identity)
+
+
+def _dense_decoded(
+    code: GraphCode, report: _GraphKL, noise: Optional[Channel], sites: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tr_k Y, tr_sys rho) of _local_etd, shaped (d0, d0, d0, d0) and (d0, d0), from V.
+
+    The Choi state rho of T E is propagated from V, each noisy site's d x d
+    Kraus stack acting on that site's axis (see _propagate), and contracted
+    with the class images U.  Every stage's route and budget are fixed from
+    the shapes before the first runs.
     """
     v = build_isometry(code)
-    u = _class_isometry(v, code.d, _graph_kl(code, f))
+    u = _class_isometry(v, code.d, report)
     dim_out, _, d0 = u.shape
     n, d = code.n, code.d
     stages = [(v[None], 1, d0)] + [(noise.kraus, d**site, d ** (n - 1 - site) * d0) for site in sites]
@@ -707,10 +747,80 @@ def _local_etd(code: GraphCode, f: int, noise: Optional[Channel], sites: Sequenc
         z = np.tensordot(u_conj, w, axes=(0, 0))  # (U* (x) 1) W: (k, j, a, col)
         kept = np.einsum("kjac,klbc->jalb", z, z.conj())
         reduced = np.einsum("iac,ibc->ab", w, w.conj())
-    lost = reduced - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
-    state = kept.reshape(d0 * d0, d0 * d0) + np.kron(_ground_state(d0), lost)
-    vals, vecs = np.linalg.eigh(state)
-    keep = vals > 0
-    logical = Channel((vecs[:, keep] * np.sqrt(d0 * vals[keep])).T.reshape(-1, d0, d0))
-    identity = identity_channel(d0)
-    return verify_etd(logical, identity, identity)
+    return kept, reduced
+
+
+def _table_decoded(
+    code: GraphCode, report: _GraphKL, noise: Optional[Channel], sites: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tr_k Y, tr_sys rho) of _dense_decoded from the adjacency matrix and the report's
+    syndrome classes alone: no V, no image and no d^n-sized array.
+
+    Each site Kraus operator is a sum of the site's d^2 Weyl words W_q with
+    weights kappa[j, q] = tr(W_q* K_j) / d, so a product of site Kraus
+    operators is a sum of the words W_w on the noisy sites.  For the class
+    word F_k = X^s Z^c, A_kw = V* F_k* W_w V = w^(-c.(a_w - s)) T(a_w - s, b_w - c)
+    with T of _graph_kl: nonzero only when the syndrome of W_w lies in the
+    coset of class k modulo the columns of Gamma_YX, and then a phase on
+    the entries x = x' + delta for the unique delta with
+    Gamma_YX delta = syndrome(W_w) - syndrome(F_k).  The classes of a
+    correcting code lie in distinct cosets, so each word meets at most one
+    class, found exactly among the rank d^m shifted class syndromes.  The
+    Kraus index sums out into the noise's process matrix
+    chi[w, w'] = prod over the sites of sum_j kappa[j, q_w] conj(kappa[j, q_w']),
+    so tr_k Y = sum_k sum_{w, w' meeting k} chi[w, w'] |A_kw>><<A_kw'| / d0.
+    Every stage preserves the trace, so tr_sys rho = 1 / d0.  Budgeted first
+    from the shapes: the d^(2 |sites|) words and their syndromes, the rank d^m
+    cosets, and the word pairs, at most words^2 of d0^2 entries.
+    """
+    d, m, n = code.d, code.m, code.n
+    d0, rank, count = d**m, len(report.shift), d ** (2 * len(sites))
+    _require_budget(3 * count * n, "noise words")
+    _require_budget(rank * d0 * n, "syndrome cosets")
+    _require_budget(3 * count * count * d0 * d0, "noise word pairs")
+    gamma = code.gamma.entries
+    letters = _digit_table(count, d * d, len(sites))  # q = a + d*b per noisy site, the first slowest
+    shift, clock = np.zeros((count, n), dtype=np.int64), np.zeros((count, n), dtype=np.int64)
+    shift[:, list(sites)], clock[:, list(sites)] = letters % d, letters // d
+    syndromes = (_mod_matmul(shift, gamma[m:, m:], d) - clock) % d
+    deltas = _digit_table(d0, d, m)
+    module = _mod_matmul(deltas, gamma[:m, m:], d)  # (Gamma_YX delta)^T
+    classes = (_mod_matmul(report.shift, gamma[m:, m:], d) - report.clock) % d
+    cosets = ((classes[:, None, :] + module) % d).reshape(rank * d0, n)  # row k d0 + delta
+    label = _row_classes(np.vstack([cosets, syndromes]))[1]
+    coset_of = np.full(len(cosets) + count, -1)
+    coset_of[label[: len(cosets)]] = np.arange(len(cosets))
+    hit = coset_of[label[len(cosets) :]]
+    meet = np.flatnonzero(hit >= 0)
+    k, delta = np.divmod(hit[meet], d0)
+    # A_kw[x', x' + delta] = w^phase[x']: the class word's and T's phases
+    a = (shift[meet] - report.shift[k]) % d
+    c = report.clock[k]
+    # S(y) = y.Gamma y / 2 exactly: Gamma is symmetric with a zero diagonal
+    scalar = -np.einsum("ij,ij->i", c, a) - np.einsum("ij,jk,ik->i", a, gamma[m:, m:], a) // 2
+    inputs = np.einsum("ij,jk,ik->i", deltas, gamma[:m, :m], deltas) // 2  # S_XX(x) for x = deltas
+    place = d ** np.arange(m - 1, -1, -1)
+    column = (deltas[None] + deltas[:, None]) % d @ place  # x' + delta: (delta, x')
+    phase = scalar[:, None] + (inputs[column] - inputs)[delta] - (a @ gamma[m:, :m]) @ deltas.T
+    entries = np.arange(d0) * d0 + column[delta]  # vec(A) index x' d0 + x of each nonzero
+    values = _clock_phases(d)[phase % d]
+    # the pairs of words meeting one class, grouped by class
+    order = np.argsort(k, kind="stable")
+    grouped = k[order]
+    size = np.bincount(k)[grouped]
+    left = np.repeat(order, size)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
+    right = order[np.repeat(np.searchsorted(grouped, grouped), size) + offset]
+    weight = np.ones(len(left), dtype=np.complex128)
+    if len(sites):
+        weyl = np.stack([weyl_operator(d, q % d, q // d) for q in range(d * d)])
+        kappa = np.einsum("qyx,jyx->jq", weyl.conj(), noise.kraus) / d
+        chi = kappa.T @ kappa.conj()
+        for site_letters in letters[meet].T:
+            weight *= chi[site_letters[left], site_letters[right]]
+    flat = entries[left][:, :, None] * (d0 * d0) + entries[right][:, None, :]
+    terms = (weight / d0)[:, None, None] * values[left][:, :, None] * values[right].conj()[:, None, :]
+    kept = np.bincount(flat.ravel(), terms.real.ravel(), d0**4) + 1j * np.bincount(
+        flat.ravel(), terms.imag.ravel(), d0**4
+    )
+    return kept.reshape(d0, d0, d0, d0), np.eye(d0) / d0

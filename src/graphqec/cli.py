@@ -208,18 +208,18 @@ def _cmd_kl_check(args) -> Result:
 
 def _cmd_simulate(args) -> Result | int:
     code = load_graph(args.graph)
-    witness = find_uncorrectable_subset(code, args.f)
+    _require_shape(code.m, code.n, args.f)
+    try:
+        report = _graph_kl(code, args.f)
+    except DimensionOverflow:  # past the closed form's word budget the scan decides
+        witness = find_uncorrectable_subset(code, args.f)
+        if witness is None:
+            raise
+    else:  # a code the scan passes satisfies Knill-Laflamme, so a failing one has a witness
+        witness = None if report.correcting else find_uncorrectable_subset(code, args.f)
     if witness is not None:
-        try:  # a kernel vector of a degenerate code can be a word acting trivially on it
-            correcting = _graph_kl(code, args.f).correcting
-        except DimensionOverflow:  # past the closed form's word budget the scan's refusal stands
-            correcting = False
-        if not correcting:
-            print(
-                f"code does not correct f={args.f} (failing subset {list(witness)})",
-                file=sys.stderr,
-            )
-            return 1
+        print(f"code does not correct f={args.f} (failing subset {list(witness)})", file=sys.stderr)
+        return 1
     tokens = (args.sites or "").split(",")
     sites = list(_normalize_subset(code.n, [int(tok) for tok in tokens if tok.strip() != ""]))
     if args.noise is None and sites:
@@ -229,7 +229,7 @@ def _cmd_simulate(args) -> Result | int:
         site_channel = _parse_noise(args.noise, code.d)
         if not sites:
             raise ValueError("--noise given without --sites")
-    distance = _local_etd(code, args.f, site_channel, sites)
+    distance = _local_etd(code, report, site_channel, sites)
     corrected = distance < KL_TOLERANCE
     lines = [
         f"noise: {args.noise or 'none'} on sites {sites}",

@@ -7,22 +7,27 @@ G_k = sum_a c_ak F_a.  It lives only here, as the oracle for
 channels.choi_state, channels.verify_etd and channels.synthesize_decoder.
 The site-local, implicit-decoder distance behind `simulate`
 (channels._local_etd) is checked against verify_etd, and with noise on
-every site against this reference.
+every site against this reference.  Its decoded state from the syndrome
+table (channels._table_decoded) is checked entry by entry against the
+register-sized route (channels._dense_decoded).
 """
 
 import numpy as np
 import pytest
 
-from graphqec import channels
+from graphqec import channels, graphs
 from graphqec.channels import (
     Channel,
     GRAM_EIGENVALUE_CUTOFF,
     _Choi,
     _decoder_channel,
+    _dense_decoded,
+    _graph_kl,
     _gram_isometry,
     _local_etd,
     _max_entangled,
     _propagate,
+    _table_decoded,
     _word_images,
     choi_state,
     error_space_basis,
@@ -31,12 +36,14 @@ from graphqec.channels import (
     synthesize_decoder,
     tensor_channels,
     verify_etd,
+    weyl_operator,
 )
+from graphqec.errors import DimensionOverflow
 from graphqec.graphs import GraphCode, build_isometry, find_uncorrectable_subset
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
-from conftest import error_words
+from conftest import degenerate_wheel, error_words
 
 TOL = 1e-12
 
@@ -108,12 +115,12 @@ def rand_channel(rng, dim_in, dim_out, count):
     return Channel(tuple(q.reshape(count, dim_out, dim_in)))
 
 
-def seeded_code(d, n, seed):
-    """First code of a seeded stream (m = 1) that corrects one error."""
+def seeded_code(d, n, seed, m=1):
+    """First code of a seeded stream that corrects one error."""
     rng = np.random.default_rng(seed)
     while True:
-        g = np.triu(rng.integers(0, d, size=(n + 1, n + 1)), 1)
-        code = GraphCode(d, 1, n, ModMatrix(d, g + g.T))
+        g = np.triu(rng.integers(0, d, size=(n + m, n + m)), 1)
+        code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
         if find_uncorrectable_subset(code, 1) is None:
             return code
 
@@ -277,7 +284,7 @@ def test_local_etd_matches_verify_etd(name, channel, sites, wheel, prism):
     single = SITE_CHANNELS[channel](code.d)
     # the dense Gram route's decoder of the error space, from the gathered word images
     decoder = _decoder_channel(_gram_isometry(_word_images(v, code.d, *error_words(code.n, code.d, 1))))
-    got = _local_etd(code, 1, single, sites)
+    got = _local_etd(code, _graph_kl(code, 1), single, sites)
     noise = tensor_channels(*(single if s in sites else identity_channel(code.d) for s in range(code.n)))
     assert abs(got - verify_etd(Channel((v,)), noise, decoder)) < TOL
     if len(sites) <= 1:
@@ -296,12 +303,82 @@ COMPOSITE_CASES = [
 def test_local_etd_at_composite_d_matches_the_dense_gram_decoder(d, channel, sites, wheel, monkeypatch):
     code = seeded_code(4, 5, 27) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
     single = SITE_CHANNELS[channel](d)
-    got = _local_etd(code, 1, single, sites)
+    got = _local_etd(code, _graph_kl(code, 1), single, sites)
     words = error_words(code.n, d, 1)
     monkeypatch.setattr(channels, "_class_isometry", lambda v, d, report: _gram_isometry(_word_images(v, d, *words)))
-    assert abs(got - _local_etd(code, 1, single, sites)) < TOL
+    monkeypatch.setattr(channels, "_table_decoded", _past_the_table)
+    assert abs(got - _local_etd(code, _graph_kl(code, 1), single, sites)) < TOL
     if len(sites) <= 1:
         assert got < 1e-9
+
+
+def _past_the_table(*args):
+    raise DimensionOverflow("the syndrome table is refused here")
+
+
+def _no_dense_route(*args):
+    raise AssertionError("the register-sized route ran")
+
+
+def assert_routes_agree(code, f, single, sites, monkeypatch):
+    """The decoded state (tr_k Y, tr_sys rho) and _local_etd's distance from the syndrome
+    table, admitted past its pair budget, against those of the register-sized route."""
+    report = _graph_kl(code, f)
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 2**36)
+        patch.setattr(channels, "_dense_decoded", _no_dense_route)
+        table = _table_decoded(code, report, single, sites), _local_etd(code, report, single, sites)
+    with monkeypatch.context() as patch:
+        patch.setattr(channels, "_table_decoded", _past_the_table)
+        dense = _dense_decoded(code, report, single, sites), _local_etd(code, report, single, sites)
+    for got, want in zip(table[0], dense[0]):
+        assert np.abs(got - want).max() < TOL
+    assert abs(table[1] - dense[1]) < TOL
+    return table[1]
+
+
+def all_word_channel(d, count, seed):
+    """count Kraus operators cut from a random isometry: each has all d^2 Weyl words."""
+    channel = rand_channel(np.random.default_rng(seed), d, d, count)
+    words = np.stack([weyl_operator(d, q % d, q // d) for q in range(d * d)])
+    assert (np.abs(np.einsum("qyx,jyx->jq", words.conj(), channel.kraus)) > 1e-3).all()
+    return channel
+
+
+# the table against the register-sized route, beyond the cases above: two-input codes
+# (d0 = 4 and 9), Kraus operators with every Weyl word, and a degenerate code
+ROUTE_CASES = {
+    "d2m2n8-depolarizing": (lambda: seeded_code(2, 8, 1, m=2), lambda d: make_depolarizing(d, 0.3), (0, 5)),
+    "d2m2n8-damping": (lambda: seeded_code(2, 8, 1, m=2), lambda d: amplitude_damping(d, 0.3), (1, 2, 7)),
+    "d3m2n6-rotation": (lambda: seeded_code(3, 6, 21, m=2), SITE_CHANNELS["rotation"], (2,)),
+    "d3m2n6-damping": (lambda: seeded_code(3, 6, 21, m=2), lambda d: amplitude_damping(d, 0.3), (0, 4)),
+    "d2n7-all-words": (lambda: seeded_code(2, 7, 21), lambda d: all_word_channel(d, 3, 5), (0, 3, 6)),
+    "d3n5-all-words": (lambda: seeded_code(3, 5, 23), lambda d: all_word_channel(d, 4, 6), (0, 2, 4)),
+    "degenerate-wheel-one-site": (degenerate_wheel, SITE_CHANNELS["depolarizing"], (5,)),
+    "degenerate-wheel-two-sites": (degenerate_wheel, SITE_CHANNELS["depolarizing"], (1, 5)),
+    "degenerate-wheel-three-sites": (degenerate_wheel, lambda d: all_word_channel(d, 2, 7), (0, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("name, channel, sites", LOCAL_CASES)
+def test_table_route_matches_the_dense_route_on_the_local_cases(name, channel, sites, wheel, prism, monkeypatch):
+    code = LOCAL_CODES[name](wheel, prism)
+    assert_routes_agree(code, 1, SITE_CHANNELS[channel](code.d), sites, monkeypatch)
+
+
+@pytest.mark.parametrize("d, channel, sites", COMPOSITE_CASES)
+def test_table_route_matches_the_dense_route_at_composite_d(d, channel, sites, wheel, monkeypatch):
+    code = seeded_code(4, 5, 27) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
+    assert_routes_agree(code, 1, SITE_CHANNELS[channel](d), sites, monkeypatch)
+
+
+@pytest.mark.parametrize("case", list(ROUTE_CASES))
+def test_table_route_matches_the_dense_route(case, monkeypatch):
+    make_code, make_channel, sites = ROUTE_CASES[case]
+    code = make_code()
+    distance = assert_routes_agree(code, 1, make_channel(code.d), sites, monkeypatch)
+    if len(sites) <= 1:
+        assert distance < 1e-9
 
 
 def dense_site_propagate(state, single, left, right):
@@ -325,7 +402,7 @@ def test_local_etd_with_noise_on_every_site_matches_dense_reference(channel, mon
         return out
 
     monkeypatch.setattr(channels, "_propagate", spy)
-    got = _local_etd(code, 1, single, range(7))
+    got = _local_etd(code, _graph_kl(code, 1), single, range(7))
     # 2^8 rows: 4^5 depolarizing columns switch to the dense state, 2^7 damping ones do not;
     # verify_etd's three stages of the d0-level logical channel follow
     assert dense[:8] == [False] * 5 + [channel == "depolarizing"] * 3

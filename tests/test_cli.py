@@ -231,6 +231,33 @@ def test_kl_check_passes_f_2_codes_from_the_graph_alone(capsys, tmp_path, monkey
     assert out.splitlines()[-1] == "Knill-Laflamme: PASS"
 
 
+@pytest.mark.parametrize("d, n, trial", [(2, 16, 303), (3, 12, 46)], ids=["qubit-n16", "qutrit-n12"])
+def test_simulate_decodes_f_2_codes_from_the_syndrome_table(capsys, tmp_path, monkeypatch, d, n, trial):
+    def dense(*args, **kwargs):
+        raise AssertionError("simulate reached the isometry or the error images")
+
+    for module, name in [(graphs, "build_isometry"), (channels, "build_isometry"), (channels, "_word_images")]:
+        monkeypatch.setattr(module, name, dense)
+    # the f = 2 passers of kl-check above, whose 1129 and 4321 class images the
+    # register-sized route would gather at 2^17 and 3^13 amplitudes each
+    path = tmp_path / "passer.json"
+    dump_graph(sample_graph(d, 1, n, trial_rng(5, trial)), path)
+    for sites in ["0", "3,9", "1,5,10"]:
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate", str(path), "--f", "2", "--noise", "depolarizing:0.3", "--sites", sites,
+            "--json", "--no-timing",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["sites"] == [int(s) for s in sites.split(",")]
+        if len(payload["sites"]) <= 2:
+            assert payload["corrected"] and payload["choi_trace_distance"] < 1e-9
+        else:  # three depolarized sites exceed f = 2
+            assert payload["choi_trace_distance"] > 1e-3
+
+
 def test_simulate_runs_twelve_qubits_without_a_register_operator(capsys, tmp_path, monkeypatch):
     def no_register(*args, **kwargs):
         raise AssertionError("a register operator was built")
@@ -256,10 +283,18 @@ def test_simulate_runs_noise_on_all_ten_sites(capsys, tmp_path):
 
 
 def test_simulate_refuses_twenty_qubits_at_the_image_budget(capsys, tmp_path):
-    # f = 1 on 20 qubits: 61 error words x 2^21 amplitudes of V exceed TOTAL_AMPLITUDE_CAP = 2^26
     ring20 = _ring_file(tmp_path, 20)
     assert first_failing_subset(loads_graph(ring20.read_text()), 2) is None
-    result = run_cli(capsys, "simulate", str(ring20), "--f", "1", "--noise", "depolarizing:0.3", "--sites", "0")
+    # noise on one site: 16 noise words, decoded from the syndrome table without V
+    code, out, err = run_cli(
+        capsys, "simulate", str(ring20), "--f", "1", "--noise", "depolarizing:0.3", "--sites", "0", "--no-timing"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "corrected: yes"
+    # noise on all 20 sites takes the register-sized route: f = 1 on 20 qubits needs
+    # 61 error words x 2^21 amplitudes of V, beyond TOTAL_AMPLITUDE_CAP = 2^26
+    sites = ",".join(map(str, range(20)))
+    result = run_cli(capsys, "simulate", str(ring20), "--f", "1", "--noise", "depolarizing:0.3", "--sites", sites)
     _refused(result, "error images needs 127926272 amplitudes > 67108864")
 
 
@@ -271,6 +306,9 @@ def _address_space_limit(gib):
 
 
 _W8_EDGES = [[10 + s, 10 + (s + 1) % 20, 1] for s in range(20)] + [[i, 10 + 2 * i, 1] for i in range(10)]
+# the upper triangle of np.random.default_rng(1).integers(0, 9, size=(6, 6)): an isometry
+_D9_EDGES = [[a, b, w] for a, row in enumerate([[0, 4, 6, 8, 0, 1], [0, 0, 2, 2, 7, 3], [0, 0, 0, 3, 5, 4],
+                                                [0, 0, 0, 0, 7, 4], [0, 0, 0, 0, 0, 2]]) for b, w in enumerate(row) if w]
 _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
     # 2,333,431 words on <= 4 of 30 sites, each with its shift, clock and syndrome rows
     "kl-check-words": (
@@ -296,6 +334,11 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
     "simulate-dense-stage-11": (
         _ring_graph(11), ["simulate", "--f", "0", "--noise", "depolarizing:0.3", "--sites", ",".join(map(str, range(11)))],
         "dense Choi stage needs 67108896 amplitudes",
+    ),
+    # d0 = 81 logical levels: the 81^2 x 81^2 logical Choi state and eigh's copies
+    "simulate-logical-choi-state": (
+        {"d": 9, "m": 2, "n": 4, "edges": _D9_EDGES}, ["simulate", "--f", "0"],
+        "logical Choi state needs 172186884 amplitudes",
     ),
     # noise on all 12 sites: a 2^13 x 2^13 dense Choi state and the copies of a dense stage
     "simulate-dense-stage": (
@@ -493,6 +536,7 @@ def test_simulate_refuses_missized_custom_kraus(capsys, wheel_file, tmp_path, mo
         raise AssertionError("decoder built before the noise was checked")
 
     monkeypatch.setattr(channels, "_class_isometry", no_decoder)
+    monkeypatch.setattr(channels, "_table_decoded", no_decoder)
     code, out, err = run_cli(
         capsys,
         "simulate", wheel_file, "--f", "1",

@@ -243,7 +243,7 @@ def test_graph_kl_and_decoder_of_a_degenerate_code_match_the_dense_path():
     for sites in [(), (5,), (0,), (1, 5)]:
         noise = tensor_channels(*(make_depolarizing(2, 0.3) if s in sites else identity_channel(2) for s in range(6)))
         want = verify_etd(encoder, noise, decoder)
-        assert abs(channels._local_etd(code, 1, make_depolarizing(2, 0.3), sites) - want) <= 1e-12, sites
+        assert abs(channels._local_etd(code, report, make_depolarizing(2, 0.3), sites) - want) <= 1e-12, sites
 
 
 def test_max_deviation_matches_the_einsum_oracle():
