@@ -13,21 +13,18 @@ public error bases build them by one batched Kronecker product); their
 images F_a V feed one Gram routine, which forms M*M for
 M = [F_1 V | ... | F_K V] one band of rows at a time.  A graph code's
 error space on at most f sites needs neither V nor the images: _graph_kl
-takes the code and f, enumerates the words as integer (shift, clock)
-digits (_error_words) and evaluates the Gram blocks in closed form from
-the adjacency matrix (Schlingemann and Werner's character sums), through
-the words' syndromes.  simulate's decoded logical channel comes from the
-same syndrome table (_table_decoded): each site Kraus operator is a sum of
-the site's Weyl words, V* F_k* W V is a phase times a shift of the logical
-levels for the one syndrome class k whose coset holds the word W's
-syndrome, and the Kraus index sums out into the noise's Weyl process
-matrix, so no V, image or d^n-sized array is formed while the words of
-the noisy sites fit the budget.  Past it (noise on many sites) the
-register-sized route (_dense_decoded) gathers one image per syndrome
-class, never forming an operator: a word X^a Z^b is a digit shift plus a
-phase, so its image of the encoder is the row gather
-(F V)[i] = w^{b.(i-a)} V[i-a].  Every input-sized array passes the gate
-graphs._require_budget.
+enumerates the words as integer (shift, clock) digits (_error_words) and
+evaluates the Gram blocks in closed form from the adjacency matrix
+(Schlingemann and Werner's character sums).  Its report keeps each
+syndrome class as sigma = Gamma_YY s - c and tau = Gamma_XY s of a word
+X^s Z^c in it, and simulate's decoded logical channel reads the classes
+from there on both routes: the syndrome table (_table_decoded), where
+V* F_k* W V is a phase times a shift of the logical levels and the Kraus
+index sums out into the noise's Weyl process matrix, with no d^n-sized
+array; and past the table's budget (noise on many sites) the
+register-sized route (_dense_decoded), whose class images are phases of
+V, F V = w^(-sigma.y - tau.x) V up to a phase (_class_images).  Every
+input-sized array passes the gate graphs._require_budget.
 Choi states are propagated by one routine, _propagate: a state W W* on
 (system) (x) (d0-level reference) is carried as its factor W, and a stage
 acts on one axis of W's rows (left, stage input, right) with one stacked
@@ -36,10 +33,8 @@ register-sized route's site-local noise.  Only when a stage would make W
 wider than tall is the dense state formed, and a dense state goes through
 later stages by their superoperators while these are no larger than it
 (one site, or a decoder).  simulate's decoder stays implicit on both
-routes: the decoded state needs only (U* (x) 1) rho (U (x) 1), for the
-isometry U of the decoder, and the reduced reference state, so no
-register-sized noise operator, complement basis or QR is formed; the
-resulting d0-level logical channel is certified by verify_etd.
+routes (_local_etd), and the resulting d0-level logical channel is
+certified by verify_etd.
 """
 
 from __future__ import annotations
@@ -300,37 +295,6 @@ def _images(v, errors: Sequence) -> np.ndarray:
     return np.stack([f @ v for f in errors], axis=1)
 
 
-def _word_images(v: np.ndarray, d: int, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
-    """M = [F_1 V | ... | F_K V] of the words F_k = X^shift[k] Z^clock[k], as a
-    (dim_out, K, dim_in) array, without forming any F_k.
-
-    X^a Z^b maps |j> to w^{b j} |j + a>, so (F V)[i] = w^{b.(i-a)} V[i-a]
-    with i - a taken digit by digit mod d: a row gather and a multiply.
-    Each word's support sites are moved to its first slots, so one pass
-    per slot (at most f) updates the source rows and phase powers of all
-    K words at once, and V is gathered straight into M.  The index arrays
-    pass _require_budget.
-    """
-    dim_out, dim_in = v.shape
-    count, n = shift.shape
-    support = (shift | clock) != 0
-    width = int(support.sum(axis=1).max(initial=0))
-    _require_budget(dim_out * count, "error image rows")  # each index array: source rows, powers
-    slots = np.argsort(~support, axis=1, kind="stable")[:, :width]  # support first, then letter-free sites
-    place = d ** np.arange(n - 1, -1, -1)  # digit 0 is most significant
-    rows = np.arange(dim_out)[:, None]
-    source = np.repeat(rows, count, axis=1)
-    power = np.zeros((dim_out, count), dtype=np.int64)
-    for slot in slots.T:
-        a = shift[np.arange(count), slot]
-        step = place[slot]
-        digit = rows // step % d
-        moved = (digit - a) % d  # the source digit i_s - a_s
-        source += (moved - digit) * step
-        power += clock[np.arange(count), slot] * moved
-    return _clock_phases(d)[power % d, None] * v[source]
-
-
 def _kl_report(images: np.ndarray) -> KLReport:
     """The Knill-Laflamme report of M = [F_1 V | ... | F_K V], shaped (dim_out, K, dim_in).
 
@@ -370,14 +334,15 @@ def kl_verify(v, errors: Sequence) -> KLReport:
 class _GraphKL:
     """The Knill-Laflamme report of a graph code's error space, from _graph_kl.
 
-    words counts the space.  shift and clock hold one word per syndrome class, the
-    class's first in the order of _error_words; both are None when V is no isometry.
+    words counts the space.  Row k of syndrome (rank x n) and dual (rank x m) holds
+    sigma = Gamma_YY s - c and tau = Gamma_XY s mod d of the first word X^s Z^c of
+    syndrome class k in the order of _error_words; both are None when V is no isometry.
     """
 
     words: int
     max_deviation: float
-    shift: Optional[np.ndarray] = None
-    clock: Optional[np.ndarray] = None
+    syndrome: Optional[np.ndarray] = None
+    dual: Optional[np.ndarray] = None
 
     @property
     def correcting(self) -> bool:
@@ -403,11 +368,12 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
       w^(phase - x.Gamma_XY (s_b - s_a)): a scalar when Gamma_XY s agrees,
       otherwise of trace 0 and deviation 1.
     So the deviation is 0 or 1, and a correcting class of g words has the
-    rank-one Gram block u u*, |u_a| = 1.  Words are grouped by their
-    syndromes projected mod every p | d through the scan's table
-    (graphs._site_vectors): distinct groups differ outside the column
-    module, and within a group _share_a_coset decides exactly.  Budgeted:
-    the words and their syndromes (_error_words); no d^n-sized, no K x K array.
+    rank-one Gram block u u*, |u_a| = 1; the report keeps each class's sigma
+    and tau.  Words are grouped by their syndromes projected mod every p | d
+    through the scan's table (graphs._site_vectors): distinct groups differ
+    outside the column module, and within a group _share_a_coset decides
+    exactly.  Budgeted: the words and their syndromes (_error_words); no
+    d^n-sized, no K x K array.
     """
     d, m, n = code.d, code.m, code.n
     count, shift, clock = _error_words(n, d, f)
@@ -415,16 +381,20 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     tables = [_site_vectors(code, p, 1) for p in primes]
     if any(table is None for table in tables):
         return _GraphKL(count, 1.0)
-    gamma = code.gamma.entries
-    syndromes = (_mod_matmul(shift, gamma[m:, m:], d) - clock) % d
+    syndromes = _syndromes(code, shift, clock)
     first, label = _row_classes(syndromes)
-    dual = _mod_matmul(shift, gamma[m:, :m], d)  # Gamma_XY s
+    dual = _mod_matmul(shift, code.gamma.entries[m:, :m], d)  # Gamma_XY s
     split = bool((dual != dual[first][label]).any())
-    shift, clock = shift[first], clock[first]
-    keys = np.column_stack([_projected_syndromes(t, p, shift, clock) for p, t in zip(primes, tables)])
+    syndromes, dual = syndromes[first], dual[first]
+    keys = np.column_stack([_projected_syndromes(t, p, syndromes) for p, t in zip(primes, tables)])
     group = _row_classes(keys)[1]
-    deviation = 1.0 if split or _share_a_coset(code, syndromes[first], group) else 0.0
-    return _GraphKL(count, deviation, shift, clock)
+    deviation = 1.0 if split or _share_a_coset(code, syndromes, group) else 0.0
+    return _GraphKL(count, deviation, syndromes, dual)
+
+
+def _syndromes(code: GraphCode, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    """Gamma_YY s - c mod d of each word X^s Z^c, rows of shift and clock."""
+    return (_mod_matmul(shift, code.gamma.entries[code.m :, code.m :], code.d) - clock) % code.d
 
 
 def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,17 +418,16 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     return a.astype(np.int64) @ b.astype(np.int64) % d
 
 
-def _projected_syndromes(table, p: int, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
-    """sum_z s_z u_z - c_z v_z mod p of each word (s, c), from the projected table
-    (field, u, v) of graphs._site_vectors: the syndrome modulo the columns of
-    Gamma_YX, as a (K, width) int64 array."""
-    _, u, v = table
-    s, c = shift % p, clock % p
-    if u.dtype == np.uint64:  # one GF(2) word per site
-        zero = np.uint64(0)
-        terms = np.where(s == 1, u, zero) ^ np.where(c == 1, v, zero)
+def _projected_syndromes(table, p: int, syndromes: np.ndarray) -> np.ndarray:
+    """sum_i sigma_i v_i mod p of each syndrome sigma, from the projected table
+    (field, u, v) of graphs._site_vectors, whose projection maps e_i to v_i: the
+    syndrome modulo the columns of Gamma_YX, as a (K, width) int64 array."""
+    v = table[2]
+    sigma = syndromes % p
+    if v.dtype == np.uint64:  # one GF(2) word per site
+        terms = np.where(sigma == 1, v, np.uint64(0))
         return np.bitwise_xor.reduce(terms, axis=1).view(np.int64)[:, None]
-    return (_mod_matmul(s, u.T, p) - _mod_matmul(c, v.T, p)) % p
+    return _mod_matmul(sigma, v.T, p)
 
 
 def _share_a_coset(code: GraphCode, syndromes: np.ndarray, group: np.ndarray) -> bool:
@@ -469,13 +438,12 @@ def _share_a_coset(code: GraphCode, syndromes: np.ndarray, group: np.ndarray) ->
     otherwise each pair of a group is compared with all d^m columns
     Gamma_YX delta, one syndrome against the later ones at a time.
     """
-    d, m, n = code.d, code.m, code.n
+    d = code.d
     crowded = np.flatnonzero(np.bincount(group) > 1)
     if not crowded.size or math.prod(_prime_factors(d)) == d:
         return bool(crowded.size)
-    _require_budget(d**m * n, "column module")
-    deltas = np.indices((d,) * m).reshape(m, -1).T
-    module = _mod_matmul(deltas, code.gamma.entries[:m, m:], d)  # (Gamma_YX delta)^T
+    _require_budget(d**code.m * code.n, "column module")
+    module = _column_module(code)[1]
     for index in crowded:
         members = syndromes[group == index]
         _require_budget(len(members) * module.size, "column module comparison")
@@ -484,6 +452,13 @@ def _share_a_coset(code: GraphCode, syndromes: np.ndarray, group: np.ndarray) ->
             if (gaps[:, None, :] == module).all(axis=2).any():
                 return True
     return False
+
+
+def _column_module(code: GraphCode) -> tuple[np.ndarray, np.ndarray]:
+    """(deltas, module): every delta of Z_d^m as a row of digits, digit 0 most
+    significant, and the rows (Gamma_YX delta)^T mod d.  The caller budgets d^m n."""
+    deltas = _digit_table(code.d**code.m, code.d, code.m)
+    return deltas, _mod_matmul(deltas, code.gamma.entries[: code.m, code.m :], code.d)
 
 
 def _require_correcting(deviation: float) -> None:
@@ -511,19 +486,26 @@ def _gram_isometry(images: np.ndarray) -> np.ndarray:
     return np.tensordot(images, coeff, axes=(1, 0)).transpose(0, 2, 1)
 
 
-def _class_isometry(v: np.ndarray, d: int, report: _GraphKL) -> np.ndarray:
-    """U of _gram_isometry for the error space of a graph code's _graph_kl report.
+def _class_images(code: GraphCode, v: np.ndarray, report: _GraphKL) -> np.ndarray:
+    """U of _gram_isometry for the error space of a correcting graph code's _graph_kl
+    report, up to a phase per class: U[y, k, x] = w^(-sigma_k.y - tau_k.x) V[y, x].
 
-    Its Gram form is a rank-one block per syndrome class, whose eigenvector
-    weights images that agree up to a phase, so G_k V is the image of the
-    class's first word up to a phase, which leaves the decoding channel as
-    it is: only those rank images are gathered, under the images' budget.
+    The Gram form is a rank-one block per syndrome class, so G_k V is the
+    image of any word X^s Z^c of class k up to a phase, which leaves the
+    decoding channel as it is; with V of _graph_kl that image is
+    w^(S_YY(s) - c.s) U[:, k].  Budgeted as the images.
     """
-    _require_correcting(report.max_deviation)
-    rank = len(report.shift)
-    _log_rank(rank, report.words)
+    d, rank = code.d, len(report.syndrome)
     _require_budget(rank * v.size, "error images")
-    return _word_images(v, d, report.shift, report.clock)
+    phases = []
+    for weights in (report.syndrome, report.dual):  # w^(-sigma.y) of each row y, w^(-tau.x) of each x
+        exponent = np.zeros((1, rank), dtype=np.int64)
+        for column in weights.T:  # one digit at a time, digit 0 most significant
+            exponent = ((exponent[:, None, :] - np.outer(np.arange(d), column)) % d).reshape(-1, rank)
+        phases.append(_clock_phases(d)[exponent])
+    images = phases[0][:, :, None] * phases[1].T[None]
+    images *= v[:, None, :]
+    return images
 
 
 def synthesize_decoder(v, errors: Sequence, rho0=None) -> Channel:
@@ -685,26 +667,25 @@ def _local_etd(
     that basis.
 
     The decoder stays implicit: with Y = (U* (x) 1) rho (U (x) 1) for the
-    isometry U of _class_isometry (one image per syndrome class), the
-    decoded state is tr_k Y + rho0 (x) (tr_sys rho - tr_{k,sys} Y),
-    rho0 = |0><0|, so no register-sized noise operator, complement basis or
-    QR is formed.  tr_k Y comes from the syndrome table (_table_decoded),
-    which holds no d^n-sized array, whenever its word pairs fit the budget;
-    otherwise from the register-sized route (_dense_decoded), which alone
-    admits noise on many sites.  That state is the Choi state of the logical
-    channel D T E; its Kraus operators, read off the eigenvectors, go
-    through verify_etd with identity noise and decoder.  The d0^2 x d0^2
-    state and eigh's copies are budgeted before either route runs.
+    class images U of _class_images, the decoded state is
+    tr_k Y + rho0 (x) (1 / d0 - tr_{k,sys} Y), rho0 = |0><0|, since every
+    stage preserves the trace.  tr_k Y comes from the syndrome table
+    (_table_decoded) whenever its word pairs fit the budget, otherwise from
+    the register-sized route (_dense_decoded), which alone admits noise on
+    many sites.  That state is the Choi state of the logical channel D T E;
+    its Kraus operators, read off the eigenvectors, go through verify_etd
+    with identity noise and decoder.
     """
     d0 = code.d**code.m
     # the state, eigh's copy of it and its eigenvectors, the Kraus operators read off them
     _require_budget(4 * d0**4, "logical Choi state")
     _require_correcting(report.max_deviation)
+    _log_rank(len(report.syndrome), report.words)
     try:  # the table's budgets come first, so a refusal allocates nothing of it
-        kept, reduced = _table_decoded(code, report, noise, sites)
+        kept = _table_decoded(code, report, noise, sites)
     except DimensionOverflow:
-        kept, reduced = _dense_decoded(code, report, noise, sites)
-    lost = reduced - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
+        kept = _dense_decoded(code, report, noise, sites)
+    lost = np.eye(d0) / d0 - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
     state = kept.reshape(d0 * d0, d0 * d0) + np.kron(_ground_state(d0), lost)
     vals, vecs = np.linalg.eigh(state)
     keep = vals > 0
@@ -715,16 +696,16 @@ def _local_etd(
 
 def _dense_decoded(
     code: GraphCode, report: _GraphKL, noise: Optional[Channel], sites: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tr_k Y, tr_sys rho) of _local_etd, shaped (d0, d0, d0, d0) and (d0, d0), from V.
+) -> np.ndarray:
+    """tr_k Y of _local_etd, shaped (d0, d0, d0, d0), from V.
 
     The Choi state rho of T E is propagated from V, each noisy site's d x d
     Kraus stack acting on that site's axis (see _propagate), and contracted
-    with the class images U.  Every stage's route and budget are fixed from
-    the shapes before the first runs.
+    with the class images U of _class_images.  Every stage's route and budget
+    are fixed from the shapes before the first runs.
     """
     v = build_isometry(code)
-    u = _class_isometry(v, code.d, report)
+    u = _class_images(code, v, report)
     dim_out, _, d0 = u.shape
     n, d = code.n, code.d
     stages = [(v[None], 1, d0)] + [(noise.kraus, d**site, d ** (n - 1 - site) * d0) for site in sites]
@@ -740,41 +721,38 @@ def _dense_decoded(
     if choi.dense:
         rho = choi.array.reshape(dim_out, d0, dim_out, d0)
         half = np.tensordot(u_conj, rho, axes=(0, 0))  # (U* (x) 1) rho: (k, j, a, i, b)
-        kept = np.einsum("kjaib,ikl->jalb", half, u)  # tr_k Y
-        reduced = np.trace(rho, axis1=0, axis2=2)  # tr_sys rho
-    else:
-        w = choi.array.reshape(dim_out, d0, -1)
-        z = np.tensordot(u_conj, w, axes=(0, 0))  # (U* (x) 1) W: (k, j, a, col)
-        kept = np.einsum("kjac,klbc->jalb", z, z.conj())
-        reduced = np.einsum("iac,ibc->ab", w, w.conj())
-    return kept, reduced
+        return np.einsum("kjaib,ikl->jalb", half, u)
+    w = choi.array.reshape(dim_out, d0, -1)
+    z = np.tensordot(u_conj, w, axes=(0, 0))  # (U* (x) 1) W: (k, j, a, col)
+    return np.einsum("kjac,klbc->jalb", z, z.conj())
 
 
 def _table_decoded(
     code: GraphCode, report: _GraphKL, noise: Optional[Channel], sites: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tr_k Y, tr_sys rho) of _dense_decoded from the adjacency matrix and the report's
-    syndrome classes alone: no V, no image and no d^n-sized array.
+) -> np.ndarray:
+    """tr_k Y of _dense_decoded from the adjacency matrix and the report's sigma_k and
+    tau_k alone: no V, no image and no d^n-sized array.
 
     Each site Kraus operator is a sum of the site's d^2 Weyl words W_q with
     weights kappa[j, q] = tr(W_q* K_j) / d, so a product of site Kraus
-    operators is a sum of the words W_w on the noisy sites.  For the class
-    word F_k = X^s Z^c, A_kw = V* F_k* W_w V = w^(-c.(a_w - s)) T(a_w - s, b_w - c)
-    with T of _graph_kl: nonzero only when the syndrome of W_w lies in the
-    coset of class k modulo the columns of Gamma_YX, and then a phase on
-    the entries x = x' + delta for the unique delta with
-    Gamma_YX delta = syndrome(W_w) - syndrome(F_k).  The classes of a
-    correcting code lie in distinct cosets, so each word meets at most one
-    class, found exactly among the rank d^m shifted class syndromes.  The
-    Kraus index sums out into the noise's process matrix
+    operators is a sum of the words W_w = X^a Z^b on the noisy sites.  Up to
+    a phase, class k's image is Z^(-sigma_k) V w^(-tau_k.x) (_class_images),
+    so A_kw = w^(sigma_k.a + tau_k.x') T(a, b + sigma_k) with T of _graph_kl:
+    nonzero only when W_w's syndrome lies in sigma_k's coset modulo the
+    columns of Gamma_YX, and then the phase w^(sigma_k.a - S_YY(a) + S_XX(x)
+    - S_XX(x') - x'.(Gamma_XY a - tau_k)) on the entries x = x' + delta for
+    the unique delta with Gamma_YX delta = syndrome(W_w) - sigma_k.  The
+    classes of a correcting code lie in distinct cosets, so each word meets
+    at most one class, found exactly among the rank d^m shifted syndromes.
+    The Kraus index sums out into the noise's process matrix
     chi[w, w'] = prod over the sites of sum_j kappa[j, q_w] conj(kappa[j, q_w']),
     so tr_k Y = sum_k sum_{w, w' meeting k} chi[w, w'] |A_kw>><<A_kw'| / d0.
-    Every stage preserves the trace, so tr_sys rho = 1 / d0.  Budgeted first
-    from the shapes: the d^(2 |sites|) words and their syndromes, the rank d^m
-    cosets, and the word pairs, at most words^2 of d0^2 entries.
+    Budgeted first from the shapes: the d^(2 |sites|) words and their
+    syndromes, the rank d^m cosets, and the word pairs, at most words^2 of
+    d0^2 entries.
     """
     d, m, n = code.d, code.m, code.n
-    d0, rank, count = d**m, len(report.shift), d ** (2 * len(sites))
+    d0, rank, count = d**m, len(report.syndrome), d ** (2 * len(sites))
     _require_budget(3 * count * n, "noise words")
     _require_budget(rank * d0 * n, "syndrome cosets")
     _require_budget(3 * count * count * d0 * d0, "noise word pairs")
@@ -782,26 +760,22 @@ def _table_decoded(
     letters = _digit_table(count, d * d, len(sites))  # q = a + d*b per noisy site, the first slowest
     shift, clock = np.zeros((count, n), dtype=np.int64), np.zeros((count, n), dtype=np.int64)
     shift[:, list(sites)], clock[:, list(sites)] = letters % d, letters // d
-    syndromes = (_mod_matmul(shift, gamma[m:, m:], d) - clock) % d
-    deltas = _digit_table(d0, d, m)
-    module = _mod_matmul(deltas, gamma[:m, m:], d)  # (Gamma_YX delta)^T
-    classes = (_mod_matmul(report.shift, gamma[m:, m:], d) - report.clock) % d
-    cosets = ((classes[:, None, :] + module) % d).reshape(rank * d0, n)  # row k d0 + delta
-    label = _row_classes(np.vstack([cosets, syndromes]))[1]
+    deltas, module = _column_module(code)
+    cosets = ((report.syndrome[:, None, :] + module) % d).reshape(rank * d0, n)  # row k d0 + delta
+    label = _row_classes(np.vstack([cosets, _syndromes(code, shift, clock)]))[1]
     coset_of = np.full(len(cosets) + count, -1)
     coset_of[label[: len(cosets)]] = np.arange(len(cosets))
     hit = coset_of[label[len(cosets) :]]
     meet = np.flatnonzero(hit >= 0)
     k, delta = np.divmod(hit[meet], d0)
-    # A_kw[x', x' + delta] = w^phase[x']: the class word's and T's phases
-    a = (shift[meet] - report.shift[k]) % d
-    c = report.clock[k]
-    # S(y) = y.Gamma y / 2 exactly: Gamma is symmetric with a zero diagonal
-    scalar = -np.einsum("ij,ij->i", c, a) - np.einsum("ij,jk,ik->i", a, gamma[m:, m:], a) // 2
+    a = shift[meet]  # A_kw[x', x' + delta] = w^phase[x'] for W_w = X^a Z^b
+    # sigma_k.a - S_YY(a), with S(y) = y.Gamma y / 2 exactly: Gamma is symmetric with a zero diagonal
+    scalar = np.einsum("ij,ij->i", a, 2 * report.syndrome[k] - a @ gamma[m:, m:]) // 2
     inputs = np.einsum("ij,jk,ik->i", deltas, gamma[:m, :m], deltas) // 2  # S_XX(x) for x = deltas
     place = d ** np.arange(m - 1, -1, -1)
     column = (deltas[None] + deltas[:, None]) % d @ place  # x' + delta: (delta, x')
-    phase = scalar[:, None] + (inputs[column] - inputs)[delta] - (a @ gamma[m:, :m]) @ deltas.T
+    linear = (a @ gamma[m:, :m] - report.dual[k]) @ deltas.T  # x'.(Gamma_XY a - tau_k)
+    phase = scalar[:, None] + (inputs[column] - inputs)[delta] - linear
     entries = np.arange(d0) * d0 + column[delta]  # vec(A) index x' d0 + x of each nonzero
     values = _clock_phases(d)[phase % d]
     # the pairs of words meeting one class, grouped by class
@@ -823,4 +797,4 @@ def _table_decoded(
     kept = np.bincount(flat.ravel(), terms.real.ravel(), d0**4) + 1j * np.bincount(
         flat.ravel(), terms.imag.ravel(), d0**4
     )
-    return kept.reshape(d0, d0, d0, d0), np.eye(d0) / d0
+    return kept.reshape(d0, d0, d0, d0)

@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library code paths they check:
 kernel triviality by exhaustive enumeration or by sympy's integer Smith
 normal form, the largest correctable f by a minimum symplectic weight over
 vectors, binomial tails by exact integer sums, roots by scipy's brentq, error
-words by a loop over supports and letters.
+words by a loop over supports and letters, their images of an encoder by a
+row gather per word.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import comb, gcd, log2
 import numpy as np
 import pytest
 
+from graphqec.channels import weyl_operator
 from graphqec.graphs import GraphCode, prism_code, wheel_code
 
 
@@ -93,6 +95,28 @@ def error_words(n: int, d: int, f: int):
                 rows.append(word)
     words = np.array(rows, dtype=np.int64)
     return words % d, words // d
+
+
+def word_images(v, d, shift, clock):
+    """[F_1 V | ... | F_K V] of the words F_k = X^shift[k] Z^clock[k], a (dim_out, K, dim_in)
+    array, one word at a time: X^a Z^b maps |j> to w^(b.j) |j + a>, so each image is the
+    row gather (F V)[i] = w^(b.(i-a)) V[i-a], with i - a digit by digit mod d, times
+    phases read off the diagonal of weyl_operator's Z."""
+    dim_out, dim_in = v.shape
+    count, n = shift.shape
+    rows = np.arange(dim_out)
+    place = d ** np.arange(n - 1, -1, -1)
+    phases = np.diag(weyl_operator(d, 0, 1))
+    out = np.empty((dim_out, count, dim_in), dtype=np.complex128)
+    for k in range(count):
+        source, power = rows, 0
+        for s in np.flatnonzero(shift[k] | clock[k]):
+            digit = rows // place[s] % d
+            moved = (digit - shift[k, s]) % d
+            source = source + (moved - digit) * place[s]
+            power = power + clock[k, s] * moved
+        np.multiply(phases[power % d, None], v[source], out=out[:, k])
+    return out
 
 
 def exact_binomial_tail(n: int, start: int, x: float) -> float:

@@ -28,7 +28,6 @@ from graphqec.channels import (
     _max_entangled,
     _propagate,
     _table_decoded,
-    _word_images,
     choi_state,
     error_space_basis,
     identity_channel,
@@ -43,7 +42,7 @@ from graphqec.graphs import GraphCode, build_isometry, find_uncorrectable_subset
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
-from conftest import degenerate_wheel, error_words
+from conftest import degenerate_wheel, error_words, word_images
 
 TOL = 1e-12
 
@@ -283,7 +282,7 @@ def test_local_etd_matches_verify_etd(name, channel, sites, wheel, prism):
     v = build_isometry(code)
     single = SITE_CHANNELS[channel](code.d)
     # the dense Gram route's decoder of the error space, from the gathered word images
-    decoder = _decoder_channel(_gram_isometry(_word_images(v, code.d, *error_words(code.n, code.d, 1))))
+    decoder = _decoder_channel(_gram_isometry(word_images(v, code.d, *error_words(code.n, code.d, 1))))
     got = _local_etd(code, _graph_kl(code, 1), single, sites)
     noise = tensor_channels(*(single if s in sites else identity_channel(code.d) for s in range(code.n)))
     assert abs(got - verify_etd(Channel((v,)), noise, decoder)) < TOL
@@ -305,7 +304,7 @@ def test_local_etd_at_composite_d_matches_the_dense_gram_decoder(d, channel, sit
     single = SITE_CHANNELS[channel](d)
     got = _local_etd(code, _graph_kl(code, 1), single, sites)
     words = error_words(code.n, d, 1)
-    monkeypatch.setattr(channels, "_class_isometry", lambda v, d, report: _gram_isometry(_word_images(v, d, *words)))
+    monkeypatch.setattr(channels, "_class_images", lambda code, v, report: _gram_isometry(word_images(v, code.d, *words)))
     monkeypatch.setattr(channels, "_table_decoded", _past_the_table)
     assert abs(got - _local_etd(code, _graph_kl(code, 1), single, sites)) < TOL
     if len(sites) <= 1:
@@ -321,8 +320,8 @@ def _no_dense_route(*args):
 
 
 def assert_routes_agree(code, f, single, sites, monkeypatch):
-    """The decoded state (tr_k Y, tr_sys rho) and _local_etd's distance from the syndrome
-    table, admitted past its pair budget, against those of the register-sized route."""
+    """The decoded state tr_k Y and _local_etd's distance from the syndrome table,
+    admitted past its pair budget, against those of the register-sized route."""
     report = _graph_kl(code, f)
     with monkeypatch.context() as patch:
         patch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 2**36)
@@ -331,8 +330,7 @@ def assert_routes_agree(code, f, single, sites, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(channels, "_table_decoded", _past_the_table)
         dense = _dense_decoded(code, report, single, sites), _local_etd(code, report, single, sites)
-    for got, want in zip(table[0], dense[0]):
-        assert np.abs(got - want).max() < TOL
+    assert np.abs(table[0] - dense[0]).max() < TOL
     assert abs(table[1] - dense[1]) < TOL
     return table[1]
 

@@ -182,17 +182,17 @@ def _ring_file(tmp_path, n):
 
 
 def test_kl_check_runs_ten_and_sixteen_qubits_at_f_2(capsys, tmp_path, monkeypatch):
-    word_images, kron_stacks = channels._word_images, channels._kron_stacks
+    class_images, kron_stacks = channels._class_images, channels._kron_stacks
 
-    def guarded_images(v, d, shift, clock):  # fills an image stack only within the total budget
-        assert len(shift) * v.size <= graphs.TOTAL_AMPLITUDE_CAP, "an oversized image stack was reached"
-        return word_images(v, d, shift, clock)
+    def guarded_images(code, v, report):  # fills an image stack only within the total budget
+        assert len(report.syndrome) * v.size <= graphs.TOTAL_AMPLITUDE_CAP, "an oversized image stack was reached"
+        return class_images(code, v, report)
 
     def guarded_kron(stacks):  # builds one identity operator, refuses anything larger
         assert np.prod([s.size for s in stacks]) <= 2**20, "a large Kronecker product was reached"
         return kron_stacks(stacks)
 
-    monkeypatch.setattr(channels, "_word_images", guarded_images)
+    monkeypatch.setattr(channels, "_class_images", guarded_images)
     monkeypatch.setattr(channels, "_kron_stacks", guarded_kron)
     # 436 and 1129 error words: kl-check reads the graph alone, so the 1129 x 2^17
     # image amplitudes that 16 qubits would take (> 2^26) are never asked for
@@ -217,7 +217,7 @@ def test_kl_check_passes_f_2_codes_from_the_graph_alone(capsys, tmp_path, monkey
         raise AssertionError("kl-check reached the isometry or the error images")
 
     for module, name in [(graphs, "build_isometry"), (channels, "build_isometry"), (channels, "_images"),
-                         (channels, "_word_images"), (channels, "_kl_report")]:
+                         (channels, "_class_images"), (channels, "_kl_report")]:
         monkeypatch.setattr(module, name, dense)
     # the first f = 2 passers of sample_graph(d, 1, n, trial_rng(5, t)): 1129 and 4321 words,
     # whose images would hold 2^17 and 3^12 amplitudes each
@@ -236,7 +236,7 @@ def test_simulate_decodes_f_2_codes_from_the_syndrome_table(capsys, tmp_path, mo
     def dense(*args, **kwargs):
         raise AssertionError("simulate reached the isometry or the error images")
 
-    for module, name in [(graphs, "build_isometry"), (channels, "build_isometry"), (channels, "_word_images")]:
+    for module, name in [(graphs, "build_isometry"), (channels, "build_isometry"), (channels, "_class_images")]:
         monkeypatch.setattr(module, name, dense)
     # the f = 2 passers of kl-check above, whose 1129 and 4321 class images the
     # register-sized route would gather at 2^17 and 3^13 amplitudes each
@@ -535,7 +535,7 @@ def test_simulate_refuses_missized_custom_kraus(capsys, wheel_file, tmp_path, mo
     def no_decoder(*args, **kwargs):
         raise AssertionError("decoder built before the noise was checked")
 
-    monkeypatch.setattr(channels, "_class_isometry", no_decoder)
+    monkeypatch.setattr(channels, "_class_images", no_decoder)
     monkeypatch.setattr(channels, "_table_decoded", no_decoder)
     code, out, err = run_cli(
         capsys,

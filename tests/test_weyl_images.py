@@ -1,16 +1,18 @@
-"""Matrix-free Weyl images, the banded Gram form and the graph's closed form
+"""Weyl word images, the banded Gram form and the graph's closed form
 against the dense path.
 
 The oracle is the straightforward algorithm: every error word as a dense
 d^n x d^n operator from the public error_space_basis, the images F_a V as
 matrix products, the Gram blocks from one einsum with a deviation array
 of the same size, and an explicit decoder built from the dense operators
-G_k = sum_a c_ak F_a.  The per-word gather loop that the vectorized
-_word_images replaced is kept as its bit-exact oracle.  The gathered word
-images feed the same Gram routine (_kl_report) and decoder (_gram_isometry,
-_decoder_channel) as kl_verify and synthesize_decoder, and the closed-form
-Knill-Laflamme report of a graph code (channels._graph_kl) is checked
-against them and against the exact verdict of verify.  It all lives only here.
+G_k = sum_a c_ak F_a.  The word images of conftest.word_images, a row
+gather per word, are checked against those products and feed the same
+Gram routine (_kl_report) and decoder (_gram_isometry, _decoder_channel)
+as kl_verify and synthesize_decoder.  The closed-form Knill-Laflamme
+report of a graph code (channels._graph_kl) is checked against them and
+against the exact verdict of verify, and the class images that simulate
+forms from that report (channels._class_images) against the gathered
+image of each class's first word.  It all lives only here.
 """
 
 import itertools
@@ -31,7 +33,6 @@ from graphqec.channels import (
     _isometry_gap,
     _kl_report,
     _require_isometry,
-    _word_images,
     error_space_basis,
     identity_channel,
     kl_verify,
@@ -45,7 +46,7 @@ from graphqec.graphs import GraphCode, build_isometry, first_failing_subset, pri
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
-from conftest import degenerate_wheel, error_words
+from conftest import degenerate_wheel, error_words, word_images
 
 # (d, m, n, f): prime and composite d, one and two errors, one and two inputs
 CASES = [
@@ -78,12 +79,12 @@ def corpus():
 def word_report(v, d, n, f):
     """kl_verify of every word on at most f of n sites, from the gathered images."""
     _require_isometry(v)
-    return _kl_report(_word_images(v, d, *error_words(n, d, f)))
+    return _kl_report(word_images(v, d, *error_words(n, d, f)))
 
 
 def word_decoder(v, d, n, f):
     """synthesize_decoder of every word on at most f of n sites, from the gathered images."""
-    return _decoder_channel(_gram_isometry(_word_images(v, d, *error_words(n, d, f))))
+    return _decoder_channel(_gram_isometry(word_images(v, d, *error_words(n, d, f))))
 
 
 def dense_images(v, basis):
@@ -130,43 +131,12 @@ def test_error_space_counts_its_words():
 def test_word_images_match_dense_products():
     for d, f, code in corpus():
         v = build_isometry(code)
-        got = _word_images(v, d, *error_words(code.n, d, f))
+        got = word_images(v, d, *error_words(code.n, d, f))
         want = dense_images(v, error_space_basis(code.n, d, f))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15, (d, f, code.n)
         if d == 2 and f == 1:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def loop_word_images(v, d, shift, clock):
-    """_word_images one word at a time: a row gather and a phase per word."""
-    dim_out, dim_in = v.shape
-    count, n = shift.shape
-    rows = np.arange(dim_out)
-    place = d ** np.arange(n - 1, -1, -1)
-    phases = np.diag(weyl_operator(d, 0, 1))
-    out = np.empty((dim_out, count, dim_in), dtype=np.complex128)
-    for k in range(count):
-        source, power = rows, 0
-        for s in np.flatnonzero(shift[k] | clock[k]):
-            digit = rows // place[s] % d
-            moved = (digit - shift[k, s]) % d
-            source = source + (moved - digit) * place[s]
-            power = power + clock[k, s] * moved
-        np.multiply(phases[power % d, None], v[source], out=out[:, k])
-    return out
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_word_images_match_the_per_word_loop_bit_for_bit(d):
-    rng = np.random.default_rng(d)
-    for m, n in [(1, 5), (2, 4)] if d < 4 else [(1, 3), (2, 3)]:
-        g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
-        v = build_isometry(GraphCode(d, m, n, ModMatrix(d, g + g.T)))
-        for f in (0, 1, 2):
-            shift, clock = error_words(n, d, f)
-            got, want = _word_images(v, d, shift, clock), loop_word_images(v, d, shift, clock)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (m, n, f)
 
 
 def graph_kl_corpus():
@@ -197,7 +167,7 @@ def test_graph_kl_matches_dense_kl_verify_and_verify():
             seen.add("non-isometric")
         assert abs(report.max_deviation - dense) <= 1e-12, (code.d, code.m, code.n, f)
         assert report.correcting == (first_failing_subset(code, 2 * f) is None), (code.d, code.n, f)
-        if report.shift is not None and len(report.shift) < report.words:
+        if report.syndrome is not None and len(report.syndrome) < report.words:
             seen.add("multi-word classes")
         seen.add((code.d, report.correcting))
     assert {"non-isometric", "multi-word classes"} <= seen
@@ -231,11 +201,33 @@ def test_graph_kl_verdicts_at_prime_power_d_decide_shared_cosets_exactly(monkeyp
     assert {d for d, _ in outcomes} >= {4, 9}, outcomes
 
 
+def test_class_images_are_the_first_words_images_up_to_a_phase():
+    seen = set()
+    for code, f in itertools.chain(graph_kl_corpus(), [(degenerate_wheel(), 1)]):
+        report = _graph_kl(code, f)
+        if report.syndrome is None:  # no isometry, so no images
+            continue
+        d, m = code.d, code.m
+        shift, clock = error_words(code.n, d, f)
+        syndromes = (shift @ code.gamma.entries[m:, m:] - clock) % d
+        first = [np.flatnonzero((syndromes == sigma).all(axis=1))[0] for sigma in report.syndrome]
+        assert len(first) == len(np.unique(syndromes, axis=0))
+        v = build_isometry(code)
+        got = channels._class_images(code, v, report)
+        want = word_images(v, d, shift[first], clock[first])
+        phase = got[0, :, 0] / want[0, :, 0]  # V has no zero entry
+        assert np.abs(np.abs(phase) - 1).max() <= 1e-14
+        assert np.abs(got - phase[None, :, None] * want).max() <= 1e-14, (d, m, code.n, f)
+        seen.add((d, m, f))
+    assert {(d, m) for d, m, _ in seen} == {(d, m) for d in (2, 3, 4, 5, 6, 9) for m in (1, 2)}
+    assert {f for _, _, f in seen} == {0, 1, 2}
+
+
 def test_graph_kl_and_decoder_of_a_degenerate_code_match_the_dense_path():
     code = degenerate_wheel()
     v = build_isometry(code)
     report = _graph_kl(code, 1)
-    assert (len(report.shift), report.words) == (17, 19)
+    assert (len(report.syndrome), report.words) == (17, 19)
     dense = word_report(v, 2, 6, 1)
     assert report.correcting and abs(report.max_deviation - dense.max_deviation) <= 1e-12
     assert np.linalg.matrix_rank(dense.gram, tol=GRAM_EIGENVALUE_CUTOFF) == 17
