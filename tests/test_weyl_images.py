@@ -12,7 +12,8 @@ as kl_verify and synthesize_decoder.  The closed-form Knill-Laflamme
 report of a graph code (channels._graph_kl) is checked against them and
 against the exact verdict of verify, and the class images that simulate
 forms from that report (channels._class_images) against the gathered
-image of each class's first word.  It all lives only here.
+image of each class's first word up to a phase, and of every word of its
+class times the closed-form phase w^(S_YY(s) - c.s).  It all lives only here.
 """
 
 import itertools
@@ -221,6 +222,37 @@ def test_class_images_are_the_first_words_images_up_to_a_phase():
         seen.add((d, m, f))
     assert {(d, m) for d, m, _ in seen} == {(d, m) for d in (2, 3, 4, 5, 6, 9) for m in (1, 2)}
     assert {f for _, _, f in seen} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_every_words_image_is_its_class_image_times_its_closed_form_phase(d):
+    # X^s Z^c V = w^(S_YY(s) - c.s) U[:, k] for every word of class k, not only the first
+    rng = np.random.default_rng(d)
+    checked = set()
+    for m, n in [(1, 5), (2, 4)] if d < 4 else [(1, 3), (2, 3)]:
+        g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
+        code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
+        for f in (0, 1, 2):
+            shift, clock = error_words(n, d, f)
+            report = _graph_kl(code, f)
+            if report.syndrome is None or len(shift) * d ** (n + m) > 2**21:  # no images, or large
+                continue
+            gamma_yy = code.gamma.entries[m:, m:]
+            syndromes = (shift @ gamma_yy - clock) % d
+            match = (syndromes[:, None, :] == report.syndrome[None]).all(axis=2)
+            assert (match.sum(axis=1) == 1).all(), (m, n, f)
+            label = match.argmax(axis=1)
+            # a word whose Gamma_XY s differs from its class's leaves the code uncorrecting
+            same = ((shift @ code.gamma.entries[m:, :m] - report.dual[label]) % d == 0).all(axis=1)
+            assert same.all() or not report.correcting, (m, n, f)
+            s_yy = np.einsum("ki,ij,kj->k", shift, np.triu(gamma_yy, 1), shift)
+            phase = np.diag(weyl_operator(d, 0, 1))[(s_yy - (clock * shift).sum(axis=1)) % d]
+            v = build_isometry(code)
+            got = phase[None, same, None] * channels._class_images(code, v, report)[:, label[same]]
+            want = word_images(v, d, shift[same], clock[same])
+            assert np.abs(got - want).max() <= 1e-14, (m, n, f)
+            checked.add(int(same.sum()) > len(report.syndrome))
+    assert True in checked
 
 
 def test_graph_kl_and_decoder_of_a_degenerate_code_match_the_dense_path():
