@@ -378,8 +378,8 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     d, m, n = code.d, code.m, code.n
     count, shift, clock = _error_words(n, d, f)
     primes = _prime_factors(d)
-    tables = [_site_vectors(code, p, 1) for p in primes]
-    if any(table is None for table in tables):
+    tables = [_site_vectors(code.gamma.entries[None], m, p, 1) for p in primes]
+    if not all(full[0] for *_, full in tables):
         return _GraphKL(count, 1.0)
     syndromes = _syndromes(code, shift, clock)
     first, label = _row_classes(syndromes)
@@ -420,8 +420,8 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
 
 def _projected_syndromes(table, p: int, syndromes: np.ndarray) -> np.ndarray:
     """sum_i sigma_i v_i mod p of each syndrome sigma, from the projected table
-    (field, u, v) of graphs._site_vectors, whose projection maps e_i to v_i: the
-    syndrome modulo the columns of Gamma_YX, as a (K, width) int64 array."""
+    (field, u, v, full) of one code from graphs._site_vectors, whose projection maps
+    e_i to v_i: the syndrome modulo the columns of Gamma_YX, as a (K, width) int64 array."""
     v = table[2]
     sigma = syndromes % p
     if v.dtype == np.uint64:  # one GF(2) word per site

@@ -8,14 +8,17 @@ every prime p | d.  Over GF(p) that holds exactly when the 2|Z| columns
 gamma[Y, z] and e_z (z in Z) stay independent after projecting out the
 columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once into a
 table of two projected vectors per site (_site_vectors), in the field that
-rank_prime_batch uses for n - m rows.  One scan, first_failing_subset,
-checks the statement for every caller: it visits subsets by increasing
-size, lexicographically within a size, reduces each (s-1)-prefix's
-vectors once and then only the two new vectors of every site above the
-prefix's last, at most _PREFIX_CHUNK prefixes at a time.
-check_subset asks the same table about one subset.  The encoding
-isometry itself is a quadratic-phase matrix; both views are implemented
-here and their consistency is exercised by the tests.
+rank_prime_batch uses for n - m rows, for a whole stack of codes that
+share (d, m, n) at once.  One walk, _first_failing_stack, checks the
+statement for every caller: it visits subsets by increasing size,
+lexicographically within a size, reduces each (s-1)-prefix's vectors once
+and then only the two new vectors of every site above the prefix's last,
+at most _PREFIX_CHUNK prefixes of every code still walking at a time, and
+a code leaves the walk at the size where it first fails.  search's
+run_search walks a stack of trials; first_failing_subset is the walk of a
+stack of one, and check_subset asks that table about one subset.  The
+encoding isometry itself is a quadratic-phase matrix; both views are
+implemented here and their consistency is exercised by the tests.
 
 Node numbering convention: inputs are 0..m-1, outputs are m..m+n-1.
 Basis indices are base-d integers whose most-significant digit belongs
@@ -41,6 +44,7 @@ from .modular import (
     ModMatrix,
     _field,
     _prime_factors,
+    _reduce,
     _reduce_against,
     _require_modulus,
     _residue_dtype,
@@ -69,7 +73,7 @@ __all__ = [
 DEFAULT_AMPLITUDE_CAP = 2**20
 TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP  # 1 GiB of complex128
 
-# Most (s-1)-prefixes whose leaves first_failing_subset reduces at once.
+# Most (s-1)-prefixes of each code whose leaves the subset scan reduces at once.
 _PREFIX_CHUNK = 256
 
 
@@ -102,11 +106,7 @@ class GraphCode:
             raise ValueError("gamma modulus must equal the code dimension d")
         if g.rows != size or g.cols != size:
             raise ValueError(f"gamma must be {size}x{size}, got {g.rows}x{g.cols}")
-        arr = g.entries
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diag(arr)):
-            raise ValueError("self-loops are not allowed (zero diagonal required)")
+        _require_adjacency(g.entries, self.d)
 
     @classmethod
     def from_edges(
@@ -137,6 +137,17 @@ class GraphCode:
             gamma[a, b] = (gamma[a, b] + w) % d
             gamma[b, a] = gamma[a, b]
         return cls(d, m, n, ModMatrix(d, gamma))
+
+
+def _require_adjacency(gammas: np.ndarray, d: int) -> None:
+    """GraphCode's rules for an adjacency matrix, or for each of a (..., size, size)
+    stack: residues mod d, symmetric, zero diagonal."""
+    if gammas.size and (gammas.min() < 0 or gammas.max() >= d):
+        raise ValueError("entries must lie in [0, modulus)")
+    if not np.array_equal(gammas, gammas.swapaxes(-1, -2)):
+        raise ValueError("adjacency matrix must be symmetric")
+    if np.any(np.diagonal(gammas, axis1=-2, axis2=-1)):
+        raise ValueError("self-loops are not allowed (zero diagonal required)")
 
 
 def _require_int(value, name: str) -> int:
@@ -175,37 +186,48 @@ def _normalize_subset(n: int, subset: Iterable[int]) -> tuple[int, ...]:
     return sites
 
 
-def _site_vectors(code: GraphCode, p: int, size: int):
-    """(field, u, v), the projected table mod the prime p for subsets of at
-    most `size` sites, or None when A = gamma[Y, X] has rank below m over GF(p).
+def _site_vectors(gammas: np.ndarray, m: int, p: int, size: int):
+    """(field, u, v, full), the projected tables mod the prime p of a (T, m+n, m+n) stack
+    of adjacency matrices, for subsets of at most `size` sites; full marks the codes
+    whose A = gamma[Y, X] has rank m over GF(p).
 
     Z fails mod p exactly when [A | a_z, e_z for z in Z] (a_z = gamma[Y, z],
     e_z the unit vector of site z) lacks full column rank.  Row-reducing
     [gamma[Y, X u Y] | 1] on A's columns and keeping the n - m rows without a
-    pivot leaves u[..., z] and v[..., z], the images of a_z and e_z there, so
-    Z fails exactly when its 2|Z| vectors are dependent.  They are vectors of
-    modular._field for n - m rows and the 2 size - 1 eliminations a leaf
-    takes, the sites on the last axis.  size 0 reduces A alone.
+    pivot leaves u[..., t n + z] and v[..., t n + z], the images of code t's
+    a_z and e_z there, so Z fails exactly when its 2|Z| vectors are dependent.
+    Every code is reduced at once, one pass per column of A, each taking its
+    first nonzero free row as the pivot; a code without one is not full, its
+    table means nothing, and it gives up its first free row so that every
+    code keeps n - m rows.  They are vectors of modular._field for n - m rows
+    and the 2 size - 1 eliminations a leaf takes.  size 0 reduces A alone.
     """
-    m, n = code.m, code.n
+    count, n = len(gammas), gammas.shape[-1] - m
     if m > n:
-        return None
-    _require_budget(n * (m + 2 * n if size else m), "subset-scan table", DEFAULT_AMPLITUDE_CAP)
+        return None, None, None, np.zeros(count, dtype=bool)
+    sites = n if size else 0  # columns of the a_z, then of the e_z
+    _require_budget(count * n * (m + 2 * sites), "subset-scan table", DEFAULT_AMPLITUDE_CAP)
     dtype = _residue_dtype(p)
-    gamma = code.gamma.entries[m:]  # rows Y; columns X, then Y
-    table = _residues(gamma if size else gamma[:, :m], p, dtype)
-    if size:
-        table = np.hstack([table, np.eye(n, dtype=dtype)])
-    free = np.ones(n, dtype=bool)
+    table = np.zeros((count, n, m + 2 * sites), dtype=dtype)
+    table[:, :, : m + sites] = _residues(gammas[:, m:, : m + sites], p, dtype)  # rows Y
+    table[:, :, m + sites :] = np.eye(n, sites, dtype=dtype)
+    codes = np.arange(count)
+    free = np.ones((count, n), dtype=bool)
+    full = np.ones(count, dtype=bool)
     for col in range(m):
-        candidates = np.flatnonzero(free & (table[:, col] != 0))
-        if not candidates.size:
-            return None
-        free[candidates[0]] = False
-        pivot = table[candidates[0]] * pow(int(table[candidates[0], col]), -1, p) % p
-        table[free] = (table[free] - table[free, col][:, None] * pivot) % p
+        nonzero = table[:, :, col] != 0
+        row = (free * (1 + nonzero)).argmax(axis=1)  # the first free row, nonzero if one is
+        full &= nonzero[codes, row]
+        free[codes, row] = False
+        pivot = table[codes, row]
+        inverses = [pow(x, -1, p) if x else 0 for x in pivot[:, col].tolist()]
+        pivot = _reduce(pivot * np.array(inverses, dtype=dtype)[:, None], p)
+        table -= (table[:, :, col] * free)[:, :, None] * pivot[:, None, :]
+        table = _reduce(table, p)
+    kept = table[free].reshape(count, n - m, m + 2 * sites).transpose(1, 0, 2)  # (n - m, T, columns)
     field = _field(p, n - m, 2 * size - 1)
-    return field, field.vectors(table[free, m : m + n]), field.vectors(table[free, m + n :])
+    u, v = (kept[:, :, m + k * sites : m + (k + 1) * sites].reshape(n - m, count * sites) for k in (0, 1))
+    return field, field.vectors(u), field.vectors(v), full
 
 
 def _reduce_site(field, basis, u, v):
@@ -248,10 +270,10 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
         return False
     head = np.array([sites[:-1]], dtype=np.intp)
     for p in _prime_factors(code.d):
-        vectors = _site_vectors(code, p, len(sites))
-        if vectors is None:
+        field, u, v, full = _site_vectors(code.gamma.entries[None], code.m, p, len(sites))
+        if not full[0]:
             return False
-        if sites and _leaf_failures(*vectors, head, np.zeros(1, np.intp), np.array(sites[-1:]))[0]:
+        if sites and _leaf_failures(field, u, v, head, np.zeros(1, np.intp), np.array(sites[-1:]))[0]:
             return False
     return True
 
@@ -263,58 +285,105 @@ def first_failing_subset(
 
     Subsets are scanned by increasing cardinality and lexicographically
     within each cardinality, so the returned witness is the smallest
-    counterexample under that order.  Each prime p | d scans its projected
-    table (_site_vectors); a later prime only looks at the subsets before
-    the witness found so far.
+    counterexample under that order.  It is _first_failing_stack on a stack
+    of one code.
     """
+    return _first_failing_stack(code.gamma.entries[None], code.d, code.m, max_size)[0]
+
+
+def _codes_per_stack(m: int, n: int) -> int:
+    """The most codes of shape (m, n) whose adjacency stack and scan table each fit
+    DEFAULT_AMPLITUDE_CAP, at least one.  Then a scan chunk admits a prefix of every
+    code: a prefix's 2n leaf vectors of at most n - m entries fit in n (m + 2n)."""
+    return max(1, DEFAULT_AMPLITUDE_CAP // max((m + n) ** 2, n * (m + 2 * n)))
+
+
+def _first_failing_stack(gammas: np.ndarray, d: int, m: int, max_size: int) -> list:
+    """first_failing_subset of every code of a (T, m+n, m+n) stack of adjacency
+    matrices over Z_d with m inputs, in one walk.
+
+    Each prime p | d scans the projected tables of the codes (_site_vectors);
+    a later prime only looks at the subsets before each code's witness found
+    so far, and skips the codes whose witness is the empty subset.
+    """
+    count, n = len(gammas), gammas.shape[-1] - m
+    witness = [None] * count
     if max_size < 0:  # not even the empty subset is asked about
-        return None
-    witness = None
-    for p in _prime_factors(code.d):
-        found = _first_dependent(code, p, min(max_size, code.n), witness)
-        witness = witness if found is None else found
-        if witness == ():
+        return witness
+    for p in _prime_factors(d):
+        scanning = [t for t in range(count) if witness[t] != ()]
+        if not scanning:
             break
+        stack = gammas if len(scanning) == count else gammas[scanning]
+        found = _first_dependent(stack, m, p, min(max_size, n), [witness[t] for t in scanning])
+        for t, leaf in zip(scanning, found):
+            witness[t] = witness[t] if leaf is None else leaf
     return witness
 
 
 def _first_dependent(
-    code: GraphCode, p: int, max_size: int, before: Optional[tuple[int, ...]]
-) -> Optional[tuple[int, ...]]:
-    """The first failing Z mod p in (size, lex) order with |Z| <= max_size, and before
-    the witness `before` when one is given.
+    gammas: np.ndarray, m: int, p: int, max_size: int, before: list
+) -> list:
+    """Each code's first failing Z mod p in (size, lex) order with |Z| <= max_size, and
+    before its witness `before[t]` when one is given; None when there is none.
 
     A size s is walked by its (s-1)-prefixes in lex order, at most
-    _PREFIX_CHUNK at a time; each leaf extends its prefix by a site above
-    the prefix's last, so leaves come in lex order too.  Every prefix passed
-    at size s - 1, so a leaf fails by its two new vectors.  Past 2s > n - m
-    no s-subset has room for 2s independent vectors.
+    _PREFIX_CHUNK at a time, for every code still walking at once: leaf
+    t n + z extends code t's prefix by a site z above the prefix's last, so
+    each code's leaves come in lex order too, and its first hit is its
+    witness.  A code leaves the walk at the size where it first fails.
+    Every prefix of a walking code passed at size s - 1, so a leaf fails by
+    its two new vectors.  Past 2s > n - m no s-subset has room for 2s
+    independent vectors.
     """
-    n, rows = code.n, code.n - code.m
-    if before is not None:
-        max_size = len(before)
-    vectors = _site_vectors(code, p, max_size)
-    if vectors is None:
-        return ()
-    width = vectors[1].size // n  # entries per vector: one word, or n - m residues
-    for size in range(1, max_size + 1):
-        if 2 * size > rows:
-            return tuple(range(size))
-        take = max(1, min(_PREFIX_CHUNK, DEFAULT_AMPLITUDE_CAP // (2 * n * width)))
-        _require_budget(take * 2 * n * width, "subset-scan chunk", DEFAULT_AMPLITUDE_CAP)
+    count, n = len(gammas), gammas.shape[-1] - m
+    limit = [max_size if b is None else len(b) for b in before]
+    top = max(limit)
+    field, u, v, full = _site_vectors(gammas, m, p, top)
+    found = [None if ok else () for ok in full.tolist()]
+    bounded = [t for t, b in enumerate(before) if b is not None]
+    limit, walking = np.array(limit), np.flatnonzero(full)
+    width = 0 if v is None else v.size // (count * n)  # entries per vector: one word, or n - m residues
+    for size in range(1, top + 1):
+        if bounded:  # a code stops at the size of its earlier witness
+            walking = walking[limit[walking] >= size]
+        if not walking.size:
+            break
+        if 2 * size > n - m:
+            for t in walking:
+                found[t] = tuple(range(size))
+            break
+        closing = [t for t in bounded if limit[t] == size]  # they stop past their witness's prefix
+        take = max(1, min(_PREFIX_CHUNK, DEFAULT_AMPLITUDE_CAP // (len(walking) * 2 * n * width)))
+        _require_budget(len(walking) * take * 2 * n * width, "subset-scan chunk", DEFAULT_AMPLITUDE_CAP)
         prefixes = itertools.combinations(range(n), size - 1)
-        while chunk := list(itertools.islice(prefixes, take)):
-            heads = np.array(chunk, dtype=np.intp).reshape(len(chunk), size - 1)
+        while walking.size and (chunk := list(itertools.islice(prefixes, take))):
+            heads = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * (size - 1))
+            heads = heads.reshape(len(chunk), size - 1)
             low = heads[:, -1] + 1 if size > 1 else np.zeros(1, dtype=np.intp)
             owner = np.repeat(np.arange(len(chunk)), n - low)  # leaves z = low..n-1 of each head
             sites = np.arange(len(owner)) - (np.cumsum(n - low) - n)[owner]
-            hit = np.flatnonzero(_leaf_failures(*vectors, heads, owner, sites))
-            if hit.size:
-                leaf = chunk[owner[hit[0]]] + (int(sites[hit[0]]),)
-                return leaf if before is None or (size, leaf) < (len(before), before) else None
-            if before is not None and size == len(before) and chunk[-1] >= before[:-1]:
-                return None
-    return None
+            shift = walking[:, None] * n  # code t's sites are columns t n .. t n + n - 1
+            hit = _leaf_failures(
+                field, u, v,
+                (heads + shift[:, :, None]).reshape(len(walking) * len(chunk), size - 1),
+                (owner + len(chunk) * np.arange(len(walking))[:, None]).ravel(),
+                (sites + shift).ravel(),
+            )
+            if not (closing or hit.any()):
+                continue
+            hit = hit.reshape(len(walking), len(owner))
+            leaving = hit.any(axis=1)
+            for k in np.flatnonzero(leaving):
+                first = hit[k].argmax()
+                t, leaf = walking[k], chunk[owner[first]] + (int(sites[first]),)
+                if before[t] is None or (size, leaf) < (len(before[t]), before[t]):
+                    found[t] = leaf
+            for t in closing:
+                if chunk[-1] >= before[t][:-1]:
+                    leaving[walking == t] = True
+            walking = walking[~leaving]
+    return found
 
 
 def find_uncorrectable_subset(

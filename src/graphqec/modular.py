@@ -261,6 +261,7 @@ class _BatchResidues:
         self.p = p
         self.interval = max(1, min(steps, (_INT64_MAX - (p - 1)) // (p - 1) ** 2))
         self.dtype = _residue_dtype(p, self.interval)
+        self._columns = {}
 
     def vectors(self, a):
         """The (..., N, B) array a as residues, contiguous."""
@@ -277,11 +278,13 @@ class _BatchResidues:
         x += b * _reduce(_reduce(self._at(x, row), self.p) * negated_inverse, self.p)
         return x
 
-    @staticmethod
-    def _at(x, row):
-        """x[row[j], j] for every j."""
+    def _at(self, x, row):
+        """x[row[j], j] for every j; the column offsets are built once per batch width."""
         count = x.shape[-1]
-        return x.ravel().take(row.astype(np.intp) * count + np.arange(count))
+        columns = self._columns.get(count)
+        if columns is None:
+            columns = self._columns[count] = np.arange(count)
+        return x.ravel().take(row.astype(np.intp) * count + columns)
 
     def reduce(self, x):
         return _reduce(x, self.p)

@@ -4,7 +4,9 @@ Sampling follows the random-coding argument: strictly-lower adjacency
 entries are i.i.d. uniform residues, mirrored to the upper triangle,
 zero diagonal.  Reproducibility contract: every trial draws from its
 own substream derived from (master_seed, trial_index), so reports are
-byte-identical no matter how trials would be scheduled.
+byte-identical no matter how trials would be scheduled; sample_graph and
+run_search both draw through _sample_gammas.  run_search certifies a
+stack of trials in one walk of the subset scan (graphs._first_failing_stack).
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import numpy as np
 from .errors import ParamOutOfRange
 from .graphs import (
     GraphCode,
+    _codes_per_stack,
+    _first_failing_stack,
+    _require_adjacency,
     _require_budget,
     _require_int64_modulus,
     _require_shape,
-    find_uncorrectable_subset,
     graph_to_dict,
 )
 from .modular import ModMatrix, _require_prime, rank_prime_batch
@@ -116,15 +120,21 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 def sample_graph(d: int, m: int, n: int, rng: np.random.Generator) -> GraphCode:
     """Uniform random graph code: i.i.d. lower-triangle entries, zero diagonal."""
+    return GraphCode(d, m, n, ModMatrix(d, _sample_gammas(d, m + n, [rng])[0]))
+
+
+def _sample_gammas(d: int, size: int, rngs: list) -> np.ndarray:
+    """A (T, size, size) stack of adjacency matrices over Z_d, one per generator: each
+    draws its strictly-lower entries, row by row, mirrored to the upper triangle."""
     _require_prime(d)
     _require_int64_modulus(d)
-    size = m + n
-    _require_budget(size * size, "adjacency matrix")
-    gamma = np.zeros((size, size), dtype=np.int64)
-    idx = np.tril_indices(size, k=-1)
-    gamma[idx] = rng.integers(0, d, size=len(idx[0]))
-    gamma = gamma + gamma.T
-    return GraphCode(d, m, n, ModMatrix(d, gamma))
+    _require_budget(len(rngs) * size * size, "adjacency matrix")
+    gammas = np.zeros((len(rngs), size, size), dtype=np.int64)
+    rows, cols = np.tril_indices(size, k=-1)
+    for gamma, rng in zip(gammas, rngs):
+        gamma[rows, cols] = rng.integers(0, d, size=len(rows))
+    gammas += gammas.swapaxes(1, 2)
+    return gammas
 
 
 def failure_bound_log2(d: int, m: int, n: int, f: int) -> float:
@@ -142,25 +152,29 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     """Sample cfg.trials random codes and test each for corrects_f.
 
     best_code is the first passing code in trial order; the witness of
-    the first failing trial is kept for debugging.
+    the first failing trial is kept for debugging.  Trials are sampled and
+    scanned a stack at a time (graphs._codes_per_stack), so memory does not
+    grow with cfg.trials.
     """
+    d, m, n = cfg.d, cfg.m, cfg.n
+    take = min(cfg.trials, _codes_per_stack(m, n))
     successes = 0
-    failures = 0
     best: Optional[GraphCode] = None
     first_failure_trial: Optional[int] = None
     first_failure_witness = None
-    for trial in range(cfg.trials):
-        code = sample_graph(cfg.d, cfg.m, cfg.n, trial_rng(cfg.seed, trial))
-        witness = find_uncorrectable_subset(code, cfg.f)
-        if witness is None:
-            successes += 1
-            if best is None:
-                best = code
-        else:
-            failures += 1
-            if first_failure_trial is None:
-                first_failure_trial = trial
-                first_failure_witness = witness
+    for start in range(0, cfg.trials, take):
+        trials = range(start, min(start + take, cfg.trials))
+        gammas = _sample_gammas(d, m + n, [trial_rng(cfg.seed, t) for t in trials])
+        _require_adjacency(gammas, d)
+        witnesses = _first_failing_stack(gammas, d, m, 2 * cfg.f)
+        passed = [k for k, witness in enumerate(witnesses) if witness is None]
+        successes += len(passed)
+        if best is None and passed:
+            best = GraphCode(d, m, n, ModMatrix(d, gammas[passed[0]]))
+        if first_failure_trial is None and len(passed) < len(trials):
+            k = next(k for k, witness in enumerate(witnesses) if witness is not None)
+            first_failure_trial, first_failure_witness = trials[k], witnesses[k]
+    failures = cfg.trials - successes
     # exact (Clopper-Pearson) one-sided 99% upper confidence limit: the 0.99
     # quantile of Beta(failures + 1, trials - failures); scipy.special is
     # imported here so that only this command pays for it

@@ -5,7 +5,8 @@ kernel triviality by exhaustive enumeration or by sympy's integer Smith
 normal form, the largest correctable f by a minimum symplectic weight over
 vectors, binomial tails by exact integer sums, roots by scipy's brentq, error
 words by a loop over supports and letters, their images of an encoder by a
-row gather per word.
+row gather per word, the scan's projected table by one elimination per code,
+a seeded search by one scan per trial.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from graphqec.channels import weyl_operator
-from graphqec.graphs import GraphCode, prism_code, wheel_code
+from graphqec.graphs import GraphCode, find_uncorrectable_subset, prism_code, wheel_code
+from graphqec.search import SearchReport, failure_bound_log2, sample_graph, trial_rng
 
 
 def brute_force_kernel_trivial(entries, d: int) -> bool:
@@ -57,6 +59,23 @@ def smith_first_failing(code, max_size: int):
             if not smith_kernel_trivial(gamma[rows][:, cols], code.d):
                 return subset
     return None
+
+
+def site_table(gamma, m: int, p: int):
+    """The projected rows of [gamma[Y, X u Y] | 1] mod the prime p in Python integers, or
+    None when A = gamma[Y, X] lacks rank m: each column of A pivots on its first nonzero
+    free row, and the n - m rows left without a pivot are kept, without A's columns."""
+    n = len(gamma) - m
+    table = np.hstack([np.asarray(gamma[m:]).astype(object) % p, np.eye(n, dtype=int).astype(object)])
+    free = np.ones(n, dtype=bool)
+    for col in range(m):
+        candidates = np.flatnonzero(free & (table[:, col] != 0))
+        if not candidates.size:
+            return None
+        free[candidates[0]] = False
+        pivot = table[candidates[0]] * pow(int(table[candidates[0], col]), -1, p) % p
+        table[free] = (table[free] - table[free, col][:, None] * pivot) % p
+    return table[free, m:]
 
 
 def symplectic_max_f(code) -> int:
@@ -117,6 +136,41 @@ def word_images(v, d, shift, clock):
             power = power + clock[k, s] * moved
         np.multiply(phases[power % d, None], v[source], out=out[:, k])
     return out
+
+
+def loop_search(cfg) -> dict:
+    """run_search(cfg).to_dict() one trial at a time: sample_graph on the trial's own
+    substream, then find_uncorrectable_subset on that code."""
+    from scipy.stats import beta
+
+    best, first_trial, first_witness = None, None, None
+    successes = 0
+    for trial in range(cfg.trials):
+        code = sample_graph(cfg.d, cfg.m, cfg.n, trial_rng(cfg.seed, trial))
+        witness = find_uncorrectable_subset(code, cfg.f)
+        if witness is None:
+            successes += 1
+            if best is None:
+                best = code
+        elif first_trial is None:
+            first_trial, first_witness = trial, witness
+    failures = cfg.trials - successes
+    upper = 1.0 if successes == 0 else float(beta.ppf(0.99, failures + 1, successes))
+    return SearchReport(
+        config=cfg,
+        successes=successes,
+        failures=failures,
+        bound_log2=failure_bound_log2(cfg.d, cfg.m, cfg.n, cfg.f),
+        best_code=best,
+        per_trial_seeds={
+            "scheme": "numpy SeedSequence((master_seed, trial_index)) -> PCG64",
+            "master_seed": cfg.seed,
+            "trials": cfg.trials,
+        },
+        first_failure_trial=first_trial,
+        first_failure_witness=first_witness,
+        failure_fraction_upper99=upper,
+    ).to_dict()
 
 
 def exact_binomial_tail(n: int, start: int, x: float) -> float:

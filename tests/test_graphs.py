@@ -28,7 +28,7 @@ from graphqec.graphs import (
 )
 from graphqec.modular import ModMatrix
 
-from conftest import brute_force_kernel_trivial, smith_first_failing, symplectic_max_f
+from conftest import brute_force_kernel_trivial, site_table, smith_first_failing, symplectic_max_f
 
 
 def test_constructor_rejects_asymmetric_gamma():
@@ -316,9 +316,8 @@ def test_scan_matches_smith_oracle_at_accumulator_switch_primes(monkeypatch, p):
     sizes = set()
     for code in codes:
         for size, dtype in zip((1, 2), _SCAN_SWITCH_DTYPES[p]):
-            vectors = graphs._site_vectors(code, p, size)
-            if vectors is not None:  # at the top, each of a leaf's eliminations is one interval
-                field, u, v = vectors
+            field, u, v, full = graphs._site_vectors(code.gamma.entries[None], code.m, p, size)
+            if full[0]:  # at the top, each of a leaf's eliminations is one interval
                 assert u.dtype == v.dtype == dtype
                 assert field.interval == (1 if p == _TOP_BATCH_PRIME else 2 * size - 1)
         expected = smith_first_failing(code, code.n)  # every subset of more than n - m sites fails
@@ -386,6 +385,69 @@ def test_later_prime_finds_an_earlier_witness_in_a_later_chunk(monkeypatch):
     assert seen == 3
 
 
+def _stack_corpus():
+    """Stacks of five codes per (d, m): dense draws, and sparse ones whose A often lacks
+    rank m.  n - m = 3 reaches the 2s > n - m shortcut at size 2; at d = 6 each code
+    scans mod 3 only before its own witness mod 2."""
+    rng = np.random.default_rng(21001)
+    for d, m, rows in itertools.product([2, 3, 5, 6, 7], [1, 2, 3, 4], [3, 6]):
+        size = 2 * m + rows
+        lower = np.tril(rng.integers(0, d, size=(5, size, size)), -1)
+        lower *= rng.random(lower.shape) < np.array([1.0, 1.0, 0.6, 0.3, 0.15])[:, None, None]
+        yield d, m, m + rows, lower + lower.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("cap", ["default", "table"])
+def test_stacked_scan_matches_smith_oracle_per_code(monkeypatch, cap):
+    leaf_failures, held, calls = graphs._leaf_failures, [], defaultdict(int)
+
+    def recording(field, u, v, prefixes, owner, sites):
+        held.append(2 * len(sites) * (u.size // u.shape[-1]))  # the two vectors of every leaf
+        calls[prefixes.shape[1]] += 1
+        return leaf_failures(field, u, v, prefixes, owner, sites)
+
+    monkeypatch.setattr(graphs, "_leaf_failures", recording)
+    seen, chunked = set(), False  # (n - m, f, witness); some size scanned in several chunks
+    for d, m, n, gammas in _stack_corpus():
+        expected = [smith_first_failing(GraphCode(d, m, n, ModMatrix(d, g)), 4) for g in gammas]
+        if cap == "table":  # the cap admits the stack's table alone: few prefixes per chunk
+            monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", len(gammas) * n * (m + 2 * n))
+        for f in (0, 1, 2):
+            within = [w if w is not None and len(w) <= 2 * f else None for w in expected]
+            held.clear()
+            calls.clear()
+            assert graphs._first_failing_stack(gammas, d, m, 2 * f) == within, (d, m, n, f)
+            assert max(held, default=0) <= graphs.DEFAULT_AMPLITUDE_CAP
+            chunked |= max(calls.values(), default=0) > 1
+            seen.update((n - m, f, w) for w in within)
+    # rank-deficient A; at n - m = 3 every size-2 witness is the shortcut's; f = 1 passers
+    assert {(3, 0, ()), (6, 0, ()), (3, 1, (0, 1)), (6, 1, None)} <= seen
+    assert {len(w) for *_, w in seen if w is not None} == {0, 1, 2, 3}
+    assert chunked or cap == "default"
+
+
+def test_stacked_tables_are_each_codes_own_table():
+    # entry for entry, with each code's own first-nonzero pivots, in every field
+    stacks = [(d, m, n, gammas) for d, m, n, gammas in _stack_corpus()]
+    rng = np.random.default_rng(21002)
+    for m, n in [(1, 5), (2, 6)]:  # Python-integer residues, some A of rank below m
+        lower = np.tril(rng.choice([0, 1, _BIG_PRIME - 1], size=(3, m + n, m + n)), -1)
+        stacks.append((_BIG_PRIME, m, n, lower + lower.swapaxes(1, 2)))
+    deficient = 0
+    for d, m, n, gammas in stacks:
+        for p in modular._prime_factors(d):
+            field, u, v, full = graphs._site_vectors(gammas, m, p, 1)
+            for t, gamma in enumerate(gammas):
+                table = site_table(gamma, m, p)
+                assert full[t] == (table is not None), (d, m, n, t)
+                if table is None:
+                    deficient += 1
+                    continue
+                for got, want in ((u, table[:, :n]), (v, table[:, n:])):
+                    assert np.array_equal(got[..., t * n : (t + 1) * n], field.vectors(want)), (d, m, n, t)
+    assert deficient > 10
+
+
 @pytest.mark.parametrize("free_rows", [64, 65], ids=["packed", "int16"])
 def test_scan_keeps_the_top_bit_of_a_full_word(free_rows):
     # n - m = 64 vectors fill a uint64 word (65 take the int16 path); the input meets
@@ -397,7 +459,7 @@ def test_scan_keeps_the_top_bit_of_a_full_word(free_rows):
     edges = [[0, 1, 1], [n - 1, n, 1]]
     edges += [[1 + a, 1 + b, 1] for a, b in itertools.combinations(range(n - 1), 2) if rng.random() < 0.06]
     code = GraphCode.from_edges(2, 1, n, edges)
-    field, u, v = graphs._site_vectors(code, 2, 1)
+    field, u, v, _ = graphs._site_vectors(code.gamma.entries[None], code.m, 2, 1)
     # the class rank_prime_batch picks for p = 2 and that row count
     assert isinstance(field, modular._Gf2Words if free_rows == 64 else modular._BatchResidues)
     if free_rows == 64:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from graphqec import search
+from graphqec import graphs, search
 from graphqec.errors import CompositeModulus, ParamOutOfRange, TooManyErrors
+from graphqec.graphs import find_uncorrectable_subset
 from graphqec.search import (
     SearchConfig,
     failure_bound_log2,
@@ -15,7 +16,7 @@ from graphqec.search import (
     trial_rng,
 )
 
-from conftest import entropy_oracle
+from conftest import entropy_oracle, loop_search
 
 
 def test_sample_graph_is_reproducible():
@@ -145,6 +146,84 @@ def test_run_search_reports_are_byte_identical():
     assert a == b
 
 
+# (d, m, n, f, trials, seed): all-pass, mixed and all-fail searches at d = 2, 3, 5 and 7
+_SEARCHES = [
+    (2, 3, 30, 1, 40, 5), (2, 1, 5, 1, 60, 3), (2, 2, 6, 0, 30, 4), (3, 2, 8, 1, 40, 9),
+    (3, 1, 10, 2, 30, 2), (5, 1, 6, 1, 40, 1), (5, 2, 12, 2, 20, 8), (7, 1, 5, 2, 20, 6),
+    (7, 2, 9, 1, 30, 7), (7, 3, 4, 0, 30, 1),
+]
+
+
+@pytest.mark.parametrize("cap", ["default", "three-codes"])
+def test_run_search_matches_the_per_trial_loop(monkeypatch, cap):
+    scan, stacks = search._first_failing_stack, []
+
+    def recording(gammas, d, m, max_size):
+        stacks.append(len(gammas))
+        return scan(gammas, d, m, max_size)
+
+    monkeypatch.setattr(search, "_first_failing_stack", recording)
+    regimes = set()
+    for d, m, n, f, trials, seed in _SEARCHES:
+        cfg = SearchConfig(d=d, m=m, n=n, f=f, trials=trials, seed=seed)
+        want = loop_search(cfg)
+        stack = trials
+        with monkeypatch.context() as patch:
+            if cap == "three-codes":  # the trial stack and the scan's table of three codes
+                stack = 3
+                patch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", 3 * max((m + n) ** 2, n * (m + 2 * n)))
+            stacks.clear()
+            assert run_search(cfg).to_dict() == want, cfg
+        assert stacks == [min(stack, trials - start) for start in range(0, trials, stack)]
+        regimes.add((want["successes"] > 0, want["failures"] > 0))
+    assert regimes == {(True, False), (True, True), (False, True)}
+
+
+def test_run_search_memory_does_not_grow_with_trials():
+    import tracemalloc
+
+    peaks = []
+    for trials in (600, 1800):  # stacks of at most 554 codes at the default cap
+        tracemalloc.start()
+        try:
+            run_search(SearchConfig(d=2, m=3, n=30, f=1, trials=trials, seed=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_best_code_and_first_witness_come_from_sample_graph_of_their_trials():
+    mixed = [(2, 1, 8, 1, 100, 3), (3, 1, 7, 1, 60, 2), (5, 1, 6, 1, 40, 2), (7, 1, 7, 1, 40, 4)]
+    for d, m, n, f, trials, seed in mixed:
+        report = run_search(SearchConfig(d=d, m=m, n=n, f=f, trials=trials, seed=seed))
+        codes = [sample_graph(d, m, n, trial_rng(seed, t)) for t in range(trials)]
+        passing = next(t for t, code in enumerate(codes) if find_uncorrectable_subset(code, f) is None)
+        assert np.array_equal(report.best_code.gamma.entries, codes[passing].gamma.entries)
+        witness = find_uncorrectable_subset(codes[report.first_failure_trial], f)
+        assert witness is not None and report.first_failure_witness == witness
+
+
+@pytest.mark.parametrize("flaw", ["asymmetric", "self-loop", "out-of-range"])
+def test_run_search_checks_the_graph_code_rules_on_its_stack(monkeypatch, flaw):
+    sample = search._sample_gammas
+
+    def flawed(d, size, rngs):
+        gammas = sample(d, size, rngs)
+        if flaw == "asymmetric":
+            gammas[1, 0, 1] = (gammas[1, 0, 1] + 1) % d
+        elif flaw == "self-loop":
+            gammas[1, 2, 2] = 1
+        else:
+            gammas[1, 0, 1] = gammas[1, 1, 0] = d
+        return gammas
+
+    monkeypatch.setattr(search, "_sample_gammas", flawed)
+    message = {"asymmetric": "symmetric", "self-loop": "self-loops", "out-of-range": "lie in"}[flaw]
+    with pytest.raises(ValueError, match=message):
+        run_search(SearchConfig(d=3, m=1, n=5, f=1, trials=4, seed=0))
+
+
 def test_singular_fraction_qubit_case():
     emp, bound = singular_fraction_experiment(2, 10, 5, 20_000, 99)
     assert abs(bound - 2.0**-5) < 1e-15
@@ -200,7 +279,7 @@ def test_every_seeded_entry_point_refuses_seeds_beyond_64_bits(seed):
 
 def test_two_f_at_least_n_raises_one_type():
     # TooManyErrors is a ParamOutOfRange, so callers may catch either
-    from graphqec.graphs import find_uncorrectable_subset, wheel_code
+    from graphqec.graphs import wheel_code
 
     for call in (
         lambda: SearchConfig(d=2, m=1, n=4, f=2, trials=1, seed=0),
