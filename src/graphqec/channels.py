@@ -53,9 +53,9 @@ from .graphs import (
     GraphCode,
     _digit_table,
     _normalize_subset,
+    _prime_tables,
     _require_budget,
     _require_error_count,
-    _site_vectors,
     build_isometry,
 )
 from .modular import _prime_factors, _residue_dtype
@@ -370,23 +370,22 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     So the deviation is 0 or 1, and a correcting class of g words has the
     rank-one Gram block u u*, |u_a| = 1; the report keeps each class's sigma
     and tau.  Words are grouped by their syndromes projected mod every p | d
-    through the scan's table (graphs._site_vectors): distinct groups differ
+    through the scan's tables (graphs._prime_tables): distinct groups differ
     outside the column module, and within a group _share_a_coset decides
     exactly.  Budgeted: the words and their syndromes (_error_words); no
     d^n-sized, no K x K array.
     """
     d, m, n = code.d, code.m, code.n
     count, shift, clock = _error_words(n, d, f)
-    primes = _prime_factors(d)
-    tables = [_site_vectors(code.gamma.entries[None], m, p, 1) for p in primes]
-    if not all(full[0] for *_, full in tables):
+    tables, full = _prime_tables(code.gamma.entries[None], d, m, 1)
+    if not full[0]:
         return _GraphKL(count, 1.0)
     syndromes = _syndromes(code, shift, clock)
     first, label = _row_classes(syndromes)
     dual = _mod_matmul(shift, code.gamma.entries[m:, :m], d)  # Gamma_XY s
     split = bool((dual != dual[first][label]).any())
     syndromes, dual = syndromes[first], dual[first]
-    keys = np.column_stack([_projected_syndromes(t, p, syndromes) for p, t in zip(primes, tables)])
+    keys = np.column_stack([_projected_syndromes(v, p, syndromes) for p, (_, _, v) in tables.items()])
     group = _row_classes(keys)[1]
     deviation = 1.0 if split or _share_a_coset(code, syndromes, group) else 0.0
     return _GraphKL(count, deviation, syndromes, dual)
@@ -418,11 +417,10 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     return a.astype(np.int64) @ b.astype(np.int64) % d
 
 
-def _projected_syndromes(table, p: int, syndromes: np.ndarray) -> np.ndarray:
-    """sum_i sigma_i v_i mod p of each syndrome sigma, from the projected table
-    (field, u, v, full) of one code from graphs._site_vectors, whose projection maps
-    e_i to v_i: the syndrome modulo the columns of Gamma_YX, as a (K, width) int64 array."""
-    v = table[2]
+def _projected_syndromes(v, p: int, syndromes: np.ndarray) -> np.ndarray:
+    """sum_i sigma_i v_i mod p of each syndrome sigma, from the vectors v of one code's
+    projected table mod p (graphs._prime_tables), whose projection maps e_i to v_i: the
+    syndrome modulo the columns of Gamma_YX, as a (K, width) int64 array."""
     sigma = syndromes % p
     if v.dtype == np.uint64:  # one GF(2) word per site
         terms = np.where(sigma == 1, v, np.uint64(0))

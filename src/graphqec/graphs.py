@@ -9,14 +9,16 @@ gamma[Y, z] and e_z (z in Z) stay independent after projecting out the
 columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once into a
 table of two projected vectors per site (_site_vectors), in the field that
 rank_prime_batch uses for n - m rows, for a whole stack of codes that
-share (d, m, n) at once.  One walk, _first_failing_stack, checks the
-statement for every caller: it visits subsets by increasing size,
-lexicographically within a size, reduces each (s-1)-prefix's vectors once
-and then only the two new vectors of every site above the prefix's last,
-at most _PREFIX_CHUNK prefixes of every code still walking at a time, and
-a code leaves the walk at the size where it first fails.  search's
-run_search walks a stack of trials; first_failing_subset is the walk of a
-stack of one, and check_subset asks that table about one subset.  The
+share (d, m, n) at once; _prime_tables holds one table per prime.  One
+walk, _first_failing_stack, checks the statement for every caller: it
+visits subsets by increasing size, lexicographically within a size,
+reduces each (s-1)-prefix's vectors once and then only the two new
+vectors of every site above the prefix's last, at most _PREFIX_CHUNK
+prefixes of every code still walking at a time, on every prime's table
+with the failures ORed, and a code leaves the walk at its first failing
+subset.  search's run_search walks a stack of trials; first_failing_subset
+is the walk of a stack of one, check_subset asks the same tables about
+one subset, and channels._graph_kl projects syndromes through them.  The
 encoding isometry itself is a quadratic-phase matrix; both views are
 implemented here and their consistency is exercised by the tests.
 
@@ -43,6 +45,7 @@ from .errors import (
 from .modular import (
     ModMatrix,
     _field,
+    _inverses,
     _prime_factors,
     _reduce,
     _reduce_against,
@@ -220,14 +223,27 @@ def _site_vectors(gammas: np.ndarray, m: int, p: int, size: int):
         full &= nonzero[codes, row]
         free[codes, row] = False
         pivot = table[codes, row]
-        inverses = [pow(x, -1, p) if x else 0 for x in pivot[:, col].tolist()]
-        pivot = _reduce(pivot * np.array(inverses, dtype=dtype)[:, None], p)
+        # a zero pivot gets inverse 0, or 1 at p = 2: either way its code is not full
+        pivot = _reduce(pivot * _inverses(pivot[:, col], p)[:, None], p)
         table -= (table[:, :, col] * free)[:, :, None] * pivot[:, None, :]
         table = _reduce(table, p)
     kept = table[free].reshape(count, n - m, m + 2 * sites).transpose(1, 0, 2)  # (n - m, T, columns)
     field = _field(p, n - m, 2 * size - 1)
     u, v = (kept[:, :, m + k * sites : m + (k + 1) * sites].reshape(n - m, count * sites) for k in (0, 1))
     return field, field.vectors(u), field.vectors(v), full
+
+
+def _prime_tables(gammas: np.ndarray, d: int, m: int, size: int):
+    """(tables, full) of a (T, m+n, m+n) stack of adjacency matrices over Z_d:
+    {p: (field, u, v)}, the projected table mod each prime p | d for subsets of at
+    most `size` sites (_site_vectors), and the mask of codes whose A = gamma[Y, X]
+    has trivial kernel mod d, that is rank m mod every p."""
+    tables, full = {}, np.ones(len(gammas), dtype=bool)
+    for p in _prime_factors(d):
+        field, u, v, full_mod_p = _site_vectors(gammas, m, p, size)
+        tables[p] = field, u, v
+        full &= full_mod_p
+    return tables, full
 
 
 def _reduce_site(field, basis, u, v):
@@ -263,19 +279,14 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
 
     Z is given as output-site indices in [0, n).  The check is exact
     arithmetic over Z_d: the (Y \\ Z) x (X u Z) submatrix of gamma must
-    have trivial kernel, decided on the projected table of each prime p | d.
+    have trivial kernel, decided on the projected tables of the primes p | d.
     """
     sites = _normalize_subset(code.n, subset)
     if 2 * len(sites) > code.n - code.m:  # fewer rows than columns
         return False
-    head = np.array([sites[:-1]], dtype=np.intp)
-    for p in _prime_factors(code.d):
-        field, u, v, full = _site_vectors(code.gamma.entries[None], code.m, p, len(sites))
-        if not full[0]:
-            return False
-        if sites and _leaf_failures(field, u, v, head, np.zeros(1, np.intp), np.array(sites[-1:]))[0]:
-            return False
-    return True
+    tables, full = _prime_tables(code.gamma.entries[None], code.d, code.m, len(sites))
+    leaf = np.array([sites[:-1]], dtype=np.intp), np.zeros(1, np.intp), np.array(sites[-1:])
+    return bool(full[0]) and not (sites and any(_leaf_failures(*t, *leaf)[0] for t in tables.values()))
 
 
 def first_failing_subset(
@@ -302,58 +313,31 @@ def _first_failing_stack(gammas: np.ndarray, d: int, m: int, max_size: int) -> l
     """first_failing_subset of every code of a (T, m+n, m+n) stack of adjacency
     matrices over Z_d with m inputs, in one walk.
 
-    Each prime p | d scans the projected tables of the codes (_site_vectors);
-    a later prime only looks at the subsets before each code's witness found
-    so far, and skips the codes whose witness is the empty subset.
-    """
-    count, n = len(gammas), gammas.shape[-1] - m
-    witness = [None] * count
-    if max_size < 0:  # not even the empty subset is asked about
-        return witness
-    for p in _prime_factors(d):
-        scanning = [t for t in range(count) if witness[t] != ()]
-        if not scanning:
-            break
-        stack = gammas if len(scanning) == count else gammas[scanning]
-        found = _first_dependent(stack, m, p, min(max_size, n), [witness[t] for t in scanning])
-        for t, leaf in zip(scanning, found):
-            witness[t] = witness[t] if leaf is None else leaf
-    return witness
-
-
-def _first_dependent(
-    gammas: np.ndarray, m: int, p: int, max_size: int, before: list
-) -> list:
-    """Each code's first failing Z mod p in (size, lex) order with |Z| <= max_size, and
-    before its witness `before[t]` when one is given; None when there is none.
-
     A size s is walked by its (s-1)-prefixes in lex order, at most
     _PREFIX_CHUNK at a time, for every code still walking at once: leaf
     t n + z extends code t's prefix by a site z above the prefix's last, so
-    each code's leaves come in lex order too, and its first hit is its
-    witness.  A code leaves the walk at the size where it first fails.
-    Every prefix of a walking code passed at size s - 1, so a leaf fails by
-    its two new vectors.  Past 2s > n - m no s-subset has room for 2s
-    independent vectors.
+    each code's leaves come in lex order too.  A leaf fails when it fails
+    mod some prime p | d, so each prime's table reduces the chunk's leaves
+    in turn and the masks are ORed; a code's first hit is its witness, and
+    the code leaves the walk there.  Every prefix of a walking code passed
+    at size s - 1, so a leaf fails by its two new vectors.  Past 2s > n - m
+    no s-subset has room for 2s independent vectors.
     """
     count, n = len(gammas), gammas.shape[-1] - m
-    limit = [max_size if b is None else len(b) for b in before]
-    top = max(limit)
-    field, u, v, full = _site_vectors(gammas, m, p, top)
+    if max_size < 0:  # not even the empty subset is asked about
+        return [None] * count
+    top = min(max_size, n)
+    tables, full = _prime_tables(gammas, d, m, top)
     found = [None if ok else () for ok in full.tolist()]
-    bounded = [t for t, b in enumerate(before) if b is not None]
-    limit, walking = np.array(limit), np.flatnonzero(full)
-    width = 0 if v is None else v.size // (count * n)  # entries per vector: one word, or n - m residues
+    walking = np.flatnonzero(full)
     for size in range(1, top + 1):
-        if bounded:  # a code stops at the size of its earlier witness
-            walking = walking[limit[walking] >= size]
         if not walking.size:
             break
         if 2 * size > n - m:
             for t in walking:
                 found[t] = tuple(range(size))
             break
-        closing = [t for t in bounded if limit[t] == size]  # they stop past their witness's prefix
+        width = max(v.size // v.shape[-1] for _, _, v in tables.values())  # widest: the primes take turns
         take = max(1, min(_PREFIX_CHUNK, DEFAULT_AMPLITUDE_CAP // (len(walking) * 2 * n * width)))
         _require_budget(len(walking) * take * 2 * n * width, "subset-scan chunk", DEFAULT_AMPLITUDE_CAP)
         prefixes = itertools.combinations(range(n), size - 1)
@@ -364,24 +348,17 @@ def _first_dependent(
             owner = np.repeat(np.arange(len(chunk)), n - low)  # leaves z = low..n-1 of each head
             sites = np.arange(len(owner)) - (np.cumsum(n - low) - n)[owner]
             shift = walking[:, None] * n  # code t's sites are columns t n .. t n + n - 1
-            hit = _leaf_failures(
-                field, u, v,
+            leaves = (
                 (heads + shift[:, :, None]).reshape(len(walking) * len(chunk), size - 1),
                 (owner + len(chunk) * np.arange(len(walking))[:, None]).ravel(),
                 (sites + shift).ravel(),
             )
-            if not (closing or hit.any()):
-                continue
+            hit = np.logical_or.reduce([_leaf_failures(*table, *leaves) for table in tables.values()])
             hit = hit.reshape(len(walking), len(owner))
             leaving = hit.any(axis=1)
             for k in np.flatnonzero(leaving):
                 first = hit[k].argmax()
-                t, leaf = walking[k], chunk[owner[first]] + (int(sites[first]),)
-                if before[t] is None or (size, leaf) < (len(before[t]), before[t]):
-                    found[t] = leaf
-            for t in closing:
-                if chunk[-1] >= before[t][:-1]:
-                    leaving[walking == t] = True
+                found[walking[k]] = chunk[owner[first]] + (int(sites[first]),)
             walking = walking[~leaving]
     return found
 

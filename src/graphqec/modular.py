@@ -3,7 +3,7 @@
 The two questions answered here are the rank of a matrix over a prime
 field GF(p) and, for arbitrary d >= 2, whether a matrix has trivial
 kernel mod d (M h = 0 implies h = 0).  Both go through one batched
-kernel, rank_prime_batch: first_singular answers the second question by
+kernel, rank_prime_batch: kernel_trivial answers the second question by
 running it once for each prime divisor of d.  The kernel reduces each
 column of every matrix against a basis of the earlier columns, and a
 matrix's rank is the number of its columns that stay nonzero.  Each
@@ -13,8 +13,8 @@ otherwise an (N, B) residue array whose dtype, the narrowest of int16,
 int32 and int64 that holds the sums of a run of eliminations, follows
 from d and the most eliminations a vector takes (_BatchResidues); Python
 integers take over above MAX_BATCH_MODULUS, so every modulus gets an
-exact answer.  The subset scan of graphs uses the same two fields
-(_field) and the same reduction loop (_reduce_against).
+exact answer.  The subset scan of graphs shares its fields (_field),
+reduction loop (_reduce_against) and inverses (_inverses).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "rank_prime",
     "rank_prime_batch",
     "kernel_trivial",
-    "first_singular",
 ]
 
 
@@ -366,28 +364,14 @@ def rank_prime(matrix: ModMatrix) -> int:
 
 
 def kernel_trivial(matrix: ModMatrix) -> bool:
-    """True iff M h = 0 (mod d) implies h = 0 (mod d)."""
-    return first_singular(matrix.entries[None], matrix.modulus) is None
+    """True iff M h = 0 (mod d) implies h = 0 (mod d).
 
-
-def first_singular(mats: np.ndarray, d: int) -> Optional[int]:
-    """Index of the first matrix in a (B, N, M) stack with nontrivial kernel mod d.
-
-    Returns None when every kernel is trivial.  By the Chinese remainder
-    theorem a matrix has trivial kernel mod d iff it has full column rank
+    By the Chinese remainder theorem that holds iff M has full column rank
     over GF(p) for every prime p | d: a kernel vector h mod p gives the
-    kernel vector p^(e-1) h mod p^e.  So each prime divisor is one batched
-    rank_prime_batch call, and later primes only look at the matrices
-    before the first failure found so far.
+    kernel vector p^(e-1) h mod p^e.  So each prime divisor is one
+    rank_prime_batch call.
     """
-    count, nrows, ncols = mats.shape
-    if ncols == 0 or count == 0:
-        return None
-    if nrows < ncols:
-        return 0
-    end = count
-    for p in _prime_factors(d):
-        singular = np.flatnonzero(rank_prime_batch(mats[:end], p) < ncols)
-        if singular.size:
-            end = int(singular[0])
-    return end if end < count else None
+    rows, cols = matrix.entries.shape
+    return rows >= cols and all(
+        rank_prime_batch(matrix.entries[None], p)[0] == cols for p in _prime_factors(matrix.modulus)
+    )

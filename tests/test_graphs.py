@@ -362,8 +362,8 @@ def test_check_subset_fails_when_its_prefix_already_fails():
 
 
 def test_later_prime_finds_an_earlier_witness_in_a_later_chunk(monkeypatch):
-    # over Z_6 the scan mod 2 runs first; mod 3 it looks only before that witness,
-    # and here its own witness has the same size but a later prefix chunk
+    # over Z_6 a leaf fails when it fails mod 2 or mod 3; here the witness mod 3 comes
+    # before the witness mod 2, at the same size but not in the first prefix chunk
     monkeypatch.setattr(graphs, "_PREFIX_CHUNK", 1)
     rng = np.random.default_rng(14004)
     seen = 0
@@ -385,12 +385,45 @@ def test_later_prime_finds_an_earlier_witness_in_a_later_chunk(monkeypatch):
     assert seen == 3
 
 
+def test_every_prime_reduces_each_chunk_and_none_past_the_witness(monkeypatch):
+    # over Z_6 each chunk of one prefix is reduced mod 2 and then mod 3, on the same
+    # leaves, and no chunk after the one holding the witness is reduced, also when
+    # the witness mod 2 alone would come later
+    monkeypatch.setattr(graphs, "_PREFIX_CHUNK", 1)
+    leaf_failures, calls = graphs._leaf_failures, []
+
+    def recording(field, u, v, prefixes, owner, sites):
+        calls.append((getattr(field, "p", 2), prefixes.tolist(), owner.tolist(), sites.tolist()))
+        return leaf_failures(field, u, v, prefixes, owner, sites)
+
+    monkeypatch.setattr(graphs, "_leaf_failures", recording)
+    rng = np.random.default_rng(22001)
+    later_mod2 = 0
+    for _ in range(40):
+        parts = [np.triu(rng.random((9, 9)) < 0.5, 1).astype(np.int64) for _ in range(2)]
+        gamma = (3 * parts[0] + 4 * parts[1]) % 6  # parts[0] mod 2, parts[1] mod 3
+        code = GraphCode(6, 1, 8, ModMatrix(6, gamma + gamma.T))
+        calls.clear()
+        witness = first_failing_subset(code, 4)
+        assert witness == smith_first_failing(code, 4)
+        assert [p for p, *_ in calls] == [2, 3] * (len(calls) // 2)
+        assert [leaves for _, *leaves in calls[0::2]] == [leaves for _, *leaves in calls[1::2]]
+        if witness is None:
+            continue
+        for _, prefixes, _, _ in calls:
+            assert (len(prefixes[0]) + 1, tuple(prefixes[0])) <= (len(witness), witness[:-1])
+        mod2 = smith_first_failing(GraphCode(2, 1, 8, ModMatrix(2, (gamma + gamma.T) % 2)), 4)
+        later_mod2 += mod2 is None or (len(mod2), mod2[:-1]) > (len(witness), witness[:-1])
+    assert later_mod2 >= 3, later_mod2
+
+
 def _stack_corpus():
     """Stacks of five codes per (d, m): dense draws, and sparse ones whose A often lacks
-    rank m.  n - m = 3 reaches the 2s > n - m shortcut at size 2; at d = 6 each code
-    scans mod 3 only before its own witness mod 2."""
+    rank m.  n - m = 3 reaches the 2s > n - m shortcut at size 2; at d = 6, 15 and 30
+    every leaf is reduced mod two or three primes, and a code's witness is its first
+    leaf that fails mod any of them."""
     rng = np.random.default_rng(21001)
-    for d, m, rows in itertools.product([2, 3, 5, 6, 7], [1, 2, 3, 4], [3, 6]):
+    for d, m, rows in itertools.product([2, 3, 5, 6, 7, 15, 30], [1, 2, 3, 4], [3, 6]):
         size = 2 * m + rows
         lower = np.tril(rng.integers(0, d, size=(5, size, size)), -1)
         lower *= rng.random(lower.shape) < np.array([1.0, 1.0, 0.6, 0.3, 0.15])[:, None, None]
