@@ -10,17 +10,15 @@ columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once into a
 table of two projected vectors per site (_site_vectors), in the field that
 rank_prime_batch uses for n - m rows, for a whole stack of codes that
 share (d, m, n) at once; _prime_tables holds one table per prime.  One
-walk, _first_failing_stack, checks the statement for every caller: it
-visits subsets by increasing size, lexicographically within a size,
-reduces each (s-1)-prefix's vectors once and then only the two new
-vectors of every site above the prefix's last, at most _PREFIX_CHUNK
-prefixes of every code still walking at a time, on every prime's table
-with the failures ORed, and a code leaves the walk at its first failing
-subset.  search's run_search walks a stack of trials; first_failing_subset
-is the walk of a stack of one, check_subset asks the same tables about
-one subset, and channels._graph_kl projects syndromes through them.  The
-encoding isometry itself is a quadratic-phase matrix; both views are
-implemented here and their consistency is exercised by the tests.
+walk, _first_failing_stack, visits subsets by size and lexicographically
+within a size for every caller.  Its depth s holds each s-subset's last
+two vectors reduced against its prefix's basis, mod every prime, so a
+leaf costs one elimination and the next depth two a vector (_extend).
+run_search walks a stack of trials, first_failing_subset a stack of one,
+check_subset one subset's chain of prefixes, and channels._graph_kl
+projects syndromes through the tables.  The encoding isometry itself is
+a quadratic-phase matrix; both views are implemented here and their
+consistency is exercised by the tests.
 
 Node numbering convention: inputs are 0..m-1, outputs are m..m+n-1.
 Basis indices are base-d integers whose most-significant digit belongs
@@ -29,8 +27,8 @@ to the lowest node index.
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -72,12 +70,13 @@ __all__ = [
 ]
 
 # The caps of _require_budget, in array entries ("amplitudes") of any dtype: one
-# operator, register dimension, subset-scan table or chunk, and any other input-sized array
+# operator, register dimension, subset-scan table or slice, and any other input-sized array
 DEFAULT_AMPLITUDE_CAP = 2**20
 TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP  # 1 GiB of complex128
 
-# Most (s-1)-prefixes of each code whose leaves the subset scan reduces at once.
-_PREFIX_CHUNK = 256
+# Most columns over all codes in a slice of the walk (larger slices outgrow the CPU
+# caches: a d = 2, n = 36 scan ran 2.5x slower at 2**19 columns)
+_SLICE_COLUMNS = 2**13
 
 
 def _require_budget(count: int, what: str, cap: Optional[int] = None) -> None:
@@ -203,7 +202,7 @@ def _site_vectors(gammas: np.ndarray, m: int, p: int, size: int):
     first nonzero free row as the pivot; a code without one is not full, its
     table means nothing, and it gives up its first free row so that every
     code keeps n - m rows.  They are vectors of modular._field for n - m rows
-    and the 2 size - 1 eliminations a leaf takes.  size 0 reduces A alone.
+    and two eliminations a step (_extend).  size 0 reduces A alone.
     """
     count, n = len(gammas), gammas.shape[-1] - m
     if m > n:
@@ -228,7 +227,7 @@ def _site_vectors(gammas: np.ndarray, m: int, p: int, size: int):
         table -= (table[:, :, col] * free)[:, :, None] * pivot[:, None, :]
         table = _reduce(table, p)
     kept = table[free].reshape(count, n - m, m + 2 * sites).transpose(1, 0, 2)  # (n - m, T, columns)
-    field = _field(p, n - m, 2 * size - 1)
+    field = _field(p, n - m, 2)
     u, v = (kept[:, :, m + k * sites : m + (k + 1) * sites].reshape(n - m, count * sites) for k in (0, 1))
     return field, field.vectors(u), field.vectors(v), full
 
@@ -246,32 +245,38 @@ def _prime_tables(gammas: np.ndarray, d: int, m: int, size: int):
     return tables, full
 
 
-def _reduce_site(field, basis, u, v):
-    """A site's two vectors reduced against basis, and v also against u; with u's pivot."""
-    u, v = _reduce_against(field, basis, u, v)
-    pivot = field.pivot(u)
-    (v,) = _reduce_against(field, [(u, pivot)], v)
-    return u, pivot, v
+# Lex-contiguous columns of a depth of the walk for the stack's codes `codes`: column j
+# extends prefixes[j] by sites[j], and the later[j] columns after it share its prefix.
+# vectors[p] is (field, u, u's pivot, v, v's pivot) mod each p | d, code after code,
+# u and v reduced against the prefix's basis and v against u; failed marks failing leaves.
+_Slice = namedtuple("_Slice", "codes prefixes sites later vectors failed")
 
 
-def _leaf_failures(field, u, v, prefixes, owner, sites) -> np.ndarray:
-    """Mask of the leaves prefixes[owner] + (sites,) whose 2|Z| vectors are dependent.
+def _slice(codes, prefixes, sites, later, reduced) -> _Slice:
+    """The _Slice of columns with (field, u, v) `reduced` mod each p: a leaf fails when
+    u is zero or v is zero once reduced against u, one elimination."""
+    vectors, failed = {}, False
+    for p, (field, u, v) in reduced.items():
+        pivot = field.pivot(u)
+        (v,) = _reduce_against(field, [(u, pivot)], v)
+        vectors[p] = field, u, pivot, v, field.pivot(v)
+        failed = failed | field.zero(u) | field.zero(v)
+    return _Slice(codes, prefixes, sites, later, vectors, np.reshape(failed, (len(codes), -1)))
 
-    prefixes is a (count, k) site array, owner and sites one entry per leaf.
-    The 2k vectors of each prefix are reduced once into a basis with
-    distinct pivots; then only the two vectors of each leaf's new site are
-    reduced against its prefix's basis, gathered one vector at a time, all
-    leaves at once.
-    """
-    basis = []
-    dependent = np.zeros(len(prefixes), dtype=bool)
-    for column in prefixes.T:
-        xu, pivot, xv = _reduce_site(field, basis, u.take(column, axis=-1), v.take(column, axis=-1))
-        dependent |= field.zero(xu) | field.zero(xv)
-        basis += [(xu, pivot), (xv, field.pivot(xv))]
-    gathered = ((b.take(owner, axis=-1), pivot.take(owner, axis=-1)) for b, pivot in basis)
-    lu, _, lv = _reduce_site(field, gathered, u.take(sites, axis=-1), v.take(sites, axis=-1))
-    return field.zero(lu) | field.zero(lv) | dependent[owner]
+
+def _extend(parent: _Slice, start: int, stop: int, keep: np.ndarray) -> _Slice:
+    """The next depth from parent's columns start..stop-1 and codes at positions `keep`:
+    column j's later columns, reduced against j's two vectors, extend j's subset."""
+    later = parent.later[start:stop]
+    base = np.repeat(np.arange(start, stop), later)
+    step = np.arange(len(base)) - np.repeat(np.cumsum(later) - later, later)  # 0 .. later[j] - 1
+    at_base, at_src = ((keep[:, None] * len(parent.sites) + j).ravel() for j in (base, base + 1 + step))
+    reduced = {}
+    for p, (field, u, u_pivot, v, v_pivot) in parent.vectors.items():
+        basis = [(x.take(at_base, axis=-1), pivot.take(at_base, axis=-1)) for x, pivot in ((u, u_pivot), (v, v_pivot))]
+        reduced[p] = field, *_reduce_against(field, basis, u.take(at_src, axis=-1), v.take(at_src, axis=-1))
+    prefixes = np.column_stack([parent.prefixes[base], parent.sites[base]])
+    return _slice(parent.codes[keep], prefixes, parent.sites[base + 1 + step], later[base - start] - 1 - step, reduced)
 
 
 def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
@@ -279,14 +284,20 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
 
     Z is given as output-site indices in [0, n).  The check is exact
     arithmetic over Z_d: the (Y \\ Z) x (X u Z) submatrix of gamma must
-    have trivial kernel, decided on the projected tables of the primes p | d.
+    have trivial kernel, decided by the walk's step along Z's prefixes.
     """
     sites = _normalize_subset(code.n, subset)
     if 2 * len(sites) > code.n - code.m:  # fewer rows than columns
         return False
     tables, full = _prime_tables(code.gamma.entries[None], code.d, code.m, len(sites))
-    leaf = np.array([sites[:-1]], dtype=np.intp), np.zeros(1, np.intp), np.array(sites[-1:])
-    return bool(full[0]) and not (sites and any(_leaf_failures(*t, *leaf)[0] for t in tables.values()))
+    if not (full[0] and sites):
+        return bool(full[0])
+    at, first = np.array(sites), np.zeros(1, np.intp)  # depth 1: one block, of Z's sites
+    reduced = {p: (field, u.take(at, axis=-1), v.take(at, axis=-1)) for p, (field, u, v) in tables.items()}
+    chain = _slice(first, np.zeros((len(at), 0), np.intp), at, len(at) - 1 - np.arange(len(at)), reduced)
+    while chain.later[0] and not chain.failed[0, 0]:
+        chain = _extend(chain, 0, 1, first)
+    return not chain.failed[0, 0]
 
 
 def first_failing_subset(
@@ -296,70 +307,64 @@ def first_failing_subset(
 
     Subsets are scanned by increasing cardinality and lexicographically
     within each cardinality, so the returned witness is the smallest
-    counterexample under that order.  It is _first_failing_stack on a stack
-    of one code.
+    counterexample under that order: _first_failing_stack on a stack of one.
     """
     return _first_failing_stack(code.gamma.entries[None], code.d, code.m, max_size)[0]
 
 
 def _codes_per_stack(m: int, n: int) -> int:
-    """The most codes of shape (m, n) whose adjacency stack and scan table each fit
-    DEFAULT_AMPLITUDE_CAP, at least one.  Then a scan chunk admits a prefix of every
-    code: a prefix's 2n leaf vectors of at most n - m entries fit in n (m + 2n)."""
+    """The most codes of shape (m, n), at least one, whose adjacency stack and scan table
+    fit DEFAULT_AMPLITUDE_CAP; a slice then admits a block of each (2n (n - m) <= n (m + 2n))."""
     return max(1, DEFAULT_AMPLITUDE_CAP // max((m + n) ** 2, n * (m + 2 * n)))
 
 
 def _first_failing_stack(gammas: np.ndarray, d: int, m: int, max_size: int) -> list:
-    """first_failing_subset of every code of a (T, m+n, m+n) stack of adjacency
-    matrices over Z_d with m inputs, in one walk.
+    """first_failing_subset of every code of a (T, m+n, m+n) stack over Z_d, in one walk.
 
-    A size s is walked by its (s-1)-prefixes in lex order, at most
-    _PREFIX_CHUNK at a time, for every code still walking at once: leaf
-    t n + z extends code t's prefix by a site z above the prefix's last, so
-    each code's leaves come in lex order too.  A leaf fails when it fails
-    mod some prime p | d, so each prime's table reduces the chunk's leaves
-    in turn and the masks are ORed; a code's first hit is its witness, and
-    the code leaves the walk there.  Every prefix of a walking code passed
-    at size s - 1, so a leaf fails by its two new vectors.  Past 2s > n - m
-    no s-subset has room for 2s independent vectors.
+    Depth s holds the s-subsets in lex order, mod each p | d, for every code
+    still walking; a code's first one that fails mod some p is its witness.
+    Depth 1 is the tables, and depth s + 1 is built from depth s (_extend) in
+    slices, depth first and only while a code walks, from the deepest depth
+    built as one slice, which is kept.  Past 2s > n - m no s-subset has room
+    for 2s independent vectors.
     """
     count, n = len(gammas), gammas.shape[-1] - m
     if max_size < 0:  # not even the empty subset is asked about
         return [None] * count
     top = min(max_size, n)
-    tables, full = _prime_tables(gammas, d, m, top)
-    found = [None if ok else () for ok in full.tolist()]
-    walking = np.flatnonzero(full)
+    tables, alive = _prime_tables(gammas, d, m, top)
+    found = [None if ok else () for ok in alive.tolist()]
+    if not (top and alive.any()):
+        return found
+    width = 2 * max(v.size // v.shape[-1] for _, _, v in tables.values())  # a column's entries, widest p
+    kept = 1, _slice(np.arange(count), np.zeros((n, 0), np.intp), np.arange(n), n - 1 - np.arange(n), tables)
+
+    def depth(size):  # slices of at most _SLICE_COLUMNS columns over the codes, unless one block has more
+        if size == kept[0]:
+            yield kept[1]
+            return
+        for parent in depth(size - 1):
+            ends, start = np.cumsum(np.r_[0, parent.later]), 0
+            while start < len(parent.later) and (keep := np.flatnonzero(alive[parent.codes])).size:
+                room = min(_SLICE_COLUMNS, DEFAULT_AMPLITUDE_CAP // width) // len(keep)
+                stop = max(start + 1, int(np.searchsorted(ends, ends[start] + room, "right")) - 1)
+                if columns := int(ends[stop] - ends[start]):
+                    _require_budget(len(keep) * columns * width, "subset-scan slice", DEFAULT_AMPLITUDE_CAP)
+                    yield _extend(parent, start, stop, keep)
+                start = stop
+
     for size in range(1, top + 1):
-        if not walking.size:
-            break
         if 2 * size > n - m:
-            for t in walking:
-                found[t] = tuple(range(size))
-            break
-        width = max(v.size // v.shape[-1] for _, _, v in tables.values())  # widest: the primes take turns
-        take = max(1, min(_PREFIX_CHUNK, DEFAULT_AMPLITUDE_CAP // (len(walking) * 2 * n * width)))
-        _require_budget(len(walking) * take * 2 * n * width, "subset-scan chunk", DEFAULT_AMPLITUDE_CAP)
-        prefixes = itertools.combinations(range(n), size - 1)
-        while walking.size and (chunk := list(itertools.islice(prefixes, take))):
-            heads = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * (size - 1))
-            heads = heads.reshape(len(chunk), size - 1)
-            low = heads[:, -1] + 1 if size > 1 else np.zeros(1, dtype=np.intp)
-            owner = np.repeat(np.arange(len(chunk)), n - low)  # leaves z = low..n-1 of each head
-            sites = np.arange(len(owner)) - (np.cumsum(n - low) - n)[owner]
-            shift = walking[:, None] * n  # code t's sites are columns t n .. t n + n - 1
-            leaves = (
-                (heads + shift[:, :, None]).reshape(len(walking) * len(chunk), size - 1),
-                (owner + len(chunk) * np.arange(len(walking))[:, None]).ravel(),
-                (sites + shift).ravel(),
-            )
-            hit = np.logical_or.reduce([_leaf_failures(*table, *leaves) for table in tables.values()])
-            hit = hit.reshape(len(walking), len(owner))
+            return [tuple(range(size)) if walking else witness for walking, witness in zip(alive, found)]
+        for slices, piece in enumerate(depth(size), 1):
+            hit = piece.failed & alive[piece.codes][:, None]
             leaving = hit.any(axis=1)
-            for k in np.flatnonzero(leaving):
-                first = hit[k].argmax()
-                found[walking[k]] = chunk[owner[first]] + (int(sites[first]),)
-            walking = walking[~leaving]
+            for k, j in zip(np.flatnonzero(leaving), hit[leaving].argmax(axis=1)):
+                found[piece.codes[k]] = (*piece.prefixes[j].tolist(), int(piece.sites[j]))
+            alive[piece.codes[leaving]] = False
+            if not alive.any():
+                return found
+        kept = (size, piece) if slices == 1 else kept
     return found
 
 
@@ -427,13 +432,8 @@ def _phase_exponent(code: GraphCode) -> np.ndarray:
 
 
 def graph_to_dict(code: GraphCode) -> dict:
-    edges = []
     arr = code.gamma.entries
-    size = code.m + code.n
-    for a in range(size):
-        for b in range(a + 1, size):
-            if arr[a, b]:
-                edges.append([a, b, int(arr[a, b])])
+    edges = [[a, b, int(arr[a, b])] for a, b in np.argwhere(np.triu(arr, 1)).tolist()]
     return {"d": code.d, "m": code.m, "n": code.n, "edges": edges}
 
 

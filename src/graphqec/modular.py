@@ -301,12 +301,12 @@ def _reduce_against(field, basis, *vectors) -> list:
     """The vectors, each reduced against basis, an iterable of (vector, pivot)
     pairs with distinct pivots: every elimination reduces only its
     coefficient, and a vector is reduced after every field.interval-th
-    elimination and at the end."""
-    vectors = list(vectors)
+    elimination before the last, and at the end."""
+    vectors, basis = list(vectors), list(basis)
     for step, (b, pivot) in enumerate(basis, 1):
         for i, x in enumerate(vectors):
             vectors[i] = field.eliminate(x, b, pivot)
-        if step % field.interval == 0:
+        if step % field.interval == 0 and step < len(basis):
             vectors = [field.reduce(x) for x in vectors]
     return [field.reduce(x) for x in vectors]
 

@@ -174,6 +174,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         if first_failure_trial is None and len(passed) < len(trials):
             k = next(k for k, witness in enumerate(witnesses) if witness is not None)
             first_failure_trial, first_failure_witness = trials[k], witnesses[k]
+        del gammas  # so the next stack is sampled without this one held
     failures = cfg.trials - successes
     # exact (Clopper-Pearson) one-sided 99% upper confidence limit: the 0.99
     # quantile of Beta(failures + 1, trials - failures); scipy.special is

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 import warnings
 from collections import defaultdict
+from math import comb
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from graphqec.graphs import (
     wheel_code,
 )
 from graphqec.modular import ModMatrix
+from graphqec.search import sample_graph, trial_rng
 
 from conftest import brute_force_kernel_trivial, site_table, smith_first_failing, symplectic_max_f
 
@@ -155,24 +157,41 @@ def _engine_corpus():
         yield GraphCode(d, 1, 5, ModMatrix(d, (base.gamma.entries * (signs + signs.T)) % d))
 
 
+def _record_slices(monkeypatch) -> list:
+    """Every slice the walk extends into, as (parent columns extended, slice), in order."""
+    extend, built = graphs._extend, []
+
+    def recording(parent, start, stop, keep):
+        piece = extend(parent, start, stop, keep)
+        built.append((stop - start, piece))
+        return piece
+
+    monkeypatch.setattr(graphs, "_extend", recording)
+    return built
+
+
+def _entries(piece) -> int:
+    """The entries a slice holds mod its widest prime: two vectors a column and code."""
+    return max(2 * u.size for _, u, *_ in piece.vectors.values())
+
+
+def _first_leaf(piece) -> tuple:
+    """(size, sites) of a slice's first leaf, the (size, lex) key of the walk."""
+    leaf = tuple(piece.prefixes[0].tolist()) + (int(piece.sites[0]),)
+    return len(leaf), leaf
+
+
 @pytest.mark.parametrize(
-    "chunk, block_cap",
-    [(1, False), (3, False), (graphs._PREFIX_CHUNK, False), (graphs._PREFIX_CHUNK, True)],
+    "columns, block_cap",
+    [(1, False), (3, False), (graphs._SLICE_COLUMNS, False), (graphs._SLICE_COLUMNS, True)],
     ids=["1", "3", "default", "block-cap"],
 )
-def test_scan_matches_brute_force_oracle(monkeypatch, chunk, block_cap):
-    monkeypatch.setattr(graphs, "_PREFIX_CHUNK", chunk)
-    leaf_failures, held = graphs._leaf_failures, []
-
-    def recording(field, u, v, prefixes, owner, sites):
-        assert len(prefixes) <= chunk
-        held.append(2 * len(sites) * (u.size // code.n))  # the two vectors of every leaf
-        return leaf_failures(field, u, v, prefixes, owner, sites)
-
-    monkeypatch.setattr(graphs, "_leaf_failures", recording)
+def test_scan_matches_brute_force_oracle(monkeypatch, columns, block_cap):
+    monkeypatch.setattr(graphs, "_SLICE_COLUMNS", columns)
+    built = _record_slices(monkeypatch)
     for code in _engine_corpus():
         f_cap = (code.n - 1) // 2
-        if block_cap:  # the cap admits the projected table alone: about one prefix per chunk
+        if block_cap:  # the cap admits the projected table alone: about one block per slice
             monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", code.n * (code.m + 2 * code.n))
         expected = [_oracle_first_failing(code, 2 * f) for f in range(f_cap + 1)]
         for f in range(f_cap + 1):
@@ -181,8 +200,10 @@ def test_scan_matches_brute_force_oracle(monkeypatch, chunk, block_cap):
         assert first_failing_subset(code, code.n) == _oracle_first_failing(code, code.n)
         passing = [f for f in range(f_cap + 1) if expected[f] is None]
         assert max_correctable_f(code) == max(passing, default=-1)
-        assert max(held, default=0) <= graphs.DEFAULT_AMPLITUDE_CAP
-        held.clear()
+        for spans, piece in built:  # past one parent column only within the bound
+            assert spans == 1 or piece.sites.size <= columns
+            assert _entries(piece) <= graphs.DEFAULT_AMPLITUDE_CAP
+        built.clear()
 
 
 def _random_code(d, m, n, seed):
@@ -266,13 +287,14 @@ def test_projected_table_scan_matches_smith_and_symplectic_oracles():
 
 
 # the accumulator switches of the scan's residue vectors, whose dtype holds a residue
-# plus 2 size - 1 products, as (dtype at size 1, at size 2): int16 -> int32 between
-# 181 and 191 and int32 -> int64 between 46337 and 46349 at size 1, and int64 at
-# prevprime(MAX_BATCH_MODULUS), where a vector is reduced after every elimination
+# plus two products, the most eliminations a vector takes in one step of the walk:
+# int16 -> int32 between 127 and 131 and int32 -> int64 between 32749 and 32771, and
+# int64 at prevprime(MAX_BATCH_MODULUS), where a vector is reduced after every
+# elimination; 181 and 191, 46337 and 46349 are the switches of a one-product run
 _TOP_BATCH_PRIME = 3037000493
 _SCAN_SWITCH_DTYPES = {
-    181: (np.int16, np.int32), 191: (np.int32, np.int32), 46337: (np.int32, np.int64),
-    46349: (np.int64, np.int64), _TOP_BATCH_PRIME: (np.int64, np.int64),
+    127: np.int16, 131: np.int32, 181: np.int32, 191: np.int32, 32749: np.int32,
+    32771: np.int64, 46337: np.int64, 46349: np.int64, _TOP_BATCH_PRIME: np.int64,
 }
 
 
@@ -306,7 +328,7 @@ def test_scan_matches_smith_oracle_at_accumulator_switch_primes(monkeypatch, p):
     monkeypatch.setattr(graphs, "_reduce_against", exact)
     rng = np.random.default_rng(p % 10007)
     # every nonzero entry p - 1, so the largest products meet; the sparse n = 9 and 10
-    # draws include f = 1 codes, whose size-3 leaves take 5 eliminations
+    # draws include f = 1 codes, whose size-3 leaves are a depth extended twice
     codes = [GraphCode.from_edges(p, 1, 2, [[0, 1, p - 1], [0, 2, p - 1], [1, 2, p - 1]])]
     for base in (wheel_code(), prism_code()):
         codes.append(GraphCode(p, 1, 5, ModMatrix(p, base.gamma.entries * (p - 1))))
@@ -315,11 +337,10 @@ def test_scan_matches_smith_oracle_at_accumulator_switch_primes(monkeypatch, p):
     codes += [_sparse_code(p, 1, 10, rng, [p - 1], density) for density in (0.5, 0.6, 0.7)]
     sizes = set()
     for code in codes:
-        for size, dtype in zip((1, 2), _SCAN_SWITCH_DTYPES[p]):
-            field, u, v, full = graphs._site_vectors(code.gamma.entries[None], code.m, p, size)
-            if full[0]:  # at the top, each of a leaf's eliminations is one interval
-                assert u.dtype == v.dtype == dtype
-                assert field.interval == (1 if p == _TOP_BATCH_PRIME else 2 * size - 1)
+        field, u, v, full = graphs._site_vectors(code.gamma.entries[None], code.m, p, 1)
+        if full[0]:  # at the top, each of a step's eliminations is one interval
+            assert u.dtype == v.dtype == _SCAN_SWITCH_DTYPES[p]
+            assert field.interval == (1 if p == _TOP_BATCH_PRIME else 2)
         expected = smith_first_failing(code, code.n)  # every subset of more than n - m sites fails
         for max_size in range(code.n + 1):
             within = expected if len(expected) <= max_size else None
@@ -329,7 +350,7 @@ def test_scan_matches_smith_oracle_at_accumulator_switch_primes(monkeypatch, p):
             assert symplectic_max_f(code) == max_f
         assert max_correctable_f(code) == max_f, (code.m, code.n)
         sizes.add(len(expected))
-    assert sizes >= {1, 2, 3} and max(eliminations) >= 4, sizes
+    assert sizes >= {1, 2, 3} and max(eliminations) == 2, sizes
 
 
 @pytest.mark.parametrize("d", [4, 6])
@@ -361,10 +382,10 @@ def test_check_subset_fails_when_its_prefix_already_fails():
     assert verdicts == {(True, False), (False, True), (False, False)}
 
 
-def test_later_prime_finds_an_earlier_witness_in_a_later_chunk(monkeypatch):
+def test_later_prime_finds_an_earlier_witness_in_a_later_slice(monkeypatch):
     # over Z_6 a leaf fails when it fails mod 2 or mod 3; here the witness mod 3 comes
-    # before the witness mod 2, at the same size but not in the first prefix chunk
-    monkeypatch.setattr(graphs, "_PREFIX_CHUNK", 1)
+    # before the witness mod 2, at the same size but not in its depth's first slice
+    monkeypatch.setattr(graphs, "_SLICE_COLUMNS", 1)
     rng = np.random.default_rng(14004)
     seen = 0
     for _ in range(300):
@@ -376,7 +397,7 @@ def test_later_prime_finds_an_earlier_witness_in_a_later_chunk(monkeypatch):
         )
         if mod2 is None or mod3 is None or len(mod2) != len(mod3) or mod3[:-1] >= mod2[:-1]:
             continue
-        if mod3[:-1] == tuple(range(len(mod3) - 1)):  # in the first chunk
+        if mod3[:-1] == tuple(range(len(mod3) - 1)):  # in the first slice
             continue
         assert first_failing_subset(code, 4) == mod3 == smith_first_failing(code, 4)
         seen += 1
@@ -385,18 +406,20 @@ def test_later_prime_finds_an_earlier_witness_in_a_later_chunk(monkeypatch):
     assert seen == 3
 
 
-def test_every_prime_reduces_each_chunk_and_none_past_the_witness(monkeypatch):
-    # over Z_6 each chunk of one prefix is reduced mod 2 and then mod 3, on the same
-    # leaves, and no chunk after the one holding the witness is reduced, also when
-    # the witness mod 2 alone would come later
-    monkeypatch.setattr(graphs, "_PREFIX_CHUNK", 1)
-    leaf_failures, calls = graphs._leaf_failures, []
+def test_every_prime_reduces_each_slice_and_none_past_the_witness(monkeypatch):
+    # over Z_6 each slice of one parent column holds its leaves mod 2 and mod 3, the
+    # same columns, and no slice after the one holding the witness is built, also
+    # when the witness mod 2 alone would come later
+    monkeypatch.setattr(graphs, "_SLICE_COLUMNS", 1)
+    make, calls = graphs._slice, []
 
-    def recording(field, u, v, prefixes, owner, sites):
-        calls.append((getattr(field, "p", 2), prefixes.tolist(), owner.tolist(), sites.tolist()))
-        return leaf_failures(field, u, v, prefixes, owner, sites)
+    def recording(codes, prefixes, sites, later, reduced):
+        piece = make(codes, prefixes, sites, later, reduced)
+        widths = {p: (u.shape[-1], v.shape[-1]) for p, (_, u, v) in reduced.items()}
+        calls.append((widths, _first_leaf(piece)))
+        return piece
 
-    monkeypatch.setattr(graphs, "_leaf_failures", recording)
+    monkeypatch.setattr(graphs, "_slice", recording)
     rng = np.random.default_rng(22001)
     later_mod2 = 0
     for _ in range(40):
@@ -406,12 +429,11 @@ def test_every_prime_reduces_each_chunk_and_none_past_the_witness(monkeypatch):
         calls.clear()
         witness = first_failing_subset(code, 4)
         assert witness == smith_first_failing(code, 4)
-        assert [p for p, *_ in calls] == [2, 3] * (len(calls) // 2)
-        assert [leaves for _, *leaves in calls[0::2]] == [leaves for _, *leaves in calls[1::2]]
+        for widths, _ in calls:
+            assert list(widths) == [2, 3] and widths[2] == widths[3], widths
         if witness is None:
             continue
-        for _, prefixes, _, _ in calls:
-            assert (len(prefixes[0]) + 1, tuple(prefixes[0])) <= (len(witness), witness[:-1])
+        assert max(first for _, first in calls) <= (len(witness), witness)
         mod2 = smith_first_failing(GraphCode(2, 1, 8, ModMatrix(2, (gamma + gamma.T) % 2)), 4)
         later_mod2 += mod2 is None or (len(mod2), mod2[:-1]) > (len(witness), witness[:-1])
     assert later_mod2 >= 3, later_mod2
@@ -432,31 +454,72 @@ def _stack_corpus():
 
 @pytest.mark.parametrize("cap", ["default", "table"])
 def test_stacked_scan_matches_smith_oracle_per_code(monkeypatch, cap):
-    leaf_failures, held, calls = graphs._leaf_failures, [], defaultdict(int)
-
-    def recording(field, u, v, prefixes, owner, sites):
-        held.append(2 * len(sites) * (u.size // u.shape[-1]))  # the two vectors of every leaf
-        calls[prefixes.shape[1]] += 1
-        return leaf_failures(field, u, v, prefixes, owner, sites)
-
-    monkeypatch.setattr(graphs, "_leaf_failures", recording)
-    seen, chunked = set(), False  # (n - m, f, witness); some size scanned in several chunks
+    built = _record_slices(monkeypatch)
+    seen, sliced = set(), False  # (n - m, f, witness); some depth built in several slices
     for d, m, n, gammas in _stack_corpus():
         expected = [smith_first_failing(GraphCode(d, m, n, ModMatrix(d, g)), 4) for g in gammas]
-        if cap == "table":  # the cap admits the stack's table alone: few prefixes per chunk
+        if cap == "table":  # the cap admits the stack's table alone: few blocks per slice
             monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", len(gammas) * n * (m + 2 * n))
         for f in (0, 1, 2):
             within = [w if w is not None and len(w) <= 2 * f else None for w in expected]
-            held.clear()
-            calls.clear()
+            built.clear()
             assert graphs._first_failing_stack(gammas, d, m, 2 * f) == within, (d, m, n, f)
-            assert max(held, default=0) <= graphs.DEFAULT_AMPLITUDE_CAP
-            chunked |= max(calls.values(), default=0) > 1
+            assert max(map(_entries, (piece for _, piece in built)), default=0) <= graphs.DEFAULT_AMPLITUDE_CAP
+            depths = [piece.prefixes.shape[1] for _, piece in built]
+            sliced |= any(depths.count(depth) > 1 for depth in depths)
             seen.update((n - m, f, w) for w in within)
     # rank-deficient A; at n - m = 3 every size-2 witness is the shortcut's; f = 1 passers
     assert {(3, 0, ()), (6, 0, ()), (3, 1, (0, 1)), (6, 1, None)} <= seen
     assert {len(w) for *_, w in seen if w is not None} == {0, 1, 2, 3}
-    assert chunked or cap == "default"
+    assert sliced or cap == "default"
+
+
+def test_leaf_work_stays_flat_as_the_size_grows(monkeypatch):
+    # a qutrit code that passes every subset of up to 6 of its 20 sites, each depth
+    # in one slice: size s costs the eliminated columns of its comb(20, s) leaves only
+    monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", 2**22)
+    monkeypatch.setattr(graphs, "_SLICE_COLUMNS", 2**16, raising=False)
+    reduce_against, work = graphs._reduce_against, [0]
+
+    def counting(field, basis, *vectors):
+        basis = list(basis)
+        work[0] += len(basis) * len(vectors) * vectors[0].shape[-1]
+        return reduce_against(field, basis, *vectors)
+
+    monkeypatch.setattr(graphs, "_reduce_against", counting)
+    code, totals = _random_code(3, 1, 20, 22), []
+    for size in range(7):
+        work[0] = 0
+        assert first_failing_subset(code, size) is None
+        totals.append(work[0])
+    per_leaf = [(totals[s] - totals[s - 1]) / comb(code.n, s) for s in range(2, 7)]
+    assert max(per_leaf) <= 5, per_leaf  # two vectors against two, then v against u
+
+
+def test_sliced_walk_builds_nothing_past_the_witness(monkeypatch):
+    built = _record_slices(monkeypatch)
+    rng = np.random.default_rng(23001)
+    codes = [_sparse_code(d, m, n, rng, np.arange(1, d), density)
+             for d, m, n in [(3, 1, 8), (6, 1, 8), (5, 2, 9)] for density in (0.5, 0.7, 1.0)]
+    over_cap, default_cap = 0, graphs.DEFAULT_AMPLITUDE_CAP  # witnesses whose whole depth exceeds the cap
+    for code in codes:
+        expected = smith_first_failing(code, code.n)  # some subset of more than n - m sites fails
+        table = code.n * (code.m + 2 * code.n)  # a cap that admits the projected table alone
+        for columns, cap in [(1, None), (3, None), (graphs._SLICE_COLUMNS, table)]:
+            monkeypatch.setattr(graphs, "_SLICE_COLUMNS", columns)
+            monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", cap or default_cap)
+            built.clear()
+            assert first_failing_subset(code, code.n) == expected, (code.d, code.m, code.n, columns)
+            assert max((_first_leaf(piece) for _, piece in built), default=()) <= (len(expected), expected)
+            assert max(map(_entries, (piece for _, piece in built)), default=0) <= graphs.DEFAULT_AMPLITUDE_CAP
+            over_cap += 2 * (code.n - code.m) * comb(code.n, len(expected)) > graphs.DEFAULT_AMPLITUDE_CAP
+    assert over_cap >= 5, over_cap
+    # a frontier code: its size-7 depth alone holds 657800 columns of 24 rows, 30 times the cap
+    monkeypatch.undo()
+    built = _record_slices(monkeypatch)
+    code = sample_graph(3, 2, 26, trial_rng(7, 0))
+    assert first_failing_subset(code, 7) == (3, 5, 6, 8, 12, 19, 25)
+    assert max(map(_entries, (piece for _, piece in built))) <= graphs.DEFAULT_AMPLITUDE_CAP
 
 
 def test_stacked_tables_are_each_codes_own_table():

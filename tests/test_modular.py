@@ -315,8 +315,8 @@ def test_scan_large_prime_factor_matches_smith_oracle(monkeypatch, moduli):
             code = GraphCode(d, m, n, ModMatrix(d, _crt(parts)))
             f_cap = (n - 1) // 2
             expected = smith_first_failing(code, 2 * f_cap)
-            for chunk in (1, 3, graphs._PREFIX_CHUNK):  # prefixes reduced at once
-                monkeypatch.setattr(graphs, "_PREFIX_CHUNK", chunk)
+            for columns in (1, 3, graphs._SLICE_COLUMNS):  # columns a slice extends into
+                monkeypatch.setattr(graphs, "_SLICE_COLUMNS", columns)
                 assert first_failing_subset(code, 2 * f_cap) == expected
                 assert max_correctable_f(code) == (f_cap if expected is None else (len(expected) - 1) // 2)
             witnesses.add(expected)
