@@ -15,16 +15,19 @@ M = [F_1 V | ... | F_K V] one band of rows at a time.  A graph code's
 error space on at most f sites needs neither V nor the images: _graph_kl
 enumerates the words as integer (shift, clock) digits (_error_words) and
 evaluates the Gram blocks in closed form from the adjacency matrix
-(Schlingemann and Werner's character sums).  Its report keeps each
-syndrome class as sigma = Gamma_YY s - c and tau = Gamma_XY s of a word
-X^s Z^c in it, and simulate's decoded logical channel reads the classes
-from there on both routes: the syndrome table (_table_decoded), where
-V* F_k* W V is a phase times a shift of the logical levels and the Kraus
-index sums out into the noise's Weyl process matrix, with no d^n-sized
-array; and past the table's budget (noise on many sites) the
-register-sized route (_dense_decoded), whose class images are phases of
-V, F V = w^(-sigma.y - tau.x) V up to a phase (_class_images).  Every
-input-sized array passes the gate graphs._require_budget.
+(Schlingemann and Werner's character sums).  Two syndrome classes
+interfere exactly when they share a coset of the columns of Gamma_YX,
+which their keys mod every p^k || d decide (graphs._projection).  The
+report keeps each class as sigma = Gamma_YY s - c and tau = Gamma_XY s
+of a word X^s Z^c in it, and simulate's decoded logical channel reads
+the classes from there on both routes: the syndrome table
+(_table_decoded), where V* F_k* W V is a phase times a shift of the
+logical levels and the Kraus index sums out into the noise's Weyl
+process matrix, with no d^n-sized array; and past the table's budget
+(noise on many sites) the register-sized route (_dense_decoded), whose
+class images are phases of V, F V = w^(-sigma.y - tau.x) V up to a phase
+(_class_images).  Every input-sized array passes the gate
+graphs._require_budget.
 Choi states are propagated by one routine, _propagate: a state W W* on
 (system) (x) (d0-level reference) is carried as its factor W, and a stage
 acts on one axis of W's rows (left, stage input, right) with one stacked
@@ -53,12 +56,12 @@ from .graphs import (
     GraphCode,
     _digit_table,
     _normalize_subset,
-    _prime_tables,
+    _projection,
     _require_budget,
     _require_error_count,
     build_isometry,
 )
-from .modular import _prime_factors, _residue_dtype
+from .modular import _prime_factors, _residue_dtype, _residues
 
 __all__ = [
     "Channel",
@@ -369,26 +372,31 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
       otherwise of trace 0 and deviation 1.
     So the deviation is 0 or 1, and a correcting class of g words has the
     rank-one Gram block u u*, |u_a| = 1; the report keeps each class's sigma
-    and tau.  Words are grouped by their syndromes projected mod every p | d
-    through the scan's tables (graphs._prime_tables): distinct groups differ
-    outside the column module, and within a group _share_a_coset decides
-    exactly.  Budgeted: the words and their syndromes (_error_words); no
-    d^n-sized, no K x K array.
+    and tau.  By the Chinese remainder theorem two classes share a coset of
+    Gamma_YX's columns exactly when their keys, the rows without a pivot of
+    [Gamma_YX | sigma^T] row-reduced mod q (graphs._projection), agree mod
+    every q = p^k || d.  Budgeted: the words and their syndromes
+    (_error_words), and the keys; no d^n-sized, no K x K array.
     """
     d, m, n = code.d, code.m, code.n
     count, shift, clock = _error_words(n, d, f)
-    tables, full = _prime_tables(code.gamma.entries[None], d, m, 1)
-    if not full[0]:
+    if m > n:  # Gamma_YX has more columns than rows
         return _GraphKL(count, 1.0)
     syndromes = _syndromes(code, shift, clock)
     first, label = _row_classes(syndromes)
     dual = _mod_matmul(shift, code.gamma.entries[m:, :m], d)  # Gamma_XY s
     split = bool((dual != dual[first][label]).any())
     syndromes, dual = syndromes[first], dual[first]
-    keys = np.column_stack([_projected_syndromes(v, p, syndromes) for p, (_, _, v) in tables.items()])
-    group = _row_classes(keys)[1]
-    deviation = 1.0 if split or _share_a_coset(code, syndromes, group) else 0.0
-    return _GraphKL(count, deviation, syndromes, dual)
+    _require_budget(n * (m + len(syndromes)), "coset keys")
+    table, keys = np.hstack([code.gamma.entries[m:, :m], syndromes.T]), []
+    for p in _prime_factors(d):
+        q = math.gcd(d, p ** d.bit_length())  # p^k || d
+        kept, full = _projection(_residues(table[None], q, _residue_dtype(q)), m, q, p)
+        if not full[0]:
+            return _GraphKL(count, 1.0)
+        keys.append(_packed(kept[0, :, m:].T.astype(np.int64), (q - 1).bit_length()))
+    shared = len(_row_classes(np.hstack(keys))[0]) < len(syndromes)
+    return _GraphKL(count, 1.0 if split or shared else 0.0, syndromes, dual)
 
 
 def _syndromes(code: GraphCode, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
@@ -409,47 +417,20 @@ def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], label
 
 
+def _packed(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Rows of entries below 2^bits with 63 // bits entries to an int64 column, so two
+    packed rows are equal exactly when the rows are, and sort in fewer passes."""
+    per = max(1, min(63 // bits, rows.shape[1]))
+    padded = np.pad(rows, [(0, 0), (0, -rows.shape[1] % per)])
+    return padded.reshape(len(rows), -1, per) @ 2 ** (bits * np.arange(per, dtype=np.int64))
+
+
 def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """a @ b mod d as int64 for residue arrays a and b, in Python integers when int64
     cannot hold the sums."""
     if _residue_dtype(d, a.shape[-1]) is object:
         return (a.astype(object) @ b.astype(object) % d).astype(np.int64)
     return a.astype(np.int64) @ b.astype(np.int64) % d
-
-
-def _projected_syndromes(v, p: int, syndromes: np.ndarray) -> np.ndarray:
-    """sum_i sigma_i v_i mod p of each syndrome sigma, from the vectors v of one code's
-    projected table mod p (graphs._prime_tables), whose projection maps e_i to v_i: the
-    syndrome modulo the columns of Gamma_YX, as a (K, width) int64 array."""
-    sigma = syndromes % p
-    if v.dtype == np.uint64:  # one GF(2) word per site
-        terms = np.where(sigma == 1, v, np.uint64(0))
-        return np.bitwise_xor.reduce(terms, axis=1).view(np.int64)[:, None]
-    return _mod_matmul(sigma, v.T, p)
-
-
-def _share_a_coset(code: GraphCode, syndromes: np.ndarray, group: np.ndarray) -> bool:
-    """Whether two of the distinct syndromes differ by some Gamma_YX delta mod d.
-
-    Only syndromes of one group (equal projections mod every p | d) can.
-    For square-free d the projections are exact, so any group of two does;
-    otherwise each pair of a group is compared with all d^m columns
-    Gamma_YX delta, one syndrome against the later ones at a time.
-    """
-    d = code.d
-    crowded = np.flatnonzero(np.bincount(group) > 1)
-    if not crowded.size or math.prod(_prime_factors(d)) == d:
-        return bool(crowded.size)
-    _require_budget(d**code.m * code.n, "column module")
-    module = _column_module(code)[1]
-    for index in crowded:
-        members = syndromes[group == index]
-        _require_budget(len(members) * module.size, "column module comparison")
-        for i in range(len(members) - 1):
-            gaps = (members[i + 1 :] - members[i]) % d
-            if (gaps[:, None, :] == module).all(axis=2).any():
-                return True
-    return False
 
 
 def _column_module(code: GraphCode) -> tuple[np.ndarray, np.ndarray]:

@@ -1,23 +1,27 @@
 """Qudit graph codes: data model, correctability checks, and the encoding isometry.
 
 A code is a symmetric adjacency matrix over Z_d on m input and n output
-nodes.  Whether it corrects f errors reduces to an exact statement: for
-every output subset Z with |Z| <= 2f, the (Y \\ Z) x (X u Z) submatrix
-must have trivial kernel mod d, that is full column rank over GF(p) for
-every prime p | d.  Over GF(p) that holds exactly when the 2|Z| columns
+nodes.  It corrects f errors if, for every output subset Z with
+|Z| <= 2f, the (Y \\ Z) x (X u Z) submatrix has trivial kernel mod d,
+that is full column rank over GF(p) for every prime p | d.  This kernel
+criterion is sufficient, and exact for non-degenerate codes; a degenerate
+code (the wheel with an isolated output) can correct f errors and fail
+it, and channels._graph_kl decides the Knill-Laflamme condition exactly.
+Over GF(p) a block has full column rank exactly when the 2|Z| columns
 gamma[Y, z] and e_z (z in Z) stay independent after projecting out the
-columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once into a
-table of two projected vectors per site (_site_vectors), in the field that
-rank_prime_batch uses for n - m rows, for a whole stack of codes that
-share (d, m, n) at once; _prime_tables holds one table per prime.  One
-walk, _first_failing_stack, visits subsets by size and lexicographically
-within a size for every caller.  Its depth s holds each s-subset's last
-two vectors reduced against its prefix's basis, mod every prime, so a
-leaf costs one elimination and the next depth two a vector (_extend).
-run_search walks a stack of trials, first_failing_subset a stack of one,
-check_subset one subset's chain of prefixes, and channels._graph_kl
-projects syndromes through the tables.  The encoding isometry itself is
-a quadratic-phase matrix; both views are implemented here and their
+columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once
+(_projection) into a table of two projected vectors per site
+(_site_vectors), in the field that rank_prime_batch uses for n - m rows,
+for a whole stack of codes that share (d, m, n) at once; _prime_tables
+holds one table per prime.  One walk, _first_failing_stack, visits
+subsets by size and lexicographically within a size for every caller.
+Its depth s holds each s-subset's last two vectors reduced against its
+prefix's basis, mod every prime, so a leaf costs one elimination and the
+next depth two a vector (_extend).  run_search walks a stack of trials,
+first_failing_subset a stack of one, and check_subset one subset's chain
+of prefixes.  channels._graph_kl keys syndrome classes by the same row
+reduction mod each p^k || d.  The encoding isometry itself is a
+quadratic-phase matrix; both views are implemented here and their
 consistency is exercised by the tests.
 
 Node numbering convention: inputs are 0..m-1, outputs are m..m+n-1.
@@ -195,14 +199,11 @@ def _site_vectors(gammas: np.ndarray, m: int, p: int, size: int):
 
     Z fails mod p exactly when [A | a_z, e_z for z in Z] (a_z = gamma[Y, z],
     e_z the unit vector of site z) lacks full column rank.  Row-reducing
-    [gamma[Y, X u Y] | 1] on A's columns and keeping the n - m rows without a
-    pivot leaves u[..., t n + z] and v[..., t n + z], the images of code t's
-    a_z and e_z there, so Z fails exactly when its 2|Z| vectors are dependent.
-    Every code is reduced at once, one pass per column of A, each taking its
-    first nonzero free row as the pivot; a code without one is not full, its
-    table means nothing, and it gives up its first free row so that every
-    code keeps n - m rows.  They are vectors of modular._field for n - m rows
-    and two eliminations a step (_extend).  size 0 reduces A alone.
+    [gamma[Y, X u Y] | 1] on A's columns (_projection) leaves u[..., t n + z]
+    and v[..., t n + z], the images of code t's a_z and e_z in the n - m rows
+    without a pivot, so Z fails exactly when its 2|Z| vectors are dependent.
+    They are vectors of modular._field for n - m rows and two eliminations a
+    step (_extend).  size 0 reduces A alone.
     """
     count, n = len(gammas), gammas.shape[-1] - m
     if m > n:
@@ -213,23 +214,36 @@ def _site_vectors(gammas: np.ndarray, m: int, p: int, size: int):
     table = np.zeros((count, n, m + 2 * sites), dtype=dtype)
     table[:, :, : m + sites] = _residues(gammas[:, m:, : m + sites], p, dtype)  # rows Y
     table[:, :, m + sites :] = np.eye(n, sites, dtype=dtype)
-    codes = np.arange(count)
-    free = np.ones((count, n), dtype=bool)
-    full = np.ones(count, dtype=bool)
-    for col in range(m):
-        nonzero = table[:, :, col] != 0
-        row = (free * (1 + nonzero)).argmax(axis=1)  # the first free row, nonzero if one is
-        full &= nonzero[codes, row]
-        free[codes, row] = False
-        pivot = table[codes, row]
-        # a zero pivot gets inverse 0, or 1 at p = 2: either way its code is not full
-        pivot = _reduce(pivot * _inverses(pivot[:, col], p)[:, None], p)
-        table -= (table[:, :, col] * free)[:, :, None] * pivot[:, None, :]
-        table = _reduce(table, p)
-    kept = table[free].reshape(count, n - m, m + 2 * sites).transpose(1, 0, 2)  # (n - m, T, columns)
-    field = _field(p, n - m, 2)
+    kept, full = _projection(table, m, p, p)
+    field, kept = _field(p, n - m, 2), kept.swapaxes(0, 1)  # (n - m, T, columns)
     u, v = (kept[:, :, m + k * sites : m + (k + 1) * sites].reshape(n - m, count * sites) for k in (0, 1))
     return field, field.vectors(u), field.vectors(v), full
+
+
+def _projection(table: np.ndarray, m: int, q: int, p: int):
+    """(kept, full) of a (T, N, columns) stack of residue tables mod q = p^k, N >= m, each
+    row-reduced on its first m columns A: kept holds its N - m rows without a pivot, and
+    full marks the tables whose A has rank m mod p.
+
+    One pass per column of A pivots every table on its first free row that is
+    a unit mod q (nonzero mod p).  The reduction is invertible and A
+    unitriangular on the pivot rows, so a full table's kept rows of a column
+    are zero exactly when it lies in A's column module mod q.  A table with
+    no such row is not full and gives up its first free row instead.
+    """
+    count, rows, columns = table.shape
+    codes, free, full = np.arange(count), np.ones((count, rows), dtype=bool), np.ones(count, dtype=bool)
+    for col in range(m):
+        unit = table[:, :, col] % p != 0
+        row = (free * (1 + unit)).argmax(axis=1)  # the first free row, a unit if one is
+        full &= unit[codes, row]
+        free[codes, row] = False
+        pivot = table[codes, row]
+        # a pivot that is no unit leaves its table not full, whatever its "inverse"
+        pivot = _reduce(pivot * _inverses(pivot[:, col], q, q - q // p - 1)[:, None], q)
+        table -= (table[:, :, col] * free)[:, :, None] * pivot[:, None, :]
+        table = _reduce(table, q)
+    return table[free].reshape(count, rows - m, columns), full
 
 
 def _prime_tables(gammas: np.ndarray, d: int, m: int, size: int):
@@ -280,11 +294,12 @@ def _extend(parent: _Slice, start: int, stop: int, keep: np.ndarray) -> _Slice:
 
 
 def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
-    """True iff every error operator localized on Z is corrected.
+    """True iff the (Y \\ Z) x (X u Z) submatrix of gamma has trivial kernel mod d.
 
     Z is given as output-site indices in [0, n).  The check is exact
-    arithmetic over Z_d: the (Y \\ Z) x (X u Z) submatrix of gamma must
-    have trivial kernel, decided by the walk's step along Z's prefixes.
+    arithmetic over Z_d, decided by the walk's step along Z's prefixes.
+    A trivial kernel for every |Z| <= 2f suffices for correcting f errors,
+    and is necessary only for a non-degenerate code.
     """
     sites = _normalize_subset(code.n, subset)
     if 2 * len(sites) > code.n - code.m:  # fewer rows than columns

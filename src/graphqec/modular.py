@@ -14,7 +14,8 @@ int32 and int64 that holds the sums of a run of eliminations, follows
 from d and the most eliminations a vector takes (_BatchResidues); Python
 integers take over above MAX_BATCH_MODULUS, so every modulus gets an
 exact answer.  The subset scan of graphs shares its fields (_field),
-reduction loop (_reduce_against) and inverses (_inverses).
+reduction loop (_reduce_against) and inverses (_inverses); with exponent
+phi(q) - 1 these invert the units mod q = p^k for graphs._projection.
 """
 
 from __future__ import annotations
@@ -168,10 +169,11 @@ def _reduce(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def _inverses(x: np.ndarray, d: int) -> np.ndarray:
-    """x^(d-2) mod prime d elementwise: the inverse of every nonzero x, and 0 for 0 if d > 2."""
+def _inverses(x: np.ndarray, d: int, power: int | None = None) -> np.ndarray:
+    """x^power mod d elementwise, by default power = d - 2: at prime d the inverse of every
+    nonzero x, and 0 for 0 if d > 2.  Mod q = p^k, power = phi(q) - 1 inverts every unit."""
     result = np.ones_like(x)
-    base, power = x, d - 2
+    base, power = x, d - 2 if power is None else power
     while power:
         if power & 1:
             result = _reduce(result * base, d)

@@ -22,6 +22,7 @@ from graphqec.channels import (
 )
 from graphqec.cli import _parse_noise, main
 from graphqec.graphs import (
+    GraphCode,
     build_isometry,
     dump_graph,
     first_failing_subset,
@@ -29,6 +30,7 @@ from graphqec.graphs import (
     loads_graph,
     wheel_code,
 )
+from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing
 from graphqec.search import sample_graph, trial_rng
 
@@ -411,6 +413,27 @@ def test_simulate_fourteen_qubits_within_one_gib_of_address_space(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["sites"] == [0, 7]
     assert int(proc.stderr.split()[-1]) < 512 * 1024  # ru_maxrss in KiB
+
+
+def test_kl_check_answers_prime_power_codes_with_a_column_module_past_the_budget(capsys, tmp_path):
+    # d^m n > 2^26: comparing classes with all d^m columns Gamma_YX delta would be refused,
+    # but their keys mod p^k decide a shared coset with no such array
+    path = tmp_path / "code.json"
+    verdicts = set()
+    for d, m, n in [(4, 13, 17), (4, 13, 24), (27, 6, 10), (27, 6, 16)]:
+        assert d**m * n > 2**26
+        for seed in (24010, 24011, 24012):
+            g = np.triu(np.random.default_rng(seed).integers(0, d, size=(m + n, m + n)), 1)
+            dump_graph(GraphCode(d, m, n, ModMatrix(d, g + g.T)), path)
+            passes = run_cli(capsys, "verify", str(path), "--f", "1", "--no-timing")[0] == 0
+            code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "1", "--no-timing")
+            assert (code, err) == (0 if passes else 1, ""), (d, m, n, seed)
+            verdicts.add((d, passes))
+    assert verdicts == {(d, passes) for d in (4, 27) for passes in (True, False)}
+    # and 113,626 words of a 30-qubit code at f = 3, each class keyed on the words' scale
+    dump_graph(sample_graph(2, 1, 30, trial_rng(7, 0)), path)
+    code, out, err = run_cli(capsys, "kl-check", str(path), "--f", "3", "--json", "--no-timing")
+    assert (code, err, json.loads(out)["operators"]) == (1, "", 113626)
 
 
 def test_kl_check_reports_a_non_isometric_encoder_as_a_fail(capsys, tmp_path):

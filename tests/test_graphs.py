@@ -544,6 +544,40 @@ def test_stacked_tables_are_each_codes_own_table():
     assert deficient > 10
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_projection_keys_agree_exactly_on_a_shared_coset_mod_q(q):
+    # brute force: the kept rows of x and y agree iff x - y = A delta mod q for some
+    # enumerated delta in Z_q^m, on a stack of seeded A of rank m mod p, and one of lower rank
+    (p,) = modular._prime_factors(q)
+    rng = np.random.default_rng(24000 + q)
+    seen = set()
+    for rows, m in [(3, 1), (4, 2), (5, 2), (4, 3)]:
+        deltas = np.array(list(itertools.product(range(q), repeat=m)))
+        tables, modules = [], []
+        while len(tables) < 3:
+            a = rng.integers(0, q, size=(rows, m))
+            if modular.rank_prime_batch(a[None], p)[0] < m:
+                continue
+            base = rng.integers(0, q, size=(rows, 4))
+            # columns in base's cosets mod q, half of them moved by p times a random vector
+            moved = p * rng.integers(0, q, size=(rows, 12)) * (rng.random(12) < 0.5)
+            shifted = base[:, rng.integers(0, 4, 12)] + a @ rng.integers(0, q, size=(m, 12)) + moved
+            tables.append(np.hstack([a, base, shifted % q]))
+            modules.append({tuple(column) for column in deltas @ a.T % q})
+        deficient = tables[0].copy()
+        deficient[:, m - 1] = (deficient[:, : m - 1].sum(axis=1) + p * deficient[:, m - 1]) % q  # rank < m mod p
+        kept, full = graphs._projection(np.stack(tables + [deficient]), m, q, p)
+        assert full.tolist() == [True, True, True, False], (q, rows, m)
+        mod_p = graphs._projection(np.stack(tables) % p, m, p, p)[0]
+        for table, keys, keys_mod_p, module in zip(tables, kept, mod_p, modules):
+            x = table[:, m:]
+            for i, j in itertools.combinations(range(x.shape[1]), 2):
+                shared = tuple((x[:, i] - x[:, j]) % q) in module
+                assert np.array_equal(keys[:, m + i], keys[:, m + j]) == shared, (q, rows, m, i, j)
+                seen.add((shared, np.array_equal(keys_mod_p[:, m + i], keys_mod_p[:, m + j])))
+    assert seen == {(True, True), (False, True), (False, False)}, seen
+
+
 @pytest.mark.parametrize("free_rows", [64, 65], ids=["packed", "int16"])
 def test_scan_keeps_the_top_bit_of_a_full_word(free_rows):
     # n - m = 64 vectors fill a uint64 word (65 take the int16 path); the input meets

@@ -44,7 +44,7 @@ from graphqec.channels import (
 )
 from graphqec.errors import DimensionOverflow, NotIsometry
 from graphqec.graphs import GraphCode, build_isometry, first_failing_subset, prism_code, wheel_code
-from graphqec.modular import ModMatrix
+from graphqec.modular import ModMatrix, _prime_factors
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
 from conftest import degenerate_wheel, error_words, word_images
@@ -175,31 +175,49 @@ def test_graph_kl_matches_dense_kl_verify_and_verify():
     assert {(d, verdict) for d in (2, 3, 4, 5, 6) for verdict in (True, False)} <= seen
 
 
-def test_graph_kl_verdicts_at_prime_power_d_decide_shared_cosets_exactly(monkeypatch):
-    # at d = p^k equal syndromes mod p leave two classes in one group, and only the
-    # comparison with the columns Gamma_YX delta mod d tells whether their blocks vanish
-    share, outcomes = channels._share_a_coset, set()
+def coset_keys(code, syndromes, q, p):
+    """Each syndrome's key mod q = p^k: its rows without a pivot in [Gamma_YX | sigma^T]
+    row-reduced mod q."""
+    table = np.hstack([code.gamma.entries[code.m :, : code.m], syndromes.T]) % q
+    kept, full = graphs._projection(table[None], code.m, q, p)
+    assert full[0]
+    return kept[0, :, code.m :].T
 
-    def spy(code, syndromes, group):
-        found = share(code, syndromes, group)
-        if np.bincount(group).max() > 1:
-            outcomes.add((code.d, found))
-        return found
 
-    monkeypatch.setattr(channels, "_share_a_coset", spy)
+def distinct_rows(*arrays):
+    return len(np.unique(np.hstack(arrays), axis=0))
+
+
+def test_graph_kl_verdicts_at_prime_power_d_decide_shared_cosets_exactly():
+    # at d = p^k two classes can agree mod p and still lie in distinct cosets of the
+    # columns Gamma_YX delta mod d; only their keys mod p^k tell whether their blocks vanish
+    outcomes = set()
+
+    def observe(code, f):
+        report = _graph_kl(code, f)
+        if report.syndrome is not None:
+            (p,) = _prime_factors(code.d)
+            mod_q = coset_keys(code, report.syndrome, code.d, p)
+            mod_p = coset_keys(code, report.syndrome, p, p)
+            if distinct_rows(mod_p) < distinct_rows(mod_p, mod_q):
+                outcomes.add((code.d, "agree mod p only"))
+            if distinct_rows(mod_q) < len(report.syndrome):
+                outcomes.add((code.d, "agree mod p^k"))
+                assert not report.correcting
+        return report
+
     rng = np.random.default_rng(17002)
     for d, m, n in [(4, 1, 4), (4, 1, 5), (4, 2, 5), (9, 1, 4), (9, 1, 5), (8, 1, 5)]:
         for density in (0.4, 0.7, 1.0):
             g = np.triu(rng.integers(0, d, size=(m + n, m + n)) * (rng.random((m + n, m + n)) < density), 1)
             code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
             for f in range((n - 1) // 2 + 1):
-                assert _graph_kl(code, f).correcting == (first_failing_subset(code, 2 * f) is None), (d, n, f)
+                assert observe(code, f).correcting == (first_failing_subset(code, 2 * f) is None), (d, n, f)
     # the five-qubit graphs at d = p^k correct one error: the identity and each Z_z^p
     # share their syndromes mod p but no coset of the column module mod d
     for base, d in itertools.product([wheel_code(), prism_code()], [4, 8, 9]):
-        assert _graph_kl(GraphCode(d, 1, 5, ModMatrix(d, base.gamma.entries)), 1).correcting
-    assert {found for _, found in outcomes} == {True, False}, outcomes
-    assert {d for d, _ in outcomes} >= {4, 9}, outcomes
+        assert observe(GraphCode(d, 1, 5, ModMatrix(d, base.gamma.entries)), 1).correcting
+    assert {(d, kind) for d in (4, 9) for kind in ("agree mod p only", "agree mod p^k")} <= outcomes, outcomes
 
 
 def test_class_images_are_the_first_words_images_up_to_a_phase():
