@@ -17,13 +17,14 @@ enumerates the words as integer (shift, clock) digits (_error_words) and
 evaluates the Gram blocks in closed form from the adjacency matrix
 (Schlingemann and Werner's character sums).  Two syndrome classes
 interfere exactly when they share a coset of the columns of Gamma_YX,
-which their keys mod every p^k || d decide (graphs._projection).  The
+which their keys mod every p^k || d decide (graphs._projection); every
+class lookup sorts rows packed into int64 words (_row_classes).  The
 report keeps each class as sigma = Gamma_YY s - c and tau = Gamma_XY s
 of a word X^s Z^c in it, and simulate's decoded logical channel reads
 the classes from there on both routes: the syndrome table
 (_table_decoded), where V* F_k* W V is a phase times a shift of the
-logical levels and the Kraus index sums out into the noise's Weyl
-process matrix, with no d^n-sized array; and past the table's budget
+logical levels, summed over word pairs with the noise's Weyl process
+matrix, with no d^n-sized array; and past the table's budget
 (noise on many sites) the register-sized route (_dense_decoded), whose
 class images are phases of V, F V = w^(-sigma.y - tau.x) V up to a phase
 (_class_images).  Every input-sized array passes the gate
@@ -383,7 +384,7 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     if m > n:  # Gamma_YX has more columns than rows
         return _GraphKL(count, 1.0)
     syndromes = _syndromes(code, shift, clock)
-    first, label = _row_classes(syndromes)
+    first, label = _row_classes(syndromes, d)
     dual = _mod_matmul(shift, code.gamma.entries[m:, :m], d)  # Gamma_XY s
     split = bool((dual != dual[first][label]).any())
     syndromes, dual = syndromes[first], dual[first]
@@ -394,8 +395,8 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
         kept, full = _projection(_residues(table[None], q, _residue_dtype(q)), m, q, p)
         if not full[0]:
             return _GraphKL(count, 1.0)
-        keys.append(_packed(kept[0, :, m:].T.astype(np.int64), (q - 1).bit_length()))
-    shared = len(_row_classes(np.hstack(keys))[0]) < len(syndromes)
+        keys.append(kept[0, :, m:].T)
+    shared = len(_row_classes(np.hstack(keys), d)[0]) < len(syndromes)
     return _GraphKL(count, 1.0 if split or shared else 0.0, syndromes, dual)
 
 
@@ -404,25 +405,25 @@ def _syndromes(code: GraphCode, shift: np.ndarray, clock: np.ndarray) -> np.ndar
     return (_mod_matmul(shift, code.gamma.entries[code.m :, code.m :], code.d) - clock) % code.d
 
 
-def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, label) of the equal rows of a 2-D integer array: the index of each class's
-    first row, and each row's class, classes in lexicographic order of their rows."""
-    # stable, so a run of equal rows starts at its first; rows without entries are all equal
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
+def _row_classes(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, label) of the equal rows of a 2-D array of residues mod d: the index of each
+    class's first row, and each row's class, classes in lexicographic order of their rows.
+    Each row packs into int64 words of up to 63 // bits(d - 1) entries, its first entry most
+    significant, so the words compare and sort as the rows do, one sort key a word."""
+    count, width = rows.shape
+    bits = (d - 1).bit_length()
+    per = max(1, min(63 // bits, width))
+    words = max(1, -(-width // per))
+    padded = np.zeros((count, words * per), dtype=np.int64)
+    padded[:, :width] = rows  # trailing zeros: the same in every row
+    packed = padded.reshape(count, words, per) @ (1 << bits * np.arange(per - 1, -1, -1, dtype=np.int64))
+    order = np.lexsort(packed.T[::-1])  # stable, so a run of equal rows starts at its first
+    ordered = packed[order]
+    starts = np.ones(count, dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    label = np.empty(len(rows), dtype=np.intp)
+    label = np.empty(count, dtype=np.intp)
     label[order] = np.cumsum(starts) - 1
     return order[starts], label
-
-
-def _packed(rows: np.ndarray, bits: int) -> np.ndarray:
-    """Rows of entries below 2^bits with 63 // bits entries to an int64 column, so two
-    packed rows are equal exactly when the rows are, and sort in fewer passes."""
-    per = max(1, min(63 // bits, rows.shape[1]))
-    padded = np.pad(rows, [(0, 0), (0, -rows.shape[1] % per)])
-    return padded.reshape(len(rows), -1, per) @ 2 ** (bits * np.arange(per, dtype=np.int64))
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
@@ -431,13 +432,6 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     if _residue_dtype(d, a.shape[-1]) is object:
         return (a.astype(object) @ b.astype(object) % d).astype(np.int64)
     return a.astype(np.int64) @ b.astype(np.int64) % d
-
-
-def _column_module(code: GraphCode) -> tuple[np.ndarray, np.ndarray]:
-    """(deltas, module): every delta of Z_d^m as a row of digits, digit 0 most
-    significant, and the rows (Gamma_YX delta)^T mod d.  The caller budgets d^m n."""
-    deltas = _digit_table(code.d**code.m, code.d, code.m)
-    return deltas, _mod_matmul(deltas, code.gamma.entries[: code.m, code.m :], code.d)
 
 
 def _require_correcting(deviation: float) -> None:
@@ -713,19 +707,21 @@ def _table_decoded(
     tau_k alone: no V, no image and no d^n-sized array.
 
     Each site Kraus operator is a sum of the site's d^2 Weyl words W_q with
-    weights kappa[j, q] = tr(W_q* K_j) / d, so a product of site Kraus
-    operators is a sum of the words W_w = X^a Z^b on the noisy sites.  Up to
-    a phase, class k's image is Z^(-sigma_k) V w^(-tau_k.x) (_class_images),
-    so A_kw = w^(sigma_k.a + tau_k.x') T(a, b + sigma_k) with T of _graph_kl:
+    weights kappa[j, a + d b] = tr(W_q* K_j) / d = sum_x w^(-b x) K_j[x + a, x] / d
+    (its shifted diagonals), so a product of site Kraus operators is a sum of
+    the words W_w = X^a Z^b on the noisy sites.  Up to a phase, class k's
+    image is Z^(-sigma_k) V w^(-tau_k.x) (_class_images), so
+    A_kw = w^(sigma_k.a + tau_k.x') T(a, b + sigma_k) with T of _graph_kl:
     nonzero only when W_w's syndrome lies in sigma_k's coset modulo the
     columns of Gamma_YX, and then the phase w^(sigma_k.a - S_YY(a) + S_XX(x)
     - S_XX(x') - x'.(Gamma_XY a - tau_k)) on the entries x = x' + delta for
     the unique delta with Gamma_YX delta = syndrome(W_w) - sigma_k.  The
     classes of a correcting code lie in distinct cosets, so each word meets
-    at most one class, found exactly among the rank d^m shifted syndromes.
-    The Kraus index sums out into the noise's process matrix
-    chi[w, w'] = prod over the sites of sum_j kappa[j, q_w] conj(kappa[j, q_w']),
-    so tr_k Y = sum_k sum_{w, w' meeting k} chi[w, w'] |A_kw>><<A_kw'| / d0.
+    at most one class, read off the coset row that starts its _row_classes
+    class (the rank d^m shifted syndromes come first).  The Kraus index sums
+    out into the process matrix chi[w, w'] = prod over the sites of
+    sum_j kappa[j, q_w] conj(kappa[j, q_w']), so, one product over the pairs,
+    tr_k Y = sum_k sum_{w, w' meeting k} chi[w, w'] vec(A_kw) vec(A_kw')* / d0.
     Budgeted first from the shapes: the d^(2 |sites|) words and their
     syndromes, the rank d^m cosets, and the word pairs, at most words^2 of
     d0^2 entries.
@@ -739,13 +735,12 @@ def _table_decoded(
     letters = _digit_table(count, d * d, len(sites))  # q = a + d*b per noisy site, the first slowest
     shift, clock = np.zeros((count, n), dtype=np.int64), np.zeros((count, n), dtype=np.int64)
     shift[:, list(sites)], clock[:, list(sites)] = letters % d, letters // d
-    deltas, module = _column_module(code)
+    deltas = _digit_table(d0, d, m)  # every delta of Z_d^m, digit 0 most significant
+    module = _mod_matmul(deltas, gamma[:m, m:], d)  # (Gamma_YX delta)^T
     cosets = ((report.syndrome[:, None, :] + module) % d).reshape(rank * d0, n)  # row k d0 + delta
-    label = _row_classes(np.vstack([cosets, _syndromes(code, shift, clock)]))[1]
-    coset_of = np.full(len(cosets) + count, -1)
-    coset_of[label[: len(cosets)]] = np.arange(len(cosets))
-    hit = coset_of[label[len(cosets) :]]
-    meet = np.flatnonzero(hit >= 0)
+    first, label = _row_classes(np.vstack([cosets, _syndromes(code, shift, clock)]), d)
+    hit = first[label[len(cosets) :]]  # a coset's row exactly when one holds the word's syndrome
+    meet = np.flatnonzero(hit < len(cosets))
     k, delta = np.divmod(hit[meet], d0)
     a = shift[meet]  # A_kw[x', x' + delta] = w^phase[x'] for W_w = X^a Z^b
     # sigma_k.a - S_YY(a), with S(y) = y.Gamma y / 2 exactly: Gamma is symmetric with a zero diagonal
@@ -755,25 +750,16 @@ def _table_decoded(
     column = (deltas[None] + deltas[:, None]) % d @ place  # x' + delta: (delta, x')
     linear = (a @ gamma[m:, :m] - report.dual[k]) @ deltas.T  # x'.(Gamma_XY a - tau_k)
     phase = scalar[:, None] + (inputs[column] - inputs)[delta] - linear
-    entries = np.arange(d0) * d0 + column[delta]  # vec(A) index x' d0 + x of each nonzero
-    values = _clock_phases(d)[phase % d]
-    # the pairs of words meeting one class, grouped by class
-    order = np.argsort(k, kind="stable")
-    grouped = k[order]
-    size = np.bincount(k)[grouped]
-    left = np.repeat(order, size)
-    offset = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
-    right = order[np.repeat(np.searchsorted(grouped, grouped), size) + offset]
-    weight = np.ones(len(left), dtype=np.complex128)
+    vectors = np.zeros((len(meet), d0 * d0), dtype=np.complex128)  # vec(A_kw): index x' d0 + x
+    vectors[np.arange(len(meet))[:, None], np.arange(d0) * d0 + column[delta]] = _clock_phases(d)[phase % d]
+    left, right = np.nonzero(k[:, None] == k)  # the pairs of words meeting one class
+    weight = np.full(len(left), 1 / d0, dtype=np.complex128)
     if len(sites):
-        weyl = np.stack([weyl_operator(d, q % d, q // d) for q in range(d * d)])
-        kappa = np.einsum("qyx,jyx->jq", weyl.conj(), noise.kraus) / d
+        x = np.arange(d)  # the diagonals K_j[x + a, x], shaped (j, a, x), give kappa[j, a, b]
+        kappa = noise.kraus[:, (x[:, None] + x) % d, x] @ _clock_phases(d)[np.outer(x, x) % d].conj() / d
+        kappa = kappa.transpose(0, 2, 1).reshape(-1, d * d)  # column a + d b
         chi = kappa.T @ kappa.conj()
         for site_letters in letters[meet].T:
             weight *= chi[site_letters[left], site_letters[right]]
-    flat = entries[left][:, :, None] * (d0 * d0) + entries[right][:, None, :]
-    terms = (weight / d0)[:, None, None] * values[left][:, :, None] * values[right].conj()[:, None, :]
-    kept = np.bincount(flat.ravel(), terms.real.ravel(), d0**4) + 1j * np.bincount(
-        flat.ravel(), terms.imag.ravel(), d0**4
-    )
+    kept = np.einsum("pi,p,pj->ij", vectors[left], weight, vectors[right].conj())
     return kept.reshape(d0, d0, d0, d0)

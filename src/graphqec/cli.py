@@ -6,14 +6,17 @@ lines); the two that must print for themselves (the byte-clean CSV of
 alone parses, times the whole command (reading the graph file
 included), prints the result and maps errors to exit codes: 0 on
 success/pass, 1 on a semantic failure (a verification that ran and
-said no), 2 on usage or input errors.  All output is deterministic
-given the flags; --no-timing drops the timing line and `elapsed_s`.
+said no), 2 on usage or input errors.  A reader that closes stdout
+early (`| head -1`) changes neither the exit code nor stderr.  All output
+is deterministic given the flags; --no-timing drops the timing line and
+`elapsed_s`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -350,20 +353,28 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     start = time.perf_counter()
+    code = 0  # a command that prints for itself has answered once it prints
     try:
         result = args.run(args)
         if isinstance(result, int):
-            return result
-        code, payload, lines = result
-        elapsed = time.perf_counter() - start
-        if args.json:
-            if not args.no_timing:
-                payload = dict(payload, elapsed_s=round(elapsed, 6))
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            code = result
         else:
-            print("\n".join(lines))
-            if not args.no_timing:
-                print(f"time: {elapsed:.3f}s")
+            code, payload, lines = result
+            elapsed = time.perf_counter() - start
+            if args.json:
+                if not args.no_timing:
+                    payload = dict(payload, elapsed_s=round(elapsed, 6))
+                print(json.dumps(payload, indent=2, sort_keys=True))
+            else:
+                print("\n".join(lines))
+                if not args.no_timing:
+                    print(f"time: {elapsed:.3f}s")
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head -1`): the answer stands, and the
+        # interpreter's own flush at exit goes to devnull rather than failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (GraphQECError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -131,18 +131,23 @@ class GraphCode:
         _require_int64_modulus(d)
         size = m + n
         _require_budget(size * size, "adjacency matrix")
-        gamma = np.zeros((size, size), dtype=object)
+        weights: dict[tuple[int, int], int] = {}  # (a, b), a < b: the summed multiplicity
         for edge in edges:
             if not isinstance(edge, (list, tuple, np.ndarray)) or len(edge) != 3:
                 raise ValueError(f"edge must be [node_a, node_b, multiplicity]: {edge!r}")
-            a, b, w = (_require_int(x, "edge entry") for x in edge)
+            a, b, w = edge
+            if not type(a) is type(b) is type(w) is int:  # bool, float, numpy: the general rule
+                a, b, w = (_require_int(x, "edge entry") for x in edge)
             if a == b:
                 raise ValueError(f"self-loop on node {a} is not allowed")
             if not (0 <= a < size and 0 <= b < size):
                 raise ValueError(f"edge ({a},{b}) references a node outside 0..{size - 1}")
-            gamma[a, b] = (gamma[a, b] + w) % d
-            gamma[b, a] = gamma[a, b]
-        return cls(d, m, n, ModMatrix(d, gamma))
+            pair = (a, b) if a < b else (b, a)
+            weights[pair] = weights.get(pair, 0) + w
+        gamma = np.zeros((size, size), dtype=np.int64)
+        if weights:
+            gamma[tuple(np.array(list(weights)).T)] = [w % d for w in weights.values()]
+        return cls(d, m, n, ModMatrix(d, gamma + gamma.T))
 
 
 def _require_adjacency(gammas: np.ndarray, d: int) -> None:

@@ -865,6 +865,31 @@ def test_module_entry_point_passes_exit_code(capsys, wheel_file, tmp_path, f, ex
     assert proc.returncode == expected
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["verify", "{wheel}", "--f", "1"], 0), (["verify", "{wheel}", "--f", "2"], 1), (["bounds", "--fig", "region"], 0)],
+    ids=["verify-pass", "verify-fail", "bounds"],
+)
+def test_closed_stdout_keeps_the_exit_code_and_a_silent_stderr(wheel_file, argv, expected, unbuffered):
+    # a reader gone before the first write (`| head -0`): print raises at once when
+    # unbuffered, and otherwise at the flush
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphqec.cli", *(a.format(wheel=wheel_file) for a in argv)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (expected, "")
+
+
 def _refused(result, message):
     code, out, err = result
     assert (code, out) == (2, "")

@@ -57,6 +57,33 @@ def test_from_edges_rejects_self_loop():
         GraphCode.from_edges(2, 1, 1, [[0, 0, 1]])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # per edge: its shape, then its entries in order, then a self-loop, then the node range
+        ([[0, 1, 1], [2, 2, 1.5], [0, 9, 1]], "edge entry must be an integer, got 1.5"),
+        ([[0, 1, 1], [0, 9, True], [2, 2, 1]], "edge entry must be an integer, got True"),
+        ([[0, 1, 1], [9, 9, 1], [0, 2, 1.5]], "self-loop on node 9 is not allowed"),
+        ([[0, 1, 1], [0, 9, 1], [2, 2, 1]], "edge (0,9) references a node outside 0..2"),
+        ([[0, 1, 1], (0, 1), [2, 2, 1]], "edge must be [node_a, node_b, multiplicity]: (0, 1)"),
+        ([[np.int64(0), 1, 1], [0, np.int64(2), 2.0]], "edge entry must be an integer, got 2.0"),
+    ],
+    ids=["float", "bool", "self-loop", "range", "shape", "numpy-then-float"],
+)
+def test_from_edges_reports_the_first_problem_of_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError) as err:
+        GraphCode.from_edges(2, 1, 2, edges)
+    assert str(err.value) == message
+
+
+def test_from_edges_sums_multiplicities_exactly_past_int64():
+    p = 2**61 - 1  # a prime; 2**70 and the sum overflow int64 and float64 alike
+    edges = [[0, 1, 2**70], [1, 0, -1], [np.int64(2), np.int64(0), np.int64(3)], [0, 2, 2**64]]
+    code = GraphCode.from_edges(p, 1, 2, edges)
+    assert code.gamma.entries.tolist() == [[0, (2**70 - 1) % p, (2**64 + 3) % p],
+                                           [(2**70 - 1) % p, 0, 0], [(2**64 + 3) % p, 0, 0]]
+
+
 def test_check_subset_empty_on_wheel(wheel):
     # the 5x1 all-ones column over Z_2 has trivial kernel
     assert check_subset(wheel, ())

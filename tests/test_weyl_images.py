@@ -13,7 +13,10 @@ report of a graph code (channels._graph_kl) is checked against them and
 against the exact verdict of verify, and the class images that simulate
 forms from that report (channels._class_images) against the gathered
 image of each class's first word up to a phase, and of every word of its
-class times the closed-form phase w^(S_YY(s) - c.s).  It all lives only here.
+class times the closed-form phase w^(S_YY(s) - c.s).  The syndrome classes
+behind both (channels._row_classes, which sorts rows packed into int64
+words) are checked against a dict grouping of the rows.  It all lives
+only here.
 """
 
 import itertools
@@ -218,6 +221,36 @@ def test_graph_kl_verdicts_at_prime_power_d_decide_shared_cosets_exactly():
     for base, d in itertools.product([wheel_code(), prism_code()], [4, 8, 9]):
         assert observe(GraphCode(d, 1, 5, ModMatrix(d, base.gamma.entries)), 1).correcting
     assert {(d, kind) for d in (4, 9) for kind in ("agree mod p only", "agree mod p^k")} <= outcomes, outcomes
+
+
+def dict_classes(rows):
+    """(first, label) of _row_classes by a dict of row tuples, classes sorted as tuples."""
+    groups = {}
+    for index, row in enumerate(map(tuple, rows.tolist())):
+        groups.setdefault(row, []).append(index)
+    keys = sorted(groups)
+    rank = {key: k for k, key in enumerate(keys)}
+    return [groups[key][0] for key in keys], [rank[row] for row in map(tuple, rows.tolist())]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 2**31 - 1, 2**62 + 135])
+def test_row_classes_match_a_dict_grouping_in_lexicographic_order(d):
+    per = 63 // (d - 1).bit_length()  # entries to a packed word
+    rng = np.random.default_rng(d % 1009)
+    for width in sorted({0, 1, per - 1, per, per + 1, 2 * per + 3}):
+        distinct = rng.integers(0, d, size=(9, width), dtype=np.int64)
+        distinct[rng.random((9, width)) < 0.3] = d - 1  # the widest entry a word holds
+        distinct[rng.random((9, width)) < 0.3] = 0
+        rows = distinct[rng.integers(0, 9, size=60)]  # with duplicates
+        first, label = channels._row_classes(rows, d)
+        assert (first.tolist(), label.tolist()) == dict_classes(rows), width
+    if d == 2:  # rows that agree on the first word of 63 entries and differ only in the second
+        rows = np.tile(rng.integers(0, 2, size=70), (40, 1))
+        rows[:, 63:] = rng.integers(0, 2, size=(40, 7))
+        rows[5, 62] = 1 - rows[5, 62]  # and one that differs at the first word's last entry
+        first, label = channels._row_classes(rows, d)
+        assert (first.tolist(), label.tolist()) == dict_classes(rows)
+        assert len(first) > 2
 
 
 def test_class_images_are_the_first_words_images_up_to_a_phase():
