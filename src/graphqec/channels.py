@@ -260,13 +260,14 @@ def _error_words(n: int, d: int, f: int) -> tuple[int, np.ndarray, np.ndarray]:
     _require_error_count(f)
     count = sum(math.comb(n, size) * (d * d - 1) ** size for size in range(f + 1))
     _require_budget(3 * count * n, "error words")
-    words, row = np.zeros((count, n), dtype=np.int64), 0
-    for size in range(f + 1):
+    words, row = np.zeros((count, n), dtype=np.int64), 1  # row 0: the identity
+    for size in range(1, f + 1):
         # the first site varies slowest, as in the Kronecker stacks of _error_basis
-        block = list(itertools.product(range(1, d * d), repeat=size))
-        for z in itertools.combinations(range(n), size):
-            words[row : row + len(block), list(z)] = block
-            row += len(block)
+        ways, letters = math.comb(n, size), 1 + _digit_table((d * d - 1) ** size, d * d - 1, size)
+        sites = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp).reshape(ways, size)
+        block = words[row : row + ways * len(letters)].reshape(ways, len(letters), n)
+        block[np.arange(ways)[:, None, None], np.arange(len(letters))[:, None], sites[:, None]] = letters
+        row += ways * len(letters)
     return count, words % d, words // d
 
 

@@ -295,8 +295,11 @@ def _cmd_bounds(args) -> int:
     kind = {"threshold": "threshold-fig", "region": "rate-region-fig", "exponent": "exponent-fig"}[args.fig]
     csv = emit_curves(kind, d=args.d, p=args.p, k=args.k, deltas=deltas)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv)
+        except BrokenPipeError as err:  # the -o file's reader left, not stdout's: no CSV written
+            raise OSError(f"cannot write {args.out}: {err}") from err
         return 0
     if args.json:
         print(json.dumps({"fig": args.fig, "csv": csv}, indent=2, sort_keys=True))

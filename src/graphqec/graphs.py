@@ -12,17 +12,17 @@ gamma[Y, z] and e_z (z in Z) stay independent after projecting out the
 columns of gamma[Y, X], so each prime row-reduces gamma[Y, X] once
 (_projection) into a table of two projected vectors per site
 (_site_vectors), in the field that rank_prime_batch uses for n - m rows,
-for a whole stack of codes that share (d, m, n) at once; _prime_tables
-holds one table per prime.  One walk, _first_failing_stack, visits
-subsets by size and lexicographically within a size for every caller.
-Its depth s holds each s-subset's last two vectors reduced against its
-prefix's basis, mod every prime, so a leaf costs one elimination and the
-next depth two a vector (_extend).  run_search walks a stack of trials,
-first_failing_subset a stack of one, and check_subset one subset's chain
-of prefixes.  channels._graph_kl keys syndrome classes by the same row
-reduction mod each p^k || d.  The encoding isometry itself is a
-quadratic-phase matrix; both views are implemented here and their
-consistency is exercised by the tests.
+for a whole stack of codes that share (d, m, n) at once.  One walk,
+_first_failing_stack, keeps one table per prime and visits subsets by
+size and lexicographically within a size.  Its depth s holds each
+s-subset's last two vectors reduced against its prefix's basis, mod every
+prime, so a leaf costs one elimination and the next depth two a vector
+(_extend).  run_search walks a stack of trials and first_failing_subset a
+stack of one.  check_subset decides one block on its own, apart from the
+walk, with modular.kernel_trivial.  channels._graph_kl keys syndrome
+classes by the same row reduction mod each p^k || d.  The encoding
+isometry itself is a quadratic-phase matrix; both views are implemented
+here and their consistency is exercised by the tests.
 
 Node numbering convention: inputs are 0..m-1, outputs are m..m+n-1.
 Basis indices are base-d integers whose most-significant digit belongs
@@ -46,6 +46,7 @@ from .errors import (
 )
 from .modular import (
     ModMatrix,
+    kernel_trivial,
     _field,
     _inverses,
     _prime_factors,
@@ -251,19 +252,6 @@ def _projection(table: np.ndarray, m: int, q: int, p: int):
     return table[free].reshape(count, rows - m, columns), full
 
 
-def _prime_tables(gammas: np.ndarray, d: int, m: int, size: int):
-    """(tables, full) of a (T, m+n, m+n) stack of adjacency matrices over Z_d:
-    {p: (field, u, v)}, the projected table mod each prime p | d for subsets of at
-    most `size` sites (_site_vectors), and the mask of codes whose A = gamma[Y, X]
-    has trivial kernel mod d, that is rank m mod every p."""
-    tables, full = {}, np.ones(len(gammas), dtype=bool)
-    for p in _prime_factors(d):
-        field, u, v, full_mod_p = _site_vectors(gammas, m, p, size)
-        tables[p] = field, u, v
-        full &= full_mod_p
-    return tables, full
-
-
 # Lex-contiguous columns of a depth of the walk for the stack's codes `codes`: column j
 # extends prefixes[j] by sites[j], and the later[j] columns after it share its prefix.
 # vectors[p] is (field, u, u's pivot, v, v's pivot) mod each p | d, code after code,
@@ -302,22 +290,13 @@ def check_subset(code: GraphCode, subset: Iterable[int]) -> bool:
     """True iff the (Y \\ Z) x (X u Z) submatrix of gamma has trivial kernel mod d.
 
     Z is given as output-site indices in [0, n).  The check is exact
-    arithmetic over Z_d, decided by the walk's step along Z's prefixes.
-    A trivial kernel for every |Z| <= 2f suffices for correcting f errors,
-    and is necessary only for a non-degenerate code.
+    arithmetic over Z_d: modular.kernel_trivial on the block itself, apart
+    from the walk.  A trivial kernel for every |Z| <= 2f suffices for
+    correcting f errors, and is necessary only for a non-degenerate code.
     """
-    sites = _normalize_subset(code.n, subset)
-    if 2 * len(sites) > code.n - code.m:  # fewer rows than columns
-        return False
-    tables, full = _prime_tables(code.gamma.entries[None], code.d, code.m, len(sites))
-    if not (full[0] and sites):
-        return bool(full[0])
-    at, first = np.array(sites), np.zeros(1, np.intp)  # depth 1: one block, of Z's sites
-    reduced = {p: (field, u.take(at, axis=-1), v.take(at, axis=-1)) for p, (field, u, v) in tables.items()}
-    chain = _slice(first, np.zeros((len(at), 0), np.intp), at, len(at) - 1 - np.arange(len(at)), reduced)
-    while chain.later[0] and not chain.failed[0, 0]:
-        chain = _extend(chain, 0, 1, first)
-    return not chain.failed[0, 0]
+    at, m = np.array(_normalize_subset(code.n, subset), dtype=np.intp), code.m
+    block = code.gamma.entries[np.ix_(np.delete(np.arange(m, m + code.n), at), np.r_[:m, m + at])]
+    return kernel_trivial(ModMatrix(code.d, block))
 
 
 def first_failing_subset(
@@ -343,16 +322,20 @@ def _first_failing_stack(gammas: np.ndarray, d: int, m: int, max_size: int) -> l
 
     Depth s holds the s-subsets in lex order, mod each p | d, for every code
     still walking; a code's first one that fails mod some p is its witness.
-    Depth 1 is the tables, and depth s + 1 is built from depth s (_extend) in
-    slices, depth first and only while a code walks, from the deepest depth
-    built as one slice, which is kept.  Past 2s > n - m no s-subset has room
-    for 2s independent vectors.
+    Depth 1 is the projected tables (_site_vectors), and depth s + 1 is built
+    from depth s (_extend) in slices, depth first and only while a code walks,
+    from the deepest depth built as one slice, which is kept.  Past 2s > n - m
+    no s-subset has room for 2s independent vectors.
     """
     count, n = len(gammas), gammas.shape[-1] - m
     if max_size < 0:  # not even the empty subset is asked about
         return [None] * count
     top = min(max_size, n)
-    tables, alive = _prime_tables(gammas, d, m, top)
+    tables, alive = {}, np.ones(count, dtype=bool)
+    for p in _prime_factors(d):  # a code walks while its A = gamma[Y, X] has rank m mod every p
+        field, u, v, full = _site_vectors(gammas, m, p, top)
+        tables[p] = field, u, v
+        alive &= full
     found = [None if ok else () for ok in alive.tolist()]
     if not (top and alive.any()):
         return found

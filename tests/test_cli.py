@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphqec import channels, graphs
+from graphqec import channels, cli, graphs
 from graphqec.channels import (
     Channel,
     error_space_basis,
@@ -888,6 +890,18 @@ def test_closed_stdout_keeps_the_exit_code_and_a_silent_stderr(wheel_file, argv,
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (expected, "")
+
+
+def test_bounds_out_file_whose_reader_left_is_an_error(capsys, monkeypatch):
+    # a FIFO given to -o whose reader has gone: the CSV was never written, unlike a
+    # closed stdout after the answer
+    class ReaderGone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: ReaderGone(), raising=False)
+    result = run_cli(capsys, "bounds", "--fig", "region", "-o", "curves.csv")
+    assert result == (2, "", f"error: cannot write curves.csv: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
 
 
 def _refused(result, message):

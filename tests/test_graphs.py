@@ -409,6 +409,44 @@ def test_check_subset_fails_when_its_prefix_already_fails():
     assert verdicts == {(True, False), (False, True), (False, False)}
 
 
+def _first_failing_by_check_subset(code):
+    """The first subset in (size, lex) order that check_subset fails; one always does,
+    since every subset of more than (n - m) / 2 sites has more columns than rows."""
+    for size in range(code.n + 1):
+        for subset in itertools.combinations(range(code.n), size):
+            if not check_subset(code, subset):
+                return subset
+
+
+def test_walk_witness_is_the_first_subset_check_subset_fails():
+    # check_subset decides each block with kernel_trivial, apart from the walk, so it
+    # is an independent oracle for the walk's witness at every max_size
+    rng = np.random.default_rng(26002)
+    sizes = set()
+    for d, m, n in itertools.product([2, 3, 4, 6, 9, 12], [1, 2], [5, 7, 8]):
+        for density in (0.5, 0.8, 1.0):
+            code = _sparse_code(d, m, n, rng, np.arange(1, d), density)
+            expected = _first_failing_by_check_subset(code)
+            for max_size in range(n + 1):
+                within = expected if len(expected) <= max_size else None
+                assert first_failing_subset(code, max_size) == within, (d, m, n, max_size)
+            sizes.add(len(expected))
+    assert sizes >= {0, 1, 2, 3}, sizes
+
+
+def test_check_subset_answers_past_the_scan_table_cap():
+    # m = 1, n = 800: the walk's table needs n (m + 2n) > 2**20 entries, while the block
+    # of a subset is at most n x (m + |Z|).  Input to site 0, a path on sites 1..798,
+    # and site 799 isolated
+    n = 800
+    edges = [[0, 1, 1]] + [[1 + k, 2 + k, 1] for k in range(1, n - 2)]
+    code = GraphCode.from_edges(2, 1, n, edges)
+    with pytest.raises(DimensionOverflow):
+        first_failing_subset(code, 1)
+    for subset, passes in [((), True), ((5, 6), True), ((0,), False), ((n - 1,), False)]:
+        assert check_subset(code, subset) == passes == _oracle_block_passes(code, subset), subset
+
+
 def test_later_prime_finds_an_earlier_witness_in_a_later_slice(monkeypatch):
     # over Z_6 a leaf fails when it fails mod 2 or mod 3; here the witness mod 3 comes
     # before the witness mod 2, at the same size but not in its depth's first slice
