@@ -29,16 +29,16 @@ matrix, with no d^n-sized array; and past the table's budget
 class images are phases of V, F V = w^(-sigma.y - tau.x) V up to a phase
 (_class_images).  Every input-sized array passes the gate
 graphs._require_budget.
-Choi states are propagated by one routine, _propagate: a state W W* on
+Choi states are contracted by one routine, _propagate, and every pipeline
+starts in one driver (_propagate_stages), which fixes each stage's route
+and budget from the shapes before the first runs.  A state W W* on
 (system) (x) (d0-level reference) is carried as its factor W, and a stage
-acts on one axis of W's rows (left, stage input, right) with one stacked
-product: the whole register for verify_etd's stages, one site for the
-register-sized route's site-local noise.  Only when a stage would make W
-wider than tall is the dense state formed, and a dense state goes through
-later stages by their superoperators while these are no larger than it
-(one site, or a decoder).  simulate's decoder stays implicit on both
-routes (_local_etd), and the resulting d0-level logical channel is
-certified by verify_etd.
+acts on one axis of W's rows (left, stage input, right): the whole register
+for verify_etd's stages, one site for the register-sized route's noise.
+Only when a stage would make W wider than tall is the dense state formed;
+it meets a site stage through the superoperator, any other stage one side
+at a time.  simulate's decoder stays implicit on both routes (_local_etd),
+and the resulting d0-level logical channel is certified by verify_etd.
 """
 
 from __future__ import annotations
@@ -142,12 +142,9 @@ def identity_channel(dim: int) -> Channel:
 
 
 def apply_channel(channel: Channel, rho) -> np.ndarray:
-    """Schroedinger action sum_j F_j rho F_j*."""
+    """Schroedinger action sum_j F_j rho F_j*: one _propagate stage on rho, budgeted there."""
     rho = _as_operator(rho, (channel.dim_in, channel.dim_in), "state")
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=np.complex128)
-    for f in channel.kraus:
-        out += f @ rho @ f.conj().T
-    return out
+    return _propagate(_Choi(rho, dense=True), channel.kraus, 1, 1).array
 
 
 def tensor_channels(*channels: Channel) -> Channel:
@@ -469,13 +466,12 @@ def _class_images(code: GraphCode, v: np.ndarray, report: _GraphKL) -> np.ndarra
     decoding channel as it is; with V of _graph_kl that image is
     w^(S_YY(s) - c.s) U[:, k].  Budgeted as the images.
     """
-    d, rank = code.d, len(report.syndrome)
-    _require_budget(rank * v.size, "error images")
-    phases = []
-    for weights in (report.syndrome, report.dual):  # w^(-sigma.y) of each row y, w^(-tau.x) of each x
-        exponent = np.zeros((1, rank), dtype=np.int64)
-        for column in weights.T:  # one digit at a time, digit 0 most significant
-            exponent = ((exponent[:, None, :] - np.outer(np.arange(d), column)) % d).reshape(-1, rank)
+    d, phases = code.d, []
+    _require_budget(len(report.syndrome) * v.size, "error images")
+    # w^(-sigma.y) of each row y, w^(-tau.x) of each column x; the digit table is V's own
+    for weights, count in zip((report.syndrome, report.dual), v.shape):
+        exponent = _digit_table(count, d, weights.shape[1]) @ -weights.T
+        exponent %= d
         phases.append(_clock_phases(d)[exponent])
     images = phases[0][:, :, None] * phases[1].T[None]
     images *= v[:, None, :]
@@ -551,15 +547,18 @@ class _Choi:
 def _stage_route(dense: bool, cols: int, shape: tuple, left: int, right: int) -> tuple[bool, bool, int]:
     """(through the superoperator, dense after, columns after) of the _propagate stage of a
     (count, dim_out, dim_in) Kraus stack on a state with `cols` columns (its rows when
-    dense), from the shapes alone.  The stage's allocations pass _require_budget here."""
+    dense), from the shapes alone: only a site stage (dim_out dim_in < rows_in) goes through
+    its superoperator.  The stage's allocations pass _require_budget here."""
     count, dim_out, dim_in = shape
     rows, rows_in = left * dim_out * right, left * dim_in * right
-    if dim_out * dim_in <= rows_in and (dense or count * cols > rows >= rows_in):
+    if dim_out * dim_in < rows_in and (dense or count * cols > rows >= rows_in):
         # the state, the superoperator and the product, each with the reordered copy
         # that tensordot or moveaxis makes of it
         _require_budget(2 * (rows_in**2 + (dim_out * dim_in) ** 2 + rows**2), "dense Choi stage")
         return True, True, rows
-    cols = rows_in if dense else cols  # a dense state goes back to its eigh factor
+    if dense:  # the state, its one-sided images and their reordered copy, the product
+        _require_budget(rows_in**2 + 2 * count * rows * rows_in + rows**2, "dense Choi stage")
+        return False, True, rows
     # the tensordot images and their reordered copy
     _require_budget(2 * rows * count * cols, "Choi factor")
     if count * cols > rows:
@@ -576,12 +575,13 @@ def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
     site's axis.  A factor W becomes [(1 (x) F_1 (x) 1) W | ... ], one
     tensordot of the stack against W with the Kraus index joined to the
     columns; when that is wider than tall, the state is formed after the
-    stage.  A stage whose superoperator sum_k F_k (x) conj(F_k) is no larger
-    than the state (one site, or a decoder) acts on a dense state through
-    it, on both sides at once, and a site stage that would make the factor
-    wider than tall forms the state W W* before it.  A dense state meeting
-    a larger stage goes back to a factor, its square root from eigh.  The
-    route and its budget are _stage_route's.
+    stage.  A site stage acts on a dense state through its superoperator
+    sum_k F_k (x) conj(F_k), on both sides at once, and a site stage that
+    would make the factor wider than tall forms the state W W* before it.
+    Any other stage meets a dense state rho one side at a time: the same
+    tensordot gives (1 (x) F_k (x) 1) rho, and a second sums its products
+    with (1 (x) F_k* (x) 1) over k.  The route and its budget are
+    _stage_route's.
     """
     count, dim_out, dim_in = kraus.shape
     rows = left * dim_out * right
@@ -591,11 +591,12 @@ def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
         rho = choi.state().reshape(left, dim_in, right, left, dim_in, right)
         out = np.tensordot(rho, sup, axes=([1, 4], [1, 3]))  # (left, right, left', right', out, out')
         return _Choi(np.moveaxis(out, (4, 5), (1, 4)).reshape(rows, rows), dense=True)
-    if choi.dense:
-        vals, vecs = np.linalg.eigh(choi.array)
-        choi = _Choi(vecs * np.sqrt(np.clip(vals, 0.0, None)))
     cols = choi.array.shape[1]
     images = np.tensordot(kraus, choi.array.reshape(left, dim_in, right * cols), axes=(2, 1))
+    if choi.dense:  # images (k, out, left, right, left', in', right'), times conj(F_k) on in'
+        images = images.reshape(count, dim_out, left, right, left, dim_in, right)
+        out = np.tensordot(images, kraus.conj(), axes=([0, 5], [0, 2]))  # (out, left, right, left', right', out')
+        return _Choi(np.moveaxis(out, (0, 5), (1, 4)).reshape(rows, rows), dense=True)
     # (K, out, left, right, col) -> rows (left, out, right), columns (k, col)
     out = images.reshape(count, dim_out, left, right, cols).transpose(2, 1, 3, 0, 4)
     out = out.reshape(rows, count * cols)
@@ -604,10 +605,23 @@ def _propagate(choi: _Choi, kraus: np.ndarray, left: int, right: int) -> _Choi:
     return _Choi(out)
 
 
+def _propagate_stages(stages: Sequence[tuple], d0: int) -> _Choi:
+    """The state after each (kraus, left, right) stage of _propagate in turn, from the
+    maximally entangled state on C^d0 (x) C^d0.  Every stage's route and budget are fixed
+    from the shapes first, so an oversized stage is refused before any stage runs."""
+    dense, cols = False, 1
+    for kraus, left, right in stages:
+        dense, cols = _stage_route(dense, cols, kraus.shape, left, right)[1:]
+    choi = _Choi(_max_entangled(d0))
+    for kraus, left, right in stages:
+        choi = _propagate(choi, kraus, left, right)
+    return choi
+
+
 def choi_state(channel: Channel) -> np.ndarray:
     """Normalized Choi state: feed half of a maximally entangled pair through."""
     d0 = channel.dim_in
-    return _propagate(_Choi(_max_entangled(d0)), channel.kraus, 1, d0).state()
+    return _propagate_stages([(channel.kraus, 1, d0)], d0).state()
 
 
 def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
@@ -617,16 +631,14 @@ def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
     value lower-bounds the cb-norm distance of the composite from the
     identity up to normalization.  The Choi state travels as a factor
     through the three stages (see _propagate) until a stage would make
-    it wider than tall.
+    it wider than tall; an oversized stage is refused before any runs.
     """
     if encoder.dim_out != noise.dim_in or noise.dim_out != decoder.dim_in:
         raise DimensionMismatch("channels do not compose: E -> T -> D")
     if decoder.dim_out != encoder.dim_in:
         raise DimensionMismatch("composite must return to the encoder input space")
     d0 = encoder.dim_in
-    choi = _Choi(_max_entangled(d0))
-    for stage in (encoder, noise, decoder):
-        choi = _propagate(choi, stage.kraus, 1, d0)
+    choi = _propagate_stages([(stage.kraus, 1, d0) for stage in (encoder, noise, decoder)], d0)
     reference = _max_entangled(d0)
     gaps = np.linalg.eigvalsh(choi.state() - reference @ reference.conj().T)
     return float(0.5 * np.abs(gaps).sum())
@@ -673,32 +685,17 @@ def _dense_decoded(
 ) -> np.ndarray:
     """tr_k Y of _local_etd, shaped (d0, d0, d0, d0), from V.
 
-    The Choi state rho of T E is propagated from V, each noisy site's d x d
-    Kraus stack acting on that site's axis (see _propagate), and contracted
-    with the class images U of _class_images.  Every stage's route and budget
-    are fixed from the shapes before the first runs.
+    The Choi state goes from V through each noisy site's d x d Kraus stack,
+    on that site's axis, and last through the adjoints U_k* of the class
+    images U of _class_images, in one _propagate_stages.  Since
+    rank d0 <= d^n, that last stage needs no more than those before it.
     """
     v = build_isometry(code)
     u = _class_images(code, v, report)
-    dim_out, _, d0 = u.shape
-    n, d = code.n, code.d
-    stages = [(v[None], 1, d0)] + [(noise.kraus, d**site, d ** (n - 1 - site) * d0) for site in sites]
-    dense, cols = False, 1  # the shapes first: an oversized stage is refused before any runs
-    for kraus, left, right in stages:
-        dense, cols = _stage_route(dense, cols, kraus.shape, left, right)[1:]
-    # (U* (x) 1) applied to the state's rows: (rank d0) x (columns of W or rho, times d0)
-    _require_budget(u.size // dim_out * d0 * cols, "decoded state")
-    choi = _Choi(_max_entangled(d0))
-    for kraus, left, right in stages:
-        choi = _propagate(choi, kraus, left, right)
-    u_conj = u.conj()
-    if choi.dense:
-        rho = choi.array.reshape(dim_out, d0, dim_out, d0)
-        half = np.tensordot(u_conj, rho, axes=(0, 0))  # (U* (x) 1) rho: (k, j, a, i, b)
-        return np.einsum("kjaib,ikl->jalb", half, u)
-    w = choi.array.reshape(dim_out, d0, -1)
-    z = np.tensordot(u_conj, w, axes=(0, 0))  # (U* (x) 1) W: (k, j, a, col)
-    return np.einsum("kjac,klbc->jalb", z, z.conj())
+    n, d, d0 = code.n, code.d, v.shape[1]
+    noisy = [(noise.kraus, d**site, d ** (n - 1 - site) * d0) for site in sites]
+    stages = [(v[None], 1, d0), *noisy, (u.conj().transpose(1, 2, 0), 1, d0)]
+    return _propagate_stages(stages, d0).state().reshape(d0, d0, d0, d0)
 
 
 def _table_decoded(

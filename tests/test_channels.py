@@ -113,6 +113,17 @@ def test_apply_channel_dimension_mismatch():
         apply_channel(identity_channel(2), np.eye(3))
 
 
+def test_apply_channel_is_one_budgeted_stage(monkeypatch):
+    # four 2 x 2 Kraus operators on a 2 x 2 state: the state, the four one-sided images
+    # and their reordered copy, and the product
+    channel, rho = make_depolarizing(2, 0.3), np.eye(2) / 2
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 4 + 2 * 4 * 2 * 2 + 4)
+    assert np.allclose(apply_channel(channel, rho), rho)
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 39)
+    with pytest.raises(DimensionOverflow, match="dense Choi stage needs 40 amplitudes > 39"):
+        apply_channel(channel, rho)
+
+
 def test_channel_preserves_trace_and_positivity():
     rng = np.random.default_rng(2)
     channels = [

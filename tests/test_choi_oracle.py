@@ -192,17 +192,73 @@ def test_verify_etd_qutrit_mixed_rho0_rotation_noise():
     assert abs(got - dense_verify_etd(encoder, noise, dense_decoder(v, errors, rho0))) < TOL
 
 
-def test_verify_etd_redundant_encoder_state_meets_a_wider_stage(wheel):
+def test_verify_etd_redundant_encoder_state_meets_a_wider_stage(wheel, monkeypatch):
     # 65 Kraus operators V / sqrt(65) make the 2^6-row factor wider than tall at the
-    # encoder; the register noise stage then meets the dense state and, being wider
-    # than it, takes the state's square root as its factor
+    # encoder; the register noise stage and the decoder then meet the dense state one
+    # side at a time, with no square root of it
     v = build_isometry(wheel)
     noise = site_noise(5, 2, (0, 3), make_depolarizing(2, 0.3))
     decoder = synthesize_decoder(v, error_space_basis(5, 2, 1))
     redundant = Channel(np.repeat(v[None], 65, axis=0) / np.sqrt(65))
-    got = verify_etd(redundant, noise, decoder)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", _no_eigh)
+        got = verify_etd(redundant, noise, decoder)
     assert abs(got - dense_verify_etd(Channel((v,)), noise, decoder)) < TOL
     assert got > 0.01
+
+
+def _no_eigh(*args):
+    raise AssertionError("eigh was reached")
+
+
+def test_verify_etd_refuses_an_oversized_stage_before_any_stage_runs(monkeypatch):
+    code = seeded_code(2, 7, 21)
+    v = build_isometry(code)
+    noise = identity_channel(128)
+    decoder = synthesize_decoder(v, error_space_basis(7, 2, 1))
+    assert decoder.kraus.shape == (106, 2, 128)
+    calls, propagate = [], channels._propagate
+
+    def spy(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(channels, "_propagate", spy)
+    # the factor's images and their copy: 2 x 2^8 amplitudes at the encoder and the noise,
+    # 2 x 2^2 x 106 at the decoder
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 2 * 4 * 106 - 1)
+    with pytest.raises(DimensionOverflow, match=r"^Choi factor needs 848 amplitudes > 847$"):
+        verify_etd(Channel((v,)), noise, decoder)
+    assert calls == []
+
+
+def path_code(d, n):
+    """The path input - output 1 - ... - output n with unit weights: it corrects no error."""
+    gamma = np.zeros((n + 1, n + 1), dtype=np.int64)
+    gamma[np.arange(n), np.arange(1, n + 1)] = gamma[np.arange(1, n + 1), np.arange(n)] = 1
+    return GraphCode(d, 1, n, ModMatrix(d, gamma))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_a_decoder_stage_meets_a_dense_state_one_side_at_a_time(d, wheel, monkeypatch):
+    # the qubit wheel and a qutrit code correct one error; at d = 6 a decoder of f = 0
+    code, f = {2: (wheel, 1), 3: (seeded_code(3, 5, 23), 1), 6: (path_code(6, 3), 0)}[d]
+    v = build_isometry(code)
+    decoder = synthesize_decoder(v, error_space_basis(code.n, d, f))
+    dim_out, d0 = v.shape
+    state = rand_state(np.random.default_rng(d), dim_out * d0)
+    routes, stage_route = [], channels._stage_route
+
+    def spy(dense, *args):
+        route = stage_route(dense, *args)
+        routes.append((dense, route[0]))
+        return route
+
+    monkeypatch.setattr(channels, "_stage_route", spy)
+    got = _propagate(_Choi(state, dense=True), decoder.kraus, 1, d0)
+    assert routes == [(True, False)]  # a dense state, not through the superoperator
+    assert got.dense and got.array.shape == (d0 * d0, d0 * d0)
+    assert np.abs(got.array - dense_propagate(state, decoder, d0)).max() < TOL
 
 
 def test_verify_etd_duplicated_identity_only(wheel):

@@ -275,6 +275,24 @@ def test_class_images_are_the_first_words_images_up_to_a_phase():
     assert {f for _, _, f in seen} == {0, 1, 2}
 
 
+def test_class_images_take_their_phases_from_the_exact_clock_powers():
+    # U[y, k, x] = w^(-sigma_k.y) w^(-tau_k.x) V[y, x], its exponents summed digit by digit
+    # in Python integers: the same phases and products, so the same bits
+    for code, f in itertools.islice(graph_kl_corpus(), 0, None, 7):
+        report = _graph_kl(code, f)
+        if report.syndrome is None:
+            continue
+        d, clock = code.d, np.diag(weyl_operator(code.d, 0, 1))
+        phases = [
+            clock[[[-sum(int(a) * int(b) for a, b in zip(digits, row)) % d for row in weights]
+                   for digits in itertools.product(range(d), repeat=weights.shape[1])]]
+            for weights in (report.syndrome, report.dual)
+        ]
+        v = build_isometry(code)
+        want = phases[0][:, :, None] * phases[1].T[None] * v[:, None, :]
+        assert np.array_equal(channels._class_images(code, v, report), want), (d, code.m, code.n, f)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_every_words_image_is_its_class_image_times_its_closed_form_phase(d):
     # X^s Z^c V = w^(S_YY(s) - c.s) U[:, k] for every word of class k, not only the first
