@@ -1,10 +1,10 @@
 """Command-line frontend: verification, simulation, search, and curve data.
 
 Each handler only computes and returns (exit code, JSON payload, text
-lines); the two that must print for themselves (the byte-clean CSV of
-`bounds`, the refusal of `simulate`) return a plain exit code.  `main`
-alone parses, times the whole command (reading the graph file
-included), prints the result and maps errors to exit codes: 0 on
+lines); the two that must print for themselves (the byte-clean text of
+`bounds`, to stdout or -o, and the refusal of `simulate`) return a plain
+exit code.  `main` alone parses, times the whole command (reading the
+graph file included), prints the result and maps errors to exit codes: 0 on
 success/pass, 1 on a semantic failure (a verification that ran and
 said no), 2 on usage or input errors.  A reader that closes stdout
 early (`| head -1`) changes neither the exit code nor stderr.  All output
@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .channels import KL_TOLERANCE, Channel, _graph_kl, _local_etd
-from .errors import DimensionMismatch, DimensionOverflow, GraphQECError
+from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
     _normalize_subset,
     _require_shape,
@@ -32,7 +32,7 @@ from .graphs import (
     load_graph,
     max_correctable_f,
 )
-from .noise import make_depolarizing, make_unitary_channel, phase_rotation
+from .noise import make_depolarizing, phase_rotation
 from .rates import (
     capacity_from_finite_coding,
     capacity_lower_bound_small_noise,
@@ -152,7 +152,7 @@ def _parse_noise(token: str, site_dim: int) -> Channel:
     if family == "depolarizing":
         return make_depolarizing(site_dim, float(params))
     if family == "unitary-rotation":
-        return make_unitary_channel(phase_rotation(site_dim, float(params)))[0]
+        return Channel((phase_rotation(site_dim, float(params)),))
     if family == "custom-kraus":
         return Channel(_read_kraus(params, site_dim))
     raise ValueError(
@@ -212,16 +212,10 @@ def _cmd_kl_check(args) -> Result:
 def _cmd_simulate(args) -> Result | int:
     code = load_graph(args.graph)
     _require_shape(code.m, code.n, args.f)
-    try:
-        report = _graph_kl(code, args.f)
-    except DimensionOverflow:  # past the closed form's word budget the scan decides
-        witness = find_uncorrectable_subset(code, args.f)
-        if witness is None:
-            raise
-    else:  # a code the scan passes satisfies Knill-Laflamme, so a failing one has a witness
-        witness = None if report.correcting else find_uncorrectable_subset(code, args.f)
-    if witness is not None:
-        print(f"code does not correct f={args.f} (failing subset {list(witness)})", file=sys.stderr)
+    report = _graph_kl(code, args.f)  # past its word budget the refusal stands, as in kl-check
+    if not report.correcting:  # a code the scan passes satisfies Knill-Laflamme: a witness exists
+        witness = list(find_uncorrectable_subset(code, args.f))
+        print(f"code does not correct f={args.f} (failing subset {witness})", file=sys.stderr)
         return 1
     tokens = (args.sites or "").split(",")
     sites = list(_normalize_subset(code.n, [int(tok) for tok in tokens if tok.strip() != ""]))
@@ -293,19 +287,17 @@ def _cmd_singular_mc(args) -> Result:
 def _cmd_bounds(args) -> int:
     deltas = tuple(float(tok) for tok in args.delta.split(","))
     kind = {"threshold": "threshold-fig", "region": "rate-region-fig", "exponent": "exponent-fig"}[args.fig]
-    csv = emit_curves(kind, d=args.d, p=args.p, k=args.k, deltas=deltas)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(csv)
-        except BrokenPipeError as err:  # the -o file's reader left, not stdout's: no CSV written
-            raise OSError(f"cannot write {args.out}: {err}") from err
-        return 0
+    text = emit_curves(kind, d=args.d, p=args.p, k=args.k, deltas=deltas)
     if args.json:
-        print(json.dumps({"fig": args.fig, "csv": csv}, indent=2, sort_keys=True))
-    else:
-        # no timing line here: the CSV stream must stay byte-clean
-        sys.stdout.write(csv)
+        text = json.dumps({"fig": args.fig, "csv": text}, indent=2, sort_keys=True) + "\n"
+    if not args.out:
+        sys.stdout.write(text)  # no timing line here: the CSV stream must stay byte-clean
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except BrokenPipeError as err:  # the -o file's reader left, not stdout's: nothing written
+        raise OSError(f"cannot write {args.out}: {err}") from err
     return 0
 
 

@@ -163,7 +163,8 @@ def error_exponent_curve(
     For each error rate eps in [e delta, 1/2]:
         c      = (log2 p / k) (1 - 4 eps - H2(2 eps) / log2 p)
         lambda = -(eps / k) (ln delta + ln 2 * H2(eps) / eps)   [nats]
-    Samples with non-positive lambda are emitted flagged vacuous.
+    Samples with non-positive lambda are kept, with RatePoint.vacuous set;
+    the exponent CSV has no column for that flag.
     """
     _require_block_code(p, k)
     if not delta > 0.0:

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from graphqec.channels import weyl_operator
-from graphqec.graphs import GraphCode, find_uncorrectable_subset, prism_code, wheel_code
+from graphqec.graphs import GraphCode, find_uncorrectable_subset, first_failing_subset, prism_code, wheel_code
+from graphqec.modular import ModMatrix
 from graphqec.search import SearchReport, failure_bound_log2, sample_graph, trial_rng
 
 
@@ -187,6 +188,16 @@ def entropy_oracle(r: float) -> float:
     if r in (0.0, 1.0):
         return 0.0
     return -r * log2(r) - (1.0 - r) * log2(1.0 - r)
+
+
+def seeded_code(d, m, n, seed, f):
+    """First code of a seeded stream that corrects f errors (f = 0: whose V is an isometry)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
+        code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
+        if first_failing_subset(code, 2 * f) is None:
+            return code
 
 
 def degenerate_wheel():

@@ -49,6 +49,15 @@ def test_channel_requires_completeness():
         Channel((0.5 * np.eye(2),))
 
 
+def test_channel_refuses_no_operator_and_operators_that_are_not_matrices():
+    with pytest.raises(ValueError) as err:
+        Channel(())
+    assert str(err.value) == "a channel needs at least one Kraus operator"
+    with pytest.raises(DimensionMismatch) as err:
+        Channel((np.ones(2),))
+    assert str(err.value) == "Kraus operators must be 2-D, got shape (2,)"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
 def test_isometry_checks_refuse_non_finite_gaps(bad):
     # filterwarnings = error: an invalid-value or overflow warning would fail here
@@ -461,6 +470,10 @@ def test_verify_etd_completely_depolarizing_hand_value():
 def test_verify_etd_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         verify_etd(identity_channel(2), identity_channel(3), identity_channel(2))
+    # the stages compose, but the composite ends in a qutrit, not in the encoder's qubit
+    with pytest.raises(DimensionMismatch) as err:
+        verify_etd(identity_channel(2), identity_channel(2), Channel((np.eye(3, 2),)))
+    assert str(err.value) == "composite must return to the encoder input space"
 
 
 def test_choi_state_of_identity_is_max_entangled():

@@ -38,11 +38,11 @@ from graphqec.channels import (
     weyl_operator,
 )
 from graphqec.errors import DimensionOverflow
-from graphqec.graphs import GraphCode, build_isometry, find_uncorrectable_subset
+from graphqec.graphs import GraphCode, build_isometry
 from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
-from conftest import degenerate_wheel, error_words, word_images
+from conftest import degenerate_wheel, error_words, seeded_code, word_images
 
 TOL = 1e-12
 
@@ -114,16 +114,6 @@ def rand_channel(rng, dim_in, dim_out, count):
     return Channel(tuple(q.reshape(count, dim_out, dim_in)))
 
 
-def seeded_code(d, n, seed, m=1):
-    """First code of a seeded stream that corrects one error."""
-    rng = np.random.default_rng(seed)
-    while True:
-        g = np.triu(rng.integers(0, d, size=(n + m, n + m)), 1)
-        code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
-        if find_uncorrectable_subset(code, 1) is None:
-            return code
-
-
 def site_noise(n, d, sites, single):
     noise = identity_channel(1)
     for site in range(n):
@@ -134,9 +124,9 @@ def site_noise(n, d, sites, single):
 CODES = {
     "wheel": lambda wheel, prism: wheel,
     "prism": lambda wheel, prism: prism,
-    "d2n7": lambda wheel, prism: seeded_code(2, 7, 21),
-    "d2n8": lambda wheel, prism: seeded_code(2, 8, 22),
-    "d3n5": lambda wheel, prism: seeded_code(3, 5, 23),
+    "d2n7": lambda wheel, prism: seeded_code(2, 1, 7, 21, 1),
+    "d2n8": lambda wheel, prism: seeded_code(2, 1, 8, 22, 1),
+    "d3n5": lambda wheel, prism: seeded_code(3, 1, 5, 23, 1),
 }
 
 
@@ -180,7 +170,7 @@ def test_verify_etd_degenerate_gram_and_mixed_rho0(wheel):
 
 def test_verify_etd_qutrit_mixed_rho0_rotation_noise():
     rng = np.random.default_rng(6)
-    code = seeded_code(3, 5, 24)
+    code = seeded_code(3, 1, 5, 24, 1)
     v = build_isometry(code)
     errors = error_space_basis(5, 3, 1)
     rho0 = rand_state(rng, 3)
@@ -212,7 +202,7 @@ def _no_eigh(*args):
 
 
 def test_verify_etd_refuses_an_oversized_stage_before_any_stage_runs(monkeypatch):
-    code = seeded_code(2, 7, 21)
+    code = seeded_code(2, 1, 7, 21, 1)
     v = build_isometry(code)
     noise = identity_channel(128)
     decoder = synthesize_decoder(v, error_space_basis(7, 2, 1))
@@ -242,7 +232,7 @@ def path_code(d, n):
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_a_decoder_stage_meets_a_dense_state_one_side_at_a_time(d, wheel, monkeypatch):
     # the qubit wheel and a qutrit code correct one error; at d = 6 a decoder of f = 0
-    code, f = {2: (wheel, 1), 3: (seeded_code(3, 5, 23), 1), 6: (path_code(6, 3), 0)}[d]
+    code, f = {2: (wheel, 1), 3: (seeded_code(3, 1, 5, 23, 1), 1), 6: (path_code(6, 3), 0)}[d]
     v = build_isometry(code)
     decoder = synthesize_decoder(v, error_space_basis(code.n, d, f))
     dim_out, d0 = v.shape
@@ -312,8 +302,8 @@ SITE_CHANNELS = {
 }
 LOCAL_CODES = dict(
     CODES,
-    d2n10=lambda wheel, prism: seeded_code(2, 10, 25),
-    d3n6=lambda wheel, prism: seeded_code(3, 6, 26),
+    d2n10=lambda wheel, prism: seeded_code(2, 1, 10, 25, 1),
+    d3n6=lambda wheel, prism: seeded_code(3, 1, 6, 26, 1),
 )
 # f = 1 codes with noise on none, <= f and > f sites; the full-register oracle holds
 # prod(Kraus counts) x d^2n amplitudes, so the larger codes take the lighter channels
@@ -356,7 +346,7 @@ COMPOSITE_CASES = [
 
 @pytest.mark.parametrize("d, channel, sites", COMPOSITE_CASES)
 def test_local_etd_at_composite_d_matches_the_dense_gram_decoder(d, channel, sites, wheel, monkeypatch):
-    code = seeded_code(4, 5, 27) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
+    code = seeded_code(4, 1, 5, 27, 1) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
     single = SITE_CHANNELS[channel](d)
     got = _local_etd(code, _graph_kl(code, 1), single, sites)
     words = error_words(code.n, d, 1)
@@ -402,12 +392,12 @@ def all_word_channel(d, count, seed):
 # the table against the register-sized route, beyond the cases above: two-input codes
 # (d0 = 4 and 9), Kraus operators with every Weyl word, and a degenerate code
 ROUTE_CASES = {
-    "d2m2n8-depolarizing": (lambda: seeded_code(2, 8, 1, m=2), lambda d: make_depolarizing(d, 0.3), (0, 5)),
-    "d2m2n8-damping": (lambda: seeded_code(2, 8, 1, m=2), lambda d: amplitude_damping(d, 0.3), (1, 2, 7)),
-    "d3m2n6-rotation": (lambda: seeded_code(3, 6, 21, m=2), SITE_CHANNELS["rotation"], (2,)),
-    "d3m2n6-damping": (lambda: seeded_code(3, 6, 21, m=2), lambda d: amplitude_damping(d, 0.3), (0, 4)),
-    "d2n7-all-words": (lambda: seeded_code(2, 7, 21), lambda d: all_word_channel(d, 3, 5), (0, 3, 6)),
-    "d3n5-all-words": (lambda: seeded_code(3, 5, 23), lambda d: all_word_channel(d, 4, 6), (0, 2, 4)),
+    "d2m2n8-depolarizing": (lambda: seeded_code(2, 2, 8, 1, 1), lambda d: make_depolarizing(d, 0.3), (0, 5)),
+    "d2m2n8-damping": (lambda: seeded_code(2, 2, 8, 1, 1), lambda d: amplitude_damping(d, 0.3), (1, 2, 7)),
+    "d3m2n6-rotation": (lambda: seeded_code(3, 2, 6, 21, 1), SITE_CHANNELS["rotation"], (2,)),
+    "d3m2n6-damping": (lambda: seeded_code(3, 2, 6, 21, 1), lambda d: amplitude_damping(d, 0.3), (0, 4)),
+    "d2n7-all-words": (lambda: seeded_code(2, 1, 7, 21, 1), lambda d: all_word_channel(d, 3, 5), (0, 3, 6)),
+    "d3n5-all-words": (lambda: seeded_code(3, 1, 5, 23, 1), lambda d: all_word_channel(d, 4, 6), (0, 2, 4)),
     "degenerate-wheel-one-site": (degenerate_wheel, SITE_CHANNELS["depolarizing"], (5,)),
     "degenerate-wheel-two-sites": (degenerate_wheel, SITE_CHANNELS["depolarizing"], (1, 5)),
     "degenerate-wheel-three-sites": (degenerate_wheel, lambda d: all_word_channel(d, 2, 7), (0, 3, 5)),
@@ -422,7 +412,7 @@ def test_table_route_matches_the_dense_route_on_the_local_cases(name, channel, s
 
 @pytest.mark.parametrize("d, channel, sites", COMPOSITE_CASES)
 def test_table_route_matches_the_dense_route_at_composite_d(d, channel, sites, wheel, monkeypatch):
-    code = seeded_code(4, 5, 27) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
+    code = seeded_code(4, 1, 5, 27, 1) if d == 4 else GraphCode(6, 1, 5, ModMatrix(6, wheel.gamma.entries))
     assert_routes_agree(code, 1, SITE_CHANNELS[channel](d), sites, monkeypatch)
 
 
@@ -445,7 +435,7 @@ def dense_site_propagate(state, single, left, right):
 
 @pytest.mark.parametrize("channel", ["depolarizing", "damping"])
 def test_local_etd_with_noise_on_every_site_matches_dense_reference(channel, monkeypatch):
-    code = seeded_code(2, 7, 21)
+    code = seeded_code(2, 1, 7, 21, 1)
     v = build_isometry(code)
     single = SITE_CHANNELS[channel](2)
     dense, propagate = [], channels._propagate
@@ -470,7 +460,7 @@ def test_local_etd_with_noise_on_every_site_matches_dense_reference(channel, mon
 
 
 def test_verify_etd_with_a_register_noise_stage_wider_than_the_state(monkeypatch):
-    code = seeded_code(2, 7, 21)
+    code = seeded_code(2, 1, 7, 21, 1)
     v = build_isometry(code)
     single = SITE_CHANNELS["depolarizing"](2)
     # 4^5 Kraus operators of 2^7 x 2^7 against 2^8 rows: a 2^28-amplitude superoperator

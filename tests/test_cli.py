@@ -33,7 +33,7 @@ from graphqec.graphs import (
     wheel_code,
 )
 from graphqec.modular import ModMatrix
-from graphqec.noise import make_depolarizing
+from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 from graphqec.search import sample_graph, trial_rng
 
 from conftest import degenerate_wheel, smith_first_failing
@@ -634,10 +634,65 @@ def test_simulate_accepts_a_degenerate_code_that_verify_refuses(capsys, tmp_path
         assert (status, err) == (0, "")
         noise = tensor_channels(*(make_depolarizing(2, 0.3) if s in sites else identity_channel(2) for s in range(6)))
         assert abs(json.loads(out)["choi_trace_distance"] - verify_etd(encoder, noise, decoder)) <= 1e-12, sites
-    # when the closed form's word budget (19 words x 6 sites x 3 arrays) refuses, the refusal stands
+    # when the closed form's word budget (19 words x 6 sites x 3 arrays) refuses, the refusal
+    # stands, as in kl-check: the scan's witness [5] would be a false verdict on this code
     monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 3 * 19 * 6 - 1)
-    status, out, err = run_cli(capsys, "simulate", str(path), "--f", "1", "--no-timing")
-    assert (status, out, err) == (1, "", "code does not correct f=1 (failing subset [5])\n")
+    for command in ("simulate", "kl-check"):
+        result = run_cli(capsys, command, str(path), "--f", "1", "--no-timing")
+        assert result == (2, "", "error: error words needs 342 amplitudes > 341\n"), command
+
+
+def test_simulate_refuses_past_the_word_budget_as_kl_check_does(capsys, tmp_path, monkeypatch):
+    # a 170-site f = 2 passer and an isolated 171st output, which only adds a stabilizer: the
+    # code corrects f = 2, yet the kernel criterion fails on the isolated site's block
+    base = sample_graph(2, 1, 170, trial_rng(7, 0))
+    gamma = np.zeros((172, 172), dtype=np.int64)
+    gamma[:171, :171] = base.gamma.entries
+    path = tmp_path / "isolated.json"
+    dump_graph(GraphCode(2, 1, 171, ModMatrix(2, gamma)), path)
+    calls, scan = [], cli.find_uncorrectable_subset
+    monkeypatch.setattr(cli, "find_uncorrectable_subset", lambda *args: calls.append(args) or scan(*args))
+    refusal = (2, "", "error: error words needs 67371777 amplitudes > 67108864\n")
+    for command in ("kl-check", "simulate"):
+        assert run_cli(capsys, command, str(path), "--f", "2", "--no-timing") == refusal, command
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_parse_noise_rotation_has_the_unitary_channel_kraus_bits(d):
+    theta = 0.37
+    built = _parse_noise(f"unitary-rotation:{theta}", d).kraus
+    reference = make_unitary_channel(phase_rotation(d, theta))[0].kraus
+    assert (built.dtype, built.shape, built.tobytes()) == (reference.dtype, reference.shape, reference.tobytes())
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--sites", "0"], "--sites given without --noise"),
+        (["--noise", "depolarizing:0.1"], "--noise given without --sites"),
+    ],
+    ids=["sites-alone", "noise-alone"],
+)
+def test_simulate_refuses_noise_and_sites_apart(capsys, wheel_file, extra, message):
+    result = run_cli(capsys, "simulate", wheel_file, "--f", "1", *extra)
+    assert result == (2, "", f"error: {message}\n")
+
+
+def test_commands_on_a_code_with_more_inputs_than_outputs(capsys, tmp_path):
+    # m = 3 > n = 2: Gamma_YX has more columns than rows, so V is no isometry
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"d": 2, "m": 3, "n": 2, "edges": [[0, 3, 1], [1, 4, 1], [2, 3, 1]]}))
+    graph = str(path)
+    code, out, err = run_cli(capsys, "verify", graph, "--f", "0", "--json", "--no-timing")
+    assert (code, json.loads(out), err) == (1, {"d": 2, "m": 3, "n": 2, "f": 0, "passes": False, "witness": []}, "")
+    code, out, err = run_cli(capsys, "maxf", graph, "--json", "--no-timing")
+    assert (code, json.loads(out), err) == (0, {"d": 2, "m": 3, "n": 2, "max_f": -1}, "")
+    code, out, err = run_cli(capsys, "kl-check", graph, "--f", "0", "--json", "--no-timing")
+    report = {"f": 0, "operators": 1, "max_deviation": 1.0, "tolerance": 1e-9, "passes": False}
+    assert (code, json.loads(out), err) == (1, report, "")
+    result = run_cli(capsys, "simulate", graph, "--f", "0", "--no-timing")
+    assert result == (1, "", "code does not correct f=0 (failing subset [])\n")
 
 
 def test_simulate_bad_noise_token(capsys, wheel_file):
@@ -770,6 +825,19 @@ def test_capacity_flags_vacuous_bound(capsys):
     assert "non-positive" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--eps", "0.01"], "--eps needs --d"),
+        (["--delta", "1e-3"], "--delta needs --p and --k"),
+        (["--p", "2", "--delta", "1e-3"], "--delta needs --p and --k"),
+    ],
+    ids=["eps-without-d", "delta-alone", "delta-without-k"],
+)
+def test_capacity_refuses_a_mode_without_its_flags(capsys, argv, message):
+    assert run_cli(capsys, "capacity", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_capacity_needs_exactly_one_mode(capsys):
     code, _, err = run_cli(capsys, "capacity", "--d", "2")
     assert code == 2
@@ -890,6 +958,16 @@ def test_closed_stdout_keeps_the_exit_code_and_a_silent_stderr(wheel_file, argv,
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (expected, "")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("fig", ["threshold", "region", "exponent"])
+def test_bounds_out_file_carries_what_stdout_would(capsys, tmp_path, fig, extra):
+    code, printed, err = run_cli(capsys, "bounds", "--fig", fig, *extra)
+    assert (code, err) == (0, "")
+    path = tmp_path / "curves.out"
+    assert run_cli(capsys, "bounds", "--fig", fig, *extra, "-o", str(path)) == (0, "", "")
+    assert path.read_bytes() == printed.encode()
 
 
 def test_bounds_out_file_whose_reader_left_is_an_error(capsys, monkeypatch):

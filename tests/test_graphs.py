@@ -11,7 +11,7 @@ import pytest
 import graphqec.graphs as graphs
 import graphqec.modular as modular
 from graphqec.cli import main
-from graphqec.errors import DimensionOverflow, InvalidSubset, TooManyErrors
+from graphqec.errors import DimensionOverflow, InvalidSubset, ParamOutOfRange, TooManyErrors
 from graphqec.graphs import (
     GraphCode,
     build_isometry,
@@ -45,6 +45,29 @@ def test_constructor_rejects_self_loops():
     g[0, 0] = 1
     with pytest.raises(ValueError):
         GraphCode(2, 1, 1, ModMatrix(2, g))
+
+
+def test_constructor_rejects_gamma_of_another_modulus_or_shape():
+    with pytest.raises(ValueError) as err:
+        GraphCode(3, 1, 1, ModMatrix(2, np.zeros((2, 2), dtype=int)))
+    assert str(err.value) == "gamma modulus must equal the code dimension d"
+    with pytest.raises(ValueError) as err:
+        GraphCode(2, 1, 1, ModMatrix(2, np.zeros((3, 3), dtype=int)))
+    assert str(err.value) == "gamma must be 2x2, got 3x3"
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 0)])
+def test_from_edges_rejects_a_code_without_inputs_or_outputs(m, n):
+    with pytest.raises(ParamOutOfRange) as err:
+        GraphCode.from_edges(2, m, n, [])
+    assert str(err.value) == f"need m >= 1 and n >= 1, got m={m}, n={n}"
+
+
+def test_first_failing_subset_below_the_empty_subset_asks_nothing():
+    # m = 3 > n = 2: even the empty subset fails, but max_size -1 does not ask about it
+    code = GraphCode.from_edges(2, 3, 2, [[0, 3, 1], [1, 4, 1], [2, 3, 1]])
+    assert first_failing_subset(code, 0) == ()
+    assert first_failing_subset(code, -1) is None
 
 
 def test_from_edges_sums_duplicates_mod_d():

@@ -62,6 +62,15 @@ def test_modmatrix_is_immutable():
         m.entries[0, 0] = 0
 
 
+def test_modmatrix_and_rank_batch_refuse_the_wrong_number_of_axes():
+    with pytest.raises(ValueError) as err:
+        ModMatrix(2, np.array([0, 1]))
+    assert str(err.value) == "entries must be 2-D, got shape (2,)"
+    with pytest.raises(ValueError) as err:
+        rank_prime_batch(np.zeros((2, 2), dtype=np.int64), 2)
+    assert str(err.value) == "expected batch of matrices, got shape (2, 2)"
+
+
 def test_rank_prime_identity():
     assert rank_prime(ModMatrix(2, np.eye(2, dtype=int))) == 2
 

@@ -133,6 +133,12 @@ def test_cb_witness_dimension_handling():
         cb_lower_witness(make_depolarizing(2, 0.2), identity_channel(2), np.eye(3))
     with pytest.raises(DimensionMismatch):
         cb_lower_witness(make_depolarizing(2, 0.2), identity_channel(3), SWAP)
+    with pytest.raises(DimensionMismatch) as err:
+        cb_lower_witness(identity_channel(2), identity_channel(2), np.ones((2, 4)))
+    assert str(err.value) == "witness must be square, got shape (2, 4)"
+    with pytest.raises(DimensionMismatch) as err:  # a qubit into a qutrit
+        cb_lower_witness(Channel((np.eye(3, 2),)), identity_channel(2), SWAP)
+    assert str(err.value) == "witness maps must preserve the space"
 
 
 def test_binomial_error_bound_edge_equals_power():
@@ -265,3 +271,19 @@ def test_make_unitary_channel_refuses_non_finite_matrix():
 def test_bounds_refuse_nan(call):
     with pytest.raises(ParamOutOfRange):
         call()
+
+
+@pytest.mark.parametrize("u", [np.ones(3), np.ones((2, 3))], ids=["vector", "rectangle"])
+def test_make_unitary_channel_refuses_a_non_square_matrix(u):
+    with pytest.raises(NotUnitary) as err:
+        make_unitary_channel(u)
+    assert str(err.value) == f"expected a square matrix, got shape {u.shape}"
+
+
+def test_binomial_bounds_refuse_parameters_outside_their_domain():
+    with pytest.raises(ParamOutOfRange) as err:
+        binomial_error_bound(3, 3, 0.1)
+    assert str(err.value) == "need f + 1 <= n, got f=3, n=3"
+    with pytest.raises(ParamOutOfRange) as err:
+        truncated_binomial_bound(10, 1.5, 0.5)
+    assert str(err.value) == "need r in [0, 1], got 1.5"

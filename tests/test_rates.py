@@ -337,3 +337,18 @@ CSV_DIGESTS = {
 def test_emit_curves_bytes_match_recorded_digests(kind, options):
     csv = emit_curves(kind, **dict(options))
     assert hashlib.sha256(csv.encode()).hexdigest() == CSV_DIGESTS[kind, options]
+
+
+def test_rate_checks_refuse_rates_outside_the_unit_interval():
+    with pytest.raises(ParamOutOfRange) as err:
+        singleton_standard_allows(1.5, 0.1)
+    assert str(err.value) == "rates must lie in [0, 1], got mu=1.5, eps=0.1"
+    with pytest.raises(ParamOutOfRange) as err:
+        region_boundaries(2, 1.5)
+    assert str(err.value) == "need eps in [0, 1], got 1.5"
+
+
+@pytest.mark.parametrize("eps", [0.6, 1.0])
+def test_gv_refuses_error_rates_above_one_half(eps):
+    # H2(2 eps) is undefined there, so the region is empty rather than an error
+    assert gv_allows(0.0, eps) is False

@@ -50,7 +50,7 @@ from graphqec.graphs import GraphCode, build_isometry, first_failing_subset, pri
 from graphqec.modular import ModMatrix, _prime_factors
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
-from conftest import degenerate_wheel, error_words, word_images
+from conftest import degenerate_wheel, error_words, seeded_code, word_images
 
 # (d, m, n, f): prime and composite d, one and two errors, one and two inputs
 CASES = [
@@ -61,16 +61,6 @@ CASES = [
 ]
 # cases whose second code is drawn to correct f, so both verdicts occur
 CORRECTING = {(2, 1, 5, 1), (3, 1, 5, 1)}
-
-
-def seeded_code(d, m, n, seed, f):
-    """First code of a seeded stream that corrects f errors (f = 0: whose V is an isometry)."""
-    rng = np.random.default_rng(seed)
-    while True:
-        g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
-        code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
-        if first_failing_subset(code, 2 * f) is None:
-            return code
 
 
 def corpus():
