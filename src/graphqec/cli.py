@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .channels import KL_TOLERANCE, Channel, _graph_kl, _local_etd
-from .errors import DimensionMismatch, GraphQECError
+from .errors import DimensionMismatch, DimensionOverflow, GraphQECError
 from .graphs import (
     _normalize_subset,
     _require_shape,
@@ -214,8 +214,11 @@ def _cmd_simulate(args) -> Result | int:
     _require_shape(code.m, code.n, args.f)
     report = _graph_kl(code, args.f)  # past its word budget the refusal stands, as in kl-check
     if not report.correcting:  # a code the scan passes satisfies Knill-Laflamme: a witness exists
-        witness = list(find_uncorrectable_subset(code, args.f))
-        print(f"code does not correct f={args.f} (failing subset {witness})", file=sys.stderr)
+        try:
+            witness = f"failing subset {list(find_uncorrectable_subset(code, args.f))}"
+        except DimensionOverflow as err:  # the verdict stands; only its witness is out of reach
+            witness = f"the failing subset lies past the subset-scan budget: {err}"
+        print(f"code does not correct f={args.f} ({witness})", file=sys.stderr)
         return 1
     tokens = (args.sites or "").split(",")
     sites = list(_normalize_subset(code.n, [int(tok) for tok in tokens if tok.strip() != ""]))

@@ -8,14 +8,16 @@ running it once for each prime divisor of d.  The kernel reduces each
 column of every matrix against a basis of the earlier columns, and a
 matrix's rank is the number of its columns that stay nonzero.  Each
 column is one batched vector, the batch on the long axis: at d = 2 with
-at most 64 rows one uint64 word per matrix (as in M4RI, _Gf2Words), and
-otherwise an (N, B) residue array whose dtype, the narrowest of int16,
-int32 and int64 that holds the sums of a run of eliminations, follows
-from d and the most eliminations a vector takes (_BatchResidues); Python
-integers take over above MAX_BATCH_MODULUS, so every modulus gets an
-exact answer.  The subset scan of graphs shares its fields (_field),
-reduction loop (_reduce_against) and inverses (_inverses); with exponent
-phi(q) - 1 these invert the units mod q = p^k for graphs._projection.
+at most 64 rows one uint64 word per matrix (as in M4RI, _Gf2Words), its
+entries gathered an octet per multiply (_pack_bits), and otherwise an
+(N, B) residue array whose dtype, the narrowest of int8, int16, int32 and
+int64 that holds the sums of a run of eliminations, follows from d and
+the most eliminations a vector takes (_BatchResidues): one byte an entry
+for the small primes.  Python integers take over above MAX_BATCH_MODULUS,
+so every modulus gets an exact answer.  The subset scan of graphs shares
+its fields (_field), reduction loop (_reduce_against) and inverses
+(_inverses); with exponent phi(q) - 1 these invert the units mod q = p^k
+for graphs._projection.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Residues below d are multiplied in the narrowest of int16, int32 and int64 that
+# Residues below d are multiplied in the narrowest of int8, int16, int32 and int64 that
 # holds (d - 1) + (d - 1)^2, a residue plus a product of two, so no sum wraps;
 # int64 holds it up to this d, and Python integers take over above it
 _INT64_MAX = 2**63 - 1
@@ -171,9 +173,18 @@ def _reduce(x: np.ndarray, d: int) -> np.ndarray:
 
 def _inverses(x: np.ndarray, d: int, power: int | None = None) -> np.ndarray:
     """x^power mod d elementwise, by default power = d - 2: at prime d the inverse of every
-    nonzero x, and 0 for 0 if d > 2.  Mod q = p^k, power = phi(q) - 1 inverts every unit."""
+    nonzero x, and 0 for 0 if d > 2.  Mod q = p^k, power = phi(q) - 1 inverts every unit.
+
+    Square-and-multiply takes about 2 log2(power) numpy passes whatever x's
+    size, so fewer than 16 entries take Python's pow, one call each: on a
+    2-CPU Xeon one entry took 1-8 us that way against 4-100 us for the passes,
+    and the passes won from 8 entries at p = 2^31 - 1, from 16-32 at
+    p = 3037000493, 100003 and 32749, and from 32-64 at p = 3, 7 and 101."""
+    power = d - 2 if power is None else power
+    if x.size < 16:
+        return np.array([pow(v, power, d) for v in x.ravel().tolist()], dtype=x.dtype).reshape(x.shape)
     result = np.ones_like(x)
-    base, power = x, d - 2 if power is None else power
+    base = x
     while power:
         if power & 1:
             result = _reduce(result * base, d)
@@ -196,17 +207,36 @@ def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
 
 
 def _residue_dtype(d: int, steps: int = 1):
-    """The narrowest of int16, int32 and int64 that holds (d - 1) + steps (d - 1)^2,
-    a residue plus `steps` products of two residues, else object."""
+    """The narrowest of int8, int16, int32 and int64 that holds (d - 1) + steps (d - 1)^2,
+    a residue plus `steps` products of two residues, else object.  int8 holds one
+    product up to d = 11, two up to d = 7, and the five of a 6-column matrix at d = 5."""
     bound = (d - 1) + steps * (d - 1) ** 2
-    return next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object)
+    return next((t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object)
+
+
+# Times 0x0102040810204080, the low bit of byte k lands on bit 56 + k and every other
+# partial product below bit 56 or past bit 63, on distinct bits: no carry reaches the top byte
+_OCTET_GATHER = np.uint64(0x0102040810204080)
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """0/1 vectors of length <= 64 along the last axis as uint64 words, entry j as bit j."""
-    padded = np.zeros(bits.shape[:-1] + (64,), dtype=np.uint8)
-    padded[..., : bits.shape[-1]] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")[..., 0].astype(np.uint64)
+    """0/1 vectors of length <= 64 along the last axis as uint64 words, entry j as bit j.
+
+    The entries, zero-padded to ceil(length / 8) octets, are read as one
+    little-endian uint64 of eight 0/1 bytes an octet, and one multiply by
+    _OCTET_GATHER gathers an octet's eight bits into its top byte; those
+    bytes, octet k as byte k, are the word.  Every operand is a np.uint64,
+    so numpy 1.x's value-based promotion never turns the product into
+    float64.
+    """
+    width = bits.shape[-1]
+    octets = -(-width // 8)
+    padded = np.zeros(bits.shape[:-1] + (8 * octets,), dtype=np.uint8)
+    padded[..., :width] = bits
+    gathered = (padded.view("<u8") * _OCTET_GATHER) >> np.uint64(56)
+    words = np.zeros(bits.shape[:-1] + (8,), dtype=np.uint8)
+    words[..., :octets] = gathered
+    return words.view("<u8")[..., 0].astype(np.uint64, copy=False)
 
 
 class _Gf2Words:
@@ -252,7 +282,8 @@ class _BatchResidues:
     vector takes, so no vector is reduced partway, unless int64 cannot hold
     that many products; then it is as many as int64 holds, 1 near
     MAX_BATCH_MODULUS and for Python integers above it.  dtype is the
-    narrowest that holds (p - 1) + interval (p - 1)^2 (_residue_dtype).  A
+    narrowest that holds (p - 1) + interval (p - 1)^2 (_residue_dtype), one
+    byte an entry while that is at most 127 (p = 5 with 6 columns).  A
     pivot is a (2, B) array: the last nonzero row of each reduced vector,
     and the negated inverse of the entry there.
     """
@@ -325,9 +356,10 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     N <= 64 each column of a matrix is one uint64 word, and an elimination
     is one XOR (_Gf2Words).  Otherwise each column is an (N, B) array of
     residues with the batch on the long axis (_BatchResidues): its dtype
-    is the narrowest of int16, int32 and int64 that holds the sum of the
-    eliminations between two reductions, which follows from d and the
-    column count, with int64 reducing after every elimination as d nears
+    is the narrowest of int8, int16, int32 and int64 that holds the sum of
+    the eliminations between two reductions, which follows from d and the
+    column count (int8 up to 32 columns at d = 3, 8 at d = 5, 4 at d = 7
+    and 2 at d = 11), with int64 reducing after every elimination as d nears
     MAX_BATCH_MODULUS.  Above that the same elimination runs on Python
     integers (dtype object), which is slower but exact.
 

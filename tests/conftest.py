@@ -6,7 +6,8 @@ normal form, the largest correctable f by a minimum symplectic weight over
 vectors, binomial tails by exact integer sums, roots by scipy's brentq, error
 words by a loop over supports and letters, their images of an encoder by a
 row gather per word, the scan's projected table by one elimination per code,
-a seeded search by one scan per trial.
+the narrow accumulators' eliminations in Python integers, a seeded search by
+one scan per trial.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ def site_table(gamma, m: int, p: int):
         pivot = table[candidates[0]] * pow(int(table[candidates[0], col]), -1, p) % p
         table[free] = (table[free] - table[free, col][:, None] * pivot) % p
     return table[free, m:]
+
+
+def exact_reduce_against(field, basis, *vectors):
+    """modular._reduce_against over the residue field `field` in Python integers, reduced
+    after every elimination: the oracle of the narrow accumulators."""
+    reduced = []
+    for x in vectors:
+        x = x.astype(object) % field.p
+        for b, (row, negated_inverse) in basis:
+            c = x[row.astype(np.intp), np.arange(x.shape[-1])] * negated_inverse.astype(object)
+            x = (x + b.astype(object) * (c % field.p)) % field.p
+        reduced.append(x)
+    return reduced
 
 
 def symplectic_max_f(code) -> int:

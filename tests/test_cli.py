@@ -615,6 +615,21 @@ def test_simulate_rejects_uncorrectable_f(capsys, wheel_file):
     assert "does not correct" in err
 
 
+def test_simulate_keeps_the_verdict_when_the_witness_lies_past_the_scan_budget(capsys, wheel_file, monkeypatch):
+    # the wheel fails f = 2; its scan table (5 sites x (1 + 2 x 5) columns) outgrows a cap of
+    # 54, so the scan refuses to name a witness, and the Knill-Laflamme verdict still stands
+    monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", 54)
+    refusal = "error: subset-scan table needs 55 amplitudes > 54\n"
+    assert run_cli(capsys, "verify", wheel_file, "--f", "2", "--no-timing") == (2, "", refusal)
+    assert run_cli(capsys, "kl-check", wheel_file, "--f", "2", "--no-timing")[0] == 1
+    assert run_cli(capsys, "simulate", wheel_file, "--f", "2", "--no-timing") == (
+        1,
+        "",
+        "code does not correct f=2 (the failing subset lies past the subset-scan budget: "
+        "subset-scan table needs 55 amplitudes > 54)\n",
+    )
+
+
 def test_simulate_accepts_a_degenerate_code_that_verify_refuses(capsys, tmp_path, monkeypatch):
     code = degenerate_wheel()
     path = tmp_path / "degenerate.json"

@@ -30,7 +30,13 @@ from graphqec.graphs import (
 from graphqec.modular import ModMatrix
 from graphqec.search import sample_graph, trial_rng
 
-from conftest import brute_force_kernel_trivial, site_table, smith_first_failing, symplectic_max_f
+from conftest import (
+    brute_force_kernel_trivial,
+    exact_reduce_against,
+    site_table,
+    smith_first_failing,
+    symplectic_max_f,
+)
 
 
 def test_constructor_rejects_asymmetric_gamma():
@@ -338,26 +344,16 @@ def test_projected_table_scan_matches_smith_and_symplectic_oracles():
 
 # the accumulator switches of the scan's residue vectors, whose dtype holds a residue
 # plus two products, the most eliminations a vector takes in one step of the walk:
-# int16 -> int32 between 127 and 131 and int32 -> int64 between 32749 and 32771, and
-# int64 at prevprime(MAX_BATCH_MODULUS), where a vector is reduced after every
-# elimination; 181 and 191, 46337 and 46349 are the switches of a one-product run
+# int8 -> int16 between 7 and 11, int16 -> int32 between 127 and 131 and int32 -> int64
+# between 32749 and 32771, and int64 at prevprime(MAX_BATCH_MODULUS), where a vector is
+# reduced after every elimination; 11 and 13, 181 and 191, 46337 and 46349 are the
+# switches of a one-product run, the projected tables (_site_vectors, _projection)
 _TOP_BATCH_PRIME = 3037000493
 _SCAN_SWITCH_DTYPES = {
+    7: np.int8, 11: np.int16, 13: np.int16,
     127: np.int16, 131: np.int32, 181: np.int32, 191: np.int32, 32749: np.int32,
     32771: np.int64, 46337: np.int64, 46349: np.int64, _TOP_BATCH_PRIME: np.int64,
 }
-
-
-def _exact_reduce_against(field, basis, *vectors):
-    """modular._reduce_against in Python integers, reduced after every elimination."""
-    reduced = []
-    for x in vectors:
-        x = x.astype(object) % field.p
-        for b, (row, negated_inverse) in basis:
-            c = x[row.astype(np.intp), np.arange(x.shape[-1])] * negated_inverse.astype(object)
-            x = (x + b.astype(object) * (c % field.p)) % field.p
-        reduced.append(x)
-    return reduced
 
 
 @pytest.mark.parametrize("p", sorted(_SCAN_SWITCH_DTYPES))
@@ -369,7 +365,7 @@ def test_scan_matches_smith_oracle_at_accumulator_switch_primes(monkeypatch, p):
 
     def exact(field, basis, *vectors):  # every reduced vector of the scan, entry by entry
         basis = list(basis)
-        expected = _exact_reduce_against(field, basis, *vectors)
+        expected = exact_reduce_against(field, basis, *vectors)
         reduced = reduce_against(field, basis, *vectors)
         assert all(np.array_equal(x.astype(object), y) for x, y in zip(reduced, expected))
         eliminations.append(len(basis))
@@ -666,9 +662,9 @@ def test_projection_keys_agree_exactly_on_a_shared_coset_mod_q(q):
     assert seen == {(True, True), (False, True), (False, False)}, seen
 
 
-@pytest.mark.parametrize("free_rows", [64, 65], ids=["packed", "int16"])
+@pytest.mark.parametrize("free_rows", [64, 65], ids=["packed", "int8"])
 def test_scan_keeps_the_top_bit_of_a_full_word(free_rows):
-    # n - m = 64 vectors fill a uint64 word (65 take the int16 path); the input meets
+    # n - m = 64 vectors fill a uint64 word (65 take the int8 path); the input meets
     # site 0 only, so the projected rows are sites 1..n-1 and site n-1 is the last
     # entry, bit 63 of a word.  Site n-1 joins site n-2 alone: {n-1} passes only if
     # e_{n-1} keeps that entry

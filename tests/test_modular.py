@@ -18,7 +18,12 @@ from graphqec.modular import (
     rank_prime_batch,
 )
 
-from conftest import brute_force_kernel_trivial, smith_first_failing, smith_kernel_trivial
+from conftest import (
+    brute_force_kernel_trivial,
+    exact_reduce_against,
+    smith_first_failing,
+    smith_kernel_trivial,
+)
 
 
 def test_is_prime_small_values():
@@ -171,43 +176,93 @@ def test_rank_prime_batch_matches_sympy_small_primes(p):
     assert rank_prime_batch(np.zeros((2, 4, 0)), p).tolist() == [0, 0]
 
 
-# each switch of representation (packed bits, int16, int32, int64) from both sides
-_BOUNDARY_PRIMES = [2, 3, 5, 7, 181, 191, 46337, 46349]
+# each switch of representation (packed bits, int8, int16, int32, int64) from both sides
+_BOUNDARY_PRIMES = [2, 3, 5, 7, 11, 13, 181, 191, 46337, 46349]
 
 # the most columns whose eliminations still sum within the narrower accumulator:
-# (p - 1) + (cols - 1) (p - 1)^2 fits int16 (p <= 181) or int32 (46337)
-_ACCUMULATOR_SWITCH = {3: 8192, 5: 2048, 7: 911, 181: 2, 46337: 2}
+# (p - 1) + (cols - 1) (p - 1)^2 fits int8 (32 columns at p = 3, 8 at 5, 4 at 7 and 2
+# at 11), int16 (p <= 181) or int32 (46337)
+_ACCUMULATOR_SWITCH = {3: (32, 8192), 5: (8, 2048), 7: (4, 911), 11: (2,), 181: (2,), 46337: (2,)}
 
 
 @pytest.mark.parametrize("p", _BOUNDARY_PRIMES)
-def test_rank_prime_batch_matches_sympy_at_representation_boundaries(p):
+def test_rank_prime_batch_matches_sympy_at_representation_boundaries(monkeypatch, p):
     rng = np.random.default_rng(p)
     shapes = [(7, 3), (3, 7), (6, 6)]
-    if p in _ACCUMULATOR_SWITCH:  # the column counts on both sides of the dtype switch
-        cols = _ACCUMULATOR_SWITCH[p]
+    for cols in _ACCUMULATOR_SWITCH.get(p, ()):  # the column counts on both sides of a dtype switch
         dtypes = [modular._BatchResidues(p, c - 1).dtype for c in (cols, cols + 1)]
-        assert dtypes in ([np.int16, np.int32], [np.int32, np.int64])
-        rows = 7 if cols < 7 else 2  # few rows keep the wide sympy oracle fast
+        assert dtypes in ([np.int8, np.int16], [np.int16, np.int32], [np.int32, np.int64])
+        # few rows keep the wide sympy oracle fast; below 64 columns a column of a
+        # full-rank matrix meets a basis of all the earlier ones, a full interval
+        rows = 2 if cols > 64 else max(7, cols + 1)
         shapes += [(rows, cols), (rows, cols + 1)]
+    reduce_against, eliminations = modular._reduce_against, []
+
+    def exact(field, basis, *vectors):  # every reduced column of the kernel, entry by entry
+        basis = list(basis)
+        reduced = reduce_against(field, basis, *vectors)
+        if isinstance(field, modular._BatchResidues) and basis:
+            expected = exact_reduce_against(field, basis, *vectors)
+            assert all(np.array_equal(x.astype(object), y) for x, y in zip(reduced, expected))
+            eliminations.append((field.dtype, field.interval, len(basis)))
+        return reduced
+
+    monkeypatch.setattr(modular, "_reduce_against", exact)
     for rows, cols in shapes:
         # every entry p - 1, then p - 1 off a zero diagonal: the largest products
         worst = np.full((2, rows, cols), p - 1)
         worst[1, np.arange(min(rows, cols)), np.arange(min(rows, cols))] = 0
         mats = np.concatenate([
             rng.integers(0, p, size=(10, rows, cols)),
-            _low_rank_batch(rng, p, 14, rows, cols),
+            _low_rank_batch(rng, p, max(14, min(rows, cols) + 1), rows, cols),
             worst,
         ])
         ranks = rank_prime_batch(mats, p)
         assert ranks.tolist() == [_sympy_rank(m, p) for m in mats]
         assert set(ranks.tolist()) == set(range(min(rows, cols) + 1))
+    for cols in _ACCUMULATOR_SWITCH.get(p, ()):  # the narrower side's last columns took a full interval
+        if cols < 64:
+            assert (modular._BatchResidues(p, cols - 1).dtype, cols - 1, cols - 1) in eliminations
     for shape in [(3, 0, 4), (2, 4, 0), (0, 4, 3), (2, 0, 70), (0, 0, 0)]:
         assert rank_prime_batch(np.zeros(shape, dtype=np.int64), p).tolist() == [0] * shape[0]
 
 
+@pytest.mark.parametrize("d, power", [(2, None), (3, None), (7, None), (8, 3), (9, 5), (32749, None),
+                                      (100003, None), (2**31 - 1, None), (3037000493, None), (2**61 - 1, None)])
+def test_inverses_take_python_pow_below_sixteen_entries_and_agree_above(monkeypatch, d, power):
+    # 15 entries take Python's pow and 16 the numpy passes: both are x^power mod d
+    # entry by entry, 0 maps to 0 unless power is 0 (d = 2), where every entry maps to 1
+    exponent = d - 2 if power is None else power
+    dtype = modular._BatchResidues(d, 1).dtype
+    reduce, passes = modular._reduce, []
+    monkeypatch.setattr(modular, "_reduce", lambda x, d: passes.append(x.size) or reduce(x, d))
+    for size in (0, 1, 15, 16, 40):
+        passes.clear()
+        x = np.random.default_rng(size).integers(0, min(d, 2**62), size=size).astype(object) % d
+        x[: (size + 1) // 2] = np.arange((size + 1) // 2) % d  # 0 and the smallest residues
+        x = x.astype(dtype).reshape(-1, 1) if size % 2 else x.astype(dtype)
+        got = modular._inverses(x, d, power)
+        assert (got.dtype, got.shape) == (x.dtype, x.shape)
+        assert [int(g) for g in got.ravel()] == [pow(int(v), exponent, d) for v in x.ravel()], size
+        assert bool(passes) == (size >= 16 and exponent > 0), size  # a pass reduces its product
+
+
+def test_pack_bits_matches_a_bit_by_bit_word_at_every_width():
+    rng = np.random.default_rng(64)
+    for width in range(1, 65):
+        for shape in [(width,), (3, 5, width), (0, width), (2, 0, width)]:
+            bits = rng.integers(0, 2, size=shape).astype(np.uint8)
+            if bits.size:
+                bits.reshape(-1, width)[0] = 1  # every bit set, the top one included
+            words = modular._pack_bits(bits)
+            expected = [sum(int(bit) << j for j, bit in enumerate(row)) for row in bits.reshape(-1, width)]
+            assert (words.dtype, words.shape) == (np.dtype(np.uint64), shape[:-1]), (width, shape)
+            assert [int(w) for w in words.ravel()] == expected, (width, shape)
+
+
 @pytest.mark.parametrize("width", [63, 64, 65])
 def test_rank_prime_batch_matches_sympy_at_the_packed_word_width(width):
-    # up to 64 rows a GF(2) column is one uint64 word, beyond that int16 residues
+    # up to 64 rows a GF(2) column is one uint64 word, beyond that int8 residues
     rng = np.random.default_rng(width)
     for rows, cols in [(width - 5, width), (width + 5, width), (width, 5), (width, width)]:
         mats = np.concatenate([
