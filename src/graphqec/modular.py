@@ -200,7 +200,8 @@ def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
         return np.mod(a.astype(object), d).astype(dtype)
     if d == 2 and a.dtype.kind != "f":  # the low bit, also of a negative entry
         return np.bitwise_and(a, 1, out=np.empty_like(a, dtype), casting="unsafe")
-    if a.dtype.kind in "biu" and (not a.size or a.min() >= 0 and a.max() < d):  # residues already
+    # residues already; an unsigned type needs no look at its least entry
+    if a.dtype.kind in "biu" and (not a.size or a.max() < d and (a.dtype.kind == "u" or a.min() >= 0)):
         return a.astype(dtype)
     divisor = np.uint64(d) if a.dtype.kind == "u" else np.int64(d)
     return np.remainder(a, divisor, out=np.empty_like(a, dtype), casting="unsafe")

@@ -6,11 +6,20 @@ member of the defining supremum family, evaluated on a concrete witness
 operator) and analytic upper bounds (2 ||U - 1|| for unitary noise),
 plus the discrete-to-continuous tail estimates that convert "corrects f
 errors" into cb-norm error bounds.
+
+binary_entropy and error_threshold take a float, and return floats, or an
+array, and return arrays of its shape; the bound figures of rates pass a
+whole grid in one call.  On an array the arithmetic runs as numpy float64
+ufuncs, which round exactly as Python floats do, but every log2 and power
+of two is still math's (libm's), one entry at a time (_libm): numpy's SIMD
+log and power loops can differ from libm in the last bit, and the
+figures' CSV bytes are a contract.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -38,13 +47,41 @@ __all__ = [
 ]
 
 
-def binary_entropy(r: float) -> float:
-    """H2(r) = -r log2 r - (1-r) log2 (1-r), with H2(0) = H2(1) = 0."""
-    if not 0.0 <= r <= 1.0:
-        raise ParamOutOfRange(f"binary entropy needs r in [0, 1], got {r}")
-    if r in (0.0, 1.0):
-        return 0.0
-    return -r * math.log2(r) - (1.0 - r) * math.log2(1.0 - r)
+FloatOrArray = Union[float, np.ndarray]
+
+
+def _libm(fn, x: FloatOrArray) -> FloatOrArray:
+    """fn, a function of one Python float, of x or of each entry of the array
+    x: how math.log2 and powers of two meet an array (module docstring)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: np.where on arrays, a conditional on a number."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _require_each(ok, x, message: str) -> None:
+    """ParamOutOfRange(message.format(entry)) for the first entry of x where
+    ok is False; a number x is named as given, and NaN fails every test."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        bad = x if np.ndim(x) == 0 else np.asarray(x, dtype=object).flat[int(np.argmin(ok))]
+        raise ParamOutOfRange(message.format(bad))
+
+
+def binary_entropy(r: FloatOrArray) -> FloatOrArray:
+    """H2(r) = -r log2 r - (1-r) log2 (1-r), with H2(0) = H2(1) = 0.
+
+    r is a float, or an array whose every entry is taken, each logarithm by
+    math.log2 (see the module docstring).
+    """
+    _require_each((0.0 <= r) & (r <= 1.0), r, "binary entropy needs r in [0, 1], got {}")
+    end = (r == 0.0) | (r == 1.0)
+    x = _where(end, 0.5, r)  # no logarithm of 0 is taken
+    y = 1.0 - x
+    return _where(end, 0.0, -x * _libm(math.log2, x) - y * _libm(math.log2, y))
 
 
 def phase_rotation(d: int, theta: float) -> np.ndarray:
@@ -171,13 +208,15 @@ def truncated_binomial_bound(n: int, r: float, a: float) -> float:
     return n * (r * math.log2(a) + binary_entropy(r))
 
 
-def error_threshold(eps: float) -> tuple[float, float]:
+def error_threshold(eps: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     """(2^{-H2(eps)/eps}, eps/e): the strict correctability threshold and
-    its first-order-exact simplification."""
-    if not 0.0 < eps <= 0.5:
-        raise ParamOutOfRange(f"need 0 < eps <= 1/2, got {eps}")
-    strict = 2.0 ** (-binary_entropy(eps) / eps)
-    return strict, eps / math.e
+    its first-order-exact simplification.
+
+    eps is a float, or an array whose every entry is taken; each power of
+    two is Python's 2.0 ** x (see the module docstring).
+    """
+    _require_each((0.0 < eps) & (eps <= 0.5), eps, "need 0 < eps <= 1/2, got {}")
+    return _libm(partial(pow, 2.0), -binary_entropy(eps) / eps), eps / math.e
 
 
 def delta_exponent(eps: float, cb_dist: float) -> float:

@@ -11,18 +11,27 @@ it, and the capacity bounds, the exponent curve's c and
 search.failure_bound_log2 (the existence bound, its "log" read as log2)
 scale the random-graph rate.  The textbook singleton 1 - mu >= 4 eps and
 the qubit GV region are kept for comparison.
+
+The boundaries and the exponent curve's c and lambda take eps as a float
+or as an array, so a figure computes each CSV column in one call and a
+scalar caller gets a float.  They meet arrays only through arithmetic,
+which numpy rounds as Python does, and through noise.binary_entropy and
+noise.error_threshold, which take every logarithm and power of two with
+math (libm) one entry at a time: numpy's SIMD loops for those can differ
+in the last bit, and the CSV bytes are a contract.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DeltaTooLarge, ParamOutOfRange, UnsupportedDimension
 from .modular import _require_modulus, _require_prime
-from .noise import binary_entropy, error_threshold
+from .noise import FloatOrArray, _require_each, binary_entropy, error_threshold
 
 __all__ = [
     "RatePoint",
@@ -66,18 +75,18 @@ def ideal_capacity(d: int) -> float:
     return math.log2(d)
 
 
-def _random_graph_rate(d: int, eps: float) -> Optional[float]:
-    """Random-graph coding rate in units of log2 d: 1 - 4 eps - H2(2 eps) / log2 d;
-    None beyond eps > 1/2, where 2 eps is no probability."""
-    return None if eps > 0.5 else 1.0 - 4.0 * eps - binary_entropy(2.0 * eps) / math.log2(d)
+def _random_graph_rate(d: int, eps: FloatOrArray) -> FloatOrArray:
+    """Random-graph coding rate in units of log2 d: 1 - 4 eps - H2(2 eps) / log2 d,
+    for eps <= 1/2; beyond, 2 eps is no probability and binary_entropy refuses it."""
+    return 1.0 - 4.0 * eps - binary_entropy(2.0 * eps) / math.log2(d)
 
 
-def _singleton_rate(d: int, eps: float) -> float:
+def _singleton_rate(d: int, eps: FloatOrArray) -> FloatOrArray:
     """Weaker singleton boundary: 1 - d eps."""
     return 1.0 - d * eps
 
 
-def _hamming_rate(d: int, eps: float) -> float:
+def _hamming_rate(d: int, eps: FloatOrArray) -> FloatOrArray:
     """Quantum Hamming boundary: 1 - (H2(eps) + eps log2(d^2 - 1)) / log2 d."""
     return 1.0 - (binary_entropy(eps) + eps * math.log2(d**2 - 1)) / math.log2(d)
 
@@ -85,8 +94,7 @@ def _hamming_rate(d: int, eps: float) -> float:
 def achievable_pair(d: int, mu: float, eps: float) -> bool:
     """Random-graph coding region: (1 - mu - 4 eps) log2 d > H2(2 eps)."""
     _check_rates(mu, eps, d)
-    rate = _random_graph_rate(d, eps)
-    return rate is not None and mu < rate
+    return eps <= 0.5 and mu < _random_graph_rate(d, eps)
 
 
 def hamming_allows(d: int, mu: float, eps: float) -> bool:
@@ -155,6 +163,22 @@ def capacity_from_finite_coding(p: int, k: int, delta: float) -> float:
     return (math.log2(p) / k) * _random_graph_rate(p, math.e * delta)
 
 
+def _exponent_columns(p: int, k: int, delta: float, eps_grid) -> tuple[np.ndarray, ...]:
+    """(c, lambda in nats, lambda in bits), each an array over eps_grid, of the
+    exponent curve, after its checks on p, k, delta and every grid point."""
+    _require_block_code(p, k)
+    if not delta > 0.0:
+        raise ParamOutOfRange(f"coding error must be positive, got {delta}")
+    _require_coding_error(delta)
+    eps = np.asarray(eps_grid, dtype=float)
+    lo = math.e * delta
+    outside = f"grid point eps={{}} outside [e*delta, 1/2] = [{lo}, 0.5]"
+    _require_each((lo <= eps) & (eps <= 0.5), eps_grid, outside)
+    c = (math.log2(p) / k) * _random_graph_rate(p, eps)
+    lam = -(eps / k) * (math.log(delta) + math.log(2.0) * binary_entropy(eps) / eps)
+    return c, lam, lam / math.log(2.0)
+
+
 def error_exponent_curve(
     p: int, k: int, delta: float, eps_grid: Sequence[float]
 ) -> list[RatePoint]:
@@ -166,29 +190,12 @@ def error_exponent_curve(
     Samples with non-positive lambda are kept, with RatePoint.vacuous set;
     the exponent CSV has no column for that flag.
     """
-    _require_block_code(p, k)
-    if not delta > 0.0:
-        raise ParamOutOfRange(f"coding error must be positive, got {delta}")
-    _require_coding_error(delta)
-    points = []
-    for eps in eps_grid:
-        if not math.e * delta <= eps <= 0.5:
-            raise ParamOutOfRange(
-                f"grid point eps={eps} outside [e*delta, 1/2] = "
-                f"[{math.e * delta}, 0.5]"
-            )
-        c = (math.log2(p) / k) * _random_graph_rate(p, eps)
-        lam = -(eps / k) * (math.log(delta) + math.log(2.0) * binary_entropy(eps) / eps)
-        points.append(
-            RatePoint(
-                eps=eps,
-                c=c,
-                lambda_nats=lam,
-                lambda_bits=lam / math.log(2.0),
-                vacuous=lam <= 0.0,
-            )
-        )
-    return points
+    eps_grid = list(eps_grid)  # read twice: for the columns, and as each point's eps
+    c, lam, bits = _exponent_columns(p, k, delta, eps_grid)
+    return [
+        RatePoint(eps=e, c=ci, lambda_nats=li, lambda_bits=bi, vacuous=li <= 0.0)
+        for e, ci, li, bi in zip(eps_grid, c.tolist(), lam.tolist(), bits.tolist())
+    ]
 
 
 def region_boundaries(
@@ -199,7 +206,11 @@ def region_boundaries(
     _require_modulus(d)
     if not 0.0 <= eps <= 1.0:
         raise ParamOutOfRange(f"need eps in [0, 1], got {eps}")
-    rates = (_singleton_rate(d, eps), _hamming_rate(d, eps), _random_graph_rate(d, eps))
+    rates = (
+        _singleton_rate(d, eps),
+        _hamming_rate(d, eps),
+        _random_graph_rate(d, eps) if eps <= 0.5 else None,
+    )
     return tuple(x if x is not None and 0.0 <= x <= 1.0 else None for x in rates)
 
 
@@ -207,22 +218,23 @@ def region_boundaries(
 # CSV emission (12 significant digits, '.' decimal separator, '\n' endings)
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.12g}"
+def _default_threshold_grid() -> np.ndarray:
+    return np.arange(1, 501) / 1000.0
 
 
-def _default_threshold_grid() -> list[float]:
-    return [k / 1000.0 for k in range(1, 501)]
+def _default_region_grid() -> np.ndarray:
+    return np.arange(101) * 0.005
 
 
-def _default_region_grid() -> list[float]:
-    return [k * 0.005 for k in range(0, 101)]
-
-
-def _default_exponent_grid(delta: float) -> list[float]:
+def _default_exponent_grid(delta: float) -> np.ndarray:
     lo = math.e * delta
     step = (0.5 - lo) / 199
-    return [lo + j * step for j in range(200)]
+    return lo + np.arange(200) * step
+
+
+def _region_cells(column: np.ndarray) -> list[str]:
+    """A region boundary's cells: empty where it leaves [0, 1]."""
+    return ["%.12g" % x if 0.0 <= x <= 1.0 else "" for x in column.tolist()]
 
 
 def emit_curves(
@@ -241,28 +253,29 @@ def emit_curves(
     (long format c,lambda_nats,lambda_bits,delta, one block per delta).
     d, p and k are checked whatever the figure, so a flag the figure does
     not read is still refused when it is out of range.
+
+    Each column comes from one call of its formula on the figure's whole
+    eps grid (one exponent block at a time), and the rows from one format
+    string; the formulas take every logarithm with math, so the bytes are
+    those of the same formulas on one float at a time.
     """
     _require_modulus(d)
     _require_block_code(p, k)
-    out = io.StringIO()
     if kind == "threshold-fig":
-        out.write("eps,strict_threshold,simple_bound\n")
-        for eps in _default_threshold_grid():
-            strict, simple = error_threshold(eps)
-            out.write(f"{_fmt(eps)},{_fmt(strict)},{_fmt(simple)}\n")
-    elif kind == "rate-region-fig":
-        out.write("eps,mu_singleton,mu_hamming,mu_random_graph\n")
-        for eps in _default_region_grid():
-            s, h, r = region_boundaries(d, eps)
-            out.write(f"{_fmt(eps)},{_fmt(s)},{_fmt(h)},{_fmt(r)}\n")
-    elif kind == "exponent-fig":
-        out.write("c,lambda_nats,lambda_bits,delta\n")
+        eps = _default_threshold_grid()
+        strict, simple = error_threshold(eps)
+        rows = map("%.12g,%.12g,%.12g\n".__mod__, zip(eps.tolist(), strict.tolist(), simple.tolist()))
+        return "eps,strict_threshold,simple_bound\n" + "".join(rows)
+    if kind == "rate-region-fig":
+        eps = _default_region_grid()
+        columns = (_singleton_rate(d, eps), _hamming_rate(d, eps), _random_graph_rate(d, eps))
+        rows = map("%.12g,%s,%s,%s\n".__mod__, zip(eps.tolist(), *map(_region_cells, columns)))
+        return "eps,mu_singleton,mu_hamming,mu_random_graph\n" + "".join(rows)
+    if kind == "exponent-fig":
+        blocks = ["c,lambda_nats,lambda_bits,delta\n"]
         for delta in deltas:
-            for point in error_exponent_curve(p, k, delta, _default_exponent_grid(delta)):
-                out.write(
-                    f"{_fmt(point.c)},{_fmt(point.lambda_nats)},"
-                    f"{_fmt(point.lambda_bits)},{_fmt(delta)}\n"
-                )
-    else:
-        raise ParamOutOfRange(f"unknown figure kind {kind!r}")
-    return out.getvalue()
+            columns = _exponent_columns(p, k, delta, _default_exponent_grid(delta))
+            cells = zip(*(x.tolist() for x in columns), [f"{delta:.12g}"] * len(columns[0]))
+            blocks.extend(map("%.12g,%.12g,%.12g,%s\n".__mod__, cells))
+        return "".join(blocks)
+    raise ParamOutOfRange(f"unknown figure kind {kind!r}")

@@ -220,12 +220,15 @@ def singular_fraction_experiment(
         return 0.0, bound  # no columns: the kernel condition holds vacuously
     _require_budget(big_n * small_m, "random matrix")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+    # below 2**32 numpy draws int64 and uint32 through one 32-bit routine: the same
+    # values and generator state, in half the bytes
+    draw = np.uint32 if d <= 2**32 else np.int64
     singular = 0
     chunk = max(1, min(trials, 20_000, _CHUNK_ENTRIES // (big_n * small_m)))
     remaining = trials
     while remaining:
         take = min(chunk, remaining)
-        mats = rng.integers(0, d, size=(take, big_n, small_m))
+        mats = rng.integers(0, d, size=(take, big_n, small_m), dtype=draw)
         ranks = rank_prime_batch(mats, d)
         singular += int((ranks < small_m).sum())
         remaining -= take

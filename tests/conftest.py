@@ -7,12 +7,14 @@ vectors, binomial tails by exact integer sums, roots by scipy's brentq, error
 words by a loop over supports and letters, their images of an encoder by a
 row gather per word, the scan's projected table by one elimination per code,
 the narrow accumulators' eliminations in Python integers, a seeded search by
-one scan per trial.
+one scan per trial, the bound figures by their formulas on one float at a
+time with math and one formatted cell at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from math import comb, gcd, log2
 
 import numpy as np
@@ -202,6 +204,57 @@ def entropy_oracle(r: float) -> float:
     if r in (0.0, 1.0):
         return 0.0
     return -r * log2(r) - (1.0 - r) * log2(1.0 - r)
+
+
+def threshold_oracle(eps: float) -> tuple[float, float]:
+    """(2^(-H2(eps)/eps), eps/e) on one float."""
+    return 2.0 ** (-entropy_oracle(eps) / eps), eps / math.e
+
+
+def region_oracle(d: int, eps: float) -> tuple:
+    """The region boundaries (singleton, Hamming, random graph) in units of log2 d on
+    one float; the random-graph rate is None beyond eps = 1/2."""
+    singleton = 1.0 - d * eps
+    hamming = 1.0 - (entropy_oracle(eps) + eps * log2(d**2 - 1)) / log2(d)
+    random_graph = None if eps > 0.5 else 1.0 - 4.0 * eps - entropy_oracle(2.0 * eps) / log2(d)
+    return singleton, hamming, random_graph
+
+
+def exponent_oracle(p: int, k: int, delta: float, eps: float) -> tuple[float, float]:
+    """(c, lambda in nats) of the error-exponent curve on one float."""
+    c = (log2(p) / k) * (1.0 - 4.0 * eps - entropy_oracle(2.0 * eps) / log2(p))
+    lam = -(eps / k) * (math.log(delta) + math.log(2.0) * entropy_oracle(eps) / eps)
+    return c, lam
+
+
+def reference_curves(kind: str, *, d: int = 2, p: int = 2, k: int = 1, deltas=(1e-3, 1e-4, 1e-5, 1e-6)) -> str:
+    """rates.emit_curves on valid input, row by row: the oracle formulas on one float
+    at a time over the same grids, each cell formatted on its own."""
+
+    def cell(x):
+        return "" if x is None else f"{x:.12g}"
+
+    lines = []
+    if kind == "threshold-fig":
+        lines.append("eps,strict_threshold,simple_bound")
+        for j in range(1, 501):
+            eps = j / 1000.0
+            lines.append(",".join(map(cell, (eps, *threshold_oracle(eps)))))
+    elif kind == "rate-region-fig":
+        lines.append("eps,mu_singleton,mu_hamming,mu_random_graph")
+        for j in range(101):
+            eps = j * 0.005
+            bounds = [x if x is not None and 0.0 <= x <= 1.0 else None for x in region_oracle(d, eps)]
+            lines.append(",".join(map(cell, (eps, *bounds))))
+    else:
+        lines.append("c,lambda_nats,lambda_bits,delta")
+        for delta in deltas:
+            lo = math.e * delta
+            step = (0.5 - lo) / 199
+            for j in range(200):
+                c, lam = exponent_oracle(p, k, delta, lo + j * step)
+                lines.append(",".join(map(cell, (c, lam, lam / math.log(2.0), delta))))
+    return "\n".join(lines) + "\n"
 
 
 def seeded_code(d, m, n, seed, f):

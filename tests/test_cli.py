@@ -1,5 +1,7 @@
 import errno
+import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -36,7 +38,7 @@ from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 from graphqec.search import sample_graph, trial_rng
 
-from conftest import degenerate_wheel, smith_first_failing
+from conftest import degenerate_wheel, reference_curves, smith_first_failing
 
 
 @pytest.fixture()
@@ -808,10 +810,26 @@ def test_bounds_exponent_four_curves_to_file(capsys, tmp_path):
     assert len({ln.split(",")[3] for ln in lines[1:]}) == 4
 
 
+_FIGURES = {"threshold": "threshold-fig", "region": "rate-region-fig", "exponent": "exponent-fig"}
+
+
 def test_bounds_output_is_byte_identical(capsys):
     code, out1, _ = run_cli(capsys, "bounds", "--fig", "threshold")
     code, out2, _ = run_cli(capsys, "bounds", "--fig", "threshold")
     assert out1 == out2
+    # the default figures hash to the digests the benchmark's oracle holds
+    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "bounds_digests.json").read_text())
+    for fig in _FIGURES:
+        out = run_cli(capsys, "bounds", "--fig", fig)[1]
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[fig], fig
+    # every figure, whatever the flags it reads or does not, against the row-by-row oracle
+    for fig, kind in _FIGURES.items():
+        for d, p, k, deltas in itertools.product(
+            (2, 3, 4, 7, 101), (2, 3, 5, 7, 101, 1009), (1, 2, 3, 5, 9), ((1e-12, 0.18), (0.1, 0.05, 0.0123))
+        ):
+            argv = ["--fig", fig, "--d", str(d), "--p", str(p), "--k", str(k), "--delta", ",".join(map(repr, deltas))]
+            expected = reference_curves(kind, d=d, p=p, k=k, deltas=deltas)
+            assert run_cli(capsys, "bounds", *argv) == (0, expected, ""), argv
 
 
 def test_capacity_small_noise(capsys):
@@ -1059,11 +1077,25 @@ def test_simulate_refuses_non_finite_rotation_under_warnings_as_errors(wheel_fil
     assert proc.stderr == f"error: rotation angle theta must be finite, got {theta}\n"
 
 
-@pytest.mark.parametrize("delta", ["0.2", "1e-3,0.2"])
-def test_bounds_exponent_refuses_delta_by_the_delta_rule(capsys, delta):
-    code, out, err = run_cli(capsys, "bounds", "--fig", "exponent", "--delta", delta)
-    _refused((code, out, err), "need 0 <= delta < 1/(2e) ~ 0.183940, got 0.2")
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        ("0.2", "need 0 <= delta < 1/(2e) ~ 0.183940, got 0.2"),
+        ("1e-3,0.2", "need 0 <= delta < 1/(2e) ~ 0.183940, got 0.2"),
+        ("1e-3,0", "coding error must be positive, got 0.0"),
+        ("1e-3,nan", "coding error must be positive, got nan"),
+    ],
+    ids=["0.2", "1e-3,0.2", "1e-3,0", "1e-3,nan"],
+)
+def test_bounds_exponent_refuses_delta_by_the_delta_rule(capsys, tmp_path, delta, message):
+    argv = ["bounds", "--fig", "exponent", "--delta", delta]
+    code, out, err = run_cli(capsys, *argv)
+    _refused((code, out, err), message)
     assert "grid point" not in err
+    # the whole figure is refused before -o opens its file
+    path = tmp_path / "curves.csv"
+    assert run_cli(capsys, *argv, "-o", str(path)) == (2, "", f"error: {message}\n")
+    assert not path.exists()
 
 
 def test_capacity_refuses_nan_delta_by_the_delta_rule(capsys):

@@ -38,8 +38,12 @@ def test_binary_entropy_endpoints_and_symmetry():
     for r in (0.1, 0.25, 0.42):
         assert abs(binary_entropy(r) - binary_entropy(1 - r)) < 1e-12
         assert abs(binary_entropy(r) - entropy_oracle(r)) < 1e-12
-    with pytest.raises(ParamOutOfRange):
-        binary_entropy(1.2)
+        assert type(binary_entropy(r)) is float
+    # a refusal names the value as given, or an array's first entry outside [0, 1]
+    for r, shown in ((1.2, "1.2"), (-0.1, "-0.1"), (math.nan, "nan"), (2, "2"), (np.array([[0.5, 1.5], [-1.0, 0.2]]), "1.5")):
+        with pytest.raises(ParamOutOfRange) as err:
+            binary_entropy(r)
+        assert str(err.value) == f"binary entropy needs r in [0, 1], got {shown}"
 
 
 def test_make_unitary_channel_identity_bound():
@@ -208,15 +212,17 @@ def test_error_threshold_at_half():
 
 def test_error_threshold_at_tenth():
     strict, simple = error_threshold(0.1)
+    assert type(strict) is float and type(simple) is float
     assert abs(strict - 2 ** (-entropy_oracle(0.1) / 0.1)) < 1e-12
     assert abs(strict - 0.03874205) < 1e-7
     assert simple <= strict
 
 
 def test_error_threshold_rejects_out_of_range():
-    for eps in (0.0, -0.1, 0.6):
-        with pytest.raises(ParamOutOfRange):
+    for eps, shown in ((0.0, "0.0"), (-0.1, "-0.1"), (0.6, "0.6"), (math.nan, "nan"), (np.array([0.1, 0.7, 0.0]), "0.7")):
+        with pytest.raises(ParamOutOfRange) as err:
             error_threshold(eps)
+        assert str(err.value) == f"need 0 < eps <= 1/2, got {shown}"
 
 
 def test_simple_bound_below_strict_on_full_grid():

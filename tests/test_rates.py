@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -10,8 +12,15 @@ from graphqec.errors import (
     ParamOutOfRange,
     UnsupportedDimension,
 )
+from graphqec.noise import binary_entropy, error_threshold
 from graphqec.rates import (
     LOG2_3,
+    _default_exponent_grid,
+    _default_threshold_grid,
+    _exponent_columns,
+    _hamming_rate,
+    _random_graph_rate,
+    _singleton_rate,
     achievable_pair,
     capacity_from_finite_coding,
     capacity_lower_bound_small_noise,
@@ -26,7 +35,7 @@ from graphqec.rates import (
     singleton_standard_allows,
 )
 
-from conftest import entropy_oracle
+from conftest import entropy_oracle, exponent_oracle, region_oracle, threshold_oracle
 
 
 def test_ideal_capacity():
@@ -122,6 +131,7 @@ def test_reverse_nesting_fails_somewhere():
 
 def test_capacity_small_noise_example():
     threshold, q_lower = capacity_lower_bound_small_noise(2, 0.01)
+    assert type(threshold) is float and type(q_lower) is float
     assert abs(threshold - 2 ** (-entropy_oracle(0.01) / 0.01)) < 1e-12
     assert abs(q_lower - (0.96 - entropy_oracle(0.02))) < 1e-12
     assert abs(q_lower - 0.8186) < 1e-4
@@ -154,6 +164,7 @@ def test_capacity_finite_coding_limit():
 
 def test_capacity_finite_coding_example():
     value = capacity_from_finite_coding(2, 1, 1e-3)
+    assert type(value) is float
     scaled = math.e * 1e-3
     oracle = (1.0 - 4.0 * scaled) - entropy_oracle(2.0 * scaled)
     assert abs(value - oracle) < 1e-12
@@ -204,8 +215,11 @@ def test_exponent_curve_monotone_in_delta_and_k():
 
 
 def test_exponent_curve_guards():
-    with pytest.raises(ParamOutOfRange):
-        error_exponent_curve(2, 1, 1e-3, [1e-4])  # below e*delta
+    # below e*delta, NaN, above 1/2: the first grid point outside, as given
+    for grid, shown in (([1e-4], "0.0001"), ([0.1, math.nan, 1e-4], "nan"), ([0.1, 1], "1")):
+        with pytest.raises(ParamOutOfRange) as err:
+            error_exponent_curve(2, 1, 1e-3, grid)
+        assert str(err.value) == f"grid point eps={shown} outside [e*delta, 1/2] = [{math.e * 1e-3}, 0.5]"
     with pytest.raises(CompositeModulus):
         error_exponent_curve(6, 1, 1e-3, [0.1])
     # the finite-coding rule on delta, 1/(2e) itself included
@@ -218,6 +232,7 @@ def test_region_boundaries_ordering():
     for j in range(0, 101):
         eps = j * 0.005
         s, h, r = region_boundaries(2, eps)
+        assert {type(x) for x in (s, h, r)} <= {float, type(None)}
         if s is not None and h is not None and r is not None:
             assert s >= h >= r
 
@@ -352,3 +367,36 @@ def test_rate_checks_refuse_rates_outside_the_unit_interval():
 def test_gv_refuses_error_rates_above_one_half(eps):
     # H2(2 eps) is undefined there, so the region is empty rather than an error
     assert gv_allows(0.0, eps) is False
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("fig", ["threshold", "region", "exponent"])
+def test_array_formulas_equal_the_scalar_libm_formulas_bit_for_bit(fig):
+    # the figures' grids through the array formulas, entry by entry against the same
+    # formulas on one float at a time with math: numpy's own log2, log or power loops
+    # would differ from libm in the last bit on some entries on a CPU with SIMD loops
+    if fig == "threshold":
+        eps = _default_threshold_grid()
+        assert _bits(binary_entropy(eps)) == _bits(map(entropy_oracle, eps.tolist()))
+        assert _bits(binary_entropy(2.0 * eps[eps <= 0.5])) == _bits(entropy_oracle(2.0 * e) for e in eps.tolist() if e <= 0.5)
+        strict, simple = error_threshold(eps)
+        expected = [threshold_oracle(e) for e in eps.tolist()]
+        assert _bits(strict) == _bits(s for s, _ in expected)
+        assert _bits(simple) == _bits(t for _, t in expected)
+    elif fig == "region":
+        eps = _default_region_grid()
+        for d in (2, 3, 4, 7, 101, 1009):
+            columns = zip(*(region_oracle(d, e) for e in eps.tolist()))
+            for formula, expected in zip((_singleton_rate, _hamming_rate, _random_graph_rate), columns):
+                assert _bits(formula(d, eps)) == _bits(expected), (d, formula.__name__)
+    else:
+        deltas = (1e-3, 1e-4, 1e-5, 1e-6, 1e-12, 0.18, 0.1, 0.05, 0.0123)
+        for p, k, delta in itertools.product((2, 3, 5, 7, 101, 1009), (1, 2, 3, 5, 9), deltas):
+            grid = _default_exponent_grid(delta)
+            c, lam, _ = _exponent_columns(p, k, delta, grid)
+            expected = [exponent_oracle(p, k, delta, e) for e in grid.tolist()]
+            assert _bits(c) == _bits(x for x, _ in expected), (p, k, delta)
+            assert _bits(lam) == _bits(y for _, y in expected), (p, k, delta)

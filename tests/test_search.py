@@ -58,6 +58,7 @@ def test_sample_graph_marginal_is_uniform():
 
 def test_failure_bound_example_value():
     value = failure_bound_log2(2, 3, 30, 1)
+    assert type(value) is float
     oracle = 30 * ((3 / 30 + 4 / 30 - 1) * 1.0 + entropy_oracle(2 / 30))
     assert abs(value - oracle) < 1e-12
     assert abs(value - (-12.39)) < 0.01
@@ -256,6 +257,32 @@ def test_singular_fraction_chunks_within_entry_budget(monkeypatch, d):
     monkeypatch.setattr(search, "_CHUNK_ENTRIES", 7 * 24)  # 7 matrices of 6 x 4
     assert singular_fraction_experiment(d, 6, 4, 500, 11) == unbudgeted
     assert len(entries) == 72 and max(entries) <= 7 * 24
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 101, 46349, 2**31 - 1, 2**31 + 11, 4294967291, 4294967311])
+def test_singular_fraction_draws_are_the_int64_stream(monkeypatch, d):
+    # numpy draws uint32 and int64 below 2**32 through one 32-bit routine, so the narrow
+    # draws are the int64 values, and leave the generator where int64 draws would
+    drawn = []
+    rank = search.rank_prime_batch
+
+    def recording(mats, p):
+        drawn.append(mats.copy())
+        return rank(mats, p)
+
+    monkeypatch.setattr(search, "rank_prime_batch", recording)
+    monkeypatch.setattr(search, "_CHUNK_ENTRIES", 7 * 3 * 2)  # chunks of 7, 7 and 6 matrices of 3 x 2
+    singular_fraction_experiment(d, 3, 2, 20, 17)
+    assert [m.shape[0] for m in drawn] == [7, 7, 6]
+    assert {m.dtype for m in drawn} == {np.dtype(np.uint32 if d < 2**32 else np.int64)}
+    reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence((17,))))
+    for mats in drawn:
+        assert np.array_equal(mats, reference.integers(0, d, size=mats.shape))
+    if d < 2**32:  # odd and even draw sizes, with the state compared after each
+        narrow, wide = (np.random.Generator(np.random.PCG64(np.random.SeedSequence((17,)))) for _ in range(2))
+        for size in (7, 6, 1, 1, 5, 8):
+            assert np.array_equal(narrow.integers(0, d, size=size, dtype=np.uint32), wide.integers(0, d, size=size))
+            assert narrow.bit_generator.state == wide.bit_generator.state
 
 
 def test_singular_fraction_guards():
