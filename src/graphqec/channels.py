@@ -22,9 +22,11 @@ class lookup sorts rows packed into int64 words (_row_classes).  The
 report keeps each class as sigma = Gamma_YY s - c and tau = Gamma_XY s
 of a word X^s Z^c in it, and simulate's decoded logical channel reads
 the classes from there on both routes: the syndrome table
-(_table_decoded), where V* F_k* W V is a phase times a shift of the
-logical levels, summed over word pairs with the noise's Weyl process
-matrix, with no d^n-sized array; and past the table's budget
+(_table_decoded), where V* F_k* W V is a phase times a logical Weyl
+operator Z^b X^(-delta), so each noise word that meets a class carries
+its label (delta, b) and one phase, and the same-class word pairs add the
+noise's Weyl process matrix into one d0^2 x d0^2 logical process matrix,
+with no d^n-sized and no per-word array; and past the table's budget
 (noise on many sites) the register-sized route (_dense_decoded), whose
 class images are phases of V, F V = w^(-sigma.y - tau.x) V up to a phase
 (_class_images).  Every input-sized array passes the gate
@@ -656,14 +658,19 @@ def _local_etd(
     class images U of _class_images, the decoded state is
     tr_k Y + rho0 (x) (1 / d0 - tr_{k,sys} Y), rho0 = |0><0|, since every
     stage preserves the trace.  tr_k Y comes from the syndrome table
-    (_table_decoded) whenever its word pairs fit the budget, otherwise from
-    the register-sized route (_dense_decoded), which alone admits noise on
-    many sites.  That state is the Choi state of the logical channel D T E;
-    its Kraus operators, read off the eigenvectors, go through verify_etd
-    with identity noise and decoder.
+    (_table_decoded), a d0^2 x d0^2 logical process matrix in the logical
+    Weyl basis, whenever its word pairs fit the budget (one scalar a pair),
+    otherwise from the register-sized route (_dense_decoded), which alone
+    admits noise on many sites.  The logical Choi state budget, checked
+    first, also covers the table's 4 d0^4 amplitudes at its peak, so a d0
+    it refuses is refused on either route with the same message.  The
+    decoded state is the Choi state of the logical channel D T E; its Kraus
+    operators, read off the eigenvectors, go through verify_etd with
+    identity noise and decoder.
     """
     d0 = code.d**code.m
-    # the state, eigh's copy of it and its eigenvectors, the Kraus operators read off them
+    # the state, eigh's copy of it and its eigenvectors, the Kraus operators read off them;
+    # also the table's logical process matrix, its change of basis and result
     _require_budget(4 * d0**4, "logical Choi state")
     _require_correcting(report.max_deviation)
     _log_rank(len(report.syndrome), report.words)
@@ -702,7 +709,8 @@ def _table_decoded(
     code: GraphCode, report: _GraphKL, noise: Optional[Channel], sites: Sequence[int]
 ) -> np.ndarray:
     """tr_k Y of _dense_decoded from the adjacency matrix and the report's sigma_k and
-    tau_k alone: no V, no image and no d^n-sized array.
+    tau_k alone: no V, no image, no d^n-sized array, and per noise word a label and a
+    phase, not a row.
 
     Each site Kraus operator is a sum of the site's d^2 Weyl words W_q with
     weights kappa[j, a + d b] = tr(W_q* K_j) / d = sum_x w^(-b x) K_j[x + a, x] / d
@@ -716,19 +724,29 @@ def _table_decoded(
     the unique delta with Gamma_YX delta = syndrome(W_w) - sigma_k.  The
     classes of a correcting code lie in distinct cosets, so each word meets
     at most one class, read off the coset row that starts its _row_classes
-    class (the rank d^m shifted syndromes come first).  The Kraus index sums
-    out into the process matrix chi[w, w'] = prod over the sites of
-    sum_j kappa[j, q_w] conj(kappa[j, q_w']), so, one product over the pairs,
-    tr_k Y = sum_k sum_{w, w' meeting k} chi[w, w'] vec(A_kw) vec(A_kw')* / d0.
-    Budgeted first from the shapes: the d^(2 |sites|) words and their
-    syndromes, the rank d^m cosets, and the word pairs, at most words^2 of
-    d0^2 entries.
+    class (the rank d^m shifted syndromes come first).  Gamma is symmetric
+    with a zero diagonal, so S_XX(x' + delta) - S_XX(x') = x'.Gamma_XX delta
+    + S_XX(delta): the phase is affine in x', and A_kw = w^(c/2) Z^b X^(-delta)
+    on the logical levels, a Weyl operator with the label (delta, b),
+    b = Gamma_XX delta - Gamma_XY a + tau_k, and the even exponent
+    c = 2 sigma_k.a - a.Gamma_YY a + delta.Gamma_XX delta.  The Kraus index
+    sums out into the process matrix chi[w, w'] = prod over the sites of
+    sum_j kappa[j, q_w] conj(kappa[j, q_w']), so each pair of words meeting
+    one class adds the scalar chi[w, w'] w^((c_w - c_w')/2) / d0 at
+    [(delta, b), (delta', b')] of a d0^2 x d0^2 logical process matrix P, and
+    tr_k Y = sum P[L, L'] vec(W_L) vec(W_L')* for W_(delta, b) = Z^b X^(-delta),
+    whose vec is w^(b.x') at x' d0 + x' + delta: one change of basis, the
+    characters w^(b.x') on each (delta, delta') block.  Budgeted first from
+    the shapes: the d^(2 |sites|) words and their syndromes, the rank d^m
+    cosets, and the word pairs, at most words^2 of one scalar each.  P, the
+    change of basis's intermediate product, its blocks and the gathered
+    result (4 d0^4 amplitudes) lie within _local_etd's logical Choi state budget.
     """
     d, m, n = code.d, code.m, code.n
     d0, rank, count = d**m, len(report.syndrome), d ** (2 * len(sites))
     _require_budget(3 * count * n, "noise words")
     _require_budget(rank * d0 * n, "syndrome cosets")
-    _require_budget(3 * count * count * d0 * d0, "noise word pairs")
+    _require_budget(3 * count * count, "noise word pairs")
     gamma = code.gamma.entries
     letters = _digit_table(count, d * d, len(sites))  # q = a + d*b per noisy site, the first slowest
     shift, clock = np.zeros((count, n), dtype=np.int64), np.zeros((count, n), dtype=np.int64)
@@ -740,18 +758,13 @@ def _table_decoded(
     hit = first[label[len(cosets) :]]  # a coset's row exactly when one holds the word's syndrome
     meet = np.flatnonzero(hit < len(cosets))
     k, delta = np.divmod(hit[meet], d0)
-    a = shift[meet]  # A_kw[x', x' + delta] = w^phase[x'] for W_w = X^a Z^b
-    # sigma_k.a - S_YY(a), with S(y) = y.Gamma y / 2 exactly: Gamma is symmetric with a zero diagonal
-    scalar = np.einsum("ij,ij->i", a, 2 * report.syndrome[k] - a @ gamma[m:, m:]) // 2
-    inputs = np.einsum("ij,jk,ik->i", deltas, gamma[:m, :m], deltas) // 2  # S_XX(x) for x = deltas
+    a, e = shift[meet], deltas[delta]  # A_kw = w^(c/2) Z^b X^(-e) for W_w = X^a Z^b
     place = d ** np.arange(m - 1, -1, -1)
-    column = (deltas[None] + deltas[:, None]) % d @ place  # x' + delta: (delta, x')
-    linear = (a @ gamma[m:, :m] - report.dual[k]) @ deltas.T  # x'.(Gamma_XY a - tau_k)
-    phase = scalar[:, None] + (inputs[column] - inputs)[delta] - linear
-    vectors = np.zeros((len(meet), d0 * d0), dtype=np.complex128)  # vec(A_kw): index x' d0 + x
-    vectors[np.arange(len(meet))[:, None], np.arange(d0) * d0 + column[delta]] = _clock_phases(d)[phase % d]
+    b = (e @ gamma[:m, :m] - a @ gamma[m:, :m] + report.dual[k]) % d @ place
+    # c = 2 sigma_k.a - a.Gamma_YY a + e.Gamma_XX e, even: Gamma is symmetric with a zero diagonal
+    c = np.einsum("ij,ij->i", a, 2 * report.syndrome[k] - a @ gamma[m:, m:]) + (e @ gamma[:m, :m] * e).sum(1)
     left, right = np.nonzero(k[:, None] == k)  # the pairs of words meeting one class
-    weight = np.full(len(left), 1 / d0, dtype=np.complex128)
+    weight = _clock_phases(d)[(c[left] - c[right]) // 2 % d] / d0
     if len(sites):
         x = np.arange(d)  # the diagonals K_j[x + a, x], shaped (j, a, x), give kappa[j, a, b]
         kappa = noise.kraus[:, (x[:, None] + x) % d, x] @ _clock_phases(d)[np.outer(x, x) % d].conj() / d
@@ -759,5 +772,10 @@ def _table_decoded(
         chi = kappa.T @ kappa.conj()
         for site_letters in letters[meet].T:
             weight *= chi[site_letters[left], site_letters[right]]
-    kept = np.einsum("pi,p,pj->ij", vectors[left], weight, vectors[right].conj())
-    return kept.reshape(d0, d0, d0, d0)
+    pairs = (delta[left] * d0 + delta[right]) * d0 * d0 + b[left] * d0 + b[right]  # (delta, delta', b, b')
+    process = np.bincount(pairs, weight.real, d0**4) + 1j * np.bincount(pairs, weight.imag, d0**4)
+    # the change of basis: vec(Z^b X^(-delta)) is w^(b.x') at x' d0 + x' + delta
+    characters = _clock_phases(d)[deltas @ deltas.T % d]  # w^(b.x'), symmetric
+    blocks = characters @ process.reshape(d0, d0, d0, d0) @ characters.conj()  # (delta, delta', x', y')
+    x, offset = np.arange(d0), (deltas[None] - deltas[:, None]) % d @ place  # x - x': (x', x)
+    return blocks[offset[:, :, None, None], offset[None, None], x[:, None, None, None], x[None, None, :, None]]

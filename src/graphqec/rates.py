@@ -227,9 +227,10 @@ def _default_region_grid() -> np.ndarray:
 
 
 def _default_exponent_grid(delta: float) -> np.ndarray:
+    """200 points from e*delta to 1/2; lo + 199 step may round above 1/2, so it is clamped."""
     lo = math.e * delta
     step = (0.5 - lo) / 199
-    return lo + np.arange(200) * step
+    return np.minimum(lo + np.arange(200) * step, 0.5)
 
 
 def _region_cells(column: np.ndarray) -> list[str]:

@@ -252,7 +252,7 @@ def reference_curves(kind: str, *, d: int = 2, p: int = 2, k: int = 1, deltas=(1
             lo = math.e * delta
             step = (0.5 - lo) / 199
             for j in range(200):
-                c, lam = exponent_oracle(p, k, delta, lo + j * step)
+                c, lam = exponent_oracle(p, k, delta, min(lo + j * step, 0.5))
                 lines.append(",".join(map(cell, (c, lam, lam / math.log(2.0), delta))))
     return "\n".join(lines) + "\n"
 

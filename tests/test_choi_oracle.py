@@ -12,6 +12,9 @@ table (channels._table_decoded) is checked entry by entry against the
 register-sized route (channels._dense_decoded).
 """
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -423,6 +426,83 @@ def test_table_route_matches_the_dense_route(case, monkeypatch):
     distance = assert_routes_agree(code, 1, make_channel(code.d), sites, monkeypatch)
     if len(sites) <= 1:
         assert distance < 1e-9
+
+
+def test_the_table_decodes_weyl_noise_on_three_sites_of_a_d4_code_under_the_default_caps(monkeypatch):
+    # 4^6 noise words: 3 x 4^12 pair scalars fit the budget, where d0^2 entries a pair did not
+    code, single, sites = seeded_code(4, 1, 5, 27, 1), make_depolarizing(4, 0.3), (0, 2, 4)
+    report = _graph_kl(code, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(channels, "_dense_decoded", _no_dense_route)
+        table = _table_decoded(code, report, single, sites), _local_etd(code, report, single, sites)
+    with monkeypatch.context() as patch:
+        patch.setattr(channels, "_table_decoded", _past_the_table)
+        dense = _dense_decoded(code, report, single, sites), _local_etd(code, report, single, sites)
+    assert np.abs(table[0] - dense[0]).max() < TOL
+    assert abs(table[1] - dense[1]) < TOL
+
+
+@pytest.mark.parametrize(
+    "make_code, admitted, refusal",
+    [
+        (lambda: seeded_code(2, 1, 7, 21, 1), 6, "noise word pairs needs 805306368 amplitudes > 67108864"),
+        (lambda: seeded_code(4, 1, 5, 27, 1), 3, "noise word pairs needs 12884901888 amplitudes > 67108864"),
+    ],
+    ids=["d2n7", "d4n5"],
+)
+def test_the_pair_budget_admits_the_table_up_to_one_noisy_site_count(make_code, admitted, refusal, monkeypatch):
+    code = make_code()
+    report, single = _graph_kl(code, 1), make_depolarizing(code.d, 0.3)
+    monkeypatch.setattr(channels, "_dense_decoded", _no_dense_route)
+    _local_etd(code, report, single, range(admitted))
+    with pytest.raises(DimensionOverflow) as caught:
+        _table_decoded(code, report, single, range(admitted + 1))
+    assert str(caught.value) == refusal
+
+
+def logical_weyl_basis(d, m):
+    """Columns vec(W) / sqrt(d^m), row-major, of the d^(2m) Weyl words W on the m logical digits."""
+    words = [
+        functools.reduce(np.kron, (weyl_operator(d, q % d, q // d) for q in letters))
+        for letters in itertools.product(range(d * d), repeat=m)
+    ]
+    return np.stack([w.reshape(-1) for w in words], axis=1) / np.sqrt(d**m)
+
+
+def random_weyl_channel(d, seed):
+    """Each Weyl word with a random probability: a channel whose Weyl process matrix is diagonal."""
+    p = np.random.default_rng(seed).dirichlet(np.ones(d * d))
+    return Channel(tuple(np.sqrt(p[q]) * weyl_operator(d, q % d, q // d) for q in range(d * d)))
+
+
+def bell_off_diagonal(code, kept):
+    """The largest off-diagonal entry of tr_k Y in the logical Bell basis."""
+    basis = logical_weyl_basis(code.d, code.m)
+    bell = basis.conj().T @ kept.reshape(basis.shape) @ basis
+    return np.abs(bell - np.diag(np.diag(bell))).max()
+
+
+@pytest.mark.parametrize("channel", ["depolarizing", "random-weyl"])
+@pytest.mark.parametrize(
+    "make_code, sites",
+    [
+        (lambda: seeded_code(2, 1, 7, 21, 1), (0, 3, 6)),
+        (lambda: seeded_code(3, 1, 5, 3, 1), (1, 4)),
+        (lambda: seeded_code(3, 1, 5, 3, 1), (0, 2, 4)),
+        (lambda: seeded_code(2, 2, 8, 1, 1), (1, 2, 7)),
+    ],
+    ids=["d2n7", "d3n5-two-sites", "d3n5-three-sites", "d2m2n8"],
+)
+def test_weyl_noise_leaves_the_decoded_state_diagonal_in_the_logical_bell_basis(make_code, sites, channel):
+    code = make_code()
+    single = make_depolarizing(code.d, 0.3) if channel == "depolarizing" else random_weyl_channel(code.d, 11)
+    assert bell_off_diagonal(code, _table_decoded(code, _graph_kl(code, 1), single, sites)) < TOL
+
+
+def test_amplitude_damping_leaves_the_decoded_state_off_the_logical_bell_diagonal():
+    code = seeded_code(2, 1, 7, 21, 1)
+    kept = _dense_decoded(code, _graph_kl(code, 1), amplitude_damping(2, 0.3), range(7))
+    assert bell_off_diagonal(code, kept) > 1e-5
 
 
 def dense_site_propagate(state, single, left, right):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import resource
@@ -38,7 +39,7 @@ from graphqec.modular import ModMatrix
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 from graphqec.search import sample_graph, trial_rng
 
-from conftest import degenerate_wheel, reference_curves, smith_first_failing
+from conftest import degenerate_wheel, reference_curves, seeded_code, smith_first_failing
 
 
 @pytest.fixture()
@@ -373,6 +374,14 @@ def _assert_refused_in_child(tmp_path, graph, argv, message, gib):
     proc = _run_in_child(tmp_path, graph, argv, gib)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr, proc.stderr
+
+
+def test_simulate_decodes_weyl_noise_on_three_sites_of_a_d4_code_within_three_gib(tmp_path):
+    # 4^6 noise words on sites 0, 2, 4: the syndrome table's pair scalars fit the default caps
+    graph = graph_to_dict(seeded_code(4, 1, 5, 27, 1))
+    argv = ["simulate", "--f", "1", "--noise", "depolarizing:0.3", "--sites", "0,2,4"]
+    proc = _run_in_child(tmp_path, graph, argv, 3)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
 
 @pytest.mark.parametrize("graph, argv, message", list(_OVERSIZED.values()), ids=list(_OVERSIZED))
@@ -1098,6 +1107,16 @@ def test_bounds_exponent_refuses_delta_by_the_delta_rule(capsys, tmp_path, delta
     assert not path.exists()
 
 
+def test_bounds_exponent_grid_ends_at_one_half(capsys):
+    # e*delta + 199 ((1/2 - e*delta) / 199) rounds above 1/2 at delta = 2e-3; the grid is clamped
+    lo = math.e * 2e-3
+    assert lo + 199 * ((0.5 - lo) / 199) > 0.5
+    code, out, err = run_cli(capsys, "bounds", "--fig", "exponent", "--delta", "2e-3")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 200
+    assert out == reference_curves("exponent-fig", deltas=(2e-3,))
+
+
 def test_capacity_refuses_nan_delta_by_the_delta_rule(capsys):
     code, out, err = run_cli(capsys, "capacity", "--p", "2", "--k", "1", "--delta", "nan")
     _refused((code, out, err), "need 0 <= delta < 1/(2e)")
@@ -1135,3 +1154,24 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# every `graphqec ...` line of the usage block under "Command line", its comment and `> file` dropped
+_USAGE = [
+    line.split("#")[0].split(">")[0].strip()
+    for line in _README.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    if line.startswith("graphqec ")
+]
+
+
+@pytest.mark.parametrize("line", _USAGE)
+def test_readme_usage_lines_run(capsys, tmp_path, monkeypatch, line):
+    # the five-qubit wheel file the README shows, and a two-operator bit-flip Kraus file
+    (tmp_path / "wheel.json").write_text(_README.split("```json\n", 1)[1].split("```", 1)[0])
+    kraus = [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * np.array([[0.0, 1.0], [1.0, 0.0]])]
+    operators = [{"re": k.tolist(), "im": np.zeros((2, 2)).tolist()} for k in kraus]
+    (tmp_path / "channel.json").write_text(json.dumps(operators))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *line.split()[1:])
+    assert (code, err) == (0, "")
