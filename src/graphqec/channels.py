@@ -25,11 +25,14 @@ the classes from there on both routes: the syndrome table
 (_table_decoded), where V* F_k* W V is a phase times a logical Weyl
 operator Z^b X^(-delta), so each noise word that meets a class carries
 its label (delta, b) and one phase, and the same-class word pairs add the
-noise's Weyl process matrix into one d0^2 x d0^2 logical process matrix,
-with no d^n-sized and no per-word array; and past the table's budget
-(noise on many sites) the register-sized route (_dense_decoded), whose
-class images are phases of V, F V = w^(-sigma.y - tau.x) V up to a phase
-(_class_images).  Every input-sized array passes the gate
+noise's Weyl process matrix, read off its Choi state, into one
+d0^2 x d0^2 logical process matrix, with no d^n-sized and no per-word
+array; and past the table's budget (noise on many sites) the
+register-sized route (_dense_decoded), whose class images are phases of
+V, F V = w^(-sigma.y - tau.x) V up to a phase (_class_images).  The d^2
+Weyl letters of a site, X^a Z^b at q = a + d*b, are built in one place
+(_weyl_letters), which the error bases, noise.make_depolarizing and the
+table's process matrix read.  Every input-sized array passes the gate
 graphs._require_budget.
 Choi states are contracted by one routine, _propagate, and every pipeline
 starts in one driver (_propagate_stages), which fixes each stage's route
@@ -216,13 +219,23 @@ def _clock_phases(d: int, b: int = 1) -> np.ndarray:
     return np.array([omega ** (b * k) for k in range(d)], dtype=np.complex128)
 
 
+def _weyl_letters(d: int) -> np.ndarray:
+    """Every weyl_operator(d, a, b) as one (d^2, d, d) stack, letter q = a + d*b, each
+    bitwise equal to weyl_operator's.  Budgeted (d^4 amplitudes) before any d-sized array."""
+    _require_budget(d**4, "Weyl letters")
+    letters, k = np.zeros((d, d, d, d), dtype=np.complex128), np.arange(d)  # (b, a, row, column)
+    letters[:, k[:, None], (k + k[:, None]) % d, k] = np.array([_clock_phases(d, b) for b in range(d)])[:, None]
+    return letters.reshape(d * d, d, d)
+
+
 def _error_basis(n: int, d: int, subsets: Iterable[tuple], letters: range) -> list[np.ndarray]:
-    """Every word with a letter from `letters` (q = a + d*b -> X^a Z^b) on each site of
-    each subset, identity elsewhere: views into one Kronecker stack per subset."""
+    """Every word with a letter from `letters` (q = a + d*b -> X^a Z^b of _weyl_letters) on
+    each site of each subset, identity elsewhere: views into one Kronecker stack per subset.
+    The letters are read only when some subset is non-empty."""
     _require_budget(d ** (2 * n), "each error operator", DEFAULT_AMPLITUDE_CAP)
     subsets = list(subsets)
     _require_budget(sum(len(letters) ** len(z) for z in subsets) * (d**n) ** 2, "error basis")
-    weyl = np.stack([weyl_operator(d, q % d, q // d) for q in letters])
+    weyl = _weyl_letters(d)[letters] if any(subsets) else None
     identity = np.eye(d, dtype=np.complex128)[None]
     stacks = (_kron_stacks([weyl if site in z else identity for site in range(n)]) for z in subsets)
     return [op for stack in stacks for op in stack]
@@ -626,6 +639,14 @@ def choi_state(channel: Channel) -> np.ndarray:
     return _propagate_stages([(channel.kraus, 1, d0)], d0).state()
 
 
+def _weyl_process_matrix(channel: Channel) -> np.ndarray:
+    """chi of a channel T on C^d in the letters W_q of _weyl_letters, q = a + d*b:
+    T(rho) = sum chi[q, q'] W_q rho W_q'*.  Read off the Choi state J of choi_state as
+    chi[q, q'] = vec(W_q)* J vec(W_q') / d, so it depends on T alone, not on its Kraus set."""
+    weyl = _weyl_letters(channel.dim_in).reshape(channel.dim_in**2, -1)
+    return weyl.conj() @ choi_state(channel) @ weyl.T / channel.dim_in
+
+
 def verify_etd(encoder: Channel, noise: Channel, decoder: Channel) -> float:
     """Choi trace distance between decode(noise(encode(.))) and the identity.
 
@@ -666,7 +687,10 @@ def _local_etd(
     it refuses is refused on either route with the same message.  The
     decoded state is the Choi state of the logical channel D T E; its Kraus
     operators, read off the eigenvectors, go through verify_etd with
-    identity noise and decoder.
+    identity noise and decoder.  The smallest eigenvalues, while their sum
+    stays at most 1e-13, are roundoff and give no operator: the state moves
+    by at most 1e-13 in trace norm, and verify_etd meets the channel's rank,
+    not the state's d0^2.
     """
     d0 = code.d**code.m
     # the state, eigh's copy of it and its eigenvectors, the Kraus operators read off them;
@@ -681,7 +705,7 @@ def _local_etd(
     lost = np.eye(d0) / d0 - np.trace(kept, axis1=0, axis2=2)  # tr_sys[(1 - UU*) rho]
     state = kept.reshape(d0 * d0, d0 * d0) + np.kron(_ground_state(d0), lost)
     vals, vecs = np.linalg.eigh(state)
-    keep = vals > 0
+    keep = np.cumsum(np.maximum(vals, 0.0)) > 1e-13  # the smallest, summing to <= 1e-13: roundoff
     logical = Channel((vecs[:, keep] * np.sqrt(d0 * vals[keep])).T.reshape(-1, d0, d0))
     identity = identity_channel(d0)
     return verify_etd(logical, identity, identity)
@@ -712,10 +736,9 @@ def _table_decoded(
     tau_k alone: no V, no image, no d^n-sized array, and per noise word a label and a
     phase, not a row.
 
-    Each site Kraus operator is a sum of the site's d^2 Weyl words W_q with
-    weights kappa[j, a + d b] = tr(W_q* K_j) / d = sum_x w^(-b x) K_j[x + a, x] / d
-    (its shifted diagonals), so a product of site Kraus operators is a sum of
-    the words W_w = X^a Z^b on the noisy sites.  Up to a phase, class k's
+    Each site Kraus operator is a sum of the site's d^2 Weyl letters W_q
+    (_weyl_letters), so a product of site Kraus operators is a sum of the
+    words W_w = X^a Z^b on the noisy sites.  Up to a phase, class k's
     image is Z^(-sigma_k) V w^(-tau_k.x) (_class_images), so
     A_kw = w^(sigma_k.a + tau_k.x') T(a, b + sigma_k) with T of _graph_kl:
     nonzero only when W_w's syndrome lies in sigma_k's coset modulo the
@@ -730,15 +753,17 @@ def _table_decoded(
     on the logical levels, a Weyl operator with the label (delta, b),
     b = Gamma_XX delta - Gamma_XY a + tau_k, and the even exponent
     c = 2 sigma_k.a - a.Gamma_YY a + delta.Gamma_XX delta.  The Kraus index
-    sums out into the process matrix chi[w, w'] = prod over the sites of
-    sum_j kappa[j, q_w] conj(kappa[j, q_w']), so each pair of words meeting
+    sums out into the process matrix chi[w, w'] = prod over the sites of the
+    noise's chi[q_w, q_w'] (_weyl_process_matrix, read off its Choi state, so
+    every Kraus set of one channel gives one chi), so each pair of words meeting
     one class adds the scalar chi[w, w'] w^((c_w - c_w')/2) / d0 at
     [(delta, b), (delta', b')] of a d0^2 x d0^2 logical process matrix P, and
     tr_k Y = sum P[L, L'] vec(W_L) vec(W_L')* for W_(delta, b) = Z^b X^(-delta),
     whose vec is w^(b.x') at x' d0 + x' + delta: one change of basis, the
     characters w^(b.x') on each (delta, delta') block.  Budgeted first from
     the shapes: the d^(2 |sites|) words and their syndromes, the rank d^m
-    cosets, and the word pairs, at most words^2 of one scalar each.  P, the
+    cosets, and the word pairs, at most words^2 of one scalar each; the noise's
+    d^2 letters (d^4 amplitudes) in _weyl_letters.  P, the
     change of basis's intermediate product, its blocks and the gathered
     result (4 d0^4 amplitudes) lie within _local_etd's logical Choi state budget.
     """
@@ -765,13 +790,9 @@ def _table_decoded(
     c = np.einsum("ij,ij->i", a, 2 * report.syndrome[k] - a @ gamma[m:, m:]) + (e @ gamma[:m, :m] * e).sum(1)
     left, right = np.nonzero(k[:, None] == k)  # the pairs of words meeting one class
     weight = _clock_phases(d)[(c[left] - c[right]) // 2 % d] / d0
-    if len(sites):
-        x = np.arange(d)  # the diagonals K_j[x + a, x], shaped (j, a, x), give kappa[j, a, b]
-        kappa = noise.kraus[:, (x[:, None] + x) % d, x] @ _clock_phases(d)[np.outer(x, x) % d].conj() / d
-        kappa = kappa.transpose(0, 2, 1).reshape(-1, d * d)  # column a + d b
-        chi = kappa.T @ kappa.conj()
-        for site_letters in letters[meet].T:
-            weight *= chi[site_letters[left], site_letters[right]]
+    chi = _weyl_process_matrix(noise) if len(sites) else None
+    for site_letters in letters[meet].T:
+        weight *= chi[site_letters[left], site_letters[right]]
     pairs = (delta[left] * d0 + delta[right]) * d0 * d0 + b[left] * d0 + b[right]  # (delta, delta', b, b')
     process = np.bincount(pairs, weight.real, d0**4) + 1j * np.bincount(pairs, weight.imag, d0**4)
     # the change of basis: vec(Z^b X^(-delta)) is w^(b.x') at x' d0 + x' + delta

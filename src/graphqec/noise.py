@@ -24,13 +24,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .channels import Channel, _require_isometry, weyl_operator
+from .channels import Channel, _require_isometry, _weyl_letters
 from .errors import (
     DimensionMismatch,
     NotUnitary,
     ParamOutOfRange,
     PreconditionViolated,
 )
+from .graphs import _require_budget
 
 __all__ = [
     "binary_entropy",
@@ -85,9 +86,11 @@ def binary_entropy(r: FloatOrArray) -> FloatOrArray:
 
 
 def phase_rotation(d: int, theta: float) -> np.ndarray:
-    """diag(1, e^{i theta}, ..., e^{i (d-1) theta}), a small rotation for small theta."""
+    """diag(1, e^{i theta}, ..., e^{i (d-1) theta}), a small rotation for small theta.
+    Budgeted (d^2 amplitudes) before it is formed."""
     if not math.isfinite(theta):
         raise ParamOutOfRange(f"rotation angle theta must be finite, got {theta}")
+    _require_budget(d * d, "site operator")
     return np.diag(np.exp(1j * theta * np.arange(d)))
 
 
@@ -105,19 +108,17 @@ def make_unitary_channel(u) -> tuple[Channel, float]:
 def make_depolarizing(d: int, q: float) -> Channel:
     """rho -> (1-q) rho + q 1/d via uniformly weighted Weyl words.
 
-    The identity word absorbs the (1-q) part, so the Kraus set is
-    sqrt(1 - q + q/d^2) 1 together with sqrt(q)/d W for the d^2 - 1
-    nontrivial words.
+    The identity word absorbs the (1-q) part, so the Kraus set is the
+    d^2 letters of channels._weyl_letters in their order q = a + d*b
+    (X^a Z^b), each scaled by one weight: sqrt(1 - q + q/d^2) for the
+    identity (q = 0) and sqrt(q)/d for the d^2 - 1 nontrivial words.
+    Budgeted (d^4 amplitudes) before any d-sized array.
     """
     if not 0.0 <= q <= 1.0:
         raise ParamOutOfRange(f"depolarizing weight must be in [0, 1], got {q}")
-    kraus = [np.sqrt(1.0 - q + q / d**2) * np.eye(d, dtype=np.complex128)]
-    for a in range(d):
-        for b in range(d):
-            if a == b == 0:
-                continue
-            kraus.append(np.sqrt(q) / d * weyl_operator(d, a, b))
-    return Channel(kraus)
+    letters = _weyl_letters(d)  # the gate runs before any d-sized array
+    letters *= np.where(np.arange(d * d), np.sqrt(q) / d, np.sqrt(1.0 - q + q / d**2))[:, None, None]
+    return Channel(letters)
 
 
 LinearMap = Union[Channel, Callable[[np.ndarray], np.ndarray]]

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from graphqec import channels, graphs
 from graphqec.channels import (
     Channel,
+    _weyl_letters,
     apply_channel,
     choi_state,
     error_space_basis,
@@ -208,6 +213,31 @@ def test_localized_error_basis_matches_kron_chain(d, n):
         for z in itertools.combinations(range(n), size):
             expect = [_chain_word(n, d, z, word) for word in itertools.product(range(d * d), repeat=size)]
             assert _bit_equal(localized_error_basis(n, d, z), expect), z
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_weyl_letters_are_the_weyl_operators_and_depolarizing_weights_each_once(d):
+    letters, kraus, p = _weyl_letters(d), make_depolarizing(d, 0.3).kraus, 0.3
+    assert letters.shape == kraus.shape == (d * d, d, d)
+    for q in range(d * d):  # q = a + d*b -> X^a Z^b
+        letter = weyl_operator(d, q % d, q // d)
+        weight = np.sqrt(1.0 - p + p / d**2) if q == 0 else np.sqrt(p) / d
+        assert _bit_equal(letters[q], letter) and _bit_equal(kraus[q], weight * letter), q
+
+
+def test_an_error_basis_of_empty_subsets_reads_no_letter_within_three_gib():
+    # the answer is one 1000 x 1000 identity; the 10^6 letters of d = 1000 would not fit
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))\n"
+        "import numpy as np\n"
+        "from graphqec.channels import error_space_basis, localized_error_basis\n"
+        "for basis in (error_space_basis(1, 1000, 0), localized_error_basis(1, 1000, ())):\n"
+        "    assert len(basis) == 1 and np.array_equal(basis[0], np.eye(1000))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
 
 def test_tensor_channels_matches_kron_chain():

@@ -31,6 +31,7 @@ from graphqec.channels import (
     _max_entangled,
     _propagate,
     _table_decoded,
+    _weyl_process_matrix,
     choi_state,
     error_space_basis,
     identity_channel,
@@ -303,6 +304,44 @@ SITE_CHANNELS = {
     "rotation": lambda d: make_unitary_channel(phase_rotation(d, 0.3))[0],
     "damping": lambda d: amplitude_damping(d, 0.3),
 }
+
+
+def weyl_trace_chi(channel):
+    """chi[q, q'] = sum_j kappa_j[q] conj(kappa_j[q']), kappa_j[q] = tr(W_q* K_j) / d for the
+    letters W_q = weyl_operator(d, q % d, q // d)."""
+    d = channel.dim_in
+    words = [weyl_operator(d, q % d, q // d) for q in range(d * d)]
+    kappa = np.array([[np.trace(w.conj().T @ k) / d for w in words] for k in channel.kraus])
+    return kappa.T @ kappa.conj()
+
+
+@pytest.mark.parametrize("name", sorted(SITE_CHANNELS))
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_weyl_process_matrix_of_the_choi_state_matches_the_weyl_traces(name, d):
+    channel = SITE_CHANNELS[name](d)
+    # each Kraus operator twice, scaled by 1/sqrt(2): the same channel, another Kraus set
+    doubled = Channel(np.concatenate([channel.kraus, channel.kraus]) / np.sqrt(2))
+    want = weyl_trace_chi(channel)
+    assert np.abs(_weyl_process_matrix(channel) - want).max() <= 1e-14
+    assert np.abs(_weyl_process_matrix(doubled) - want).max() <= 1e-14
+
+
+def test_simulate_drops_the_roundoff_eigenvalues_of_the_logical_choi_state(monkeypatch):
+    # a rotation on sites 1, 2 of a d = 4, m = 2 code: 17 eigenvalues above 1e-2, the others
+    # roundoff of at most 1e-15, which the cut drops before verify_etd
+    code, single, sites = seeded_code(4, 2, 4, 1, 0), make_unitary_channel(phase_rotation(4, 0.3))[0], (1, 2)
+    v = build_isometry(code)
+    decoder, noise = synthesize_decoder(v, error_space_basis(4, 4, 0)), site_noise(4, 4, sites, single)
+    state = dense_choi_state(Channel(np.stack([k @ t @ v for k in decoder.kraus for t in noise.kraus])))
+    kept = int((np.cumsum(np.maximum(np.linalg.eigvalsh(state), 0.0)) > 1e-13).sum())
+    want = 0.5 * np.abs(np.linalg.eigvalsh(state - dense_max_entangled(16))).sum()
+    seen = []
+    monkeypatch.setattr(channels, "verify_etd", lambda e, t, dd: seen.append(len(e.kraus)) or verify_etd(e, t, dd))
+    got = _local_etd(code, _graph_kl(code, 0), single, sites)
+    assert (kept, seen) == (17, [17])
+    assert abs(got - want) <= 1e-12
+
+
 LOCAL_CODES = dict(
     CODES,
     d2n10=lambda wheel, prism: seeded_code(2, 1, 10, 25, 1),

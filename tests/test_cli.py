@@ -316,7 +316,17 @@ _W8_EDGES = [[10 + s, 10 + (s + 1) % 20, 1] for s in range(20)] + [[i, 10 + 2 * 
 # the upper triangle of np.random.default_rng(1).integers(0, 9, size=(6, 6)): an isometry
 _D9_EDGES = [[a, b, w] for a, row in enumerate([[0, 4, 6, 8, 0, 1], [0, 0, 2, 2, 7, 3], [0, 0, 0, 3, 5, 4],
                                                 [0, 0, 0, 0, 7, 4], [0, 0, 0, 0, 0, 2]]) for b, w in enumerate(row) if w]
+_LARGE_D = {"d": 100003, "m": 1, "n": 2, "edges": [[0, 1, 1], [0, 2, 1]]}
 _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
+    # a d = 100003 site: the d^4 amplitudes of its Weyl letters, the d x d rotation
+    "simulate-weyl-letters": (
+        _LARGE_D, ["simulate", "--f", "0", "--noise", "depolarizing:0.1", "--sites", "0"],
+        "Weyl letters needs 100012000540010800081 amplitudes",
+    ),
+    "simulate-site-operator": (
+        _LARGE_D, ["simulate", "--f", "0", "--noise", "unitary-rotation:0.1", "--sites", "0"],
+        "site operator needs 10000600009 amplitudes",
+    ),
     # 2,333,431 words on <= 4 of 30 sites, each with its shift, clock and syndrome rows
     "kl-check-words": (
         _ring_graph(30), ["kl-check", "--f", "4"], "error words needs 210008790 amplitudes",
@@ -374,6 +384,30 @@ def _assert_refused_in_child(tmp_path, graph, argv, message, gib):
     proc = _run_in_child(tmp_path, graph, argv, gib)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr, proc.stderr
+
+
+_LARGE_D_RUNS = {  # graph file (or None), argv; {kraus} names a 2 x 2 bit-flip Kraus file
+    "verify": (_LARGE_D, ["verify", "--f", "0"]),
+    "maxf": (_LARGE_D, ["maxf"]),
+    "kl-check": (_LARGE_D, ["kl-check", "--f", "0"]),
+    "simulate": (_LARGE_D, ["simulate", "--f", "0"]),
+    **{
+        f"simulate-{noise.partition(':')[0]}": (_LARGE_D, ["simulate", "--f", "0", "--noise", noise, "--sites", "0"])
+        for noise in ("depolarizing:0.1", "unitary-rotation:0.1", "custom-kraus:{kraus}")
+    },
+    "search": (None, ["search", "--d", "100003", "--m", "1", "--n", "2", "--f", "0", "--trials", "1", "--seed", "1"]),
+    "singular-mc": (None, ["singular-mc", "--d", "100003", "--N", "3", "--M", "2", "--trials", "10", "--seed", "1"]),
+    "bounds": (None, ["bounds", "--fig", "region", "--d", "100003"]),
+    "capacity": (None, ["capacity", "--d", "100003", "--eps", "0.01"]),
+}
+
+
+@pytest.mark.parametrize("graph, argv", list(_LARGE_D_RUNS.values()), ids=list(_LARGE_D_RUNS))
+def test_every_command_at_d_100003_exits_without_a_traceback_within_three_gib(tmp_path, graph, argv):
+    kraus = tmp_path / "flip.json"
+    kraus.write_text(json.dumps([{"re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}]))
+    proc = _run_in_child(tmp_path, graph, [arg.replace("{kraus}", str(kraus)) for arg in argv], 3)
+    assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_simulate_decodes_weyl_noise_on_three_sites_of_a_d4_code_within_three_gib(tmp_path):
