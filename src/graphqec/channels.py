@@ -65,6 +65,7 @@ from .graphs import (
     _projection,
     _require_budget,
     _require_error_count,
+    _require_residue_table,
     build_isometry,
 )
 from .modular import _prime_factors, _residue_dtype, _residues
@@ -390,7 +391,9 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     Gamma_YX's columns exactly when their keys, the rows without a pivot of
     [Gamma_YX | sigma^T] row-reduced mod q (graphs._projection), agree mod
     every q = p^k || d.  Budgeted: the words and their syndromes
-    (_error_words), and the keys; no d^n-sized, no K x K array.
+    (_error_words), and the key table by what it holds
+    (graphs._require_residue_table), so the subset scan's smaller table of a
+    failing code admitted here fits its own gate; no d^n-sized, no K x K array.
     """
     d, m, n = code.d, code.m, code.n
     count, shift, clock = _error_words(n, d, f)
@@ -401,10 +404,10 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     dual = _mod_matmul(shift, code.gamma.entries[m:, :m], d)  # Gamma_XY s
     split = bool((dual != dual[first][label]).any())
     syndromes, dual = syndromes[first], dual[first]
-    _require_budget(n * (m + len(syndromes)), "coset keys")
+    moduli = {p: math.gcd(d, p ** d.bit_length()) for p in _prime_factors(d)}  # p^k || d
+    _require_residue_table(n * (m + len(syndromes)), "coset keys", *moduli.values())
     table, keys = np.hstack([code.gamma.entries[m:, :m], syndromes.T]), []
-    for p in _prime_factors(d):
-        q = math.gcd(d, p ** d.bit_length())  # p^k || d
+    for p, q in moduli.items():
         kept, full = _projection(_residues(table[None], q, _residue_dtype(q)), m, q, p)
         if not full[0]:
             return _GraphKL(count, 1.0)

@@ -2,14 +2,15 @@
 
 Each handler only computes and returns (exit code, JSON payload, text
 lines); the two that must print for themselves (the byte-clean text of
-`bounds`, to stdout or -o, and the refusal of `simulate`) return a plain
-exit code.  `main` alone parses, times the whole command (reading the
-graph file included), prints the result and maps errors to exit codes: 0 on
-success/pass, 1 on a semantic failure (a verification that ran and
-said no), 2 on usage or input errors.  A reader that closes stdout
-early (`| head -1`) changes neither the exit code nor stderr.  All output
-is deterministic given the flags; --no-timing drops the timing line and
-`elapsed_s`.
+`bounds`, to stdout or -o, and the failing verdict of `simulate`, which
+names the subset scan's witness: the scan's table fits wherever the
+Knill-Laflamme check admitted the code) return a plain exit code.  `main`
+alone parses, times the whole command (reading the graph file included),
+prints the result and maps errors to exit codes: 0 on success/pass, 1 on
+a semantic failure (a verification that ran and said no), 2 on usage or
+input errors.  A reader that closes stdout early (`| head -1`) changes
+neither the exit code nor stderr.  All output is deterministic given the
+flags; --no-timing drops the timing line and `elapsed_s`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import time
 import numpy as np
 
 from .channels import KL_TOLERANCE, Channel, _graph_kl, _local_etd
-from .errors import DimensionMismatch, DimensionOverflow, GraphQECError
+from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
     _normalize_subset,
+    _parse_json,
     _require_shape,
     find_uncorrectable_subset,
     graph_to_dict,
@@ -123,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_kraus(path: str, site_dim: int) -> list[np.ndarray]:
     """site_dim x site_dim operators from a JSON list of {"re": [[...]], "im": [[...]]} objects."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _parse_json(fh.read())
     if not isinstance(data, list):
         raise ValueError("custom-kraus file must hold a JSON list of operators")
     kraus = []
@@ -213,12 +215,9 @@ def _cmd_simulate(args) -> Result | int:
     code = load_graph(args.graph)
     _require_shape(code.m, code.n, args.f)
     report = _graph_kl(code, args.f)  # past its word budget the refusal stands, as in kl-check
-    if not report.correcting:  # a code the scan passes satisfies Knill-Laflamme: a witness exists
-        try:
-            witness = f"failing subset {list(find_uncorrectable_subset(code, args.f))}"
-        except DimensionOverflow as err:  # the verdict stands; only its witness is out of reach
-            witness = f"the failing subset lies past the subset-scan budget: {err}"
-        print(f"code does not correct f={args.f} ({witness})", file=sys.stderr)
+    if not report.correcting:  # the scan passes only Knill-Laflamme codes, and its table fits: a witness exists
+        witness = list(find_uncorrectable_subset(code, args.f))
+        print(f"code does not correct f={args.f} (failing subset {witness})", file=sys.stderr)
         return 1
     tokens = (args.sites or "").split(",")
     sites = list(_normalize_subset(code.n, [int(tok) for tok in tokens if tok.strip() != ""]))

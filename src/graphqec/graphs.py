@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 # The caps of _require_budget, in array entries ("amplitudes") of any dtype: one
-# operator, register dimension, subset-scan table or slice, and any other input-sized array
+# operator, register dimension or table of Python-integer residues, and any other input-sized array
 DEFAULT_AMPLITUDE_CAP = 2**20
 TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP  # 1 GiB of complex128
 
@@ -90,6 +90,14 @@ def _require_budget(count: int, what: str, cap: Optional[int] = None) -> None:
     cap = TOTAL_AMPLITUDE_CAP if cap is None else cap
     if count > cap:
         raise DimensionOverflow(f"{what} needs {count} amplitudes > {cap}")
+
+
+def _require_residue_table(count: int, what: str, *moduli: int) -> None:
+    """The gate of a table of residues mod each of moduli, by what it holds: a fixed-width
+    table (int8 to int64) passes TOTAL_AMPLITUDE_CAP like every other fixed-width array,
+    and one that holds Python integers, each a heap object (some modulus above
+    modular.MAX_BATCH_MODULUS), DEFAULT_AMPLITUDE_CAP."""
+    _require_budget(count, what, DEFAULT_AMPLITUDE_CAP if object in map(_residue_dtype, moduli) else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +217,16 @@ def _site_vectors(gammas: np.ndarray, m: int, p: int, size: int):
     and v[..., t n + z], the images of code t's a_z and e_z in the n - m rows
     without a pivot, so Z fails exactly when its 2|Z| vectors are dependent.
     They are vectors of modular._field for n - m rows and two eliminations a
-    step (_extend).  size 0 reduces A alone.
+    step (_extend).  size 0 reduces A alone.  The table, T n (m + 2n) entries
+    while it is row-reduced, passes _require_residue_table before any residue
+    of it exists: at m = 1 it admits n <= 5792 with fixed-width residues, and
+    n <= 723 with Python integers.
     """
     count, n = len(gammas), gammas.shape[-1] - m
     if m > n:
         return None, None, None, np.zeros(count, dtype=bool)
     sites = n if size else 0  # columns of the a_z, then of the e_z
-    _require_budget(count * n * (m + 2 * sites), "subset-scan table", DEFAULT_AMPLITUDE_CAP)
+    _require_residue_table(count * n * (m + 2 * sites), "subset-scan table", p)
     dtype = _residue_dtype(p)
     table = np.zeros((count, n, m + 2 * sites), dtype=dtype)
     table[:, :, : m + sites] = _residues(gammas[:, m:, : m + sites], p, dtype)  # rows Y
@@ -313,7 +324,8 @@ def first_failing_subset(
 
 def _codes_per_stack(m: int, n: int) -> int:
     """The most codes of shape (m, n), at least one, whose adjacency stack and scan table
-    fit DEFAULT_AMPLITUDE_CAP; a slice then admits a block of each (2n (n - m) <= n (m + 2n))."""
+    fit DEFAULT_AMPLITUDE_CAP: the walk's tile, not a gate.  A slice holds at most
+    T (n - 1) 2 (n - m) entries a prime, fewer than the T n (m + 2n) of its table."""
     return max(1, DEFAULT_AMPLITUDE_CAP // max((m + n) ** 2, n * (m + 2 * n)))
 
 
@@ -351,8 +363,7 @@ def _first_failing_stack(gammas: np.ndarray, d: int, m: int, max_size: int) -> l
             while start < len(parent.later) and (keep := np.flatnonzero(alive[parent.codes])).size:
                 room = min(_SLICE_COLUMNS, DEFAULT_AMPLITUDE_CAP // width) // len(keep)
                 stop = max(start + 1, int(np.searchsorted(ends, ends[start] + room, "right")) - 1)
-                if columns := int(ends[stop] - ends[start]):
-                    _require_budget(len(keep) * columns * width, "subset-scan slice", DEFAULT_AMPLITUDE_CAP)
+                if ends[stop] > ends[start]:
                     yield _extend(parent, start, stop, keep)
                 start = stop
 
@@ -451,13 +462,24 @@ def _code_from_dict(obj: dict) -> GraphCode:
     return GraphCode.from_edges(obj["d"], obj["m"], obj["n"], obj["edges"])
 
 
+def _parse_json(text: str):
+    """json.loads(text), with nesting too deep for the json module refused as a ValueError,
+    not a RecursionError; the recursion limit stays as it is.  The depth json parses
+    depends on the Python version: below the recursion limit (1000 by default) on 3.10
+    and 3.11, below the C recursion limit (10000 on Linux) on 3.12."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep to parse") from None
+
+
 def loads_graph(text: str) -> GraphCode:
-    return _code_from_dict(json.loads(text))
+    return _code_from_dict(_parse_json(text))
 
 
 def load_graph(path) -> GraphCode:
     with open(path, "r", encoding="utf-8") as fh:
-        return _code_from_dict(json.load(fh))
+        return _code_from_dict(_parse_json(fh.read()))
 
 
 def dump_graph(code: GraphCode, path) -> None:

@@ -136,20 +136,19 @@ class ModMatrix:
 
     def __post_init__(self):
         _require_modulus(self.modulus, "modulus")
-        arr = np.asarray(self.entries, dtype=np.int64)
+        arr = _require_integral(np.asarray(self.entries))
         if arr.ndim != 2:
             raise ValueError(f"entries must be 2-D, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.modulus):
             raise ValueError("entries must lie in [0, modulus)")
-        arr = arr.copy()
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @classmethod
     def reduce(cls, modulus: int, entries) -> "ModMatrix":
-        """Build a ModMatrix by reducing arbitrary integers mod d."""
-        arr = np.mod(np.asarray(entries, dtype=np.int64), modulus)
-        return cls(modulus, arr)
+        """Build a ModMatrix by reducing arbitrary integers mod d, exactly at any size."""
+        return cls(modulus, _residues(_require_integral(np.asarray(entries)), modulus, np.int64))
 
     @property
     def rows(self) -> int:
@@ -158,6 +157,19 @@ class ModMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
+
+
+def _require_integral(a: np.ndarray) -> np.ndarray:
+    """a, unless some entry is no integer: a float that is fractional, NaN or infinite, or
+    any other entry that is no int, is refused (ParamOutOfRange) rather than cast to a
+    wrong residue.  Integral floats pass."""
+    if a.dtype.kind == "O":
+        integral = all(isinstance(x, (int, np.integer)) for x in a.flat)
+    else:
+        integral = a.dtype.kind in "biu" or a.dtype.kind == "f" and bool((np.isfinite(a) & (np.trunc(a) == a)).all())
+    if not integral:
+        raise ParamOutOfRange("matrix entries must be integers or integral floats")
+    return a
 
 
 def _reduce(x: np.ndarray, d: int) -> np.ndarray:
@@ -367,7 +379,7 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     Parameters
     ----------
     mats : array of shape (B, N, M), integer entries of any sign, size and
-        dtype (reduced mod d internally).
+        dtype (reduced mod d internally); a float entry must be integral.
     d : prime modulus.
 
     Returns
@@ -375,7 +387,7 @@ def rank_prime_batch(mats: np.ndarray, d: int) -> np.ndarray:
     array of shape (B,) with the GF(d) rank of each matrix.
     """
     _require_prime(d, "modulus d")
-    a = np.asarray(mats)
+    a = _require_integral(np.asarray(mats))
     if a.ndim != 3:
         raise ValueError(f"expected batch of matrices, got shape {a.shape}")
     count, rows, cols = a.shape

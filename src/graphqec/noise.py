@@ -149,11 +149,13 @@ def cb_lower_witness(
     of A; channels and plain callables are both accepted (the
     transposition witness needs the latter, since it is not completely
     positive).  dim fixes the first-factor dimension when neither
-    argument is a Channel.
+    argument is a Channel.  The witness must be finite and nonzero, and dim positive.
     """
     a = np.asarray(witness, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"witness must be square, got shape {a.shape}")
+    if not (np.isfinite(a).all() and a.any()):
+        raise ParamOutOfRange("witness must be finite and nonzero")
     for op_map in (l1, l2):
         if isinstance(op_map, Channel):
             if op_map.dim_in != op_map.dim_out:
@@ -164,6 +166,8 @@ def cb_lower_witness(
                 raise DimensionMismatch("the two maps act on different spaces")
     if dim is None:
         raise DimensionMismatch("pass dim= when neither map is a Channel")
+    if not dim >= 1:
+        raise DimensionMismatch(f"dim must be positive, got {dim}")
     if a.shape[0] % dim:
         raise DimensionMismatch(
             f"witness dimension {a.shape[0]} is not a multiple of {dim}"

@@ -25,6 +25,7 @@ from .graphs import (
     _require_adjacency,
     _require_budget,
     _require_int64_modulus,
+    _require_residue_table,
     _require_shape,
     graph_to_dict,
 )
@@ -218,7 +219,7 @@ def singular_fraction_experiment(
     bound = float(d) ** (-(big_n - small_m))
     if small_m == 0:
         return 0.0, bound  # no columns: the kernel condition holds vacuously
-    _require_budget(big_n * small_m, "random matrix")
+    _require_residue_table(big_n * small_m, "random matrix", d)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     # below 2**32 numpy draws int64 and uint32 through one 32-bit routine: the same
     # values and generator state, in half the bytes

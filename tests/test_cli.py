@@ -19,6 +19,7 @@ import pytest
 from graphqec import channels, cli, graphs
 from graphqec.channels import (
     Channel,
+    _graph_kl,
     error_space_basis,
     identity_channel,
     synthesize_decoder,
@@ -26,10 +27,12 @@ from graphqec.channels import (
     verify_etd,
 )
 from graphqec.cli import _parse_noise, main
+from graphqec.errors import DimensionOverflow
 from graphqec.graphs import (
     GraphCode,
     build_isometry,
     dump_graph,
+    find_uncorrectable_subset,
     first_failing_subset,
     graph_to_dict,
     loads_graph,
@@ -343,9 +346,19 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
         None, ["singular-mc", "--d", "2", "--N", "100000000", "--M", "100000", "--trials", "1", "--seed", "1"],
         "random matrix needs 10000000000000 amplitudes",
     ),
-    "verify-subset-chunk": (
-        {"d": 2, "m": 2000, "n": 2000, "edges": [[i, 2000 + i, 1] for i in range(2000)]}, ["verify", "--f", "1"],
-        "subset-scan table needs 12000000 amplitudes",
+    # the scan's table: n (m + 2n) one-byte residues past TOTAL_AMPLITUDE_CAP, and Python-integer
+    # residues (d above MAX_BATCH_MODULUS) past DEFAULT_AMPLITUDE_CAP
+    "verify-scan-table": (
+        {"d": 2, "m": 1, "n": 5800, "edges": [[0, 1, 1]]}, ["verify", "--f", "1"],
+        "subset-scan table needs 67285800 amplitudes > 67108864",
+    ),
+    "verify-scan-table-objects": (
+        {"d": 4294967311, "m": 1, "n": 724, "edges": [[0, 1, 1]]}, ["verify", "--f", "1"],
+        "subset-scan table needs 1049076 amplitudes > 1048576",
+    ),
+    "singular-mc-objects": (
+        None, ["singular-mc", "--d", "4294967311", "--N", "8192", "--M", "8191", "--trials", "1", "--seed", "1"],
+        "random matrix needs 67100672 amplitudes > 1048576",
     ),
     # noise on all 11 sites: a 2^12 x 2^12 dense state, just above the budget with its copies
     "simulate-dense-stage-11": (
@@ -660,19 +673,92 @@ def test_simulate_rejects_uncorrectable_f(capsys, wheel_file):
     assert "does not correct" in err
 
 
-def test_simulate_keeps_the_verdict_when_the_witness_lies_past_the_scan_budget(capsys, wheel_file, monkeypatch):
-    # the wheel fails f = 2; its scan table (5 sites x (1 + 2 x 5) columns) outgrows a cap of
-    # 54, so the scan refuses to name a witness, and the Knill-Laflamme verdict still stands
-    monkeypatch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", 54)
-    refusal = "error: subset-scan table needs 55 amplitudes > 54\n"
-    assert run_cli(capsys, "verify", wheel_file, "--f", "2", "--no-timing") == (2, "", refusal)
-    assert run_cli(capsys, "kl-check", wheel_file, "--f", "2", "--no-timing")[0] == 1
-    assert run_cli(capsys, "simulate", wheel_file, "--f", "2", "--no-timing") == (
-        1,
-        "",
-        "code does not correct f=2 (the failing subset lies past the subset-scan budget: "
-        "subset-scan table needs 55 amplitudes > 54)\n",
-    )
+def test_json_nested_too_deep_exits_2_without_a_traceback(capsys, tmp_path):
+    deep, tiny = tmp_path / "deep.json", tmp_path / "tiny.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    tiny.write_text(json.dumps({"d": 2, "m": 1, "n": 2, "edges": [[0, 1, 1], [0, 2, 1]]}))
+    limit = sys.getrecursionlimit()
+    refusal = (2, "", "error: JSON nesting is too deep to parse\n")
+    assert run_cli(capsys, "verify", str(deep), "--f", "0") == refusal
+    assert run_cli(capsys, "simulate", str(tiny), "--f", "0", "--noise", f"custom-kraus:{deep}", "--sites", "0") == refusal
+    assert sys.getrecursionlimit() == limit
+
+
+def _scan_corpus():
+    """Seeded codes of five shapes over d in {2, 3, 4, 6, 4294967311}: each draw, and the same
+    draw with input 0 isolated, whose V is no isometry."""
+    for d, (m, n), seed in itertools.product([2, 3, 4, 6, 4294967311], [(1, 5), (2, 5), (1, 7), (3, 7), (2, 9)], [1, 2]):
+        g = np.triu(np.random.default_rng(seed).integers(0, d, size=(m + n, m + n)), 1)
+        g += g.T
+        yield GraphCode(d, m, n, ModMatrix(d, g))
+        g[0] = g[:, 0] = 0
+        yield GraphCode(d, m, n, ModMatrix(d, g))
+
+
+def test_simulate_names_a_witness_wherever_kl_check_admits_a_failing_code():
+    # simulate names the scan's witness once _graph_kl has admitted a failing code: the scan's
+    # table (n (m + 2n) entries, n m at f = 0) is smaller than the words or coset keys that
+    # _graph_kl admitted, under the same cap, for fixed-width and Python-integer residues alike
+    cases = set()
+    for code in _scan_corpus():
+        m, n = code.m, code.n
+        for f, cap, ratio in itertools.product(range((n + 1) // 2), [2**k for k in range(2, 15)], [64, 1]):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graphs, "DEFAULT_AMPLITUDE_CAP", cap)
+                patch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", ratio * cap)
+                try:
+                    if _graph_kl(code, f).correcting:
+                        continue
+                except DimensionOverflow:
+                    continue
+                assert find_uncorrectable_subset(code, f) is not None, (code.d, m, n, f, cap, ratio)
+            cases.add((code.d > 2**32, f > 0, ratio, n * (m + 2 * n if f else m) > cap))
+    # past the per-object cap with one-byte residues at f = 0 and f >= 1, and Python integers at f = 0
+    assert {(False, False, 64, True), (False, True, 64, True), (True, False, 64, False)} <= cases, cases
+
+
+def _path_code(n):
+    """m = 1: the input joined to site 0 alone, a path on sites 1..n-2, and site n-1 isolated."""
+    return {"d": 2, "m": 1, "n": n, "edges": [[0, 1, 1]] + [[1 + k, 2 + k, 1] for k in range(1, n - 2)]}
+
+
+def _passer(n):
+    return graph_to_dict(sample_graph(2, 1, n, trial_rng(7, 0)))
+
+
+_PAST_THE_OBJECT_CAP = {  # graph file maker, argv, exit code, stdout's last line, stderr
+    # 724 x 1449 one-byte residues in the scan's table: past DEFAULT_AMPLITUDE_CAP, within the total
+    "verify": (_path_code, ["verify", "--f", "1"], 1, "failing subset Z: [0]", ""),
+    "maxf": (_path_code, ["maxf"], 0, "max correctable f: 0", ""),
+    "simulate": (_path_code, ["simulate", "--f", "1"], 1, None, "code does not correct f=1 (failing subset [0])\n"),
+    "verify-passer": (_passer, ["verify", "--f", "1"], 0, "corrects f=1: PASS", ""),
+}
+
+
+@pytest.mark.parametrize(
+    "graph, argv, status, last, err", list(_PAST_THE_OBJECT_CAP.values()), ids=list(_PAST_THE_OBJECT_CAP)
+)
+def test_the_scan_answers_m_1_n_724_within_three_gib(tmp_path, graph, argv, status, last, err):
+    proc = _run_in_child(tmp_path, graph(724), argv, 3)
+    assert (proc.returncode, proc.stderr) == (status, err), proc.stderr
+    assert (proc.stdout.splitlines() or [None])[-1] == last
+
+
+def _cycle_code(n, d):
+    """m = 1: the input joined to sites 0 and 1, and a cycle on every site.  Every site
+    passes, and (0, 1), the first column of the first depth-2 block, fails."""
+    return {"d": d, "m": 1, "n": n, "edges": [[0, 1, 1], [0, 2, 1]] + [[1 + k, 1 + (k + 1) % n, 1] for k in range(n)]}
+
+
+def test_the_scan_answers_int64_residues_at_the_table_cap_within_three_gib(tmp_path):
+    # d = 2**31 - 1 holds int64 residues; n = 5792 is the largest n whose table, 5792 x 11585
+    # entries, fits TOTAL_AMPLITUDE_CAP.  The walk holds depth 1 and builds the first depth-2
+    # block whole: 5791 columns of 2 x 5791 residues, about 2.1 GB of peak RSS in all
+    n = 5792
+    assert n * (1 + 2 * n) <= graphs.TOTAL_AMPLITUDE_CAP < (n + 1) * (1 + 2 * (n + 1))
+    proc = _run_in_child(tmp_path, _cycle_code(n, 2**31 - 1), ["verify", "--f", "1"], 3)
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+    assert proc.stdout.splitlines()[-1] == "failing subset Z: [0, 1]"
 
 
 def test_simulate_accepts_a_degenerate_code_that_verify_refuses(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 import tracemalloc
 import warnings
 from collections import defaultdict
@@ -453,15 +454,17 @@ def test_walk_witness_is_the_first_subset_check_subset_fails():
     assert sizes >= {0, 1, 2, 3}, sizes
 
 
-def test_check_subset_answers_past_the_scan_table_cap():
-    # m = 1, n = 800: the walk's table needs n (m + 2n) > 2**20 entries, while the block
-    # of a subset is at most n x (m + |Z|).  Input to site 0, a path on sites 1..798,
-    # and site 799 isolated
+def test_walk_witness_past_the_per_object_cap_is_the_first_subset_check_subset_fails():
+    # m = 1, n = 800: the walk's table holds n (m + 2n) > 2**20 one-byte residues, within
+    # TOTAL_AMPLITUDE_CAP.  Input to site 0, a path on sites 1..798, and site 799 isolated
     n = 800
     edges = [[0, 1, 1]] + [[1 + k, 2 + k, 1] for k in range(1, n - 2)]
     code = GraphCode.from_edges(2, 1, n, edges)
-    with pytest.raises(DimensionOverflow):
-        first_failing_subset(code, 1)
+    assert n * (1 + 2 * n) > graphs.DEFAULT_AMPLITUDE_CAP
+    subsets = (z for size in range(n) for z in itertools.combinations(range(n), size))
+    oracle = next(z for z in subsets if not _oracle_block_passes(code, z))
+    assert first_failing_subset(code, 1) == first_failing_subset(code, 2) == (0,)
+    assert _first_failing_by_check_subset(code) == oracle == (0,)
     for subset, passes in [((), True), ((5, 6), True), ((0,), False), ((n - 1,), False)]:
         assert check_subset(code, subset) == passes == _oracle_block_passes(code, subset), subset
 
@@ -816,6 +819,17 @@ def test_loads_graph_refuses_site_dimension_beyond_int64():
             loads_graph(json.dumps({"d": d, "m": 1, "n": 1, "edges": [[0, 1, 1]]}))
     largest = loads_graph(json.dumps({"d": 2**63 - 1, "m": 1, "n": 1, "edges": [[0, 1, -1]]}))
     assert largest.gamma.entries[0, 1] == 2**63 - 2
+
+
+def test_loads_graph_refuses_nesting_too_deep_for_json():
+    # json's depth limit depends on the Python version (the recursion limit, 1000 by default,
+    # on 3.10 and 3.11; the C recursion limit, 10000 on Linux, on 3.12): 100_000 exceeds each
+    limit = sys.getrecursionlimit()
+    with pytest.raises(ValueError, match="JSON nesting is too deep to parse"):
+        loads_graph("[" * 100_000 + "]" * 100_000)
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(ValueError, match="single JSON object"):  # shallower nesting parses, and is refused as a list
+        loads_graph("[" * 500 + "]" * 500)
 
 
 def test_loads_graph_rejects_malformed():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphqec import graphs, modular
-from graphqec.errors import CompositeModulus
+from graphqec.errors import CompositeModulus, ParamOutOfRange
 from graphqec.graphs import GraphCode, first_failing_subset, max_correctable_f
 from graphqec.modular import (
     MAX_BATCH_MODULUS,
@@ -59,6 +59,34 @@ def test_modmatrix_validates_entry_range():
         ModMatrix(1, np.array([[0]]))
     m = ModMatrix.reduce(3, np.array([[-1, 7]]))
     assert m.entries.tolist() == [[2, 1]]
+
+
+def test_modmatrix_and_rank_batch_refuse_entries_that_are_no_integers():
+    refusal = "matrix entries must be integers or integral floats"
+    for build in (
+        lambda: ModMatrix(3, [[1.7, 2.2]]),
+        lambda: kernel_trivial(ModMatrix(3, [[0.5], [0.9]])),
+        lambda: ModMatrix(3, [[np.inf]]),
+        lambda: ModMatrix.reduce(3, [[np.nan, 1]]),
+        lambda: ModMatrix.reduce(3, np.array([[2**70, 1.5]], dtype=object)),
+        lambda: rank_prime_batch(np.array([[[2.5]]]), 2),
+        lambda: rank_prime_batch(np.array([[[np.nan, 1], [0, 1]]]), 3),
+        lambda: rank_prime_batch(np.array([[[1.0]], [[-np.inf]]]), 5),
+    ):
+        with pytest.raises(ParamOutOfRange, match=refusal):
+            build()
+    # integral floats keep their answers
+    assert ModMatrix(3, [[2.0, 1.0]]).entries.tolist() == [[2, 1]]
+    assert ModMatrix.reduce(5, [[-7.0, 12]]).entries.tolist() == [[3, 2]]
+    assert rank_prime_batch(np.array([[[3.0, 1], [0, 1]], [[1.0, 0], [0, 1]]]), 3).tolist() == [1, 2]
+
+
+def test_modmatrix_reduces_python_integers_exactly():
+    big = [2**70, -(2**70) - 1, 10**30]
+    assert ModMatrix.reduce(3, [big]).entries.tolist() == [[x % 3 for x in big]]
+    assert ModMatrix.reduce(2**61 - 1, [[2**200]]).entries.tolist() == [[2**200 % (2**61 - 1)]]
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, modulus\)"):
+        ModMatrix(3, [[2**70]])
 
 
 def test_modmatrix_is_immutable():

@@ -145,6 +145,15 @@ def test_cb_witness_dimension_handling():
     assert str(err.value) == "witness maps must preserve the space"
 
 
+def test_cb_witness_refuses_a_zero_or_nan_witness_and_a_dimension_below_one():
+    for witness in (np.zeros((4, 4)), np.full((4, 4), np.nan), np.diag([1, np.inf, 1, 1])):
+        with pytest.raises(ParamOutOfRange, match="witness must be finite and nonzero"):
+            cb_lower_witness(make_depolarizing(2, 0.3), identity_channel(2), witness)
+    for dim in (0, -2):
+        with pytest.raises(DimensionMismatch, match=f"dim must be positive, got {dim}"):
+            cb_lower_witness(transposition_map, zero_map, SWAP, dim=dim)
+
+
 def test_binomial_error_bound_edge_equals_power():
     assert abs(binomial_error_bound(4, 3, 0.3) - 0.3**4) < 1e-15
 
