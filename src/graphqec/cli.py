@@ -27,7 +27,7 @@ from .channels import KL_TOLERANCE, Channel, _graph_kl, _local_etd
 from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
     _normalize_subset,
-    _parse_json,
+    _read_json_file,
     _require_shape,
     find_uncorrectable_subset,
     graph_to_dict,
@@ -124,8 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_kraus(path: str, site_dim: int) -> list[np.ndarray]:
     """site_dim x site_dim operators from a JSON list of {"re": [[...]], "im": [[...]]} objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _parse_json(fh.read())
+    data = _read_json_file(path, "custom-kraus")
     if not isinstance(data, list):
         raise ValueError("custom-kraus file must hold a JSON list of operators")
     kraus = []

@@ -32,6 +32,7 @@ to the lowest node index.
 from __future__ import annotations
 
 import json
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -79,6 +80,11 @@ __all__ = [
 DEFAULT_AMPLITUDE_CAP = 2**20
 TOTAL_AMPLITUDE_CAP = 64 * DEFAULT_AMPLITUDE_CAP  # 1 GiB of complex128
 
+# Most bytes of a graph or Kraus file read (_read_json_file): json.loads peaked at 27 bytes
+# of memory a byte on a list of empty lists, and load_graph at 23 on a dense d = 2 graph
+# (ru_maxrss, 9 MB files), so a file at the cap parses within about 0.85 GiB
+JSON_FILE_CAP = 2**25
+
 # Most columns over all codes in a slice of the walk (larger slices outgrow the CPU
 # caches: a d = 2, n = 36 scan ran 2.5x slower at 2**19 columns)
 _SLICE_COLUMNS = 2**13
@@ -89,7 +95,11 @@ def _require_budget(count: int, what: str, cap: Optional[int] = None) -> None:
     TOTAL_AMPLITUDE_CAP.  Called before the array is allocated."""
     cap = TOTAL_AMPLITUDE_CAP if cap is None else cap
     if count > cap:
-        raise DimensionOverflow(f"{what} needs {count} amplitudes > {cap}")
+        try:
+            needs = str(count)
+        except ValueError:  # past the interpreter's int-to-str digit limit: its size instead
+            needs = f"at least 2**{count.bit_length() - 1}"
+        raise DimensionOverflow(f"{what} needs {needs} amplitudes > {cap}")
 
 
 def _require_residue_table(count: int, what: str, *moduli: int) -> None:
@@ -473,13 +483,22 @@ def _parse_json(text: str):
         raise ValueError("JSON nesting is too deep to parse") from None
 
 
+def _read_json_file(path, kind: str):
+    """_parse_json of the file at path, a kind file (graph, custom-kraus); one of more
+    than JSON_FILE_CAP bytes is refused, DimensionOverflow, before any of it is read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > JSON_FILE_CAP:
+            raise DimensionOverflow(f"{kind} file has {size} bytes > {JSON_FILE_CAP}")
+        return _parse_json(fh.read())
+
+
 def loads_graph(text: str) -> GraphCode:
     return _code_from_dict(_parse_json(text))
 
 
 def load_graph(path) -> GraphCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _code_from_dict(_parse_json(fh.read()))
+    return _code_from_dict(_read_json_file(path, "graph"))
 
 
 def dump_graph(code: GraphCode, path) -> None:

@@ -7,6 +7,10 @@ own substream derived from (master_seed, trial_index), so reports are
 byte-identical no matter how trials would be scheduled; sample_graph and
 run_search both draw through _sample_gammas.  run_search certifies a
 stack of trials in one walk of the subset scan (graphs._first_failing_stack).
+singular_fraction_experiment draws its matrices from one generator in
+chunks; over several chunks one helper thread makes every draw, in order,
+at most one chunk ahead of the chunk the calling thread ranks, so the
+values drawn and the report are those of one thread drawing as it ranks.
 """
 
 from __future__ import annotations
@@ -208,7 +212,14 @@ def singular_fraction_experiment(
 ) -> tuple[float, float]:
     """Fraction of random N x M matrices over Z_d with non-trivial kernel.
 
-    Returns (empirical fraction, the analytic bound d^{-(N-M)}).
+    Returns (empirical fraction, the analytic bound d^{-(N-M)}).  The matrices are
+    drawn from one generator seeded with (seed,), in chunks of at most
+    _CHUNK_ENTRIES entries (or one matrix), and ranked by rank_prime_batch.  Over
+    several chunks one helper thread draws chunk k + 1 while the calling thread
+    ranks chunk k: it makes every draw, in order, so the values and the report do
+    not depend on the thread, and it is never more than one chunk ahead.  A run of
+    one chunk, or of matrices past _CHUNK_ENTRIES, draws each as it is ranked and
+    starts no thread.
     """
     _require_prime(d)
     _require_int64_modulus(d)
@@ -224,13 +235,28 @@ def singular_fraction_experiment(
     # below 2**32 numpy draws int64 and uint32 through one 32-bit routine: the same
     # values and generator state, in half the bytes
     draw = np.uint32 if d <= 2**32 else np.int64
-    singular = 0
     chunk = max(1, min(trials, 20_000, _CHUNK_ENTRIES // (big_n * small_m)))
-    remaining = trials
-    while remaining:
-        take = min(chunk, remaining)
-        mats = rng.integers(0, d, size=(take, big_n, small_m), dtype=draw)
-        ranks = rank_prime_batch(mats, d)
-        singular += int((ranks < small_m).sum())
-        remaining -= take
-    return singular / trials, bound
+    takes = (min(chunk, trials - start) for start in range(0, trials, chunk))
+
+    def drawn(take: int) -> np.ndarray:
+        return rng.integers(0, d, size=(take, big_n, small_m), dtype=draw)
+
+    def singular(mats: np.ndarray) -> int:
+        return int((rank_prime_batch(mats, d) < small_m).sum())
+
+    if chunk == trials or chunk * big_n * small_m > _CHUNK_ENTRIES:
+        # one chunk, or one matrix past the chunk budget: each drawn as it is ranked
+        return sum(singular(drawn(take)) for take in takes) / trials, bound
+    # numpy draws without the GIL, so the draw of the next chunk runs beside the
+    # kernel; concurrent.futures is imported here so that only this command pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    found = 0
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(drawn, next(takes))
+        for take in takes:
+            mats = ahead.result()
+            ahead = helper.submit(drawn, take)
+            found += singular(mats)
+        found += singular(ahead.result())
+    return found / trials, bound

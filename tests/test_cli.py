@@ -436,6 +436,28 @@ def test_oversized_inputs_exit_2_within_three_gib_of_address_space(tmp_path, gra
     _assert_refused_in_child(tmp_path, graph, argv, message, 3)
 
 
+def test_a_refused_count_past_the_int_to_str_digit_limit_is_named_by_its_size(tmp_path):
+    # d = 4294967311, m = 128: the logical Choi state's 4 d^512 amplitudes run to 4933 digits
+    graph = {"d": 4294967311, "m": 128, "n": 128, "edges": [[i, 128 + i, 1] for i in range(128)]}
+    proc = _run_in_child(tmp_path, graph, ["simulate", "--f", "0"], 3)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: logical Choi state needs at least 2**16386 amplitudes > 67108864\n"
+
+
+@pytest.mark.parametrize("kind", ["graph", "custom-kraus"])
+def test_a_file_past_the_json_file_cap_is_refused_unread_within_three_gib(tmp_path, kind):
+    big = tmp_path / "big.json"
+    big.touch()
+    os.truncate(big, graphs.JSON_FILE_CAP + 1)  # a sparse file: no data written
+    if kind == "graph":
+        graph, argv = None, ["verify", str(big), "--f", "1"]
+    else:
+        graph, argv = _ring_graph(5), ["simulate", "--f", "0", "--noise", f"custom-kraus:{big}", "--sites", "0"]
+    proc = _run_in_child(tmp_path, graph, argv, 3)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {kind} file has {2**25 + 1} bytes > {2**25}\n"
+
+
 @pytest.mark.parametrize("f", [0, 1, 2])
 def test_kl_check_answers_a_thirty_node_code_within_three_gib_of_address_space(capsys, tmp_path, f):
     # W8: its isometry would hold 2^20 x 2^10 amplitudes, but kl-check reads the graph alone

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -262,7 +264,8 @@ def test_singular_fraction_chunks_within_entry_budget(monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 101, 46349, 2**31 - 1, 2**31 + 11, 4294967291, 4294967311])
 def test_singular_fraction_draws_are_the_int64_stream(monkeypatch, d):
     # numpy draws uint32 and int64 below 2**32 through one 32-bit routine, so the narrow
-    # draws are the int64 values, and leave the generator where int64 draws would
+    # draws are the int64 values, and leave the generator where int64 draws would; over
+    # several chunks the helper thread draws them, and the chunks are ranked in stream order
     drawn = []
     rank = search.rank_prime_batch
 
@@ -271,18 +274,88 @@ def test_singular_fraction_draws_are_the_int64_stream(monkeypatch, d):
         return rank(mats, p)
 
     monkeypatch.setattr(search, "rank_prime_batch", recording)
-    monkeypatch.setattr(search, "_CHUNK_ENTRIES", 7 * 3 * 2)  # chunks of 7, 7 and 6 matrices of 3 x 2
-    singular_fraction_experiment(d, 3, 2, 20, 17)
-    assert [m.shape[0] for m in drawn] == [7, 7, 6]
-    assert {m.dtype for m in drawn} == {np.dtype(np.uint32 if d < 2**32 else np.int64)}
-    reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence((17,))))
-    for mats in drawn:
-        assert np.array_equal(mats, reference.integers(0, d, size=mats.shape))
+    # 20 matrices of 3 x 2 in one chunk, two, three (7, 7 and 6), twenty of one matrix,
+    # and twenty past the budget, each drawn as it is ranked
+    for budget, takes in [(120, [20]), (60, [10, 10]), (42, [7, 7, 6]), (6, [1] * 20), (5, [1] * 20)]:
+        drawn.clear()
+        monkeypatch.setattr(search, "_CHUNK_ENTRIES", budget)
+        singular_fraction_experiment(d, 3, 2, 20, 17)
+        assert [m.shape[0] for m in drawn] == takes
+        assert {m.dtype for m in drawn} == {np.dtype(np.uint32 if d < 2**32 else np.int64)}
+        reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence((17,))))
+        for mats in drawn:
+            assert np.array_equal(mats, reference.integers(0, d, size=mats.shape))
     if d < 2**32:  # odd and even draw sizes, with the state compared after each
         narrow, wide = (np.random.Generator(np.random.PCG64(np.random.SeedSequence((17,)))) for _ in range(2))
         for size in (7, 6, 1, 1, 5, 8):
             assert np.array_equal(narrow.integers(0, d, size=size, dtype=np.uint32), wide.integers(0, d, size=size))
             assert narrow.bit_generator.state == wide.bit_generator.state
+
+
+def _logged_pipeline(monkeypatch, fail=None):
+    """Log each draw of singular_fraction_experiment's generator as it begins, and each
+    chunk once rank_prime_batch has ranked it, as (kind, thread, draws begun, threads
+    alive); fail = (kind, k) raises in the k-th draw or rank, counted from 0."""
+    events = []
+    rank = search.rank_prime_batch
+
+    def log(kind):
+        count = sum(event[0] == kind for event in events)
+        begun = sum(event[0] == "draw" for event in events) + (kind == "draw")
+        events.append((kind, threading.get_ident(), begun, threading.active_count()))
+        if fail == (kind, count):
+            raise RuntimeError(f"{kind} {count} failed")
+
+    class Logged(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            log("draw")
+            return super().integers(*args, **kwargs)
+
+    def ranked(mats, p):
+        ranks = rank(mats, p)
+        time.sleep(0.01)  # time for a pipeline that runs ahead to show it
+        log("rank")
+        return ranks
+
+    monkeypatch.setattr(np.random, "Generator", Logged)
+    monkeypatch.setattr(search, "rank_prime_batch", ranked)
+    return events
+
+
+def test_singular_fraction_draws_on_one_helper_thread_at_most_one_chunk_ahead(monkeypatch):
+    events = _logged_pipeline(monkeypatch)
+    monkeypatch.setattr(search, "_CHUNK_ENTRIES", 6)  # twenty chunks of one 3 x 2 matrix
+    singular_fraction_experiment(5, 3, 2, 20, 17)
+    draws = [event for event in events if event[0] == "draw"]
+    ranks = [event for event in events if event[0] == "rank"]
+    assert len(draws) == len(ranks) == 20
+    assert {event[1] for event in ranks} == {threading.get_ident()}
+    assert len({event[1] for event in draws}) == 1 and draws[0][1] != threading.get_ident()
+    # once chunk k is ranked, chunk k + 1 may be drawn, but not chunk k + 2
+    assert all(begun <= k + 2 for k, (_, _, begun, _) in enumerate(ranks)), ranks
+
+
+@pytest.mark.parametrize(
+    "fail", [("draw", 0), ("draw", 1), ("draw", 19), ("rank", 0), ("rank", 7), ("rank", 19)],
+    ids=lambda fail: f"{fail[0]}-{fail[1]}",
+)
+def test_singular_fraction_raises_from_either_thread_and_leaves_no_thread_behind(monkeypatch, fail):
+    threads = threading.active_count()
+    _logged_pipeline(monkeypatch, fail)
+    monkeypatch.setattr(search, "_CHUNK_ENTRIES", 6)
+    with pytest.raises(RuntimeError, match=f"^{fail[0]} {fail[1]} failed$"):
+        singular_fraction_experiment(5, 3, 2, 20, 17)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("budget", [120, 2**20, 5])  # one chunk; one; 20 matrices past the budget
+def test_singular_fraction_starts_no_thread_for_one_chunk_or_an_oversized_matrix(monkeypatch, budget):
+    threads = threading.active_count()
+    events = _logged_pipeline(monkeypatch)
+    monkeypatch.setattr(search, "_CHUNK_ENTRIES", budget)
+    singular_fraction_experiment(5, 3, 2, 20, 17)
+    assert len(events) == (2 if budget > 5 else 40)
+    assert {(event[1], event[3]) for event in events} == {(threading.get_ident(), threads)}
 
 
 def test_singular_fraction_guards():
