@@ -13,12 +13,17 @@ public error bases build them by one batched Kronecker product); their
 images F_a V feed one Gram routine, which forms M*M for
 M = [F_1 V | ... | F_K V] one band of rows at a time.  A graph code's
 error space on at most f sites needs neither V nor the images: _graph_kl
-enumerates the words as integer (shift, clock) digits (_error_words) and
 evaluates the Gram blocks in closed form from the adjacency matrix
-(Schlingemann and Werner's character sums).  Two syndrome classes
-interfere exactly when they share a coset of the columns of Gamma_YX,
-which their keys mod every p^k || d decide (graphs._projection); every
-class lookup sorts rows packed into int64 words (_row_classes).  The
+(Schlingemann and Werner's character sums), which needs of each word
+X^s Z^c only its row [Gamma_XY s | Gamma_YY s - c] mod d.  One routine
+(_words) writes those rows for any word set given as the error bases
+give theirs (subsets and per-site letters), from the rows of Gamma at
+each word's own sites, so no product with an n x n block is formed; the
+error space and the syndrome table's noise words both pass through it.
+Two syndrome classes interfere exactly when they share a coset of the
+columns of Gamma_YX, which their keys mod every p^k || d decide
+(graphs._projection); every class lookup sorts rows packed into int64
+words (_row_classes).  The
 report keeps each class as sigma = Gamma_YY s - c and tau = Gamma_XY s
 of a word X^s Z^c in it, and simulate's decoded logical channel reads
 the classes from there on both routes: the syndrome table
@@ -260,28 +265,40 @@ def error_space_basis(n: int, d: int, f: int) -> list[np.ndarray]:
     acting nontrivially on every site of Z.  ParamOutOfRange (a ValueError)
     for negative f.  Budgeted per operator and as a whole.
     """
-    _require_error_count(f)
-    subsets = (z for size in range(f + 1) for z in itertools.combinations(range(n), size))
-    return _error_basis(n, d, subsets, range(1, d * d))
+    return _error_basis(n, d, *_error_space(n, d, f))
 
 
-def _error_words(n: int, d: int, f: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, shift, clock) of the words of error_space_basis(n, d, f), in its order:
-    word k is X^shift[k, s] Z^clock[k, s] on each site s, with letters q = a + d*b.
-    count is a Python int.  Budgeted before any word is enumerated: shift, clock and
-    their syndromes.  ParamOutOfRange (a ValueError) for negative f."""
+def _error_space(n: int, d: int, f: int) -> tuple[Iterable[tuple], range]:
+    """(subsets, letters) of _error_basis for the words on at most f of n sites: the subsets by
+    size, each size in lexicographic order, and the letters q >= 1.  ParamOutOfRange (a
+    ValueError) for negative f."""
     _require_error_count(f)
-    count = sum(math.comb(n, size) * (d * d - 1) ** size for size in range(f + 1))
-    _require_budget(3 * count * n, "error words")
-    words, row = np.zeros((count, n), dtype=np.int64), 1  # row 0: the identity
-    for size in range(1, f + 1):
-        # the first site varies slowest, as in the Kronecker stacks of _error_basis
-        ways, letters = math.comb(n, size), 1 + _digit_table((d * d - 1) ** size, d * d - 1, size)
-        sites = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp).reshape(ways, size)
-        block = words[row : row + ways * len(letters)].reshape(ways, len(letters), n)
-        block[np.arange(ways)[:, None, None], np.arange(len(letters))[:, None], sites[:, None]] = letters
-        row += ways * len(letters)
-    return count, words % d, words // d
+    return (z for size in range(f + 1) for z in itertools.combinations(range(n), size)), range(1, d * d)
+
+
+def _words(code: GraphCode, ways: dict, subsets: Iterable[tuple], letters: range, what: str) -> np.ndarray:
+    """[Gamma_XY s | Gamma_YY s - c] mod d of each word X^s Z^c of
+    _error_basis(code.n, code.d, subsets, letters), in its order: one (words, m + n) int64
+    array, filled size by size.  The words on the subsets of one size are their shift
+    digits times the rows of Gamma at each subset's sites, (subsets x size x (m + n)),
+    less their clock digits at those sites.  An empty subset's identity word keeps its
+    zero row, so its letters are never read.  ways[size] counts the subsets of each size,
+    so the peak passes the gate, as `what`, before any subset is read: the rows, and the
+    largest size's gathered rows of Gamma and product."""
+    d, m, gamma = code.d, code.m, code.gamma.entries
+    base = letters.stop - letters.start  # len() cannot hold d^2 - 1 past 2^63
+    count = sum(w * base**size for size, w in ways.items())
+    _require_budget((count + max(size and w * (size + base**size) for size, w in ways.items())) * len(gamma), what)
+    rows, row = np.zeros((count, len(gamma)), dtype=np.int64), 0
+    for size, group in itertools.groupby(subsets, len):
+        sites = m + np.array(list(group), dtype=np.intp, ndmin=2)
+        if size:  # letter q = start + t is X^(q mod d) Z^(q div d), the first site slowest
+            clock, shift = np.divmod(letters.start + _digit_table(base**size, base, size), d)
+            product = _mod_matmul(shift, gamma[sites], d)
+            product.transpose(0, 2, 1)[np.arange(len(sites))[:, None], sites] -= clock.T
+            np.remainder(product, d, out=rows[row : row + product.shape[0] * product.shape[1]].reshape(product.shape))
+        row += len(sites) * base**size
+    return rows
 
 
 @dataclass
@@ -354,7 +371,8 @@ class _GraphKL:
 
     words counts the space.  Row k of syndrome (rank x n) and dual (rank x m) holds
     sigma = Gamma_YY s - c and tau = Gamma_XY s mod d of the first word X^s Z^c of
-    syndrome class k in the order of _error_words; both are None when V is no isometry.
+    syndrome class k in the order of error_space_basis (its word row of _words); both are
+    None when V is no isometry.
     """
 
     words: int
@@ -390,35 +408,30 @@ def _graph_kl(code: GraphCode, f: int) -> _GraphKL:
     and tau.  By the Chinese remainder theorem two classes share a coset of
     Gamma_YX's columns exactly when their keys, the rows without a pivot of
     [Gamma_YX | sigma^T] row-reduced mod q (graphs._projection), agree mod
-    every q = p^k || d.  Budgeted: the words and their syndromes
-    (_error_words), and the key table by what it holds
-    (graphs._require_residue_table), so the subset scan's smaller table of a
-    failing code admitted here fits its own gate; no d^n-sized, no K x K array.
+    every q = p^k || d.  The words are the subsets and letters of
+    error_space_basis, each read as its row of _words.  Budgeted: the word
+    rows at their peak (in _words, before any word is enumerated), and the
+    key table by what it holds (graphs._require_residue_table), so the
+    subset scan's smaller table of a failing code admitted here fits its
+    own gate; no d^n-sized, no K x K array.
     """
     d, m, n = code.d, code.m, code.n
-    count, shift, clock = _error_words(n, d, f)
+    rows = _words(code, {size: math.comb(n, size) for size in range(f + 1)}, *_error_space(n, d, f), "error words")
     if m > n:  # Gamma_YX has more columns than rows
-        return _GraphKL(count, 1.0)
-    syndromes = _syndromes(code, shift, clock)
-    first, label = _row_classes(syndromes, d)
-    dual = _mod_matmul(shift, code.gamma.entries[m:, :m], d)  # Gamma_XY s
-    split = bool((dual != dual[first][label]).any())
-    syndromes, dual = syndromes[first], dual[first]
+        return _GraphKL(len(rows), 1.0)
+    first, label = _row_classes(rows[:, m:], d)
+    split = bool((rows[:, :m] != rows[first, :m][label]).any())
+    syndromes, dual = rows[first, m:], rows[first, :m]
     moduli = {p: math.gcd(d, p ** d.bit_length()) for p in _prime_factors(d)}  # p^k || d
     _require_residue_table(n * (m + len(syndromes)), "coset keys", *moduli.values())
     table, keys = np.hstack([code.gamma.entries[m:, :m], syndromes.T]), []
     for p, q in moduli.items():
         kept, full = _projection(_residues(table[None], q, _residue_dtype(q)), m, q, p)
         if not full[0]:
-            return _GraphKL(count, 1.0)
+            return _GraphKL(len(rows), 1.0)
         keys.append(kept[0, :, m:].T)
     shared = len(_row_classes(np.hstack(keys), d)[0]) < len(syndromes)
-    return _GraphKL(count, 1.0 if split or shared else 0.0, syndromes, dual)
-
-
-def _syndromes(code: GraphCode, shift: np.ndarray, clock: np.ndarray) -> np.ndarray:
-    """Gamma_YY s - c mod d of each word X^s Z^c, rows of shift and clock."""
-    return (_mod_matmul(shift, code.gamma.entries[code.m :, code.m :], code.d) - clock) % code.d
+    return _GraphKL(len(rows), 1.0 if split or shared else 0.0, syndromes, dual)
 
 
 def _row_classes(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +460,8 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     cannot hold the sums."""
     if _residue_dtype(d, a.shape[-1]) is object:
         return (a.astype(object) @ b.astype(object) % d).astype(np.int64)
-    return a.astype(np.int64) @ b.astype(np.int64) % d
+    product = a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return np.remainder(product, d, out=product)
 
 
 def _require_correcting(deviation: float) -> None:
@@ -737,7 +751,7 @@ def _table_decoded(
 ) -> np.ndarray:
     """tr_k Y of _dense_decoded from the adjacency matrix and the report's sigma_k and
     tau_k alone: no V, no image, no d^n-sized array, and per noise word a label and a
-    phase, not a row.
+    phase, not a register row.
 
     Each site Kraus operator is a sum of the site's d^2 Weyl letters W_q
     (_weyl_letters), so a product of site Kraus operators is a sum of the
@@ -748,15 +762,19 @@ def _table_decoded(
     columns of Gamma_YX, and then the phase w^(sigma_k.a - S_YY(a) + S_XX(x)
     - S_XX(x') - x'.(Gamma_XY a - tau_k)) on the entries x = x' + delta for
     the unique delta with Gamma_YX delta = syndrome(W_w) - sigma_k.  The
+    words are those of localized_error_basis(n, d, sites), and each is read
+    as its row [Gamma_XY a | Gamma_YY a - b] of _words.  The
     classes of a correcting code lie in distinct cosets, so each word meets
     at most one class, read off the coset row that starts its _row_classes
     class (the rank d^m shifted syndromes come first).  Gamma is symmetric
     with a zero diagonal, so S_XX(x' + delta) - S_XX(x') = x'.Gamma_XX delta
     + S_XX(delta): the phase is affine in x', and A_kw = w^(c/2) Z^b X^(-delta)
     on the logical levels, a Weyl operator with the label (delta, b),
-    b = Gamma_XX delta - Gamma_XY a + tau_k, and the even exponent
-    c = 2 sigma_k.a - a.Gamma_YY a + delta.Gamma_XX delta.  The Kraus index
-    sums out into the process matrix chi[w, w'] = prod over the sites of the
+    b = Gamma_XX delta - Gamma_XY a + tau_k, Gamma_XY a from the word's row,
+    and the even exponent c = 2 sigma_k.a - a.Gamma_YY a + delta.Gamma_XX delta,
+    in exact integers, since c / 2 is needed mod d: a lies on the noisy
+    sites, so a.Gamma_YY a reads the |sites| x |sites| block of Gamma.  The
+    Kraus index sums out into the process matrix chi[w, w'] = prod over the sites of the
     noise's chi[q_w, q_w'] (_weyl_process_matrix, read off its Choi state, so
     every Kraus set of one channel gives one chi), so each pair of words meeting
     one class adds the scalar chi[w, w'] w^((c_w - c_w')/2) / d0 at
@@ -764,37 +782,36 @@ def _table_decoded(
     tr_k Y = sum P[L, L'] vec(W_L) vec(W_L')* for W_(delta, b) = Z^b X^(-delta),
     whose vec is w^(b.x') at x' d0 + x' + delta: one change of basis, the
     characters w^(b.x') on each (delta, delta') block.  Budgeted first from
-    the shapes: the d^(2 |sites|) words and their syndromes, the rank d^m
-    cosets, and the word pairs, at most words^2 of one scalar each; the noise's
-    d^2 letters (d^4 amplitudes) in _weyl_letters.  P, the
+    the shapes: the rank d^m cosets, the word pairs, at most words^2 of one
+    scalar each, and the d^(2 |sites|) word rows at their peak (in _words);
+    the noise's d^2 letters (d^4 amplitudes) in _weyl_letters.  P, the
     change of basis's intermediate product, its blocks and the gathered
     result (4 d0^4 amplitudes) lie within _local_etd's logical Choi state budget.
     """
     d, m, n = code.d, code.m, code.n
     d0, rank, count = d**m, len(report.syndrome), d ** (2 * len(sites))
-    _require_budget(3 * count * n, "noise words")
     _require_budget(rank * d0 * n, "syndrome cosets")
     _require_budget(3 * count * count, "noise word pairs")
-    gamma = code.gamma.entries
-    letters = _digit_table(count, d * d, len(sites))  # q = a + d*b per noisy site, the first slowest
-    shift, clock = np.zeros((count, n), dtype=np.int64), np.zeros((count, n), dtype=np.int64)
-    shift[:, list(sites)], clock[:, list(sites)] = letters % d, letters // d
+    words = _words(code, {len(sites): 1}, [tuple(sites)], range(d * d), "noise words")
+    gamma, near = code.gamma.entries, m + np.array(sites, dtype=np.intp)
     deltas = _digit_table(d0, d, m)  # every delta of Z_d^m, digit 0 most significant
     module = _mod_matmul(deltas, gamma[:m, m:], d)  # (Gamma_YX delta)^T
     cosets = ((report.syndrome[:, None, :] + module) % d).reshape(rank * d0, n)  # row k d0 + delta
-    first, label = _row_classes(np.vstack([cosets, _syndromes(code, shift, clock)]), d)
+    first, label = _row_classes(np.vstack([cosets, words[:, m:]]), d)
     hit = first[label[len(cosets) :]]  # a coset's row exactly when one holds the word's syndrome
     meet = np.flatnonzero(hit < len(cosets))
     k, delta = np.divmod(hit[meet], d0)
-    a, e = shift[meet], deltas[delta]  # A_kw = w^(c/2) Z^b X^(-e) for W_w = X^a Z^b
+    letters = _digit_table(count, d * d, len(sites))[meet]  # q = a + d*b per noisy site, the first slowest
+    a, e = letters % d, deltas[delta]  # A_kw = w^(c/2) Z^b X^(-e) for W_w = X^a Z^b, a on the sites
     place = d ** np.arange(m - 1, -1, -1)
-    b = (e @ gamma[:m, :m] - a @ gamma[m:, :m] + report.dual[k]) % d @ place
-    # c = 2 sigma_k.a - a.Gamma_YY a + e.Gamma_XX e, even: Gamma is symmetric with a zero diagonal
-    c = np.einsum("ij,ij->i", a, 2 * report.syndrome[k] - a @ gamma[m:, m:]) + (e @ gamma[:m, :m] * e).sum(1)
+    b = (e @ gamma[:m, :m] - words[meet, :m] + report.dual[k]) % d @ place
+    # c = 2 sigma_k.a - a.Gamma_YY a + e.Gamma_XX e in exact integers, even: Gamma is symmetric
+    # with a zero diagonal
+    c = (a * (2 * report.syndrome[:, near - m][k] - a @ gamma[near][:, near])).sum(1) + (e @ gamma[:m, :m] * e).sum(1)
     left, right = np.nonzero(k[:, None] == k)  # the pairs of words meeting one class
     weight = _clock_phases(d)[(c[left] - c[right]) // 2 % d] / d0
     chi = _weyl_process_matrix(noise) if len(sites) else None
-    for site_letters in letters[meet].T:
+    for site_letters in letters.T:
         weight *= chi[site_letters[left], site_letters[right]]
     pairs = (delta[left] * d0 + delta[right]) * d0 * d0 + b[left] * d0 + b[right]  # (delta, delta', b, b')
     process = np.bincount(pairs, weight.real, d0**4) + 1j * np.bincount(pairs, weight.imag, d0**4)

@@ -31,6 +31,7 @@ to the lowest node index.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections import namedtuple
@@ -484,13 +485,22 @@ def _parse_json(text: str):
 
 
 def _read_json_file(path, kind: str):
-    """_parse_json of the file at path, a kind file (graph, custom-kraus); one of more
-    than JSON_FILE_CAP bytes is refused, DimensionOverflow, before any of it is read."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """_parse_json of the file at path, a kind file (graph, custom-kraus), read as UTF-8 text
+    with universal newlines.  A file of more than JSON_FILE_CAP bytes is refused,
+    DimensionOverflow: by its size before any of it is read, and since a pipe has no size,
+    by reading at most JSON_FILE_CAP + 1 bytes of any file."""
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size > JSON_FILE_CAP:
             raise DimensionOverflow(f"{kind} file has {size} bytes > {JSON_FILE_CAP}")
-        return _parse_json(fh.read())
+        data = fh.read(size + 1)  # all of a regular file, without a cap-sized buffer
+        if len(data) > size:  # a pipe (size 0) or a file that grew: at most one byte past the cap
+            data += fh.read(JSON_FILE_CAP + 1 - len(data))
+    if len(data) > JSON_FILE_CAP:
+        raise DimensionOverflow(f"{kind} file has at least {len(data)} bytes > {JSON_FILE_CAP}")
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    del data  # not held while the text parses
+    return _parse_json(text)
 
 
 def loads_graph(text: str) -> GraphCode:

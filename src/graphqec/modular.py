@@ -219,12 +219,16 @@ def _residues(a: np.ndarray, d: int, dtype) -> np.ndarray:
     return np.remainder(a, divisor, out=np.empty_like(a, dtype), casting="unsafe")
 
 
+# The fixed-width residue types, narrowest first, each with the largest value it holds
+_FIXED_WIDTHS = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
 def _residue_dtype(d: int, steps: int = 1):
     """The narrowest of int8, int16, int32 and int64 that holds (d - 1) + steps (d - 1)^2,
     a residue plus `steps` products of two residues, else object.  int8 holds one
     product up to d = 11, two up to d = 7, and the five of a 6-column matrix at d = 5."""
     bound = (d - 1) + steps * (d - 1) ** 2
-    return next((t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object)
+    return next((t for t, top in _FIXED_WIDTHS if bound <= top), object)
 
 
 # Times 0x0102040810204080, the low bit of byte k lands on bit 56 + k and every other

@@ -117,20 +117,28 @@ def symplectic_max_f(code) -> int:
     return (w_min - 1) // 2
 
 
+def subset_words(n: int, d: int, subsets, letters):
+    """(shift, clock), each (K, n) of Python integers, of every Weyl word with a letter from
+    letters on each site of each subset, identity elsewhere, in the order of
+    channels._error_basis: subset by subset, then the letters q = a + d*b of X^a Z^b on the
+    subset, its first site slowest."""
+    rows = []
+    for support in subsets:
+        for word_letters in itertools.product(letters, repeat=len(support)):
+            word = [0] * n
+            for site, q in zip(support, word_letters):
+                word[site] = q
+            rows.append(word)
+    words = np.array(rows, dtype=object).reshape(len(rows), n)
+    return words % d, words // d
+
+
 def error_words(n: int, d: int, f: int):
     """(shift, clock), each (K, n) int64, of every Weyl word on at most f of n sites in the
     order of channels.error_space_basis: by support size, supports lexicographically, then
     the letters q = a + d*b of X^a Z^b on the support, its first site slowest, q >= 1."""
-    rows = []
-    for size in range(f + 1):
-        for support in itertools.combinations(range(n), size):
-            for letters in itertools.product(range(1, d * d), repeat=size):
-                word = [0] * n
-                for site, q in zip(support, letters):
-                    word[site] = q
-                rows.append(word)
-    words = np.array(rows, dtype=np.int64)
-    return words % d, words // d
+    supports = [z for size in range(f + 1) for z in itertools.combinations(range(n), size)]
+    return tuple(part.astype(np.int64) for part in subset_words(n, d, supports, range(1, d * d)))
 
 
 def word_images(v, d, shift, clock):

@@ -330,9 +330,10 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
         _LARGE_D, ["simulate", "--f", "0", "--noise", "unitary-rotation:0.1", "--sites", "0"],
         "site operator needs 10000600009 amplitudes",
     ),
-    # 2,333,431 words on <= 4 of 30 sites, each with its shift, clock and syndrome rows
+    # 2,333,431 words on <= 4 of 30 sites: their 31-wide rows, and the 4-site block's
+    # 27,405 x 4 gathered rows of Gamma and 27,405 x 81 product rows
     "kl-check-words": (
-        _ring_graph(30), ["kl-check", "--f", "4"], "error words needs 210008790 amplitudes",
+        _ring_graph(30), ["kl-check", "--f", "4"], "error words needs 144548536 amplitudes",
     ),
     "verify-adjacency": (
         {"d": 2, "m": 1, "n": 100000, "edges": []}, ["verify", "--f", "1"],
@@ -378,8 +379,9 @@ _OVERSIZED = {  # graph file (or None), argv, the refused object and its count
 }
 
 
-def _run_in_child(tmp_path, graph, argv, gib):
-    """Run the CLI in a subprocess with gib GiB of address space; return the finished process."""
+def _run_in_child(tmp_path, graph, argv, gib, stdin=None):
+    """Run the CLI in a subprocess with gib GiB of address space, stdin piped in if given;
+    return the finished process."""
     if graph is not None:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(graph))
@@ -388,7 +390,7 @@ def _run_in_child(tmp_path, graph, argv, gib):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
         [sys.executable, "-m", "graphqec.cli", *argv, "--no-timing"],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_address_space_limit(gib),
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_address_space_limit(gib), input=stdin,
     )
 
 
@@ -456,6 +458,29 @@ def test_a_file_past_the_json_file_cap_is_refused_unread_within_three_gib(tmp_pa
     proc = _run_in_child(tmp_path, graph, argv, 3)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {kind} file has {2**25 + 1} bytes > {2**25}\n"
+
+
+@pytest.mark.parametrize("kind", ["graph", "custom-kraus"])
+def test_a_piped_file_past_the_json_file_cap_is_refused_within_three_gib(tmp_path, kind):
+    # a pipe has no size to check, so the reader stops one byte past the cap
+    if kind == "graph":
+        graph, argv = None, ["verify", "/dev/stdin", "--f", "1"]
+        within = json.dumps(_ring_graph(5))
+    else:
+        graph, argv = _ring_graph(5), ["simulate", "--f", "0", "--noise", "custom-kraus:/dev/stdin", "--sites", "0"]
+        within = json.dumps([{"re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}])  # a bit flip
+    proc = _run_in_child(tmp_path, graph, argv, 3, stdin="\0" * (graphs.JSON_FILE_CAP + 1))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {kind} file has at least {2**25 + 1} bytes > {2**25}\n"
+    # a piped file within the cap reads as the same file does
+    path = tmp_path / "within.json"
+    path.write_text(within)
+    piped, read = _run_in_child(tmp_path, graph, argv, 3, stdin=within), _run_in_child(
+        tmp_path, graph, [a.replace("/dev/stdin", str(path)) for a in argv], 3
+    )
+    assert (piped.returncode, piped.stderr) == (read.returncode, read.stderr)
+    assert piped.stdout == read.stdout.replace(str(path), "/dev/stdin")  # simulate names its noise file
+    assert read.returncode in (0, 1) and read.stderr == ""
 
 
 @pytest.mark.parametrize("f", [0, 1, 2])
@@ -802,12 +827,17 @@ def test_simulate_accepts_a_degenerate_code_that_verify_refuses(capsys, tmp_path
         assert (status, err) == (0, "")
         noise = tensor_channels(*(make_depolarizing(2, 0.3) if s in sites else identity_channel(2) for s in range(6)))
         assert abs(json.loads(out)["choi_trace_distance"] - verify_etd(encoder, noise, decoder)) <= 1e-12, sites
-    # when the closed form's word budget (19 words x 6 sites x 3 arrays) refuses, the refusal
-    # stands, as in kl-check: the scan's witness [5] would be a false verdict on this code
-    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", 3 * 19 * 6 - 1)
+    # when the closed form's word budget refuses, the refusal stands, as in kl-check: the scan's
+    # witness [5] would be a false verdict on this code.  The budget holds 19 words' 7-wide rows
+    # and the 1-site block's 6 gathered rows of Gamma and 6 x 3 product rows: (19 + 24) x 7
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", (19 + 6 * 4) * 7 - 1)
     for command in ("simulate", "kl-check"):
         result = run_cli(capsys, command, str(path), "--f", "1", "--no-timing")
-        assert result == (2, "", "error: error words needs 342 amplitudes > 341\n"), command
+        assert result == (2, "", "error: error words needs 301 amplitudes > 300\n"), command
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", (19 + 6 * 4) * 7)
+    for command in ("simulate", "kl-check"):
+        status, _, err = run_cli(capsys, command, str(path), "--f", "1", "--no-timing")
+        assert (status, err) == (0, ""), command
 
 
 def test_simulate_refuses_past_the_word_budget_as_kl_check_does(capsys, tmp_path, monkeypatch):
@@ -820,10 +850,48 @@ def test_simulate_refuses_past_the_word_budget_as_kl_check_does(capsys, tmp_path
     dump_graph(GraphCode(2, 1, 171, ModMatrix(2, gamma)), path)
     calls, scan = [], cli.find_uncorrectable_subset
     monkeypatch.setattr(cli, "find_uncorrectable_subset", lambda *args: calls.append(args) or scan(*args))
-    refusal = (2, "", "error: error words needs 67371777 amplitudes > 67108864\n")
+    # 131,329 words' 172-wide rows, and the 2-site block's 14,535 x 2 gathered rows of Gamma
+    # and 14,535 x 9 product rows: within the default cap, so the cap is set at that count
+    words = (131329 + 14535 * (2 + 9)) * 172
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", words - 1)
+    refusal = (2, "", f"error: error words needs {words} amplitudes > {words - 1}\n")
     for command in ("kl-check", "simulate"):
         assert run_cli(capsys, command, str(path), "--f", "2", "--no-timing") == refusal, command
+    monkeypatch.setattr(graphs, "TOTAL_AMPLITUDE_CAP", words)
+    status, out, err = run_cli(capsys, "kl-check", str(path), "--f", "2", "--no-timing")
+    assert (status, err, out.splitlines()[-1]) == (0, "", "Knill-Laflamme: PASS")
     assert calls == []
+
+
+def test_kl_check_and_simulate_form_no_n_by_n_product_on_an_800_site_path(capsys, tmp_path, monkeypatch):
+    # each word touches at most f rows of Gamma: the 2401 words on <= 1 of 800 sites take about
+    # 2 * 10^6 multiply-adds, where a product with the 800 x 800 block takes 1.5 * 10^9
+    path = tmp_path / "path800.json"
+    path.write_text(json.dumps({"d": 2, "m": 1, "n": 800, "edges": [[i, i + 1, 1] for i in range(800)]}))
+    multiply_adds, product = [], channels._mod_matmul
+
+    def counted(a, b, d):
+        batch = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        multiply_adds.append(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return product(a, b, d)
+
+    monkeypatch.setattr(channels, "_mod_matmul", counted)
+    assert run_cli(capsys, "kl-check", str(path), "--f", "1", "--no-timing") == (1, (
+        "error space: all words on <= 1 of 800 sites (2401 operators)\n"
+        "max deviation: 1.000e+00 (tolerance 1e-09)\n"
+        "Knill-Laflamme: FAIL\n"
+    ), "")
+    assert run_cli(capsys, "simulate", str(path), "--f", "1", "--no-timing") == (
+        1, "", "code does not correct f=1 (failing subset [0])\n"
+    )
+    # the syndrome table's noise words on two of the 800 sites
+    argv = ["simulate", str(path), "--f", "0", "--noise", "depolarizing:0.3", "--sites", "0,399", "--no-timing"]
+    assert run_cli(capsys, *argv) == (0, (
+        "noise: depolarizing:0.3 on sites [0, 399]\n"
+        "Choi trace distance of decode(noise(encode)) from identity: 3.315232e-01\n"
+        "corrected: no\n"
+    ), "")
+    assert 0 < sum(multiply_adds) < 10**8, multiply_adds
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -8,9 +8,12 @@ of the same size, and an explicit decoder built from the dense operators
 G_k = sum_a c_ak F_a.  The word images of conftest.word_images, a row
 gather per word, are checked against those products and feed the same
 Gram routine (_kl_report) and decoder (_gram_isometry, _decoder_channel)
-as kl_verify and synthesize_decoder.  The closed-form Knill-Laflamme
-report of a graph code (channels._graph_kl) is checked against them and
-against the exact verdict of verify, and the class images that simulate
+as kl_verify and synthesize_decoder.  The word rows of a graph code
+(channels._words: each word's Gamma_XY s and Gamma_YY s - c) are checked
+against products of conftest's words with Gamma in Python integers.  The
+closed-form Knill-Laflamme report of a graph code (channels._graph_kl) is
+checked against the dense path and against the exact verdict of verify,
+and the class images that simulate
 forms from that report (channels._class_images) against the gathered
 image of each class's first word up to a phase, and of every word of its
 class times the closed-form phase w^(S_YY(s) - c.s).  The syndrome classes
@@ -31,15 +34,17 @@ from graphqec.channels import (
     KL_TOLERANCE,
     Channel,
     _decoder_channel,
-    _error_words,
+    _error_space,
     _graph_kl,
     _gram_isometry,
     _isometry_gap,
     _kl_report,
+    _words,
     _require_isometry,
     error_space_basis,
     identity_channel,
     kl_verify,
+    localized_error_basis,
     synthesize_decoder,
     tensor_channels,
     verify_etd,
@@ -50,7 +55,7 @@ from graphqec.graphs import GraphCode, build_isometry, first_failing_subset, pri
 from graphqec.modular import ModMatrix, _prime_factors
 from graphqec.noise import make_depolarizing, make_unitary_channel, phase_rotation
 
-from conftest import degenerate_wheel, error_words, seeded_code, word_images
+from conftest import degenerate_wheel, error_words, seeded_code, subset_words, word_images
 
 # (d, m, n, f): prime and composite d, one and two errors, one and two inputs
 CASES = [
@@ -113,13 +118,47 @@ def explicit_decoder(v, basis):
     return Channel(tuple(kraus))
 
 
-def test_error_space_counts_its_words():
-    for d, f, code in corpus():
-        count, shift, clock = _error_words(code.n, d, f)
-        assert count == len(shift) == len(error_space_basis(code.n, d, f))
-        assert shift.shape == clock.shape == (count, code.n)
-        want_shift, want_clock = error_words(code.n, d, f)
-        assert np.array_equal(shift, want_shift) and np.array_equal(clock, want_clock)
+def expected_rows(code, subsets, letters):
+    """[Gamma_XY s | Gamma_YY s - c] mod d of conftest's words, in Python integers."""
+    d, m = code.d, code.m
+    shift, clock = subset_words(code.n, d, subsets, letters)
+    gamma = code.gamma.entries.astype(object)
+    return np.hstack([shift @ gamma[m:, :m] % d, (shift @ gamma[m:, m:] - clock) % d])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9, 4294967311])
+def test_word_rows_are_each_words_dual_and_syndrome(d):
+    # past 3 * 10^9 the products take Python integers; there the d^2 - 1 letters of the error
+    # space cannot be enumerated, and four stand in: X^(d-2), X^(d-1), Z and XZ
+    rng = np.random.default_rng(d % 10007)
+    for m, n in [(1, 4), (2, 3), (1, 5)]:
+        g = np.triu(rng.integers(0, d, size=(m + n, m + n)), 1)
+        code = GraphCode(d, m, n, ModMatrix(d, g + g.T))
+        for f in range(3):
+            if d**f > 81 or (n == 5 and d > 2):  # about 10^4 words at most
+                continue
+            subsets, letters = _error_space(n, d, f)
+            ways = {size: comb(n, size) for size in range(f + 1)}
+            if d > 2**31:
+                letters = range(d - 2, d + 2)
+            subsets = list(subsets)
+            rows = _words(code, ways, iter(subsets), letters, "error words")
+            count = sum(len(letters) ** len(z) for z in subsets)
+            assert rows.dtype == np.int64 and rows.shape == (count, m + n)
+            if count * d ** (2 * n) <= 2**20:  # the dense basis is small
+                assert count == len(error_space_basis(n, d, f))
+            assert np.array_equal(rows, expected_rows(code, subsets, letters).astype(np.int64)), (m, n, f)
+        # the syndrome table's words: one subset, every letter, the identity included
+        for size in range(4):
+            if d ** (2 * size) > 4096 or d > 2**31 and size:
+                continue
+            sites = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            letters = range(d * d)
+            rows = _words(code, {size: 1}, [sites], letters, "noise words")
+            assert rows.shape == (d ** (2 * size), m + n)
+            if len(rows) * d ** (2 * n) <= 2**20:
+                assert len(rows) == len(localized_error_basis(n, d, sites))
+            assert np.array_equal(rows, expected_rows(code, [sites], letters).astype(np.int64)), (m, n, sites)
 
 
 def test_word_images_match_dense_products():
