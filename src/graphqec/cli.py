@@ -11,6 +11,12 @@ a semantic failure (a verification that ran and said no), 2 on usage or
 input errors.  A reader that closes stdout early (`| head -1`) changes
 neither the exit code nor stderr.  All output is deterministic given the
 flags; --no-timing drops the timing line and `elapsed_s`.
+
+The module imports only what every command needs: numpy, errors, graphs
+and modular.  Each handler imports what it uses of channels, noise, rates
+and search in its own body, so `verify` and `maxf` load none of the four,
+`search`, `singular-mc`, `bounds` and `capacity` no channel code, and a
+command's first call in a process times that import too.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import time
 
 import numpy as np
 
-from .channels import KL_TOLERANCE, Channel, _graph_kl, _local_etd
 from .errors import DimensionMismatch, GraphQECError
 from .graphs import (
     _normalize_subset,
@@ -34,13 +39,6 @@ from .graphs import (
     load_graph,
     max_correctable_f,
 )
-from .noise import make_depolarizing, phase_rotation
-from .rates import (
-    capacity_from_finite_coding,
-    capacity_lower_bound_small_noise,
-    emit_curves,
-)
-from .search import SearchConfig, run_search, singular_fraction_experiment
 
 __all__ = ["main"]
 
@@ -148,7 +146,11 @@ def _read_kraus(path: str, site_dim: int) -> list[np.ndarray]:
     return kraus
 
 
-def _parse_noise(token: str, site_dim: int) -> Channel:
+def _parse_noise(token: str, site_dim: int):
+    """The site channel (a channels.Channel) that a --noise token names."""
+    from .channels import Channel
+    from .noise import make_depolarizing, phase_rotation
+
     family, _, params = token.partition(":")
     if family == "depolarizing":
         return make_depolarizing(site_dim, float(params))
@@ -190,6 +192,8 @@ def _cmd_maxf(args) -> Result:
 
 
 def _cmd_kl_check(args) -> Result:
+    from .channels import KL_TOLERANCE, _graph_kl
+
     code = load_graph(args.graph)
     _require_shape(code.m, code.n, args.f)
     report = _graph_kl(code, args.f)
@@ -211,6 +215,8 @@ def _cmd_kl_check(args) -> Result:
 
 
 def _cmd_simulate(args) -> Result | int:
+    from .channels import KL_TOLERANCE, _graph_kl, _local_etd
+
     code = load_graph(args.graph)
     _require_shape(code.m, code.n, args.f)
     report = _graph_kl(code, args.f)  # past its word budget the refusal stands, as in kl-check
@@ -245,6 +251,8 @@ def _cmd_simulate(args) -> Result | int:
 
 
 def _cmd_search(args) -> Result:
+    from .search import SearchConfig, run_search
+
     cfg = SearchConfig(d=args.d, m=args.m, n=args.n, f=args.f, trials=args.trials, seed=args.seed)
     report = run_search(cfg)
     lines = [
@@ -266,6 +274,8 @@ def _cmd_search(args) -> Result:
 
 
 def _cmd_singular_mc(args) -> Result:
+    from .search import singular_fraction_experiment
+
     empirical, bound = singular_fraction_experiment(
         args.d, args.N, args.M, args.trials, args.seed
     )
@@ -286,6 +296,8 @@ def _cmd_singular_mc(args) -> Result:
 
 
 def _cmd_bounds(args) -> int:
+    from .rates import emit_curves
+
     deltas = tuple(float(tok) for tok in args.delta.split(","))
     kind = {"threshold": "threshold-fig", "region": "rate-region-fig", "exponent": "exponent-fig"}[args.fig]
     text = emit_curves(kind, d=args.d, p=args.p, k=args.k, deltas=deltas)
@@ -303,6 +315,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_capacity(args) -> Result:
+    from .rates import capacity_from_finite_coding, capacity_lower_bound_small_noise
+
     small_noise = args.eps is not None
     finite = args.delta is not None
     if small_noise == finite:

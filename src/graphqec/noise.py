@@ -1,88 +1,33 @@
-"""Noise families, cb-norm witnesses, and binomial error bounds.
+"""Noise families and cb-norm witnesses.
 
 The completely bounded norm of a channel difference is never computed
 exactly here.  Instead the module offers certified lower bounds (one
 member of the defining supremum family, evaluated on a concrete witness
-operator) and analytic upper bounds (2 ||U - 1|| for unitary noise),
-plus the discrete-to-continuous tail estimates that convert "corrects f
-errors" into cb-norm error bounds.
-
-binary_entropy and error_threshold take a float, and return floats, or an
-array, and return arrays of its shape; the bound figures of rates pass a
-whole grid in one call.  On an array the arithmetic runs as numpy float64
-ufuncs, which round exactly as Python floats do, but every log2 and power
-of two is still math's (libm's), one entry at a time (_libm): numpy's SIMD
-log and power loops can differ from libm in the last bit, and the
-figures' CSV bytes are a contract.
+operator) and analytic upper bounds (2 ||U - 1|| for unitary noise).
+The scalar formulas that turn "corrects f errors" into cb-norm error
+bounds (binary entropy, the correctability threshold, the binomial tails
+and the per-use factor) live in rates, which loads no channel code.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .channels import Channel, _require_isometry, _weyl_letters
-from .errors import (
-    DimensionMismatch,
-    NotUnitary,
-    ParamOutOfRange,
-    PreconditionViolated,
-)
+from .errors import DimensionMismatch, NotUnitary, ParamOutOfRange
 from .graphs import _require_budget
 
 __all__ = [
-    "binary_entropy",
     "phase_rotation",
     "make_unitary_channel",
     "make_depolarizing",
     "cb_lower_witness",
     "transposition_map",
     "zero_map",
-    "binomial_error_bound",
-    "truncated_binomial_bound",
-    "error_threshold",
-    "delta_exponent",
 ]
-
-
-FloatOrArray = Union[float, np.ndarray]
-
-
-def _libm(fn, x: FloatOrArray) -> FloatOrArray:
-    """fn, a function of one Python float, of x or of each entry of the array
-    x: how math.log2 and powers of two meet an array (module docstring)."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return fn(x)
-
-
-def _where(cond, a, b):
-    """a where cond holds, else b: np.where on arrays, a conditional on a number."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
-def _require_each(ok, x, message: str) -> None:
-    """ParamOutOfRange(message.format(entry)) for the first entry of x where
-    ok is False; a number x is named as given, and NaN fails every test."""
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        bad = x if np.ndim(x) == 0 else np.asarray(x, dtype=object).flat[int(np.argmin(ok))]
-        raise ParamOutOfRange(message.format(bad))
-
-
-def binary_entropy(r: FloatOrArray) -> FloatOrArray:
-    """H2(r) = -r log2 r - (1-r) log2 (1-r), with H2(0) = H2(1) = 0.
-
-    r is a float, or an array whose every entry is taken, each logarithm by
-    math.log2 (see the module docstring).
-    """
-    _require_each((0.0 <= r) & (r <= 1.0), r, "binary entropy needs r in [0, 1], got {}")
-    end = (r == 0.0) | (r == 1.0)
-    x = _where(end, 0.5, r)  # no logarithm of 0 is taken
-    y = 1.0 - x
-    return _where(end, 0.0, -x * _libm(math.log2, x) - y * _libm(math.log2, y))
 
 
 def phase_rotation(d: int, theta: float) -> np.ndarray:
@@ -181,54 +126,3 @@ def cb_lower_witness(
             out[:, k, :, l] = _heisenberg_apply(l1, block) - _heisenberg_apply(l2, block)
     norm_a = np.linalg.norm(a, 2)
     return float(np.linalg.norm(out.reshape(a.shape), 2) / norm_a)
-
-
-def binomial_error_bound(n: int, f: int, eps: float) -> float:
-    """eps^{f+1} 2^{n H2((f+1)/n)}, dominating the exact binomial tail.
-
-    Valid when eps <= (f+1)/(n-f-1); the threshold travels with the
-    exception when the precondition fails.
-    """
-    if not f + 1 <= n:
-        raise ParamOutOfRange(f"need f + 1 <= n, got f={f}, n={n}")
-    if not eps >= 0.0:
-        raise ParamOutOfRange(f"eps must be non-negative, got {eps}")
-    threshold = math.inf if n == f + 1 else (f + 1) / (n - f - 1)
-    if eps > threshold:
-        raise PreconditionViolated(
-            f"eps={eps} exceeds (f+1)/(n-f-1)={threshold}", threshold
-        )
-    return eps ** (f + 1) * 2.0 ** (n * binary_entropy((f + 1) / n))
-
-
-def truncated_binomial_bound(n: int, r: float, a: float) -> float:
-    """n (r log2 a + H2(r)) in bits, bounding log2 of sum_{k>=rn} C(n,k) a^k."""
-    if not 0.0 <= r <= 1.0:
-        raise ParamOutOfRange(f"need r in [0, 1], got {r}")
-    if not a > 0.0:
-        raise ParamOutOfRange(f"need a > 0, got {a}")
-    threshold = math.inf if r == 1.0 else r / (1.0 - r)
-    if a > threshold:
-        raise PreconditionViolated(f"a={a} exceeds r/(1-r)={threshold}", threshold)
-    return n * (r * math.log2(a) + binary_entropy(r))
-
-
-def error_threshold(eps: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-    """(2^{-H2(eps)/eps}, eps/e): the strict correctability threshold and
-    its first-order-exact simplification.
-
-    eps is a float, or an array whose every entry is taken; each power of
-    two is Python's 2.0 ** x (see the module docstring).
-    """
-    _require_each((0.0 < eps) & (eps <= 0.5), eps, "need 0 < eps <= 1/2, got {}")
-    return _libm(partial(pow, 2.0), -binary_entropy(eps) / eps), eps / math.e
-
-
-def delta_exponent(eps: float, cb_dist: float) -> float:
-    """Per-use factor 2^{H2(eps)} cb_dist^{eps}; the n-use error bound is
-    this value to the n-th power."""
-    if not 0.0 < eps <= 0.5:
-        raise ParamOutOfRange(f"need 0 < eps <= 1/2, got {eps}")
-    if not cb_dist > 0.0:
-        raise ParamOutOfRange(f"need cb_dist > 0, got {cb_dist}")
-    return 2.0 ** binary_entropy(eps) * cb_dist**eps

@@ -12,28 +12,40 @@ search.failure_bound_log2 (the existence bound, its "log" read as log2)
 scale the random-graph rate.  The textbook singleton 1 - mu >= 4 eps and
 the qubit GV region are kept for comparison.
 
-The boundaries and the exponent curve's c and lambda take eps as a float
-or as an array, so a figure computes each CSV column in one call and a
-scalar caller gets a float.  They meet arrays only through arithmetic,
-which numpy rounds as Python does, and through noise.binary_entropy and
-noise.error_threshold, which take every logarithm and power of two with
-math (libm) one entry at a time: numpy's SIMD loops for those can differ
-in the last bit, and the CSV bytes are a contract.
+The module also holds the scalar formulas the bounds are built from:
+binary_entropy, error_threshold (the strict correctability threshold),
+the binomial tail bounds that turn "corrects f errors" into a cb-norm
+error bound, and delta_exponent.  It imports no channel code, so a
+command that only evaluates formulas never loads any.
+
+binary_entropy and error_threshold take a float, and return floats, or an
+array, and return arrays of its shape, and so do the boundaries and the
+exponent curve's c and lambda: a figure computes each CSV column in one
+call and a scalar caller gets a float.  On an array the arithmetic runs as
+numpy float64 ufuncs, which round exactly as Python floats do, but every
+log2 and power of two is still math's (libm's), one entry at a time
+(_libm): numpy's SIMD log and power loops can differ from libm in the
+last bit, and the CSV bytes are a contract.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DeltaTooLarge, ParamOutOfRange, UnsupportedDimension
+from .errors import DeltaTooLarge, ParamOutOfRange, PreconditionViolated, UnsupportedDimension
 from .modular import _require_modulus, _require_prime
-from .noise import FloatOrArray, _require_each, binary_entropy, error_threshold
 
 __all__ = [
+    "binary_entropy",
+    "error_threshold",
+    "binomial_error_bound",
+    "truncated_binomial_bound",
+    "delta_exponent",
     "RatePoint",
     "ideal_capacity",
     "achievable_pair",
@@ -48,7 +60,94 @@ __all__ = [
     "emit_curves",
 ]
 
+FloatOrArray = Union[float, np.ndarray]
+
 LOG2_3 = math.log2(3.0)
+
+
+def _libm(fn, x: FloatOrArray) -> FloatOrArray:
+    """fn, a function of one Python float, of x or of each entry of the array
+    x: how math.log2 and powers of two meet an array (module docstring)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: np.where on arrays, a conditional on a number."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _require_each(ok, x, message: str) -> None:
+    """ParamOutOfRange(message.format(entry)) for the first entry of x where
+    ok is False; a number x is named as given, and NaN fails every test."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        bad = x if np.ndim(x) == 0 else np.asarray(x, dtype=object).flat[int(np.argmin(ok))]
+        raise ParamOutOfRange(message.format(bad))
+
+
+def binary_entropy(r: FloatOrArray) -> FloatOrArray:
+    """H2(r) = -r log2 r - (1-r) log2 (1-r), with H2(0) = H2(1) = 0.
+
+    r is a float, or an array whose every entry is taken, each logarithm by
+    math.log2 (see the module docstring).
+    """
+    _require_each((0.0 <= r) & (r <= 1.0), r, "binary entropy needs r in [0, 1], got {}")
+    end = (r == 0.0) | (r == 1.0)
+    x = _where(end, 0.5, r)  # no logarithm of 0 is taken
+    y = 1.0 - x
+    return _where(end, 0.0, -x * _libm(math.log2, x) - y * _libm(math.log2, y))
+
+
+def binomial_error_bound(n: int, f: int, eps: float) -> float:
+    """eps^{f+1} 2^{n H2((f+1)/n)}, dominating the exact binomial tail.
+
+    Valid when eps <= (f+1)/(n-f-1); the threshold travels with the
+    exception when the precondition fails.
+    """
+    if not f + 1 <= n:
+        raise ParamOutOfRange(f"need f + 1 <= n, got f={f}, n={n}")
+    if not eps >= 0.0:
+        raise ParamOutOfRange(f"eps must be non-negative, got {eps}")
+    threshold = math.inf if n == f + 1 else (f + 1) / (n - f - 1)
+    if eps > threshold:
+        raise PreconditionViolated(
+            f"eps={eps} exceeds (f+1)/(n-f-1)={threshold}", threshold
+        )
+    return eps ** (f + 1) * 2.0 ** (n * binary_entropy((f + 1) / n))
+
+
+def truncated_binomial_bound(n: int, r: float, a: float) -> float:
+    """n (r log2 a + H2(r)) in bits, bounding log2 of sum_{k>=rn} C(n,k) a^k."""
+    if not 0.0 <= r <= 1.0:
+        raise ParamOutOfRange(f"need r in [0, 1], got {r}")
+    if not a > 0.0:
+        raise ParamOutOfRange(f"need a > 0, got {a}")
+    threshold = math.inf if r == 1.0 else r / (1.0 - r)
+    if a > threshold:
+        raise PreconditionViolated(f"a={a} exceeds r/(1-r)={threshold}", threshold)
+    return n * (r * math.log2(a) + binary_entropy(r))
+
+
+def error_threshold(eps: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """(2^{-H2(eps)/eps}, eps/e): the strict correctability threshold and
+    its first-order-exact simplification.
+
+    eps is a float, or an array whose every entry is taken; each power of
+    two is Python's 2.0 ** x (see the module docstring).
+    """
+    _require_each((0.0 < eps) & (eps <= 0.5), eps, "need 0 < eps <= 1/2, got {}")
+    return _libm(partial(pow, 2.0), -binary_entropy(eps) / eps), eps / math.e
+
+
+def delta_exponent(eps: float, cb_dist: float) -> float:
+    """Per-use factor 2^{H2(eps)} cb_dist^{eps}; the n-use error bound is
+    this value to the n-th power."""
+    if not 0.0 < eps <= 0.5:
+        raise ParamOutOfRange(f"need 0 < eps <= 1/2, got {eps}")
+    if not cb_dist > 0.0:
+        raise ParamOutOfRange(f"need cb_dist > 0, got {cb_dist}")
+    return 2.0 ** binary_entropy(eps) * cb_dist**eps
 
 
 @dataclass(frozen=True)

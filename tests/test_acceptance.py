@@ -26,24 +26,24 @@ from graphqec.channels import (
 )
 from graphqec.graphs import build_isometry, corrects_f, prism_code, wheel_code
 from graphqec.noise import (
-    binomial_error_bound,
     cb_lower_witness,
-    error_threshold,
     make_depolarizing,
     make_unitary_channel,
     phase_rotation,
     transposition_map,
-    truncated_binomial_bound,
     zero_map,
 )
 from graphqec.rates import (
     achievable_pair,
+    binomial_error_bound,
     capacity_from_finite_coding,
     capacity_lower_bound_small_noise,
     error_exponent_curve,
+    error_threshold,
     gv_allows,
     hamming_allows,
     region_boundaries,
+    truncated_binomial_bound,
 )
 from graphqec.search import (
     SearchConfig,

@@ -1175,13 +1175,27 @@ def test_bounds_prints_no_timing(capsys, extra):
     assert "elapsed_s" not in timed[1]
 
 
-@pytest.mark.parametrize("f, expected", [("1", 0), ("2", 1), (None, 2)], ids=["pass", "fail", "missing-file"])
-def test_module_entry_point_passes_exit_code(capsys, wheel_file, tmp_path, f, expected):
-    graph = wheel_file if f else str(tmp_path / "missing.json")
-    argv = ["verify", graph, "--f", f or "1", "--no-timing"]
+# one command from each row of _IMPORT_ROWS (below), whose handler imports its modules when it runs
+_ENTRY_POINT_RUNS = {
+    "verify-pass": (["verify", "{wheel}", "--f", "1"], 0),
+    "verify-fail": (["verify", "{wheel}", "--f", "2"], 1),
+    "verify-missing-file": (["verify", "{missing}", "--f", "1"], 2),
+    "search": (["search", "--d", "7", "--m", "1", "--n", "6", "--f", "1", "--trials", "6", "--seed", "3"], 0),
+    "bounds": (["bounds", "--fig", "threshold"], 0),
+    "kl-check": (["kl-check", "{wheel}", "--f", "1"], 0),
+    "simulate": (["simulate", "{wheel}", "--f", "1", "--noise", "depolarizing:0.2", "--sites", "0,3"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, expected", list(_ENTRY_POINT_RUNS.values()), ids=list(_ENTRY_POINT_RUNS))
+def test_module_entry_point_passes_exit_code(capsys, wheel_file, tmp_path, argv, expected):
+    # a cold process: in this one every module is loaded by earlier tests, so a missing
+    # or circular deferred import, or a warning raised while importing, shows only there
+    argv = [a.format(wheel=wheel_file, missing=tmp_path / "missing.json") for a in argv] + ["--no-timing"]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "graphqec.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error", "-m", "graphqec.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
     assert proc.returncode == expected
@@ -1359,11 +1373,102 @@ def test_bounds_checks_flags_the_figure_does_not_read(capsys, argv, message):
     _refused(run_cli(capsys, "bounds", *argv), message)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    probe = "import sys, graphqec.cli; print('scipy.stats' in sys.modules)"
+def _fresh_probe(probe: str, *args: str):
+    """The JSON that probe prints as its last line, run in a fresh interpreter with args."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", probe, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# the graphqec.* and scipy* modules loaded by `import graphqec.cli`, then those one command adds
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] in ("graphqec", "scipy")}
+import graphqec.cli
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = graphqec.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(before), sorted(loaded() - before)]))
+"""
+
+# row: a command's argv, the graphqec modules it may load on top of `import graphqec.cli`,
+# and whether it may load scipy (search's Clopper-Pearson limit imports scipy.special)
+_IMPORT_ROWS = {
+    "verify": (["verify", "{wheel}", "--f", "1"], set(), False),
+    "maxf": (["maxf", "{wheel}"], set(), False),
+    "search": (["search", "--d", "7", "--m", "1", "--n", "6", "--f", "1", "--trials", "6", "--seed", "3"],
+               {"search", "rates"}, True),
+    "singular-mc": (["singular-mc", "--d", "3", "--N", "6", "--M", "4", "--trials", "50", "--seed", "1"],
+                    {"search", "rates"}, False),
+    "bounds": (["bounds", "--fig", "exponent"], {"rates"}, False),
+    "capacity": (["capacity", "--d", "2", "--eps", "0.01"], {"rates"}, False),
+    "kl-check": (["kl-check", "{wheel}", "--f", "1"], {"channels"}, False),
+    "simulate": (["simulate", "{wheel}", "--f", "1", "--noise", "unitary-rotation:0.3", "--sites", "1"],
+                 {"channels", "noise"}, False),
+}
+
+
+@pytest.mark.parametrize("argv, allowed, scipy", list(_IMPORT_ROWS.values()), ids=list(_IMPORT_ROWS))
+def test_each_command_loads_only_the_modules_it_runs(wheel_file, argv, allowed, scipy):
+    code, at_import, added = _fresh_probe(_IMPORT_PROBE, *(a.format(wheel=wheel_file) for a in argv))
+    assert code == 0
+    assert at_import == ["graphqec", "graphqec.cli", "graphqec.errors", "graphqec.graphs", "graphqec.modular"]
+    assert {m.split(".", 1)[1] for m in added if m.startswith("graphqec.")} <= allowed
+    assert "scipy.stats" not in added
+    assert scipy or not [m for m in added if m.split(".")[0] == "scipy"]
+
+
+# every public name of the package, by the module that defines it
+_PUBLIC = {
+    "channels": ["Channel", "KLReport", "KL_TOLERANCE", "apply_channel", "choi_state", "error_space_basis",
+                 "identity_channel", "kl_verify", "localized_error_basis", "synthesize_decoder",
+                 "tensor_channels", "verify_etd", "weyl_operator"],
+    "errors": ["CompositeModulus", "DeltaTooLarge", "DimensionMismatch", "DimensionOverflow", "GraphQECError",
+               "InvalidSubset", "KLViolated", "NotIsometry", "NotUnitary", "ParamOutOfRange",
+               "PreconditionViolated", "TooManyErrors", "UnsupportedDimension"],
+    "graphs": ["GraphCode", "build_isometry", "check_subset", "corrects_f", "dump_graph",
+               "find_uncorrectable_subset", "first_failing_subset", "graph_to_dict", "load_graph",
+               "loads_graph", "max_correctable_f", "prism_code", "wheel_code"],
+    "modular": ["ModMatrix", "is_prime", "kernel_trivial", "rank_prime"],
+    "noise": ["cb_lower_witness", "make_depolarizing", "make_unitary_channel", "phase_rotation",
+              "transposition_map", "zero_map"],
+    "rates": ["RatePoint", "achievable_pair", "binary_entropy", "binomial_error_bound",
+              "capacity_from_finite_coding", "capacity_lower_bound_small_noise", "delta_exponent",
+              "emit_curves", "error_exponent_curve", "error_threshold", "gv_allows", "hamming_allows",
+              "ideal_capacity", "region_boundaries", "singleton_allows", "singleton_standard_allows",
+              "truncated_binomial_bound"],
+    "search": ["SearchConfig", "SearchReport", "failure_bound_log2", "run_search", "sample_graph",
+               "singular_fraction_experiment", "trial_rng"],
+}
+
+_API_PROBE = """
+import importlib, json, sys
+import graphqec
+listed = sorted(n for n in dir(graphqec) if not n.startswith("_"))
+loaded = sorted(m for m in sys.modules if m.startswith("graphqec."))
+unknown = [hasattr(graphqec, n) for n in ("channels", "no_such_name")]
+from graphqec import channels
+star = {}
+exec("from graphqec import *", star)
+homes = json.loads(sys.argv[1])
+same = [n for home, names in homes.items() for n in names
+        if getattr(graphqec, n) is getattr(importlib.import_module("graphqec." + home), n)]
+print(json.dumps([listed, loaded, unknown, channels.__name__, sorted(set(star) - {"__builtins__"}), same]))
+"""
+
+
+def test_package_names_load_from_their_modules_on_first_use():
+    names = sorted(n for group in _PUBLIC.values() for n in group)
+    listed, loaded, unknown, channels_name, star, same = _fresh_probe(_API_PROBE, json.dumps(_PUBLIC))
+    assert (listed, loaded) == (names, [])
+    assert unknown == [False, False]  # so `from graphqec import channels` imports the submodule
+    assert channels_name == "graphqec.channels"
+    assert star == names
+    assert sorted(same) == names
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

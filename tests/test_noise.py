@@ -11,17 +11,19 @@ from graphqec.errors import (
     PreconditionViolated,
 )
 from graphqec.noise import (
-    binary_entropy,
-    binomial_error_bound,
     cb_lower_witness,
-    delta_exponent,
-    error_threshold,
     make_depolarizing,
     make_unitary_channel,
     phase_rotation,
     transposition_map,
-    truncated_binomial_bound,
     zero_map,
+)
+from graphqec.rates import (
+    binary_entropy,
+    binomial_error_bound,
+    delta_exponent,
+    error_threshold,
+    truncated_binomial_bound,
 )
 
 from conftest import entropy_oracle, exact_binomial_tail, exact_log2_binomial_tail

@@ -12,7 +12,6 @@ from graphqec.errors import (
     ParamOutOfRange,
     UnsupportedDimension,
 )
-from graphqec.noise import binary_entropy, error_threshold
 from graphqec.rates import (
     LOG2_3,
     _default_exponent_grid,
@@ -22,10 +21,12 @@ from graphqec.rates import (
     _random_graph_rate,
     _singleton_rate,
     achievable_pair,
+    binary_entropy,
     capacity_from_finite_coding,
     capacity_lower_bound_small_noise,
     emit_curves,
     error_exponent_curve,
+    error_threshold,
     gv_allows,
     hamming_allows,
     ideal_capacity,
@@ -192,8 +193,6 @@ def test_exponent_curve_shape_and_flags():
 
 def test_exponent_curve_sign_at_grid_start():
     # at eps = e*delta the sign is fixed by delta vs the strict threshold
-    from graphqec.noise import error_threshold
-
     for delta in (1e-3, 1e-2):
         eps = math.e * delta
         point = error_exponent_curve(2, 1, delta, [eps])[0]
@@ -238,8 +237,6 @@ def test_region_boundaries_ordering():
 
 
 def test_emit_threshold_csv_delegates():
-    from graphqec.noise import error_threshold
-
     csv = emit_curves("threshold-fig")
     lines = csv.strip().split("\n")
     assert lines[0] == "eps,strict_threshold,simple_bound"
@@ -292,8 +289,6 @@ def test_delta_rules_refuse_nan():
 
 
 def test_small_noise_threshold_is_the_strict_error_threshold():
-    from graphqec.noise import error_threshold
-
     for eps in (1e-4, 0.01, 0.1, 0.25, 0.4999):
         assert capacity_lower_bound_small_noise(3, eps)[0] == error_threshold(eps)[0]
 
